@@ -1,11 +1,10 @@
 """Two-path video autoencoder with normalizing-flow normality scoring."""
 
 from .errors import ConfigError, NumericError, ShapeError, TrainingAborted
-from .tensor import Tensor, tensor
+from .tensor import Tensor
 
 __all__ = [
     "Tensor",
-    "tensor",
     "ShapeError",
     "NumericError",
     "ConfigError",

@@ -359,6 +359,23 @@ def cmd_score(args):
     config = _resolve_config(args)
     if not config.data_path:
         raise ConfigError("data_path is required for score")
+    sources = _video_sources(config.data_path)
+    if config.label_path and len(sources) > 1:
+        raise ConfigError(
+            f"label_path {config.label_path} would label all {len(sources)} "
+            f"videos under {config.data_path}; give one video or per-video labels.txt"
+        )
+    names = {}
+    for source, _ in sources:
+        names.setdefault(_video_name(source), []).append(source)
+    clashes = [
+        f"videos {', '.join(srcs)} would all write scores/{name}.csv"
+        for name, srcs in names.items()
+        if len(srcs) > 1
+    ]
+    if clashes:
+        raise ConfigError(clashes)
+
     itae_dir = args.itae_dir or os.path.join(config.out_dir, "itae")
     model = _load_frozen_model(config, itae_dir)
     static_flow = None
@@ -372,14 +389,9 @@ def cmd_score(args):
 
     score_dir = os.path.join(config.out_dir, "scores")
     os.makedirs(score_dir, exist_ok=True)
-    written = []
-    for source, label_path in _video_sources(config.data_path):
-        if config.label_path:
-            label_path = config.label_path
+    for source, label_path in sources:
+        label_path = config.label_path or label_path
         video = load_video(_clip_spec(config, source=source))
-        series = score_video(
-            model, video, config, static_flow=static_flow, dynamic_flow=dynamic_flow
-        )
         total = video.shape[2]
         if label_path:
             labels = read_labels(label_path)
@@ -389,6 +401,9 @@ def cmd_score(args):
                 )
         else:
             labels = np.full(total, -1, dtype=int)
+        series = score_video(
+            model, video, config, static_flow=static_flow, dynamic_flow=dynamic_flow
+        )
         name = _video_name(source)
         path = os.path.join(score_dir, f"{name}.csv")
         rows = [
@@ -403,7 +418,6 @@ def cmd_score(args):
             for t in range(total)
         ]
         _write_rows(path, SCORE_HEADER, rows)
-        written.append(path)
         print(f"scored {name}: {total} frames -> {path}")
     write_config(os.path.join(config.out_dir, "config.cfg"), config)
     return 0
@@ -432,17 +446,24 @@ def _read_score_csv(path):
 
 
 def _gather(paths):
+    """Read score CSVs; returns (per-video columns, all labels concatenated)."""
     videos = [_read_score_csv(p) for p in paths]
     for path, v in zip(paths, videos):
         if np.any(v["label"] < 0):
             raise ConfigError(f"{path}: contains unlabeled frames; eval needs labels")
-    return videos
+    labels = np.concatenate([v["label"] for v in videos])
+    classes = np.unique(labels).tolist()
+    if len(classes) < 2:
+        raise ConfigError(
+            f"labels of {len(labels)} frames are only {classes}; "
+            "AUC and EER need both normal (0) and abnormal (1) frames"
+        )
+    return videos, labels
 
 
 def cmd_eval(args):
-    videos = _gather(args.csvs)
+    videos, labels = _gather(args.csvs)
     scores = np.concatenate([v["fused"] for v in videos])
-    labels = np.concatenate([v["label"] for v in videos])
     auc, eer, _ = roc_auc_eer(scores, labels)
     record = json.dumps(
         {"auc": round(auc, 6), "eer": round(eer, 6), "n_frames": int(len(scores))},
@@ -456,14 +477,13 @@ def cmd_eval(args):
 
 
 def cmd_sweep(args):
-    videos = _gather(args.csvs)
+    videos, labels = _gather(args.csvs)
     try:
         grid = [float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"--grid wants comma-separated numbers, got {args.grid!r}") from None
     if not grid:
         raise ConfigError("--grid is empty")
-    labels = np.concatenate([v["label"] for v in videos])
     rows = []
     for lam in grid:
         fused = np.concatenate(

@@ -1,60 +1,27 @@
-"""Clip ingestion: frame folders or packed tensor files to model-ready clips.
+"""Clip ingestion: frame folders or packed tensor files to model-ready video.
 
-A clip is a (1, C, T, H, W) float64 volume in [0, 1] plus bookkeeping: the
-absolute indices of its frames and a source identifier. Frame folders hold
-binary PGM/PPM images in lexicographic order; a packed tensor source is a
-single file holding the whole video. Optional integer-factor area resizing
-and gray/rgb conversion happen at load time.
+`load_video` reads a whole source as one (1, C, T, H, W) float64 array in
+[0, 1]. Frame folders hold binary PGM/PPM images in lexicographic order; a
+packed tensor source is a single file holding the whole video. Optional
+integer-factor area resizing and gray/rgb conversion happen at load time.
+`iter_clips` yields the training windows of a source as views into that
+array, at the starts given by `pipeline.clip_starts`.
 """
 
 import dataclasses
-import logging
 import os
-import queue
-import threading
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .features import box_resample
+from .pipeline import clip_starts
 from .pnm import read_pnm
 from .tensor_io import load_tensor
 
-__all__ = ["VideoClip", "ClipSpec", "load_video", "iter_clips", "prefetch"]
-
-log = logging.getLogger(__name__)
+__all__ = ["ClipSpec", "load_video", "iter_clips"]
 
 _FRAME_EXTS = (".pgm", ".ppm")
-
-
-@dataclasses.dataclass
-class VideoClip:
-    """One training/scoring sample: frames plus provenance."""
-
-    frames: np.ndarray  # (1, c, t, h, w) in [0, 1]
-    tau: int
-    source_id: str
-    frame_indices: tuple
-
-    def __post_init__(self):
-        f = self.frames
-        if f.ndim != 5 or f.shape[0] != 1:
-            raise ShapeError(f"clip frames must be (1, c, t, h, w), got {f.shape}")
-        if f.shape[2] % self.tau:
-            raise ConfigError(
-                f"clip length {f.shape[2]} not divisible by tau={self.tau}"
-            )
-        if len(self.frame_indices) != f.shape[2]:
-            raise ShapeError(
-                f"{len(self.frame_indices)} frame indices for {f.shape[2]} frames"
-            )
-        lo, hi = f.min(), f.max()
-        if lo < 0.0 or hi > 1.0:
-            raise ShapeError(f"pixel values outside [0, 1]: min {lo}, max {hi}")
-
-    @property
-    def length(self):
-        return self.frames.shape[2]
 
 
 @dataclasses.dataclass
@@ -67,7 +34,6 @@ class ClipSpec:
     stride: int = 1
     resize: tuple = None  # (h, w) target or None
     color: str = "gray"
-    on_error: str = "abort"  # or "skip"
 
     def __post_init__(self):
         problems = []
@@ -79,8 +45,6 @@ class ClipSpec:
             problems.append(f"stride must be positive, got {self.stride}")
         if self.color not in ("gray", "rgb"):
             problems.append(f"color must be gray or rgb, got {self.color!r}")
-        if self.on_error not in ("abort", "skip"):
-            problems.append(f"on_error must be abort or skip, got {self.on_error!r}")
         if self.resize is not None:
             h, w = self.resize
             if h % 4 or w % 4:
@@ -121,18 +85,10 @@ def load_video(spec):
         )
         if not names:
             raise ConfigError(f"no PGM/PPM frames found in {src}")
-        frames = []
-        for name in names:
-            try:
-                img = read_pnm(os.path.join(src, name))
-            except (OSError, ShapeError) as exc:
-                if spec.on_error == "abort":
-                    raise
-                log.warning("skipping unreadable frame %s: %s", name, exc)
-                continue
-            frames.append(_frame_to_unit(img, spec.color))
-        if not frames:
-            raise ConfigError(f"all frames in {src} were unreadable")
+        frames = [
+            _frame_to_unit(read_pnm(os.path.join(src, name)), spec.color)
+            for name in names
+        ]
         video = np.stack(frames, axis=1)[None]  # (1, c, t, h, w)
     else:
         arr = load_tensor(src)
@@ -150,55 +106,12 @@ def load_video(spec):
 
 
 def iter_clips(spec):
-    """Yield sliding-window clips over the source video, in order.
+    """Yield the full clip_len windows of the source, in order, as
+    (1, C, clip_len, H, W) views into the loaded video.
 
     Window starts step by spec.stride; a source shorter than clip_len yields
     nothing.
     """
     video = load_video(spec)
-    total = video.shape[2]
-    base = os.path.basename(os.path.normpath(spec.source))
-    for start in range(0, total - spec.clip_len + 1, spec.stride):
-        window = video[:, :, start : start + spec.clip_len].copy()
-        yield VideoClip(
-            frames=window,
-            tau=spec.tau,
-            source_id=f"{base}[{start}:{start + spec.clip_len}]",
-            frame_indices=tuple(range(start, start + spec.clip_len)),
-        )
-
-
-_SENTINEL = object()
-
-
-def prefetch(iterator, depth=4):
-    """Run an iterator on a worker thread with a bounded ready queue.
-
-    Preserves order; backpressure via the queue bound. Exceptions re-raise at
-    the consuming end.
-    """
-    out = queue.Queue(maxsize=depth)
-
-    def worker():
-        try:
-            for item in iterator:
-                out.put(item)
-        except BaseException as exc:  # propagated to the consumer
-            out.put((_SENTINEL, exc))
-            return
-        out.put((_SENTINEL, None))
-
-    thread = threading.Thread(target=worker, daemon=True)
-    thread.start()
-
-    def gen():
-        while True:
-            item = out.get()
-            if isinstance(item, tuple) and len(item) == 2 and item[0] is _SENTINEL:
-                thread.join()
-                if item[1] is not None:
-                    raise item[1]
-                return
-            yield item
-
-    return gen()
+    for start in clip_starts(video.shape[2], spec.clip_len, spec.stride):
+        yield video[:, :, start : start + spec.clip_len]

@@ -9,8 +9,8 @@ import dataclasses
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "parse_config", "serialize_config", "load_config",
-           "write_config", "apply_preset", "PRESETS"]
+__all__ = ["RunConfig", "parse_config", "serialize_config", "write_config",
+           "apply_preset", "PRESETS"]
 
 
 @dataclasses.dataclass
@@ -173,11 +173,6 @@ def _format(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def load_config(path, overrides=None):
-    with open(path) as fh:
-        return parse_config(fh.read(), overrides)
 
 
 def write_config(path, config):

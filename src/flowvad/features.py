@@ -1,16 +1,17 @@
-"""Bridges frozen autoencoder latents to density-model inputs.
+"""Array transforms from autoencoder latents to density-model inputs.
 
 Each temporal slice of a latent volume becomes one independent 2-D sample:
 channel-axis max and mean maps, concatenated in fixed (max, avg) order. The
 static stream additionally carries a resized intensity channel taken from the
-exact input frame that produced the slice.
+exact input frame that produced the slice. `pipeline.encode_windows` is the
+one place that applies them to encoder output.
 """
 
 import numpy as np
 
 from .errors import ShapeError
 
-__all__ = ["pool_features", "append_intensity", "box_resample", "flow_inputs"]
+__all__ = ["pool_features", "append_intensity", "box_resample"]
 
 
 def pool_features(latent):
@@ -59,21 +60,3 @@ def append_intensity(static_maps, clip, tau):
     gray = frames[0].mean(axis=0)  # (t, H, W)
     intensity = np.stack([box_resample(gray[i * tau], h, w) for i in range(s)])
     return np.concatenate([maps, intensity[:, None]], axis=1)
-
-
-def flow_inputs(model, clip):
-    """Full bridge: encode a clip with a frozen model, pool, append intensity.
-
-    Returns (static_in, dynamic_in):
-      static_in  (T/tau, 3, h, w) channels (max, avg, intensity)
-      dynamic_in (T, 2, h, w)     channels (max, avg)
-    For a one-path model dynamic_in is None.
-    """
-    if not model.frozen:
-        raise RuntimeError("flow inputs must come from a frozen autoencoder")
-    from .tensor import Tensor
-
-    xs, xd = model.encode(Tensor(np.asarray(clip, dtype=np.float64)))
-    static_in = append_intensity(pool_features(xs.data), clip, model.config.tau)
-    dynamic_in = pool_features(xd.data) if xd is not None else None
-    return static_in, dynamic_in

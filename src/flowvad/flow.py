@@ -320,9 +320,6 @@ class FlowResult:
     def bits_per_dim(self) -> np.ndarray:
         return self.nll.data / (self.dims * math.log(2.0))
 
-    def mean_nll(self) -> Tensor:
-        return self.nll.mean()
-
 
 class FlowStack:
     """L levels of K flow steps with multi-scale factor-out."""

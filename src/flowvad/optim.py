@@ -40,10 +40,6 @@ class Adam:
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
-    @property
-    def current_lr(self) -> float:
-        return self._lr(self.step_count)
-
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None

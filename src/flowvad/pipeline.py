@@ -1,12 +1,16 @@
-"""Per-video scoring: sliding windows through the frozen models to
-per-frame evidence series.
+"""Windows over a video, the latent-to-flow bridge, and per-video scoring.
 
-Windows of clip_len frames step through the video at score_stride; every
-frame must land in at least one window (guaranteed when score_stride <=
-clip_len). Each window yields a per-frame reconstruction error (patch max),
-a per-slice static NLL (held across its tau span), and a per-frame dynamic
-NLL. Frames covered by several windows take the mean. The normalized
-likelihood term and the fused score are computed within the video.
+Every consumer of clip windows takes its starts from `clip_starts`: full
+windows of clip_len frames, one every `stride` frames. Training uses them as
+they are; scoring (`window_starts`) adds one clamped tail window so that every
+frame is covered. `encode_windows` is the one bridge from frozen autoencoder
+latents to density-model samples, shared by `collect_flow_samples` (step two)
+and `score_video`, so both feed the flows identical features.
+
+Each scored window yields a per-frame reconstruction error (patch max), a
+per-slice static NLL (held across its tau span), and a per-frame dynamic NLL.
+Frames covered by several windows take the mean. The normalized likelihood
+term and the fused score are computed within the video.
 """
 
 import numpy as np
@@ -22,10 +26,22 @@ from .scoring import (
 )
 from .tensor import Tensor
 
-__all__ = ["score_video", "window_starts", "collect_flow_samples"]
+__all__ = [
+    "clip_starts",
+    "window_starts",
+    "encode_windows",
+    "collect_flow_samples",
+    "score_video",
+]
 
 RECON_BATCH = 4  # windows reconstructed per forward pass
 FLOW_BATCH = 64  # feature slices per density-model pass
+
+
+def clip_starts(total, clip_len, stride):
+    """Origins of the full clip_len windows of a total-frame video, every
+    stride frames; empty when the video is shorter than one window."""
+    return list(range(0, total - clip_len + 1, stride))
 
 
 def window_starts(total, clip_len, stride):
@@ -36,36 +52,59 @@ def window_starts(total, clip_len, stride):
         raise ConfigError(
             f"score stride {stride} above clip length {clip_len} leaves gaps"
         )
-    starts = list(range(0, total - clip_len + 1, stride))
+    starts = clip_starts(total, clip_len, stride)
     if starts[-1] != total - clip_len:
         starts.append(total - clip_len)
     return starts
 
 
+def encode_windows(model, video, starts, clip_len, static=True, dynamic=True):
+    """Encode the windows at `starts`, RECON_BATCH at a time, with a frozen
+    model; the one bridge from latents to density-model samples.
+
+    Yields (windows, latents, statics, dynamics) per group: windows is the
+    (B, C, clip_len, H, W) input, latents the encoder's (static, dynamic)
+    output, statics one (clip_len/tau, 3, h, w) sample array per window with
+    channels (max, avg, intensity), and dynamics one (clip_len, 2, h, w)
+    array per window with channels (max, avg). A stream that is not asked
+    for, or a one-path model's dynamic stream, gives an empty list.
+    """
+    if not model.frozen:
+        raise RuntimeError("flow inputs must come from a frozen autoencoder")
+    tau = model.config.tau
+    for lo in range(0, len(starts), RECON_BATCH):
+        group = starts[lo : lo + RECON_BATCH]
+        windows = np.concatenate([video[:, :, s : s + clip_len] for s in group], axis=0)
+        xs, xd = model.encode(Tensor(windows))
+        statics = []
+        dynamics = []
+        for k in range(len(group)):
+            if static:
+                pooled = pool_features(xs.data[k : k + 1])
+                statics.append(append_intensity(pooled, windows[k : k + 1], tau))
+            if dynamic and xd is not None:
+                dynamics.append(pool_features(xd.data[k : k + 1]))
+        yield windows, (xs, xd), statics, dynamics
+
+
 def collect_flow_samples(model, video, config, need_static=True, need_dynamic=True):
-    """Pool per-slice density-model samples from every training window.
+    """Pool per-slice density-model samples of a frozen model from every
+    training window.
 
     Windows step by clip_stride. Returns (static (S, 3, h, w) or None,
     dynamic (D, 2, h, w) or None).
     """
     total = video.shape[2]
-    starts = list(range(0, total - config.clip_len + 1, config.clip_stride))
+    starts = clip_starts(total, config.clip_len, config.clip_stride)
     if not starts:
         raise ConfigError(f"video has {total} frames, need at least {config.clip_len}")
     statics = []
     dynamics = []
-    for lo in range(0, len(starts), RECON_BATCH):
-        group = starts[lo : lo + RECON_BATCH]
-        chunk = np.concatenate(
-            [video[:, :, s : s + config.clip_len] for s in group], axis=0
-        )
-        xs, xd = model.encode(Tensor(chunk))
-        for k in range(len(group)):
-            if need_static:
-                pooled = pool_features(xs.data[k : k + 1])
-                statics.append(append_intensity(pooled, chunk[k : k + 1], config.tau))
-            if need_dynamic and xd is not None:
-                dynamics.append(pool_features(xd.data[k : k + 1]))
+    for _, _, s, d in encode_windows(
+        model, video, starts, config.clip_len, need_static, need_dynamic
+    ):
+        statics.extend(s)
+        dynamics.extend(d)
     static = np.concatenate(statics, axis=0) if statics else None
     dynamic = np.concatenate(dynamics, axis=0) if dynamics else None
     return static, dynamic
@@ -79,7 +118,8 @@ def _batched_nll(stack, samples, batch):
 
 
 def score_video(model, video, config, static_flow=None, dynamic_flow=None):
-    """Score one video array (1, C, T, H, W); returns per-frame series.
+    """Score one video array (1, C, T, H, W) with a frozen model; returns
+    per-frame series.
 
     Returns a dict of length-T arrays: recon, nll_static, nll_dynamic,
     nll_norm, fused. Flow stacks are optional; a missing stack contributes
@@ -88,38 +128,26 @@ def score_video(model, video, config, static_flow=None, dynamic_flow=None):
     total = video.shape[2]
     tau = config.tau
     starts = window_starts(total, config.clip_len, config.score_stride)
-    windows = np.concatenate(
-        [video[:, :, s : s + config.clip_len] for s in starts], axis=0
-    )
-    n = windows.shape[0]
 
     recon_rows = []
     static_samples = []
     dynamic_samples = []
-    need_latents = static_flow is not None or dynamic_flow is not None
-    for lo in range(0, n, RECON_BATCH):
-        chunk = windows[lo : lo + RECON_BATCH]
-        x = Tensor(chunk)
-        xs, xd = model.encode(x)
+    for windows, (xs, xd), s, d in encode_windows(
+        model, video, starts, config.clip_len,
+        static_flow is not None, dynamic_flow is not None,
+    ):
         out = model.decode(xs, xd).data
-        for k in range(chunk.shape[0]):
+        for k in range(windows.shape[0]):
             recon_rows.append(
                 patch_max_error(
-                    chunk[k : k + 1],
+                    windows[k : k + 1],
                     out[k : k + 1],
                     patch=config.patch_size,
                     stride=config.patch_stride,
                 )
             )
-        if need_latents:
-            for k in range(chunk.shape[0]):
-                if static_flow is not None:
-                    pooled = pool_features(xs.data[k : k + 1])
-                    static_samples.append(
-                        append_intensity(pooled, chunk[k : k + 1], tau)
-                    )
-                if dynamic_flow is not None and xd is not None:
-                    dynamic_samples.append(pool_features(xd.data[k : k + 1]))
+        static_samples.extend(s)
+        dynamic_samples.extend(d)
 
     recon = aggregate_windows(recon_rows, starts, total)
 

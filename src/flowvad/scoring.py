@@ -110,16 +110,12 @@ def nll_score(nll_static, nll_dynamic=None):
     return minmax_normalize(total)
 
 
-def fuse(recon, nll, lambda_l, normalize=False):
-    """Fused anomaly score: recon + lambda_l * nll, optionally per-clip
-    normalizing each component first so multi-scene scales match."""
+def fuse(recon, nll, lambda_l):
+    """Fused anomaly score: recon + lambda_l * nll."""
     r = np.asarray(recon, dtype=np.float64)
     l = np.asarray(nll, dtype=np.float64)
     if r.shape != l.shape:
         raise ShapeError(f"series lengths differ: {r.shape} vs {l.shape}")
-    if normalize:
-        r = minmax_normalize(r)
-        l = minmax_normalize(l)
     return r + lambda_l * l
 
 

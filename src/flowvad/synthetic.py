@@ -144,7 +144,10 @@ def write_scene(out_dir, frames, labels):
 def read_labels(path):
     with open(path) as fh:
         vals = [line.strip() for line in fh if line.strip()]
-    labels = np.array([int(v) for v in vals])
+    try:
+        labels = np.array([int(v) for v in vals])
+    except ValueError:
+        raise ConfigError(f"{path}: labels must be integers, one per line") from None
     if not np.all(np.isin(labels, (0, 1))):
         raise ConfigError(f"{path}: labels must be 0 or 1")
     return labels

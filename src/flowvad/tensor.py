@@ -27,9 +27,6 @@ from .errors import NumericError, ShapeError
 
 __all__ = [
     "Tensor",
-    "tensor",
-    "zeros",
-    "ones",
     "concat",
     "broadcast_to",
     "matmul",
@@ -457,21 +454,6 @@ def _check_basic_index(idx) -> None:
                 "only basic indexing (ints, slices, Ellipsis) is supported; "
                 f"got {type(it).__name__}"
             )
-
-
-# ------------------------------------------------------------- constructors
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
 # --------------------------------------------------------------- structural

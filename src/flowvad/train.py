@@ -50,12 +50,12 @@ def _restore(params, saved):
 def train_autoencoder(model, clips, config):
     """Fit the reconstruction model on normal clips.
 
-    clips: sequence of (1, C, T, H, W) arrays (or objects with .frames).
+    clips: sequence of (1, C, T, H, W) arrays.
     Returns a list of per-step loss rows: dicts with l2, ms_ssim, gradient,
     total. Raises TrainingAborted on non-finite loss, with parameters rolled
     back to the last finite step.
     """
-    arrays = [np.asarray(getattr(c, "frames", c), dtype=np.float64) for c in clips]
+    arrays = [np.asarray(c, dtype=np.float64) for c in clips]
     if not arrays:
         raise ValueError("no training clips given")
     rng = np.random.default_rng(config.seed)

@@ -29,10 +29,11 @@ from flowvad.flow import (
     Squeeze,
 )
 from flowvad.losses import recon_loss
-from flowvad.numeric import max_relative_error, numerical_gradient, numerical_jacobian
 from flowvad.scoring import roc_auc_eer
 from flowvad.tensor import Tensor, broadcast_to, concat, conv3d, conv_transpose3d, matmul
 from flowvad.train import TrainConfig, train_flow
+
+from numeric import max_relative_error, numerical_gradient, numerical_jacobian
 
 
 _CAPTURE = {"manager": None}

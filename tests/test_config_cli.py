@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -279,3 +280,60 @@ class TestScoreEval:
         record = json.loads(capsys.readouterr().out.strip())
         assert record["auc"] == pytest.approx(1.0)
         assert record["eer"] == pytest.approx(0.0)
+
+
+def write_score_csv(path, labels):
+    rows = ["frame_index,recon,nll_static,nll_dynamic,fused,label"]
+    rows += [f"{i},0.{i},0.0,0.0,0.{i},{lab}" for i, lab in enumerate(labels)]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def checkpoint_flags(run):
+    return ["--itae-dir", str(run / "itae"), "--static-dir", str(run / "nf_static"),
+            "--dynamic-dir", str(run / "nf_dynamic")]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
+    def test_one_class_labels_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "normal.csv"
+        write_score_csv(path, [0] * 6)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "both normal" in err
+
+    def test_non_integer_labels_file_exit_2(self, scene, trained_run, tmp_path, capsys):
+        video = tmp_path / "bad"
+        shutil.copytree(scene / "test" / "frames", video / "frames")
+        (video / "labels.txt").write_text("0\n" * 5 + "abnormal\n" + "1\n" * 26)
+        rc = main(["score", "--data-path", str(video), "--out-dir", str(tmp_path / "out"),
+                   *checkpoint_flags(trained_run), *BASE_FLAGS])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "integers" in err
+        assert not (tmp_path / "out" / "scores" / "bad.csv").exists()
+
+    def test_score_refuses_colliding_video_names(self, scene, trained_run, tmp_path, capsys):
+        data = tmp_path / "data"
+        for group in ("a", "b"):
+            shutil.copytree(scene / "test", data / group / "scene0")
+        out = tmp_path / "out"
+        rc = main(["score", "--data-path", str(data), "--out-dir", str(out),
+                   *checkpoint_flags(trained_run), *BASE_FLAGS])
+        assert rc == 2
+        assert "scores/scene0.csv" in capsys.readouterr().err
+        assert not (out / "scores").exists()
+
+    def test_score_refuses_one_label_file_for_many_videos(
+        self, scene, trained_run, tmp_path, capsys
+    ):
+        data = tmp_path / "data"
+        for name in ("first", "second"):
+            shutil.copytree(scene / "test", data / name)
+        out = tmp_path / "out"
+        rc = main(["score", "--data-path", str(data), "--out-dir", str(out),
+                   "--label-path", str(scene / "test" / "labels.txt"),
+                   *checkpoint_flags(trained_run), *BASE_FLAGS])
+        assert rc == 2
+        assert "label_path" in capsys.readouterr().err
+        assert not (out / "scores").exists()

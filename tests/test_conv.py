@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from flowvad.errors import ShapeError
-from flowvad.numeric import max_relative_error, numerical_gradient
 from flowvad.tensor import Tensor, conv3d, conv_transpose3d
+
+from numeric import max_relative_error, numerical_gradient
 
 
 def conv3d_loops(x, w, stride, padding):

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from flowvad.clips import ClipSpec, VideoClip, iter_clips, load_video, prefetch
+from flowvad.clips import ClipSpec, iter_clips, load_video
 from flowvad.errors import ConfigError, ShapeError
 from flowvad.pnm import read_pnm, write_pnm
 from flowvad.synthetic import (
@@ -73,18 +73,20 @@ class TestClipLoading:
         frames = rng.integers(0, 256, size=(20, 16, 16), dtype=np.uint8)
         write_frames(tmp_path / "v", frames)
         spec = ClipSpec(source=str(tmp_path / "v"), clip_len=8, tau=4, stride=1)
+        video = load_video(spec)
         clips = list(iter_clips(spec))
         assert len(clips) == 13  # 20 - 8 + 1
-        assert clips[0].frame_indices == tuple(range(8))
-        assert clips[-1].frame_indices == tuple(range(12, 20))
+        assert np.array_equal(clips[0], video[:, :, 0:8])
+        assert np.array_equal(clips[-1], video[:, :, 12:20])
+        assert np.array_equal(clips[-1][0, 0, -1], frames[19] / 255.0)
 
     def test_pixel_scaling(self, tmp_path):
         frames = np.full((8, 8, 8), 255, dtype=np.uint8)
         write_frames(tmp_path / "v", frames)
         spec = ClipSpec(source=str(tmp_path / "v"), clip_len=8, tau=4)
         clip = next(iter_clips(spec))
-        assert clip.frames.shape == (1, 1, 8, 8, 8)
-        assert np.all(clip.frames == 1.0)
+        assert clip.shape == (1, 1, 8, 8, 8)
+        assert np.all(clip == 1.0)
 
     def test_gray_mode_from_rgb(self, rng, tmp_path):
         frames = rng.integers(0, 256, size=(4, 8, 8, 3), dtype=np.uint8)
@@ -92,15 +94,15 @@ class TestClipLoading:
         spec = ClipSpec(source=str(tmp_path / "v"), clip_len=4, tau=4, color="gray")
         clip = next(iter_clips(spec))
         want = frames[0].astype(np.float64).mean(axis=2) / 255.0
-        assert np.allclose(clip.frames[0, 0, 0], want)
+        assert np.allclose(clip[0, 0, 0], want)
 
     def test_rgb_mode_from_gray_replicates(self, rng, tmp_path):
         frames = rng.integers(0, 256, size=(4, 8, 8), dtype=np.uint8)
         write_frames(tmp_path / "v", frames)
         spec = ClipSpec(source=str(tmp_path / "v"), clip_len=4, tau=4, color="rgb")
         clip = next(iter_clips(spec))
-        assert clip.frames.shape[1] == 3
-        assert np.array_equal(clip.frames[0, 0], clip.frames[0, 2])
+        assert clip.shape[1] == 3
+        assert np.array_equal(clip[0, 0], clip[0, 2])
 
     def test_resize_by_box_average(self, rng, tmp_path):
         frames = rng.integers(0, 256, size=(4, 16, 16), dtype=np.uint8)
@@ -108,7 +110,7 @@ class TestClipLoading:
         spec = ClipSpec(source=str(tmp_path / "v"), clip_len=4, tau=4, resize=(8, 8))
         clip = next(iter_clips(spec))
         block = frames[0].astype(np.float64).reshape(8, 2, 8, 2).mean(axis=(1, 3))
-        assert np.allclose(clip.frames[0, 0, 0], block / 255.0)
+        assert np.allclose(clip[0, 0, 0], block / 255.0)
 
     def test_packed_tensor_round_trip(self, rng, tmp_path):
         video = rng.uniform(size=(1, 1, 12, 8, 8))
@@ -117,17 +119,7 @@ class TestClipLoading:
         spec = ClipSpec(source=str(path), clip_len=4, tau=4, stride=4)
         clips = list(iter_clips(spec))
         assert len(clips) == 3
-        assert np.array_equal(
-            np.concatenate([c.frames for c in clips], axis=2), video
-        )
-
-    def test_skip_mode_tolerates_corrupt_frame(self, rng, tmp_path):
-        frames = rng.integers(0, 256, size=(6, 8, 8), dtype=np.uint8)
-        write_frames(tmp_path / "v", frames)
-        (tmp_path / "v" / "frame_00002.pgm").write_bytes(b"garbage")
-        spec = ClipSpec(source=str(tmp_path / "v"), clip_len=4, tau=4, on_error="skip")
-        video = load_video(spec)
-        assert video.shape[2] == 5
+        assert np.array_equal(np.concatenate(clips, axis=2), video)
 
     def test_abort_mode_raises_on_corrupt_frame(self, rng, tmp_path):
         frames = rng.integers(0, 256, size=(6, 8, 8), dtype=np.uint8)
@@ -145,8 +137,8 @@ class TestClipLoading:
         def stream_hash():
             digest = hashlib.sha256()
             for clip in iter_clips(spec):
-                digest.update(clip.frames.tobytes())
-                digest.update(repr(clip.frame_indices).encode())
+                digest.update(clip.tobytes())
+                digest.update(repr(clip.shape).encode())
             return digest.hexdigest()
 
         assert stream_hash() == stream_hash()
@@ -156,34 +148,14 @@ class TestClipLoading:
             ClipSpec(source="x", clip_len=7, tau=4, stride=0, color="hsv")
         assert len(exc.value.problems) == 3
 
-    def test_clip_invariants(self):
-        with pytest.raises(ShapeError):
-            VideoClip(
-                frames=np.full((1, 1, 4, 4, 4), 2.0),
-                tau=4,
-                source_id="x",
-                frame_indices=tuple(range(4)),
-            )
-
-    def test_prefetch_preserves_order_and_items(self, rng, tmp_path):
-        frames = rng.integers(0, 256, size=(12, 8, 8), dtype=np.uint8)
-        write_frames(tmp_path / "v", frames)
-        spec = ClipSpec(source=str(tmp_path / "v"), clip_len=4, tau=4)
-        direct = list(iter_clips(spec))
-        fetched = list(prefetch(iter_clips(spec), depth=2))
-        assert len(direct) == len(fetched)
-        for a, b in zip(direct, fetched):
-            assert np.array_equal(a.frames, b.frames)
-
-    def test_prefetch_propagates_errors(self):
-        def boom():
-            yield 1
-            raise RuntimeError("worker failure")
-
-        it = prefetch(boom(), depth=1)
-        assert next(it) == 1
-        with pytest.raises(RuntimeError, match="worker failure"):
-            next(it)
+    def test_clip_invariants(self, tmp_path):
+        path = tmp_path / "v.t5"
+        save_tensor(path, np.full((1, 1, 4, 4, 4), 2.0))
+        spec = ClipSpec(source=str(path), clip_len=4, tau=4)
+        with pytest.raises(ShapeError, match="outside"):
+            load_video(spec)
+        with pytest.raises(ShapeError, match="outside"):
+            next(iter_clips(spec))
 
 
 class TestSynthetic:

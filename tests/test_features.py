@@ -1,11 +1,14 @@
-"""Latent-to-density-input bridge."""
+"""Latent-to-density-input bridge: the array transforms and the one encode
+loop that training and scoring share."""
 
 import numpy as np
 import pytest
 
 from flowvad.autoencoder import AutoencoderConfig, TwoPathAutoencoder
+from flowvad.config import RunConfig
 from flowvad.errors import ShapeError
-from flowvad.features import append_intensity, box_resample, flow_inputs, pool_features
+from flowvad.features import append_intensity, box_resample, pool_features
+from flowvad.pipeline import RECON_BATCH, collect_flow_samples, encode_windows, score_video
 from flowvad.tensor import Tensor
 
 
@@ -123,11 +126,17 @@ def model():
     return m
 
 
+def bridge(model, clip):
+    """Static and dynamic samples of one whole-clip window."""
+    [(_, _, statics, dynamics)] = encode_windows(model, clip, [0], clip.shape[2])
+    return statics[0], dynamics[0] if dynamics else None
+
+
 class TestFullBridge:
     def test_shapes_and_determinism(self, model, rng):
         clip = rng.uniform(size=(1, 1, 8, 32, 32))
-        s1, d1 = flow_inputs(model, clip)
-        s2, d2 = flow_inputs(model, clip)
+        s1, d1 = bridge(model, clip)
+        s2, d2 = bridge(model, clip)
         assert s1.shape == (2, 3, 8, 8)
         assert d1.shape == (8, 2, 8, 8)
         assert np.array_equal(s1, s2) and np.array_equal(d1, d2)
@@ -135,16 +144,39 @@ class TestFullBridge:
     def test_matches_manual_composition(self, model, rng):
         clip = rng.uniform(size=(1, 1, 8, 32, 32))
         xs, xd = model.encode(Tensor(clip))
-        s, d = flow_inputs(model, clip)
+        s, d = bridge(model, clip)
         assert np.array_equal(s[:, :2], pool_features(xs.data))
+        assert np.array_equal(s, append_intensity(pool_features(xs.data), clip, 4))
         assert np.array_equal(d, pool_features(xd.data))
+
+    def test_batched_windows_match_single_windows(self, model, rng):
+        video = rng.uniform(size=(1, 1, 8 + 2 * RECON_BATCH, 32, 32))
+        starts = list(range(0, 2 * RECON_BATCH + 1, 2))  # spans two groups
+        statics = []
+        dynamics = []
+        for windows, _, s, d in encode_windows(model, video, starts, 8):
+            assert windows.shape[0] == len(s) == len(d) <= RECON_BATCH
+            statics.extend(s)
+            dynamics.extend(d)
+        assert len(statics) == len(starts)
+        for start, s, d in zip(starts, statics, dynamics):
+            one_s, one_d = bridge(model, video[:, :, start : start + 8])
+            assert np.allclose(s, one_s, rtol=0, atol=1e-12)
+            assert np.allclose(d, one_d, rtol=0, atol=1e-12)
+
+    def test_streams_not_asked_for_are_empty(self, model, rng):
+        video = rng.uniform(size=(1, 1, 8, 32, 32))
+        [(_, _, s, d)] = encode_windows(model, video, [0], 8, static=False)
+        assert s == [] and len(d) == 1
+        [(_, _, s, d)] = encode_windows(model, video, [0], 8, dynamic=False)
+        assert len(s) == 1 and d == []
 
     def test_requires_frozen_model(self, rng):
         m = TwoPathAutoencoder(
             AutoencoderConfig(in_channels=1, tau=4), np.random.default_rng(3)
         )
         with pytest.raises(RuntimeError, match="frozen"):
-            flow_inputs(m, rng.uniform(size=(1, 1, 8, 32, 32)))
+            bridge(m, rng.uniform(size=(1, 1, 8, 32, 32)))
 
     def test_one_path_model_has_no_dynamic_input(self, rng):
         m = TwoPathAutoencoder(
@@ -152,6 +184,33 @@ class TestFullBridge:
             np.random.default_rng(3),
         )
         m.freeze()
-        s, d = flow_inputs(m, rng.uniform(size=(1, 1, 8, 32, 32)))
+        s, d = bridge(m, rng.uniform(size=(1, 1, 8, 32, 32)))
         assert s.shape == (2, 3, 8, 8)
         assert d is None
+
+
+class RecordingFlow:
+    """Stands in for a flow stack: records every batch it is asked to score."""
+
+    def __init__(self):
+        self.seen = []
+
+    def nll_of(self, samples):
+        self.seen.append(np.array(samples))
+        return samples.sum(axis=(1, 2, 3))
+
+
+class TestTrainScoreParity:
+    def test_score_feeds_flows_the_training_features(self, model, rng):
+        # Disjoint full windows and no clamped tail: scoring visits exactly
+        # the training windows, so the flows must see identical samples.
+        video = rng.uniform(size=(1, 1, 8 * (RECON_BATCH + 1), 32, 32))
+        config = RunConfig(clip_len=8, tau=4, clip_stride=8, score_stride=8).validate()
+        static, dynamic = collect_flow_samples(model, video, config)
+        flows = RecordingFlow(), RecordingFlow()
+        series = score_video(model, video, config, *flows)
+        assert np.array_equal(np.concatenate(flows[0].seen), static)
+        assert np.array_equal(np.concatenate(flows[1].seen), dynamic)
+        assert static.shape == (2 * (RECON_BATCH + 1), 3, 8, 8)
+        assert dynamic.shape == (8 * (RECON_BATCH + 1), 2, 8, 8)
+        assert np.all(np.isfinite(series["fused"]))

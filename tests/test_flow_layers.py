@@ -5,8 +5,9 @@ import pytest
 
 from flowvad.errors import ShapeError
 from flowvad.flow import ActNorm, AffineCoupling, InvertibleConv1x1, Squeeze
-from flowvad.numeric import numerical_jacobian
 from flowvad.tensor import Tensor
+
+from numeric import numerical_jacobian
 
 
 def layer_fn(layer):

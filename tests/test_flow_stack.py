@@ -7,8 +7,9 @@ import pytest
 
 from flowvad.errors import ShapeError
 from flowvad.flow import FlowConfig, FlowStack, gaussian_log_density
-from flowvad.numeric import numerical_jacobian
 from flowvad.tensor import Tensor
+
+from numeric import numerical_jacobian
 
 
 def perturb(stack, rng, scale=0.3):
@@ -141,7 +142,7 @@ class TestValidation:
             assert p.grad is not None, name
 
     def test_nll_gradient_check_against_finite_differences(self, rng):
-        from flowvad.numeric import max_relative_error, numerical_gradient
+        from numeric import max_relative_error, numerical_gradient
 
         stack = FlowStack(FlowConfig(channels=2, levels=1, steps=2, hidden=4), rng)
         perturb(stack, rng)

@@ -10,8 +10,9 @@ from flowvad.losses import (
     recon_loss,
     usable_scales,
 )
-from flowvad.numeric import max_relative_error, numerical_gradient
 from flowvad.tensor import Tensor
+
+from numeric import max_relative_error, numerical_gradient
 
 C1, C2 = 0.01**2, 0.03**2
 

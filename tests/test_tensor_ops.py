@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from flowvad.errors import NumericError, ShapeError
-from flowvad.numeric import max_relative_error, numerical_gradient
 from flowvad.tensor import Tensor, broadcast_to, concat, matmul, assert_finite
+
+from numeric import max_relative_error, numerical_gradient
 
 
 def check_grad(build, x0, seeds=(0, 1, 2, 3, 4), eps=1e-4, tol=1e-4):
@@ -287,3 +288,9 @@ class TestFiniteChecks:
         with pytest.raises(NumericError) as err:
             assert_finite(np.array([1.0, np.nan, np.inf]), "probe")
         assert "2" in str(err.value)
+
+
+def test_tensor_submodule_import_is_not_shadowed():
+    import flowvad.tensor as T
+
+    assert T.Tensor is Tensor
