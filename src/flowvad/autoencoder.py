@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, concat, conv3d, conv_transpose3d, broadcast_to
+from .tensor import Tensor, concat, conv3d, conv_transpose3d
 
 __all__ = ["AutoencoderConfig", "TwoPathAutoencoder", "Conv3dLayer", "layer_shapes"]
 
@@ -40,6 +40,8 @@ class AutoencoderConfig:
             raise ShapeError(f"tau must be >= 1, got {self.tau}")
         if self.in_channels not in (1, 3):
             raise ShapeError(f"in_channels must be 1 or 3, got {self.in_channels}")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ShapeError(f"leaky_slope must be in [0, 1], got {self.leaky_slope}")
 
 
 # kernel, stride, padding per encoder stage; temporal extent differs between paths
@@ -96,13 +98,10 @@ class Conv3dLayer:
 
     def __call__(self, x: Tensor) -> Tensor:
         if self.transpose:
-            out = conv_transpose3d(
-                x, self.weight, self.stride, self.padding, self.output_padding
+            return conv_transpose3d(
+                x, self.weight, self.stride, self.padding, self.output_padding, self.bias
             )
-        else:
-            out = conv3d(x, self.weight, self.stride, self.padding)
-        b = self.bias.reshape(1, self.bias.shape[0], 1, 1, 1)
-        return out + broadcast_to(b, out.shape)
+        return conv3d(x, self.weight, self.stride, self.padding, self.bias)
 
 
 class TwoPathAutoencoder:

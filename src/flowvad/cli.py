@@ -257,13 +257,14 @@ def cmd_train_nf(args):
         raise ConfigError("data_path is required for train-nf")
     if not (config.use_static_flow or config.use_dynamic_flow):
         raise ConfigError("train-nf needs use_static_flow or use_dynamic_flow")
+    sources = _video_sources(config.data_path)
     itae_dir = args.itae_dir or os.path.join(config.out_dir, "itae")
     model = _load_frozen_model(config, itae_dir)
     hash_before = checkpoint_hash(itae_dir)
 
     statics = []
     dynamics = []
-    for source, _ in _video_sources(config.data_path):
+    for source, _ in sources:
         video = load_video(_clip_spec(config, source=source))
         s, d = collect_flow_samples(
             model,
@@ -327,6 +328,8 @@ def _video_sources(data_path):
     """
     if os.path.isfile(data_path):
         return [(data_path, None)]
+    if not os.path.isdir(data_path):
+        raise ConfigError(f"data_path {data_path} is not a file or directory")
     entries = sorted(os.listdir(data_path))
     if any(e.lower().endswith((".pgm", ".ppm")) for e in entries):
         return [(data_path, None)]
@@ -437,10 +440,16 @@ def _read_score_csv(path):
         if header != SCORE_HEADER:
             raise ConfigError(f"{path}: unexpected header {header}")
         cols = {name: [] for name in SCORE_HEADER}
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
             for name, value in zip(SCORE_HEADER, row):
-                cols[name].append(value)
-    out = {name: np.array([float(v) for v in vals]) for name, vals in cols.items()}
+                try:
+                    cols[name].append(float(value))
+                except ValueError:
+                    raise ConfigError(
+                        f"{path}: row {line - 1} (line {line}), column {name}: "
+                        f"{value!r} is not a number"
+                    ) from None
+    out = {name: np.array(vals) for name, vals in cols.items()}
     out["label"] = out["label"].astype(int)
     return out
 

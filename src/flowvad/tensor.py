@@ -11,13 +11,16 @@ Design constraints, fixed on purpose:
 * float64 everywhere; no mixed precision.
 * elementwise ops broadcast only over the leading batch axis (or against
   scalars); anything richer must go through :func:`broadcast_to` so the
-  gradient path is explicit.
+  gradient path is explicit. The one exception is the per-channel bias of
+  :func:`conv3d` and :func:`conv_transpose3d`, whose gradient the conv's own
+  backward computes.
 * slicing copies; no view aliasing survives into the backward pass.
 * max-reduction ties send the whole gradient to the lowest flat index.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -237,10 +240,14 @@ class Tensor:
         return out._record((self,), backward)
 
     def leaky_relu(self, slope: float = 0.2) -> "Tensor":
-        mask = self.data > 0.0
-        out = Tensor(np.where(mask, self.data, slope * self.data))
+        """x where x > 0, else slope * x; as max(x, slope * x) for 0 <= slope <= 1."""
+        if not 0.0 <= slope <= 1.0:
+            raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
+        scaled = slope * self.data
+        out = Tensor(np.maximum(self.data, scaled, out=scaled))
 
         def backward():
+            mask = self.data > 0.0
             self._accumulate(np.where(mask, out.grad, slope * out.grad))
 
         return out._record((self,), backward)
@@ -560,28 +567,44 @@ def _im2col(xp: np.ndarray, k, s, out_dims) -> np.ndarray:
     return view.reshape(n, c * kt * kh * kw, do * ho * wo)
 
 
-def _col2im(cols: np.ndarray, padded_shape, k, s, out_dims) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add patches back onto the padded grid."""
-    n, c = padded_shape[:2]
-    kt, kh, kw = k
-    st, sh, sw = s
-    do, ho, wo = out_dims
-    acc = np.zeros(padded_shape)
-    c8 = cols.reshape(n, c, kt, kh, kw, do, ho, wo)
-    for a in range(kt):
-        for b in range(kh):
-            for cc in range(kw):
-                acc[:, :, a : a + st * do : st, b : b + sh * ho : sh, cc : cc + sw * wo : sw] += c8[
-                    :, :, a, b, cc
-                ]
-    return acc
+def _tap_sum(taps: np.ndarray, s, p, out: np.ndarray) -> np.ndarray:
+    """Sum per-tap products onto the cropped output grid of a transposed conv.
+
+    ``taps`` is (n, c, kt, kh, kw, *in_dims); tap (a, b, e) of input position
+    (i, j, l) lands on padded position (a + s_t*i, b + s_h*j, e + s_w*l), and
+    ``out`` (n, c, *out_dims), overwritten and returned, is the padded grid
+    with ``p`` cut from each side. This is the adjoint of :func:`_im2col`.
+    See :func:`conv_transpose3d` for the method.
+    """
+    n, c, *k = taps.shape[:5]
+    in_dims = taps.shape[5:]
+    out_dims = out.shape[2:]
+    for phase in itertools.product(*(range(si) for si in s)):
+        counts = []
+        axis_taps = []
+        for r, si, pi, ki, di, do in zip(phase, s, p, k, in_dims, out_dims):
+            count = len(range(r, do, si))
+            hits = []
+            for a in range(ki):
+                shift, rem = divmod(a - r - pi, si)
+                lo, hi = max(0, shift), min(count, di + shift)
+                if rem == 0 and lo < hi:
+                    hits.append((a, slice(lo, hi), slice(lo - shift, hi - shift)))
+            counts.append(count)
+            axis_taps.append(hits)
+        acc = np.zeros((n, c, *counts))
+        for (a, ot, it), (b, oh, ih), (e, ow, iw) in itertools.product(*axis_taps):
+            acc[:, :, ot, oh, ow] += taps[:, :, a, b, e, it, ih, iw]
+        out[:, :, phase[0] :: s[0], phase[1] :: s[1], phase[2] :: s[2]] = acc
+    return out
 
 
-def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
+def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), bias=None) -> Tensor:
     """3-D convolution (cross-correlation) over (batch, channel, time, h, w).
 
-    ``w`` has shape (out_channels, in_channels, kt, kh, kw). Output spatial
-    dims follow floor((d + 2p - k) / s) + 1 per axis.
+    ``w`` has shape (out_channels, in_channels, kt, kh, kw) and the optional
+    ``bias`` shape (out_channels,). Output spatial dims follow
+    floor((d + 2p - k) / s) + 1 per axis.
     """
     x, w = _wrap(x), _wrap(w)
     s, p = _triple(stride), _triple(padding)
@@ -596,38 +619,53 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0)) -> Tensor:
     xp = np.pad(x.data, ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1]), (p[2], p[2])))
     cols = _im2col(xp, k, s, out_dims)
     w2 = w.data.reshape(cout, -1)
-    y = np.matmul(w2, cols)
-    out = Tensor(y.reshape(n, cout, *out_dims))
+    y = np.matmul(w2, cols).reshape(n, cout, *out_dims)
+    if bias is not None:
+        y += bias.data.reshape(1, cout, 1, 1, 1)
+    out = Tensor(y)
     positions = out_dims[0] * out_dims[1] * out_dims[2]
 
     def backward():
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)))
         gy = out.grad.reshape(n, cout, positions)
         if w.requires_grad:
             gw = np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0)
             w._accumulate(gw.reshape(w.shape))
         if x.requires_grad:
-            gcols = np.matmul(w2.T, gy)
-            gxp = _col2im(gcols, xp.shape, k, s, out_dims)
-            gx = gxp[
-                :,
-                :,
-                p[0] : p[0] + dims[0],
-                p[1] : p[1] + dims[1],
-                p[2] : p[2] + dims[2],
-            ]
-            x._accumulate(np.ascontiguousarray(gx))
+            gcols = np.matmul(w2.T, gy).reshape(n, cin, *k, *out_dims)
+            x._accumulate(_tap_sum(gcols, s, p, np.empty(x.shape)))
 
-    return out._record((x, w), backward)
+    return out._record((x, w) if bias is None else (x, w, bias), backward)
 
 
 def conv_transpose3d(
-    x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), output_padding=(0, 0, 0)
+    x: Tensor,
+    w: Tensor,
+    stride=(1, 1, 1),
+    padding=(0, 0, 0),
+    output_padding=(0, 0, 0),
+    bias=None,
 ) -> Tensor:
     """Transposed 3-D convolution, the adjoint of :func:`conv3d`.
 
-    ``w`` has shape (in_channels, out_channels, kt, kh, kw); with matching
-    stride and padding, <conv3d(x, w), y> == <x, conv_transpose3d(y, w)>.
-    Output dims follow (d - 1) * s - 2p + k + output_padding per axis.
+    ``w`` has shape (in_channels, out_channels, kt, kh, kw) and the optional
+    ``bias`` shape (out_channels,); with matching stride and padding,
+    <conv3d(x, w), y> == <x, conv_transpose3d(y, w)>. Output dims follow
+    (d - 1) * s - 2p + k + output_padding per axis.
+
+    A matmul per sample gives every tap's product, (cout, kt, kh, kw,
+    *in_dims), in one buffer reused across the batch, so the products of the
+    whole batch are never held at once. Tap (a, b, e) of input position i
+    lands on padded position a + s*i. The output splits into s_t*s_h*s_w
+    phases, output index = r + s*m per axis (sub-pixel convolution: Shi et
+    al. 2016, arXiv:1609.05158). Only taps with a = r + p (mod s) reach
+    phase r, each as a slice shifted by (a - r - p) / s, so each phase is
+    summed in its own dense accumulator and written into the output once by
+    strided assignment: no scatter-add onto a padded buffer and no crop.
+    Each phase sums its taps from zero in (a, b, e) order, the order of a
+    direct scatter-add of all taps, so every output value is bitwise what
+    that scatter gives.
     """
     x, w = _wrap(x), _wrap(w)
     s, p, op = _triple(stride), _triple(padding), _triple(output_padding)
@@ -652,30 +690,22 @@ def conv_transpose3d(
         raise ShapeError(
             f"conv_transpose3d produces non-positive dims {out_dims} from input {x.shape}"
         )
-    support = tuple((d - 1) * si + ki + oi for d, si, ki, oi in zip(dims, s, k, op))
     positions = dims[0] * dims[1] * dims[2]
     w2 = w.data.reshape(cin, -1)
-    cols = np.matmul(w2.T, x.data.reshape(n, cin, positions))
-    buf = _col2im(cols, (n, cout, *support), k, s, dims)
-    y = buf[
-        :,
-        :,
-        p[0] : p[0] + out_dims[0],
-        p[1] : p[1] + out_dims[1],
-        p[2] : p[2] + out_dims[2],
-    ]
-    out = Tensor(np.ascontiguousarray(y))
+    y = np.empty((n, cout, *out_dims))
+    taps = np.empty((w2.shape[1], positions))
+    for i in range(n):
+        np.matmul(w2.T, x.data[i].reshape(cin, positions), out=taps)
+        _tap_sum(taps.reshape(1, cout, *k, *dims), s, p, y[i : i + 1])
+    if bias is not None:
+        y += bias.data.reshape(1, cout, 1, 1, 1)
+    out = Tensor(y)
 
     def backward():
-        gbuf = np.zeros((n, cout, *support))
-        gbuf[
-            :,
-            :,
-            p[0] : p[0] + out_dims[0],
-            p[1] : p[1] + out_dims[1],
-            p[2] : p[2] + out_dims[2],
-        ] = out.grad
-        gcols = _im2col(gbuf, k, s, dims)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)))
+        gpad = np.pad(out.grad, ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1]), (p[2], p[2])))
+        gcols = _im2col(gpad, k, s, dims)
         if x.requires_grad:
             gx = np.matmul(w2, gcols)
             x._accumulate(gx.reshape(x.shape))
@@ -685,7 +715,7 @@ def conv_transpose3d(
             )
             w._accumulate(gw.reshape(w.shape))
 
-    return out._record((x, w), backward)
+    return out._record((x, w) if bias is None else (x, w, bias), backward)
 
 
 def assert_finite(t, context: str = "tensor") -> None:

@@ -98,6 +98,11 @@ class TestForward:
         with pytest.raises(ShapeError):
             model.encode(Tensor(np.zeros((1, 1, 4, 18, 18))))
 
+    @pytest.mark.parametrize("slope", [-0.2, 1.01])
+    def test_leaky_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ShapeError, match="leaky_slope"):
+            AutoencoderConfig(leaky_slope=slope)
+
 
 class TestOnePathMode:
     def test_static_only_model_has_no_dynamic_parts(self):

@@ -1,6 +1,7 @@
 """Configuration parsing and the command-line pipeline."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -337,3 +338,50 @@ class TestInputErrors:
         assert rc == 2
         assert "label_path" in capsys.readouterr().err
         assert not (out / "scores").exists()
+
+    @pytest.mark.parametrize("command", ["train-itae", "train-nf", "score"])
+    def test_nonexistent_data_path_exit_2(self, trained_run, tmp_path, capsys, command):
+        missing = tmp_path / "no_such_dir"
+        extra = [] if command == "train-itae" else checkpoint_flags(trained_run)[:2]
+        rc = main([command, "--data-path", str(missing), "--out-dir", str(tmp_path / "out"),
+                   *extra, *BASE_FLAGS])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and str(missing) in err
+
+    @pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
+    def test_non_numeric_score_cell_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "frame_index,recon,nll_static,nll_dynamic,fused,label\n"
+            "0,0.1,0.0,0.0,0.1,0\n1,0.2,0.0,0.0,0.2,1\n2,0.3,0.0,0.0,abc,0\n"
+        )
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert str(path) in err and "row 3" in err and "fused" in err and "'abc'" in err
+
+
+def _artifact_hashes(out):
+    """sha256 of every checkpoint tensor, manifest, loss log and score CSV under ``out``."""
+    paths = set()
+    for pattern in ("**/*.t5", "**/manifest.json", "*_loss.csv", "scores/*.csv"):
+        paths.update(out.glob(pattern))
+    return {
+        str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths
+    }
+
+
+def test_same_seed_reproduces_artifacts_byte_for_byte(scene, tmp_path):
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        for command, data in (("train-itae", "train"), ("train-nf", "train"), ("score", "test")):
+            assert main([command, "--data-path", str(scene / data), "--out-dir", str(out),
+                         *BASE_FLAGS]) == 0
+        runs.append(_artifact_hashes(out))
+    assert {"itae/manifest.json", "nf_static/manifest.json", "nf_dynamic/manifest.json",
+            "itae_loss.csv", "nf_static_loss.csv", "nf_dynamic_loss.csv",
+            "scores/test.csv"} <= set(runs[0])
+    assert sum(key.endswith(".t5") for key in runs[0]) > 0
+    assert runs[0] == runs[1]

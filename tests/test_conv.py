@@ -7,6 +7,7 @@ here, never from the code under test.
 import numpy as np
 import pytest
 
+from flowvad.autoencoder import _DYNAMIC_GEOM, _STATIC_GEOM, Conv3dLayer, _decoder_geom
 from flowvad.errors import ShapeError
 from flowvad.tensor import Tensor, conv3d, conv_transpose3d
 
@@ -210,3 +211,106 @@ class TestConvGradients:
 
         assert max_relative_error(xt.grad, numerical_gradient(loss_x, x0.copy())) < 1e-4
         assert max_relative_error(wt.grad, numerical_gradient(loss_w, w0.copy())) < 1e-4
+
+
+# Every (kernel, stride, padding) the autoencoder's plain convs use, with a
+# small input that each one maps to a non-trivial output.
+AE_CONVS = (
+    [pytest.param(*g, (2, 4, 4), id=f"static{i + 1}") for i, g in enumerate(_STATIC_GEOM)]
+    + [pytest.param(*g, (3, 4, 4), id=f"dynamic{i + 1}") for i, g in enumerate(_DYNAMIC_GEOM)]
+    + [
+        pytest.param((5, 1, 1), (tau, 1, 1), (2, 0, 0), (2 * tau, 2, 2), id=f"lateral-tau{tau}")
+        for tau in (1, 2, 3, 4)
+    ]
+)
+
+# Every decoder stage for tau 1-4; tau 3 is the only stride-3 layer, with
+# output_padding (2, 1, 1).
+AE_DECONVS = [
+    pytest.param(*geom, id="s{}{}{}-op{}{}{}".format(*geom[1], *geom[3]))
+    for geom in sorted({g for tau in (1, 2, 3, 4) for g in _decoder_geom(tau)})
+]
+
+
+class TestAutoencoderGeometries:
+    @pytest.mark.parametrize("kernel,stride,padding,dims", AE_CONVS)
+    def test_conv_matches_loop_reference(self, kernel, stride, padding, dims):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(2, 3, *dims))
+        w = rng.normal(size=(4, 3, *kernel))
+        got = conv3d(Tensor(x), Tensor(w), stride, padding).data
+        assert np.allclose(got, conv3d_loops(x, w, stride, padding), atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride,padding,outpad", AE_DECONVS)
+    def test_transpose_matches_loop_reference(self, kernel, stride, padding, outpad):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 3, 2, 3, 3))
+        w = rng.normal(size=(3, 4, *kernel))
+        got = conv_transpose3d(Tensor(x), Tensor(w), stride, padding, outpad).data
+        want = conv_transpose3d_loops(x, w, stride, padding, outpad)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride,padding,dims", AE_CONVS)
+    def test_conv_grads(self, kernel, stride, padding, dims):
+        rng = np.random.default_rng(13)
+        x0 = rng.normal(size=(1, 2, *dims))
+        w0 = rng.normal(size=(2, 2, *kernel))
+        xt = Tensor(x0, requires_grad=True)
+        wt = Tensor(w0, requires_grad=True)
+        (conv3d(xt, wt, stride, padding) ** 2).sum().backward()
+
+        def loss_x(a):
+            return float((conv3d_loops(a, w0, stride, padding) ** 2).sum())
+
+        def loss_w(a):
+            return float((conv3d_loops(x0, a, stride, padding) ** 2).sum())
+
+        assert max_relative_error(xt.grad, numerical_gradient(loss_x, x0.copy())) < 1e-4
+        assert max_relative_error(wt.grad, numerical_gradient(loss_w, w0.copy())) < 1e-4
+
+    @pytest.mark.parametrize("kernel,stride,padding,outpad", AE_DECONVS)
+    def test_transpose_grads(self, kernel, stride, padding, outpad):
+        rng = np.random.default_rng(14)
+        x0 = rng.normal(size=(1, 2, 2, 2, 2))
+        w0 = rng.normal(size=(2, 2, *kernel))
+        xt = Tensor(x0, requires_grad=True)
+        wt = Tensor(w0, requires_grad=True)
+        (conv_transpose3d(xt, wt, stride, padding, outpad) ** 2).sum().backward()
+
+        def loss_x(a):
+            return float((conv_transpose3d_loops(a, w0, stride, padding, outpad) ** 2).sum())
+
+        def loss_w(a):
+            return float((conv_transpose3d_loops(x0, a, stride, padding, outpad) ** 2).sum())
+
+        assert max_relative_error(xt.grad, numerical_gradient(loss_x, x0.copy())) < 1e-4
+        assert max_relative_error(wt.grad, numerical_gradient(loss_w, w0.copy())) < 1e-4
+
+
+class TestLayerBias:
+    """The bias is added inside the conv; its value and gradient go through the layer."""
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_bias_value_and_grad(self, transpose):
+        rng = np.random.default_rng(15)
+        kernel, stride, padding = (3, 3, 3), (1, 2, 2), (1, 1, 1)
+        outpad = (0, 1, 1) if transpose else (0, 0, 0)
+        layer = Conv3dLayer(rng, 2, 3, kernel, stride, padding, outpad, transpose=transpose)
+        layer.bias.data = rng.normal(size=3)
+        x0 = rng.normal(size=(2, 2, 2, 3, 3))
+        w0 = layer.weight.data
+        if transpose:
+            y0 = conv_transpose3d_loops(x0, w0, stride, padding, outpad)
+        else:
+            y0 = conv3d_loops(x0, w0, stride, padding)
+
+        out = layer(Tensor(x0))
+        assert np.allclose(out.data, y0 + layer.bias.data.reshape(1, 3, 1, 1, 1), atol=1e-12)
+        (out**2).sum().backward()
+
+        def loss_b(b):
+            return float(((y0 + b.reshape(1, 3, 1, 1, 1)) ** 2).sum())
+
+        numeric = numerical_gradient(loss_b, layer.bias.data.copy())
+        assert max_relative_error(layer.bias.grad, numeric) < 1e-4

@@ -139,6 +139,12 @@ class TestElementwiseGrads:
 
         check_grad(lambda t: t.leaky_relu(0.2).sum(), sample)
 
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+    def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
+        # max(x, slope * x) is the leaky ReLU only for 0 <= slope <= 1
+        with pytest.raises(ValueError, match="slope"):
+            Tensor(np.array([-1.0, 2.0])).leaky_relu(slope)
+
     def test_abs(self):
         def sample(r):
             x = r.normal(size=(2, 4))
