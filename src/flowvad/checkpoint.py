@@ -77,7 +77,7 @@ def save_checkpoint(directory, params, config, extra=None):
 def read_manifest(directory):
     path = os.path.join(directory, _MANIFEST)
     if not os.path.exists(path):
-        raise FileNotFoundError(f"no manifest found in {directory}")
+        raise ConfigError(f"no checkpoint manifest found in {directory}")
     with open(path) as fh:
         manifest = json.load(fh)
     if manifest.get("format") != "flowvad-checkpoint-v1":

@@ -442,13 +442,14 @@ def _read_score_csv(path):
         cols = {name: [] for name in SCORE_HEADER}
         for line, row in enumerate(reader, start=2):
             for name, value in zip(SCORE_HEADER, row):
+                where = f"{path}: row {line - 1} (line {line}), column {name}: {value!r}"
                 try:
-                    cols[name].append(float(value))
+                    number = float(value)
                 except ValueError:
-                    raise ConfigError(
-                        f"{path}: row {line - 1} (line {line}), column {name}: "
-                        f"{value!r} is not a number"
-                    ) from None
+                    raise ConfigError(f"{where} is not a number") from None
+                if name == "label" and not number.is_integer():
+                    raise ConfigError(f"{where} is not an integer label")
+                cols[name].append(number)
     out = {name: np.array(vals) for name, vals in cols.items()}
     out["label"] = out["label"].astype(int)
     return out

@@ -11,8 +11,14 @@ unit Gaussian, so
 
 holds exactly and the negative log-likelihood is exact, not a bound.
 
-Forward runs on autodiff tensors for training; inverses run on plain
-arrays since sampling and round-trip checks never need gradients.
+Forward runs on autodiff tensors for training. Each actnorm, 1x1 mix and
+coupling conditioner is a single graph node whose backward is written out
+in NumPy (the LU gradients follow Glow, Kingma and Dhariwal 2018,
+arXiv:1807.03039); the log-determinant terms, the coupling's affine part
+and the level plumbing are ordinary autodiff ops. :meth:`FlowStack.nll_of`
+runs under :func:`~flowvad.tensor.no_grad` and builds no graph. Inverses
+run on plain arrays since sampling and round-trip checks never need
+gradients.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from scipy.linalg import lu as lu_decompose
 from scipy.linalg import solve_triangular
 
 from .errors import NumericError, ShapeError
-from .tensor import Tensor, broadcast_to, concat, conv3d, matmul
+from .tensor import Tensor, concat, no_grad
 
 __all__ = [
     "FlowConfig",
@@ -41,17 +47,30 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> Tensor:
-    """2-D convolution on (batch, channel, h, w) via a singleton time axis."""
-    n, c, h, wd = x.shape
-    co, ci, kh, kw = w.shape
-    x5 = x.reshape(n, c, 1, h, wd)
-    w5 = w.reshape(co, ci, 1, kh, kw)
-    out = conv3d(x5, w5, stride=(1, 1, 1), padding=(0, padding, padding))
-    out = out.reshape(n, co, out.shape[3], out.shape[4])
-    if b is not None:
-        out = out + broadcast_to(b.reshape(1, co, 1, 1), out.shape)
-    return out
+def _window(k: int, size: int) -> tuple[slice, slice]:
+    """Output and input slices along one axis for tap ``k`` of a 3-wide
+    zero-padded window: output position i reads input i + k - 1."""
+    return slice(max(0, 1 - k), size + min(0, 1 - k)), slice(max(0, k - 1), size + min(0, k - 1))
+
+
+def _patches(x: np.ndarray) -> np.ndarray:
+    """Columns of the zero-padded 3x3 neighbourhoods of channel-major
+    (c, n, h, w) input, shape (c*9, n*h*w), rows in (c, kh, kw) order."""
+    c, n, h, w = x.shape
+    cols = np.zeros((c, 3, 3, n, h, w))
+    rows = [_window(k, h) for k in range(3)]
+    for b, (out_w, in_w) in enumerate(_window(k, w) for k in range(3)):
+        for a, (out_h, in_h) in enumerate(rows):
+            cols[:, a, b, :, out_h, out_w] = x[:, :, in_h, in_w]
+    return cols.reshape(c * 9, n * h * w)
+
+
+def _flipped(m: np.ndarray) -> np.ndarray:
+    """Weights (cout, cin*9) of a 3x3 conv -> weights (cin, cout*9) of the
+    3x3 conv that maps its output gradient to its input gradient."""
+    cout, cin = m.shape[0], m.shape[1] // 9
+    flip = m.reshape(cout, cin, 3, 3)[:, :, ::-1, ::-1]
+    return flip.transpose(1, 0, 2, 3).reshape(cin, cout * 9)
 
 
 def gaussian_log_density(z: Tensor) -> Tensor:
@@ -88,10 +107,21 @@ class ActNorm:
         n, c, h, w = x.shape
         if c != self.channels:
             raise ShapeError(f"actnorm built for {self.channels} channels, got {x.shape}")
-        scale = broadcast_to(self.logs.exp().reshape(1, c, 1, 1), x.shape)
-        shift = broadcast_to(self.bias.reshape(1, c, 1, 1), x.shape)
-        logdet = self.logs.sum() * float(h * w)
-        return x * scale + shift, logdet
+        logs, bias = self.logs, self.bias
+        scale = np.exp(logs.data).reshape(1, c, 1, 1)
+        out = Tensor(x.data * scale + bias.data.reshape(1, c, 1, 1))
+
+        def backward():
+            g = out.grad
+            if x.requires_grad:
+                x._accumulate(g * scale)
+            if logs.requires_grad:
+                logs._accumulate((g * x.data).sum(axis=(0, 2, 3)) * scale.reshape(c))
+            if bias.requires_grad:
+                bias._accumulate(g.sum(axis=(0, 2, 3)))
+
+        logdet = logs.sum() * float(h * w)
+        return out._record((x, logs, bias), backward), logdet
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
         n, c, h, w = z.shape
@@ -128,15 +158,6 @@ class InvertibleConv1x1:
         self._mask_up = np.triu(np.ones((channels, channels)), 1)
         self._eye = np.eye(channels)
 
-    def _weight(self) -> Tensor:
-        c = self.channels
-        l_full = self.lower * Tensor(self._mask_low) + Tensor(self._eye)
-        diag_col = (Tensor(self.sign.reshape(c, 1)) * self.log_diag.exp().reshape(c, 1))
-        u_full = self.upper * Tensor(self._mask_up) + broadcast_to(diag_col, (c, c)) * Tensor(
-            self._eye
-        )
-        return matmul(Tensor(self.perm), matmul(l_full, u_full))
-
     def _weight_np(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         c = self.channels
         l_full = self.lower.data * self._mask_low + self._eye
@@ -149,10 +170,31 @@ class InvertibleConv1x1:
         n, c, h, w = x.shape
         if c != self.channels:
             raise ShapeError(f"1x1 conv built for {self.channels} channels, got {x.shape}")
-        wmat = self._weight()
-        y = matmul(wmat, x.reshape(n, c, h * w)).reshape(n, c, h, w)
-        logdet = self.log_diag.sum() * float(h * w)
-        return y, logdet
+        perm, l_full, u_full = self._weight_np()
+        wmat = perm @ (l_full @ u_full)
+        cols = x.data.reshape(n, c, h * w)
+        out = Tensor(np.matmul(wmat, cols).reshape(n, c, h, w))
+        lower, upper, log_diag = self.lower, self.upper, self.log_diag
+
+        def backward():
+            g = out.grad.reshape(n, c, h * w)
+            if x.requires_grad:
+                x._accumulate(np.matmul(wmat.T, g).reshape(x.shape))
+            if not (lower.requires_grad or upper.requires_grad or log_diag.requires_grad):
+                return
+            # dW summed over samples, then through W = P (L U) to the factors
+            g_lu = perm.T @ np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+            if lower.requires_grad:
+                lower._accumulate((g_lu @ u_full.T) * self._mask_low)
+            g_u = l_full.T @ g_lu
+            if upper.requires_grad:
+                upper._accumulate(g_u * self._mask_up)
+            if log_diag.requires_grad:
+                # U's diagonal is sign * exp(log_diag)
+                log_diag._accumulate(np.diag(g_u) * np.diag(u_full))
+
+        logdet = log_diag.sum() * float(h * w)
+        return out._record((x, lower, upper, log_diag), backward), logdet
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
         n, c, h, w = z.shape
@@ -199,9 +241,57 @@ class AffineCoupling:
         self.b3 = Tensor(np.zeros(2 * self.cb), requires_grad=True)
 
     def _net(self, xa: Tensor) -> tuple[Tensor, Tensor]:
-        h = _conv2d(xa, self.w1, self.b1, padding=1).relu()
-        h = _conv2d(h, self.w2, self.b2).relu()
-        h = _conv2d(h, self.w3, self.b3, padding=1)
+        """The conditioner as one graph node; returns (raw scale, shift).
+
+        Activations are channel-major, (channels, n*h*w), so each conv is one
+        GEMM over the whole batch: the 3x3 convs on patch columns, the 1x1
+        conv on the activations themselves. The input gradient of a 3x3 conv
+        is the 3x3 conv of its output gradient with the flipped kernel.
+        """
+        n, ca, hh, ww = xa.shape
+        dims = (n, hh, ww)
+        w1, b1, w2, b2, w3, b3 = self.w1, self.b1, self.w2, self.b2, self.w3, self.b3
+        hidden = w1.shape[0]
+        m1 = w1.data.reshape(hidden, -1)
+        m2 = w2.data.reshape(hidden, hidden)
+        m3 = w3.data.reshape(w3.shape[0], -1)
+        cols1 = _patches(xa.data.transpose(1, 0, 2, 3))
+        r1 = m1 @ cols1
+        r1 += b1.data[:, None]
+        np.maximum(r1, 0.0, out=r1)
+        r2 = m2 @ r1
+        r2 += b2.data[:, None]
+        np.maximum(r2, 0.0, out=r2)
+        cols3 = _patches(r2.reshape(hidden, *dims))
+        h3 = m3 @ cols3
+        h3 += b3.data[:, None]
+        out = Tensor(h3.reshape(-1, *dims).transpose(1, 0, 2, 3))
+
+        def backward():
+            g = out.grad.transpose(1, 0, 2, 3).reshape(m3.shape[0], -1)
+            if b3.requires_grad:
+                b3._accumulate(g.sum(axis=1))
+            if w3.requires_grad:
+                w3._accumulate((g @ cols3.T).reshape(w3.shape))
+            if not any(t.requires_grad for t in (w2, b2, w1, b1, xa)):
+                return
+            g = np.where(r2 > 0.0, _flipped(m3) @ _patches(g.reshape(-1, *dims)), 0.0)
+            if b2.requires_grad:
+                b2._accumulate(g.sum(axis=1))
+            if w2.requires_grad:
+                w2._accumulate((g @ r1.T).reshape(w2.shape))
+            if not any(t.requires_grad for t in (w1, b1, xa)):
+                return
+            g = np.where(r1 > 0.0, m2.T @ g, 0.0)
+            if b1.requires_grad:
+                b1._accumulate(g.sum(axis=1))
+            if w1.requires_grad:
+                w1._accumulate((g @ cols1.T).reshape(w1.shape))
+            if xa.requires_grad:
+                gx = _flipped(m1) @ _patches(g.reshape(hidden, *dims))
+                xa._accumulate(gx.reshape(ca, *dims).transpose(1, 0, 2, 3))
+
+        h = out._record((xa, w1, b1, w2, b2, w3, b3), backward)
         return h[:, : self.cb], h[:, self.cb :]
 
     def forward(self, x: Tensor, init: bool = False) -> tuple[Tensor, Tensor]:
@@ -216,7 +306,8 @@ class AffineCoupling:
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         za, zb = z[:, : self.ca], z[:, self.ca :]
-        raw, shift = self._net(Tensor(za))
+        with no_grad():
+            raw, shift = self._net(Tensor(za))
         log_s = np.tanh(raw.data) * self.clamp
         xb = (zb - shift.data) / np.exp(log_s)
         logdet_inv = -log_s.sum(axis=(1, 2, 3))
@@ -410,8 +501,9 @@ class FlowStack:
         return FlowResult(nll=nll, log_prior=log_prior, logdet=logdet, z_parts=z_parts, dims=dims)
 
     def nll_of(self, x) -> np.ndarray:
-        """Per-sample negative log-likelihood without keeping the graph."""
-        return self.forward(x).nll.data.copy()
+        """Per-sample negative log-likelihood; records no graph."""
+        with no_grad():
+            return self.forward(x).nll.data.copy()
 
     # ------------------------------------------------------------ inverse
 
@@ -447,7 +539,8 @@ class FlowStack:
 
     def init_actnorm(self, x) -> None:
         """Data-dependent initialization pass over one batch."""
-        self.forward(x, init=True)
+        with no_grad():
+            self.forward(x, init=True)
 
     # --------------------------------------------------------- parameters
 

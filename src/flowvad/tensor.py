@@ -16,10 +16,18 @@ Design constraints, fixed on purpose:
   backward computes.
 * slicing copies; no view aliasing survives into the backward pass.
 * max-reduction ties send the whole gradient to the lowest flat index.
+
+The flow layers of :mod:`flowvad.flow` (actnorm, the LU 1x1 mix and the
+coupling conditioner) each record one node through ``_record`` with a
+hand-written NumPy backward that honours ``requires_grad`` on every parent.
+Inside a :func:`no_grad` block no node records parents or a backward
+closure, so inference builds no graph.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 from typing import Iterable, Sequence
 
@@ -36,7 +44,22 @@ __all__ = [
     "conv3d",
     "conv_transpose3d",
     "assert_finite",
+    "no_grad",
 ]
+
+_GRAD_ENABLED = contextvars.ContextVar("flowvad_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: results carry no parents, no
+    backward closure and ``requires_grad=False``. Restored on exit, also
+    when the block raises."""
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
 
 
 def _as_array(data) -> np.ndarray:
@@ -87,7 +110,10 @@ class Tensor:
     # ------------------------------------------------------------- the graph
 
     def _record(self, parents: Sequence["Tensor"], backward) -> "Tensor":
-        """Attach graph metadata to ``self`` if any parent wants gradients."""
+        """Attach graph metadata to ``self`` if any parent wants gradients
+        and gradients are enabled (see :func:`no_grad`)."""
+        if not _GRAD_ENABLED.get():
+            return self
         tracked = tuple(p for p in parents if p.requires_grad)
         if tracked:
             self.requires_grad = True

@@ -361,6 +361,41 @@ class TestInputErrors:
         assert "config error:" in err
         assert str(path) in err and "row 3" in err and "fused" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
+    def test_fractional_label_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "frac.csv"
+        path.write_text(
+            "frame_index,recon,nll_static,nll_dynamic,fused,label\n"
+            "0,0.1,0.0,0.0,0.1,0\n1,0.2,0.0,0.0,0.2,1\n2,0.3,0.0,0.0,0.3,0.7\n"
+            "3,0.4,0.0,0.0,0.4,1\n"
+        )
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert str(path) in err and "row 3" in err and "label" in err and "'0.7'" in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("train-nf", "--itae-dir"), ("score", "--static-dir"), ("score", "--dynamic-dir")],
+    )
+    def test_missing_checkpoint_dir_exit_2(
+        self, scene, trained_run, tmp_path, capsys, command, flag
+    ):
+        missing = tmp_path / "no_checkpoint"
+        flags = checkpoint_flags(trained_run)
+        flags[flags.index(flag) + 1] = str(missing)
+        if command == "train-nf":
+            flags = flags[:2]
+        data = scene / ("train" if command == "train-nf" else "test")
+        out = tmp_path / "out"
+        rc = main([command, "--data-path", str(data), "--out-dir", str(out),
+                   *flags, *BASE_FLAGS])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and str(missing) in err
+        assert not (out / "scores").exists()
+        assert not (out / "nf_static").exists()
+
 
 def _artifact_hashes(out):
     """sha256 of every checkpoint tensor, manifest, loss log and score CSV under ``out``."""

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from flowvad.errors import ShapeError
-from flowvad.flow import ActNorm, AffineCoupling, InvertibleConv1x1, Squeeze
-from flowvad.tensor import Tensor
+from flowvad.flow import (
+    ActNorm,
+    AffineCoupling,
+    FlowConfig,
+    FlowStack,
+    InvertibleConv1x1,
+    Squeeze,
+)
+from flowvad.tensor import Tensor, broadcast_to, concat, conv3d, matmul
 
-from numeric import numerical_jacobian
+from numeric import max_relative_error, numerical_gradient, numerical_jacobian
 
 
 def layer_fn(layer):
@@ -94,7 +101,10 @@ class TestInvertibleConv1x1:
     def test_weight_reconstruction_is_plu(self, rng):
         layer = InvertibleConv1x1(5, rng)
         perm, l_full, u_full = layer._weight_np()
-        assert np.allclose(layer._weight().data, perm @ l_full @ u_full, atol=1e-12)
+        # the forward of the 5 basis vectors (as 5 pixels of one sample) is W
+        basis = np.eye(5).reshape(1, 5, 1, 5)
+        weight = layer.forward(Tensor(basis))[0].data.reshape(5, 5)
+        assert np.allclose(weight, perm @ l_full @ u_full, atol=1e-12)
         # strict triangles and unit diagonal
         assert np.allclose(np.triu(l_full) - np.eye(5), 0.0)
         assert np.allclose(np.tril(u_full, -1), 0.0)
@@ -199,3 +209,152 @@ class TestSqueeze:
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
             Squeeze(2).forward(Tensor(np.zeros((1, 1, 3, 4))))
+
+
+# ---------------------------------------------------------------------------
+# Hand-written backward of the layer nodes, checked against oracles that
+# share nothing with it: finite differences, loop convolutions, and the same
+# step composed from generic autodiff ops.
+
+
+def perturbed_step(rng, channels=2, hidden=4, squeeze=2):
+    """One-level, one-step stack with every parameter moved off its init."""
+    config = FlowConfig(channels=channels, levels=1, steps=1, hidden=hidden, squeeze=squeeze)
+    stack = FlowStack(config, rng)
+    for p in stack.parameters():
+        p.data = p.data + rng.normal(0, 0.2, p.shape)
+    return stack
+
+
+def conv2d_loop(x, w, b, pad):
+    """Zero-padded 2-D cross-correlation, one output value at a time."""
+    n, _, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.empty((n, co, h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1))
+    for i, o, r, c in np.ndindex(*out.shape):
+        out[i, o, r, c] = np.sum(xp[i, :, r : r + kh, c : c + kw] * w[o]) + b[o]
+    return out
+
+
+def autodiff_conv2d(x, w, b, pad):
+    n, c, h, wd = x.shape
+    co, ci, kh, kw = w.shape
+    out = conv3d(x.reshape(n, c, 1, h, wd), w.reshape(co, ci, 1, kh, kw),
+                 padding=(0, pad, pad), bias=b)
+    return out.reshape(n, co, out.shape[3], out.shape[4])
+
+
+def autodiff_step(an, mix, cpl, x):
+    """actnorm -> LU 1x1 mix -> coupling output, built from generic tensor ops."""
+    n, c, h, w = x.shape
+    scale = broadcast_to(an.logs.exp().reshape(1, c, 1, 1), x.shape)
+    y = x * scale + broadcast_to(an.bias.reshape(1, c, 1, 1), x.shape)
+    eye = Tensor(np.eye(c))
+    l_full = mix.lower * Tensor(np.tril(np.ones((c, c)), -1)) + eye
+    diag = Tensor(mix.sign.reshape(c, 1)) * mix.log_diag.exp().reshape(c, 1)
+    u_full = mix.upper * Tensor(np.triu(np.ones((c, c)), 1)) + broadcast_to(diag, (c, c)) * eye
+    wmat = matmul(Tensor(mix.perm), matmul(l_full, u_full))
+    y = matmul(wmat, y.reshape(n, c, h * w)).reshape(n, c, h, w)
+    xa, xb = y[:, : cpl.ca], y[:, cpl.ca :]
+    hid = autodiff_conv2d(xa, cpl.w1, cpl.b1, 1).relu()
+    hid = autodiff_conv2d(hid, cpl.w2, cpl.b2, 0).relu()
+    hid = autodiff_conv2d(hid, cpl.w3, cpl.b3, 1)
+    log_s = hid[:, : cpl.cb].tanh() * cpl.clamp
+    return concat([xa, xb * log_s.exp() + hid[:, cpl.cb :]], axis=1)
+
+
+def layer_step(an, mix, cpl, x):
+    for layer in (an, mix, cpl):
+        x, _ = layer.forward(x)
+    return x
+
+
+PARAM_KINDS = [
+    "actnorm.logs", "actnorm.bias", "mix.lower", "mix.upper", "mix.log_diag",
+    "coupling.w1", "coupling.b1", "coupling.w2", "coupling.b2", "coupling.w3", "coupling.b3",
+]
+
+
+class TestHandWrittenBackward:
+    @pytest.mark.parametrize("kind", PARAM_KINDS)
+    def test_parameter_gradient_matches_finite_differences(self, rng, kind):
+        stack = perturbed_step(rng)
+        x = Tensor(rng.normal(size=(2, 2, 6, 4)))
+        param = stack.named_parameters()[f"level0.step0.{kind}"]
+        stack.forward(x).nll.mean().backward()
+        got = param.grad.copy()
+
+        def nll(values):
+            param.data = values
+            return float(stack.forward(x).nll.data.mean())
+
+        want = numerical_gradient(nll, param.data.copy())
+        assert np.any(got != 0.0)
+        assert max_relative_error(got, want) < 1e-6
+
+    def test_conditioner_forward_matches_loop_convolutions(self, rng):
+        layer = AffineCoupling(5, hidden=4, rng=rng)  # 2 conditioning, 3 coupled channels
+        for p in layer.named_parameters("c").values():
+            p.data = p.data + rng.normal(0, 0.3, p.shape)
+        xa = rng.normal(size=(3, 2, 5, 4))
+        hid = np.maximum(conv2d_loop(xa, layer.w1.data, layer.b1.data, 1), 0.0)
+        hid = np.maximum(conv2d_loop(hid, layer.w2.data, layer.b2.data, 0), 0.0)
+        want = conv2d_loop(hid, layer.w3.data, layer.b3.data, 1)
+        raw, shift = layer._net(Tensor(xa))
+        assert raw.shape == shift.shape == (3, 3, 5, 4)
+        assert np.allclose(np.concatenate([raw.data, shift.data], axis=1), want,
+                           rtol=0.0, atol=1e-12)
+
+    def test_step_gradients_match_autodiff_composition(self, rng):
+        stack = perturbed_step(rng, channels=5, hidden=6, squeeze=1)  # couples 2 -> 3
+        an, mix, cpl = stack.levels[0]["steps"][0]
+        x0 = rng.normal(size=(3, 5, 4, 6))
+        weights = Tensor(rng.normal(size=x0.shape))
+        grads = []
+        for step in (layer_step, autodiff_step):
+            for p in stack.parameters():
+                p.zero_grad()
+            x = Tensor(x0, requires_grad=True)
+            out = step(an, mix, cpl, x)
+            (out * weights).sum().backward()
+            grads.append([x.grad] + [p.grad.copy() for p in stack.parameters()])
+            grads[-1].append(out.data)
+        for got, want in zip(*grads):
+            assert max_relative_error(got, want) < 1e-12
+
+    @pytest.mark.parametrize(
+        "trainable",
+        [
+            ("logs", "bias", "lower", "upper", "log_diag", "w1", "b1", "w2", "b2", "w3", "b3"),
+            ("bias", "lower", "log_diag", "w2", "b3"),
+            ("w3", "b3"),
+            ("logs",),
+            (),
+        ],
+    )
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_frozen_parents_receive_no_gradient(self, rng, trainable, input_grad):
+        stack = perturbed_step(rng)
+        an, mix, cpl = stack.levels[0]["steps"][0]
+        x0 = rng.normal(size=(2, 8, 3, 3))  # the step's input after the level's squeeze
+        weights = Tensor(rng.normal(size=x0.shape))
+        full = Tensor(x0, requires_grad=True)
+        (layer_step(an, mix, cpl, full) * weights).sum().backward()
+        want = {name: p.grad.copy() for name, p in stack.named_parameters().items()}
+        for name, p in stack.named_parameters().items():
+            p.zero_grad()
+            p.requires_grad = name.rsplit(".", 1)[1] in trainable
+        xin = Tensor(x0, requires_grad=input_grad)
+        out = layer_step(an, mix, cpl, xin)
+        if out.requires_grad:
+            (out * weights).sum().backward()
+        for name, p in stack.named_parameters().items():
+            if p.requires_grad:
+                assert np.allclose(p.grad, want[name], rtol=1e-12, atol=1e-14), name
+            else:
+                assert p.grad is None, name
+        if input_grad:
+            assert np.allclose(xin.grad, full.grad, rtol=1e-12, atol=1e-14)
+        else:
+            assert xin.grad is None

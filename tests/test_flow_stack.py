@@ -7,7 +7,7 @@ import pytest
 
 from flowvad.errors import ShapeError
 from flowvad.flow import FlowConfig, FlowStack, gaussian_log_density
-from flowvad.tensor import Tensor
+from flowvad.tensor import Tensor, no_grad
 
 from numeric import numerical_jacobian
 
@@ -154,3 +154,32 @@ class TestValidation:
             lambda a: float(stack.forward(Tensor(a)).nll.data.mean()), x0.copy()
         )
         assert max_relative_error(xt.grad, numeric) < 1e-4
+
+
+class TestGraphFreeNll:
+    def test_nll_of_equals_forward_bitwise(self, rng):
+        stack = FlowStack(FlowConfig(channels=3, levels=2, steps=2, hidden=8), rng)
+        perturb(stack, rng)
+        x = rng.normal(size=(4, 3, 8, 8))
+        assert np.array_equal(stack.nll_of(x), stack.forward(Tensor(x)).nll.data)
+
+    def test_no_graph_and_no_parameter_gradients(self, rng, monkeypatch):
+        stack = FlowStack(FlowConfig(channels=2, levels=2, steps=2, hidden=8), rng)
+        perturb(stack, rng)
+        x = rng.normal(size=(3, 2, 4, 4))
+        results = []
+        forward = FlowStack.forward
+        monkeypatch.setattr(
+            FlowStack, "forward", lambda *a, **k: results.append(forward(*a, **k)) or results[-1]
+        )
+        stack.nll_of(Tensor(x, requires_grad=True))
+        monkeypatch.undo()
+        (result,) = results
+        for t in (result.nll, result.logdet, result.log_prior, *result.z_parts):
+            assert t._parents == () and t._backward is None and not t.requires_grad
+        result.nll.sum().backward()
+        for name, p in stack.named_parameters().items():
+            assert p.grad is None, name
+        # gradients come back once the block is left
+        stack.forward(Tensor(x)).nll.mean().backward()
+        assert all(p.grad is not None for p in stack.parameters())

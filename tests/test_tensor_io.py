@@ -114,7 +114,7 @@ class TestCheckpoints:
 
     def test_missing_manifest(self, tmp_path):
         os.makedirs(tmp_path / "empty")
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(ConfigError, match="no checkpoint manifest"):
             load_checkpoint(tmp_path / "empty")
 
     def test_manifest_is_sorted_json(self, rng, tmp_path):
