@@ -10,7 +10,8 @@ Subcommands drive the two-step pipeline end to end:
   sweep-lambda  re-fuse scores over a grid of fusion weights
 
 Every RunConfig key is also a flag (--clip-len, --tau, ...) overriding the
-config file. Exit codes: 0 success, 2 configuration error, 3 numeric abort.
+config file. Exit codes: 0 success, 2 configuration or input error, 3 numeric
+abort.
 """
 
 import argparse
@@ -33,7 +34,7 @@ from .config import (
     serialize_config,
     write_config,
 )
-from .errors import ConfigError, NumericError, TrainingAborted
+from .errors import ConfigError, NumericError, ShapeError, TrainingAborted
 from .flow import FlowConfig, FlowStack
 from .pipeline import collect_flow_samples, score_video
 from .scoring import fuse, minmax_normalize, roc_auc_eer
@@ -135,7 +136,7 @@ def _resolve_config(args):
         if value is not None:
             overrides[field.name] = value
     if args.config:
-        with open(args.config) as fh:
+        with _open_input(args.config, "config file") as fh:
             text = fh.read()
     else:
         text = ""
@@ -144,7 +145,16 @@ def _resolve_config(args):
         config = apply_preset(config, args.preset)
     if overrides:
         config = parse_config(serialize_config(config), overrides=overrides)
+    if not config.data_path:
+        raise ConfigError(f"data_path is required for {args.command}")
     return config
+
+
+def _open_input(path, what):
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
 def _ae_config(config):
@@ -164,12 +174,12 @@ def _flow_config(config, channels):
     )
 
 
-def _clip_spec(config, source=None, stride=None):
+def _clip_spec(config, source):
     return ClipSpec(
-        source=source if source is not None else config.data_path,
+        source=source,
         clip_len=config.clip_len,
         tau=config.tau,
-        stride=stride if stride is not None else config.clip_stride,
+        stride=config.clip_stride,
         resize=config.resize,
         color=config.color,
     )
@@ -211,14 +221,9 @@ def cmd_gen_synth(args):
 
 def cmd_train_itae(args):
     config = _resolve_config(args)
-    if not config.data_path:
-        raise ConfigError("data_path is required for train-itae")
-    os.makedirs(config.out_dir, exist_ok=True)
     clips = []
     for source, _ in _video_sources(config.data_path):
-        clips.extend(iter_clips(_clip_spec(config, source=source)))
-    if not clips:
-        raise ConfigError(f"no clips of length {config.clip_len} in {config.data_path}")
+        clips.extend(iter_clips(_clip_spec(config, source), _load_checked(config, source)))
     model = TwoPathAutoencoder(_ae_config(config), np.random.default_rng(config.seed))
     curve = train_autoencoder(
         model,
@@ -230,6 +235,7 @@ def cmd_train_itae(args):
             seed=config.seed,
         ),
     )
+    os.makedirs(config.out_dir, exist_ok=True)
     ckpt = os.path.join(config.out_dir, "itae")
     save_checkpoint(ckpt, model.named_parameters(), _ae_config(config), extra={"kind": "itae"})
     _write_rows(
@@ -253,8 +259,6 @@ def _load_frozen_model(config, itae_dir):
 
 def cmd_train_nf(args):
     config = _resolve_config(args)
-    if not config.data_path:
-        raise ConfigError("data_path is required for train-nf")
     if not (config.use_static_flow or config.use_dynamic_flow):
         raise ConfigError("train-nf needs use_static_flow or use_dynamic_flow")
     sources = _video_sources(config.data_path)
@@ -265,10 +269,9 @@ def cmd_train_nf(args):
     statics = []
     dynamics = []
     for source, _ in sources:
-        video = load_video(_clip_spec(config, source=source))
         s, d = collect_flow_samples(
             model,
-            video,
+            _load_checked(config, source),
             config,
             need_static=config.use_static_flow,
             need_dynamic=config.use_dynamic_flow,
@@ -319,6 +322,16 @@ def cmd_train_nf(args):
     return 0
 
 
+def _load_checked(config, source):
+    """Load one video and refuse it, naming the source, unless this run can take it."""
+    try:
+        video = load_video(_clip_spec(config, source))
+    except ShapeError as exc:
+        raise ConfigError(str(exc)) from None
+    config.check_frames(source, video)
+    return video
+
+
 def _video_sources(data_path):
     """Resolve a data path to a list of (frames source, labels path or None).
 
@@ -360,8 +373,6 @@ def _load_flow(config, directory, channels):
 
 def cmd_score(args):
     config = _resolve_config(args)
-    if not config.data_path:
-        raise ConfigError("data_path is required for score")
     sources = _video_sources(config.data_path)
     if config.label_path and len(sources) > 1:
         raise ConfigError(
@@ -378,6 +389,8 @@ def cmd_score(args):
     ]
     if clashes:
         raise ConfigError(clashes)
+    for source, _ in sources:  # refuse an unfit video before any checkpoint or output
+        _load_checked(config, source)
 
     itae_dir = args.itae_dir or os.path.join(config.out_dir, "itae")
     model = _load_frozen_model(config, itae_dir)
@@ -393,8 +406,8 @@ def cmd_score(args):
     score_dir = os.path.join(config.out_dir, "scores")
     os.makedirs(score_dir, exist_ok=True)
     for source, label_path in sources:
+        video = _load_checked(config, source)
         label_path = config.label_path or label_path
-        video = load_video(_clip_spec(config, source=source))
         total = video.shape[2]
         if label_path:
             labels = read_labels(label_path)
@@ -434,9 +447,9 @@ def _video_name(source):
 
 
 def _read_score_csv(path):
-    with open(path, newline="") as fh:
+    with _open_input(path, "score CSV") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != SCORE_HEADER:
             raise ConfigError(f"{path}: unexpected header {header}")
         cols = {name: [] for name in SCORE_HEADER}

@@ -26,7 +26,7 @@ _FRAME_EXTS = (".pgm", ".ppm")
 
 @dataclasses.dataclass
 class ClipSpec:
-    """Where and how to read clips."""
+    """Where and how to read clips; `RunConfig.validate` checks the settings."""
 
     source: str
     clip_len: int
@@ -34,23 +34,6 @@ class ClipSpec:
     stride: int = 1
     resize: tuple = None  # (h, w) target or None
     color: str = "gray"
-
-    def __post_init__(self):
-        problems = []
-        if self.clip_len <= 0 or self.clip_len % self.tau:
-            problems.append(
-                f"clip_len {self.clip_len} must be a positive multiple of tau={self.tau}"
-            )
-        if self.stride <= 0:
-            problems.append(f"stride must be positive, got {self.stride}")
-        if self.color not in ("gray", "rgb"):
-            problems.append(f"color must be gray or rgb, got {self.color!r}")
-        if self.resize is not None:
-            h, w = self.resize
-            if h % 4 or w % 4:
-                problems.append(f"resize dims {self.resize} must be divisible by 4")
-        if problems:
-            raise ConfigError(problems)
 
 
 def _frame_to_unit(img, color):
@@ -89,6 +72,9 @@ def load_video(spec):
             _frame_to_unit(read_pnm(os.path.join(src, name)), spec.color)
             for name in names
         ]
+        sizes = sorted({f.shape[1:] for f in frames})
+        if len(sizes) > 1:
+            raise ShapeError(f"{src}: frames differ in size: {sizes}")
         video = np.stack(frames, axis=1)[None]  # (1, c, t, h, w)
     else:
         arr = load_tensor(src)
@@ -102,16 +88,21 @@ def load_video(spec):
             video = video.mean(axis=1, keepdims=True)
         elif spec.color == "rgb" and video.shape[1] == 1:
             video = np.repeat(video, 3, axis=1)
-    return _resize_frames(video, spec.resize)
+    try:
+        return _resize_frames(video, spec.resize)
+    except ShapeError as exc:
+        raise ShapeError(f"{src}: {exc}") from None
 
 
-def iter_clips(spec):
+def iter_clips(spec, video=None):
     """Yield the full clip_len windows of the source, in order, as
     (1, C, clip_len, H, W) views into the loaded video.
 
-    Window starts step by spec.stride; a source shorter than clip_len yields
-    nothing.
+    `video` is the source as `load_video(spec)` returns it, read here when
+    None. Window starts step by spec.stride; a source shorter than clip_len
+    yields nothing.
     """
-    video = load_video(spec)
+    if video is None:
+        video = load_video(spec)
     for start in clip_starts(video.shape[2], spec.clip_len, spec.stride):
         yield video[:, :, start : start + spec.clip_len]

@@ -1,8 +1,12 @@
 """Run configuration: one flat key = value file drives every command.
 
-Unknown keys are rejected, every validation problem is reported in one
-error, and each command writes the fully resolved configuration next to its
-outputs so a run can always be reproduced from its artifacts.
+This module is the one place that decides which settings and frame sizes a
+run accepts. `RunConfig.validate` checks the settings, `RunConfig.check_frames`
+checks the frames of each loaded video against the same rules, and both
+report every problem in one `ConfigError`. The models and loaders keep their
+own input checks only as contracts for direct callers. Unknown keys are
+rejected, and each command writes the fully resolved configuration next to
+its outputs so a run can always be reproduced from its artifacts.
 """
 
 import dataclasses
@@ -54,16 +58,14 @@ class RunConfig:
             problems.append(
                 f"clip_len {self.clip_len} must be a positive multiple of tau {self.tau}"
             )
+        if self.score_stride > self.clip_len:
+            problems.append(
+                f"score_stride {self.score_stride} above clip_len {self.clip_len} leaves gaps"
+            )
         if (self.resize_h == 0) != (self.resize_w == 0):
             problems.append("resize_h and resize_w must be set together")
-        grain = 4 * 2 ** max(self.flow_levels - 1, 0)
-        for name in ("resize_h", "resize_w"):
-            v = getattr(self, name)
-            if v and v % grain:
-                problems.append(
-                    f"{name} {v} must be divisible by {grain} "
-                    f"(4 for the encoder, doubled per extra flow level)"
-                )
+        elif self.resize_h > 0 and self.resize_w > 0:
+            problems.extend(self._frame_problems(self.resize_h, self.resize_w, "resized"))
         if self.color not in ("gray", "rgb"):
             problems.append(f"color must be gray or rgb, got {self.color!r}")
         if self.flow_levels < 1 or self.flow_steps < 1:
@@ -77,19 +79,32 @@ class RunConfig:
                      "patch_size", "patch_stride", "score_stride", "clip_stride"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("itae_lr", "nf_lr"):
+        for name in ("itae_lr", "nf_lr", "lambda_l", "resize_h", "resize_w"):
             if getattr(self, name) < 0:
                 problems.append(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.lambda_l < 0:
-            problems.append(f"lambda_l must be >= 0, got {self.lambda_l}")
-        if self.resize_h and self.patch_size > min(self.resize_h, self.resize_w):
-            problems.append(
-                f"patch_size {self.patch_size} exceeds resized frame "
-                f"({self.resize_h}, {self.resize_w})"
-            )
         if problems:
             raise ConfigError(problems)
         return self
+
+    def _frame_problems(self, height, width, kind):
+        # the encoder shrinks each side by 4 and every flow level squeezes 2x2 blocks
+        grain = 4 * 2**self.flow_levels if self.use_static_flow or self.use_dynamic_flow else 4
+        problems = []
+        if height % grain or width % grain:
+            problems.append(f"{kind} frames {height}x{width}: height and width must be "
+                            f"multiples of {grain} (4, times 2 per flow level if a flow is on)")
+        if self.patch_size > min(height, width):
+            problems.append(f"patch_size {self.patch_size} exceeds {kind} frames {height}x{width}")
+        return problems
+
+    def check_frames(self, source, video):
+        """Refuse a loaded (1, C, T, H, W) video this run cannot take: fewer than
+        clip_len frames, or frames off the grain or smaller than patch_size."""
+        problems = self._frame_problems(*video.shape[-2:], "loaded")
+        if video.shape[2] < self.clip_len:
+            problems.append(f"video has {video.shape[2]} frames, need at least {self.clip_len}")
+        if problems:
+            raise ConfigError([f"{source}: {p}" for p in problems])
 
     @property
     def in_channels(self):

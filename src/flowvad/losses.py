@@ -131,14 +131,6 @@ class ReconLoss:
     gradient: Tensor
     total: Tensor
 
-    def values(self) -> dict[str, float]:
-        return {
-            "l2": self.l2.item(),
-            "ms_ssim": self.ms_ssim.item(),
-            "gradient": self.gradient.item(),
-            "total": self.total.item(),
-        }
-
 
 def recon_loss(target: Tensor, output: Tensor, window: int = 11) -> ReconLoss:
     """Reconstruction loss between a clip and its reconstruction."""

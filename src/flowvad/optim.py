@@ -3,37 +3,37 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .tensor import Tensor
 
 
-def cosine_schedule(base_lr: float, total_steps: int, min_lr: float = 0.0):
-    """Return step -> lr following half-cosine decay from base_lr to min_lr."""
+def cosine_schedule(base_lr: float, total_steps: int):
+    """Return step -> lr following half-cosine decay from base_lr to 0."""
     if total_steps < 1:
         raise ValueError(f"total_steps must be >= 1, got {total_steps}")
 
     def lr_at(step: int) -> float:
         t = min(max(step, 0), total_steps) / total_steps
-        return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + math.cos(math.pi * t))
+        return 0.5 * base_lr * (1.0 + math.cos(math.pi * t))
 
     return lr_at
 
 
 class Adam:
-    """Standard Adam; the learning rate may be a constant or a schedule."""
+    """Standard Adam; the learning rate is a schedule, step -> lr."""
 
     def __init__(
         self,
         params: Sequence[Tensor],
-        lr=1e-3,
+        lr: Callable[[int], float],
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ):
         self.params = [p for p in params if p.requires_grad]
-        self._lr = lr if callable(lr) else (lambda step, value=float(lr): value)
+        self._lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = 0

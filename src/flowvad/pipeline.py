@@ -45,13 +45,9 @@ def clip_starts(total, clip_len, stride):
 
 
 def window_starts(total, clip_len, stride):
-    """Window origins covering every frame; the last window is clamped."""
+    """Window origins covering every frame for stride <= clip_len; the last is clamped."""
     if total < clip_len:
         raise ConfigError(f"video has {total} frames, need at least {clip_len}")
-    if stride > clip_len:
-        raise ConfigError(
-            f"score stride {stride} above clip length {clip_len} leaves gaps"
-        )
     starts = clip_starts(total, clip_len, stride)
     if starts[-1] != total - clip_len:
         starts.append(total - clip_len)

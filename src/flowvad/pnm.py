@@ -12,7 +12,7 @@ from .errors import ShapeError
 __all__ = ["read_pnm", "write_pnm"]
 
 
-def _tokens(raw, count):
+def _tokens(raw, count, path):
     """Yield `count` header tokens starting after the magic, skipping comments.
 
     Returns (tokens, offset of the byte after the final token's delimiter).
@@ -21,7 +21,7 @@ def _tokens(raw, count):
     i = 2  # past the 2-byte magic
     while len(toks) < count:
         if i >= len(raw):
-            raise ShapeError("truncated header")
+            raise ShapeError(f"{path}: truncated header")
         c = raw[i : i + 1]
         if c == b"#":
             while i < len(raw) and raw[i : i + 1] != b"\n":
@@ -35,7 +35,7 @@ def _tokens(raw, count):
                 i += 1
             toks.append(raw[start:i])
     if i >= len(raw) or not raw[i : i + 1].isspace():
-        raise ShapeError("missing whitespace after maxval")
+        raise ShapeError(f"{path}: missing whitespace after maxval")
     return toks, i + 1
 
 
@@ -46,7 +46,7 @@ def read_pnm(path):
     magic = raw[:2]
     if magic not in (b"P5", b"P6"):
         raise ShapeError(f"{path}: unsupported magic {magic!r} (want P5 or P6)")
-    toks, offset = _tokens(raw, 3)
+    toks, offset = _tokens(raw, 3, path)
     try:
         width, height, maxval = (int(t) for t in toks)
     except ValueError:

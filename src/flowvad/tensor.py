@@ -10,10 +10,10 @@ Design constraints, fixed on purpose:
 
 * float64 everywhere; no mixed precision.
 * elementwise ops broadcast only over the leading batch axis (or against
-  scalars); anything richer must go through :func:`broadcast_to` so the
-  gradient path is explicit. The one exception is the per-channel bias of
-  :func:`conv3d` and :func:`conv_transpose3d`, whose gradient the conv's own
-  backward computes.
+  scalars); an operand of any other shape must be expanded to the full shape
+  first, so every gradient path is explicit. The one exception is the
+  per-channel bias of :func:`conv3d` and :func:`conv_transpose3d`, whose
+  gradient the conv's own backward computes.
 * slicing copies; no view aliasing survives into the backward pass.
 * max-reduction ties send the whole gradient to the lowest flat index.
 
@@ -39,8 +39,6 @@ from .errors import NumericError, ShapeError
 __all__ = [
     "Tensor",
     "concat",
-    "broadcast_to",
-    "matmul",
     "conv3d",
     "conv_transpose3d",
     "assert_finite",
@@ -96,9 +94,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_err(self)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -256,15 +251,6 @@ class Tensor:
 
         return out._record((self,), backward)
 
-    def relu(self) -> "Tensor":
-        mask = self.data > 0.0
-        out = Tensor(np.where(mask, self.data, 0.0))
-
-        def backward():
-            self._accumulate(np.where(mask, out.grad, 0.0))
-
-        return out._record((self,), backward)
-
     def leaky_relu(self, slope: float = 0.2) -> "Tensor":
         """x where x > 0, else slope * x; as max(x, slope * x) for 0 <= slope <= 1."""
         if not 0.0 <= slope <= 1.0:
@@ -374,9 +360,6 @@ class Tensor:
 
         return out._record((self,), backward)
 
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, _wrap(other))
-
 
 # -------------------------------------------------------------------- helpers
 
@@ -431,7 +414,8 @@ def _binary(a: Tensor, other, np_op, back) -> Tensor:
     if not _broadcast_ok(a.shape, b.shape):
         raise ShapeError(
             f"elementwise op on incompatible shapes {a.shape} and {b.shape}; "
-            "only batch-axis or scalar broadcasting is allowed (use broadcast_to)"
+            "only batch-axis or scalar broadcasting is allowed; expand the "
+            "operand to the full shape first"
         )
     out = Tensor(np_op(a.data, b.data))
 
@@ -518,39 +502,6 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
             start += size
 
     return out._record(ts, backward)
-
-
-def broadcast_to(t: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    try:
-        data = np.broadcast_to(t.data, shape).copy()
-    except ValueError as exc:
-        raise ShapeError(f"cannot broadcast {t.shape} to {shape}") from exc
-    out = Tensor(data)
-
-    def backward():
-        t._accumulate(_unbroadcast(out.grad, t.shape))
-
-    return out._record((t,), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
-
-    def backward():
-        if a.requires_grad:
-            ga = np.matmul(out.grad, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), out.grad)
-            b._accumulate(_unbroadcast(gb, b.shape))
-
-    return out._record((a, b), backward)
 
 
 # ------------------------------------------------------------ 3d convolution

@@ -21,15 +21,16 @@ __all__ = ["TrainConfig", "train_autoencoder", "train_flow"]
 
 log = logging.getLogger(__name__)
 
+LOG_EVERY = 10  # steps between log lines
+DIVERGENCE_FACTOR = 10.0  # flow NLL ceiling, in units of |initial NLL| + 1
+
 
 @dataclasses.dataclass
 class TrainConfig:
     steps: int
     batch_size: int
     lr: float
-    min_lr: float = 0.0
     seed: int = 0
-    log_every: int = 10
 
 
 def _snapshot(params):
@@ -60,7 +61,7 @@ def train_autoencoder(model, clips, config):
         raise ValueError("no training clips given")
     rng = np.random.default_rng(config.seed)
     params = model.named_parameters()
-    opt = Adam(params.values(), lr=cosine_schedule(config.lr, config.steps, config.min_lr))
+    opt = Adam(params.values(), cosine_schedule(config.lr, config.steps))
     curve = []
     good = _snapshot(params)
     for step in range(config.steps):
@@ -91,18 +92,18 @@ def train_autoencoder(model, clips, config):
                 "total": total,
             }
         )
-        if config.log_every and step % config.log_every == 0:
+        if step % LOG_EVERY == 0:
             log.info("recon step %d total %.6f", step, total)
     return curve
 
 
-def train_flow(stack, samples, config, divergence_factor=10.0):
+def train_flow(stack, samples, config):
     """Fit a density model on bridged feature samples.
 
     samples: (n, C, H, W) array of independent samples. The first batch also
     performs the data-dependent normalization init. Aborts (restoring the
     last healthy parameters) on non-finite loss or when the mean NLL exceeds
-    divergence_factor * (|initial| + 1).
+    DIVERGENCE_FACTOR * (|initial| + 1).
     """
     data = np.asarray(samples, dtype=np.float64)
     if data.ndim != 4 or data.shape[0] == 0:
@@ -114,7 +115,7 @@ def train_flow(stack, samples, config, divergence_factor=10.0):
     stack.init_actnorm(first)
 
     params = stack.named_parameters()
-    opt = Adam(params.values(), lr=cosine_schedule(config.lr, config.steps, config.min_lr))
+    opt = Adam(params.values(), cosine_schedule(config.lr, config.steps))
     curve = []
     good = _snapshot(params)
     ceiling = None
@@ -127,7 +128,7 @@ def train_flow(stack, samples, config, divergence_factor=10.0):
             if not np.isfinite(value):
                 raise NumericError(f"nll became non-finite at step {step}")
             if ceiling is None:
-                ceiling = divergence_factor * (abs(value) + 1.0)
+                ceiling = DIVERGENCE_FACTOR * (abs(value) + 1.0)
             if value > ceiling:
                 raise NumericError(
                     f"nll {value:.3g} exceeded divergence ceiling {ceiling:.3g} "
@@ -142,6 +143,6 @@ def train_flow(stack, samples, config, divergence_factor=10.0):
             raise TrainingAborted(f"density training aborted at step {step}: {exc}") from exc
         good = _snapshot(params)
         curve.append({"step": step, "nll": value})
-        if config.log_every and step % config.log_every == 0:
+        if step % LOG_EVERY == 0:
             log.info("flow step %d nll %.6f", step, value)
     return curve

@@ -17,6 +17,7 @@ from flowvad.config import (
     serialize_config,
 )
 from flowvad.errors import ConfigError
+from flowvad.tensor_io import save_tensor
 
 
 class TestConfigFormat:
@@ -56,10 +57,42 @@ class TestConfigFormat:
             parse_config("clip_len = 6\ntau = 4\n")
 
     def test_validation_resize_grain_includes_flow_levels(self):
-        # 2 levels need divisibility by 8; 3 levels by 16
-        parse_config("resize_h = 24\nresize_w = 24\nflow_levels = 2\n")
-        with pytest.raises(ConfigError, match="divisible"):
-            parse_config("resize_h = 24\nresize_w = 24\nflow_levels = 3\n")
+        # the encoder divides by 4 and each flow level squeezes 2x2 blocks:
+        # 2 levels need multiples of 16, 3 levels multiples of 32
+        with pytest.raises(ConfigError, match="multiples of 16"):
+            parse_config("resize_h = 24\nresize_w = 24\nflow_levels = 2\n")
+        parse_config("resize_h = 32\nresize_w = 32\nflow_levels = 2\n")
+        parse_config("resize_h = 32\nresize_w = 32\nflow_levels = 3\n")
+        with pytest.raises(ConfigError, match="multiples of 32"):
+            parse_config("resize_h = 48\nresize_w = 48\nflow_levels = 3\n")
+
+    def test_validation_resize_grain_without_flows(self):
+        flows_off = "use_static_flow = false\nuse_dynamic_flow = false\n"
+        parse_config("resize_h = 20\nresize_w = 20\nflow_levels = 3\n" + flows_off)
+        with pytest.raises(ConfigError, match="multiples of 4"):
+            parse_config("resize_h = 18\nresize_w = 20\n" + flows_off)
+
+    def test_validation_score_stride_within_clip(self):
+        with pytest.raises(ConfigError, match="score_stride 12 above clip_len 8"):
+            parse_config("clip_len = 8\nscore_stride = 12\n")
+        parse_config("clip_len = 8\nscore_stride = 8\n")
+
+    def test_check_frames_uses_the_grain_and_patch_size(self):
+        config = RunConfig(flow_levels=2, patch_size=24)
+        config.check_frames("v.t5", np.zeros((1, 1, 8, 32, 48)))
+        with pytest.raises(ConfigError) as exc:
+            config.check_frames("v.t5", np.zeros((1, 1, 8, 20, 20)))
+        assert [p.split(":")[0] for p in exc.value.problems] == ["v.t5", "v.t5"]
+        assert "multiples of 16" in exc.value.problems[0]
+        assert "patch_size 24" in exc.value.problems[1]
+        flows_off = dataclasses.replace(
+            config, use_static_flow=False, use_dynamic_flow=False, patch_size=16
+        )
+        flows_off.check_frames("v.t5", np.zeros((1, 1, 8, 20, 20)))
+        with pytest.raises(ConfigError, match="multiples of 4"):
+            flows_off.check_frames("v.t5", np.zeros((1, 1, 8, 20, 22)))
+        with pytest.raises(ConfigError, match="v.t5: video has 7 frames, need at least 8"):
+            flows_off.check_frames("v.t5", np.zeros((1, 1, 7, 20, 20)))
 
     def test_validation_dynamic_flow_needs_dynamic_path(self):
         with pytest.raises(ConfigError, match="dynamic_path"):
@@ -395,6 +428,136 @@ class TestInputErrors:
         assert "config error:" in err and str(missing) in err
         assert not (out / "scores").exists()
         assert not (out / "nf_static").exists()
+
+    def test_packed_pixel_out_of_range_exit_2(self, tmp_path, capsys):
+        video = tmp_path / "bright.t5"
+        arr = np.full((1, 1, 16, 32, 32), 0.5)
+        arr[0, 0, 3, 5, 7] = 2.0
+        save_tensor(video, arr)
+        err = refuse(capsys, tmp_path / "out", "train-itae", "--data-path", str(video))
+        assert str(video) in err and "outside [0, 1]" in err
+
+    def test_truncated_packed_video_exit_2(self, tmp_path, capsys):
+        video = packed_video(tmp_path / "cut.t5", 32)
+        video.write_bytes(video.read_bytes()[:24])  # the header alone
+        err = refuse(capsys, tmp_path / "out", "train-itae", "--data-path", str(video))
+        assert str(video) in err
+
+    def test_resize_by_non_integer_factor_exit_2(self, tmp_path, capsys):
+        video = packed_video(tmp_path / "v48.t5", 48)
+        err = refuse(capsys, tmp_path / "out", "train-itae", "--data-path", str(video),
+                     "--resize-h", "32", "--resize-w", "32")
+        assert str(video) in err and "must divide" in err
+
+    def test_patch_larger_than_frames_exit_2(self, small_run, tmp_path, capsys):
+        video = small_run / "v20.t5"
+        out = tmp_path / "out"
+        err = refuse(capsys, out, "score", "--data-path", str(video),
+                     "--itae-dir", str(small_run / "itae"), *FLOWS_OFF, "--patch-size", "24")
+        assert str(video) in err and "patch_size 24" in err
+        assert not (out / "scores").exists()
+
+    def test_missing_config_file_exit_2(self, scene, tmp_path, capsys):
+        missing = tmp_path / "no_such.cfg"
+        err = refuse(capsys, tmp_path / "out", "train-itae",
+                     "--data-path", str(scene / "train"), "--config", str(missing))
+        assert str(missing) in err
+
+    @pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
+    def test_missing_score_csv_exit_2(self, tmp_path, capsys, command):
+        present = tmp_path / "present.csv"
+        write_score_csv(present, [0, 1, 0, 1])
+        missing = tmp_path / "no_such.csv"
+        assert main([command, str(present), str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and str(missing) in err
+
+
+FLOWS_OFF = ["--use-static-flow", "false", "--use-dynamic-flow", "false"]
+
+
+def packed_video(path, side, frames=16, seed=0):
+    """Write a random gray (1, 1, frames, side, side) video as a .t5 file."""
+    save_tensor(path, np.random.default_rng(seed).uniform(size=(1, 1, frames, side, side)))
+    return path
+
+
+def refuse(capsys, out, command, *flags):
+    """Run a command that must exit 2 on `config error:` lines; returns stderr."""
+    assert main([command, "--out-dir", str(out), *BASE_FLAGS, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    return err
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """Native 20x20 frames with both flows off: train-itae, then score."""
+    out = tmp_path_factory.mktemp("small_run")
+    video = packed_video(out / "v20.t5", 20)
+    for command in ("train-itae", "score"):
+        assert main([command, "--data-path", str(video), "--out-dir", str(out),
+                     *BASE_FLAGS, *FLOWS_OFF]) == 0
+    return out
+
+
+class TestFrameGeometry:
+    """One frame-size rule: multiples of 4, times 2 per flow level when a
+    flow is on, refused before any training step."""
+
+    @pytest.mark.parametrize(
+        "side, flags, problem",
+        [
+            (32, ["--resize-h", "24", "--resize-w", "24"], "resized frames 24x24"),
+            (20, [], "v20.t5: loaded frames 20x20"),
+            (30, FLOWS_OFF, "v30.t5: loaded frames 30x30"),
+            (32, ["--score-stride", "12", "--clip-len", "8"], "score_stride 12 above clip_len 8"),
+        ],
+        ids=["resize-24-two-levels", "native-20-flows-on", "native-30", "score-stride-12"],
+    )
+    def test_refused_before_training(self, tmp_path, capsys, side, flags, problem):
+        video = packed_video(tmp_path / f"v{side}.t5", side)
+        out = tmp_path / "out"
+        assert problem in refuse(capsys, out, "train-itae", "--data-path", str(video), *flags)
+        assert not (out / "itae").exists()
+
+    @pytest.mark.parametrize(
+        "side, flags",
+        [
+            (64, ["--resize-h", "32", "--resize-w", "32"]),
+            (48, ["--resize-h", "24", "--resize-w", "24", "--flow-levels", "1"]),
+        ],
+        ids=["resize-32-two-levels", "resize-24-one-level"],
+    )
+    def test_accepted_through_train_nf(self, tmp_path, side, flags):
+        video = packed_video(tmp_path / f"v{side}.t5", side)
+        out = tmp_path / "out"
+        for command in ("train-itae", "train-nf"):
+            assert main([command, "--data-path", str(video), "--out-dir", str(out),
+                         *BASE_FLAGS, *flags]) == 0
+        assert (out / "nf_static" / "manifest.json").exists()
+        assert (out / "nf_dynamic" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command, output", [
+        ("train-itae", "itae"), ("train-nf", "nf_static"), ("score", "scores"),
+    ])
+    def test_short_video_refused_by_every_command(
+        self, trained_run, tmp_path, capsys, command, output
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        packed_video(data / "ok.t5", 32)
+        short = packed_video(data / "short.t5", 32, frames=4)
+        extra = {"train-itae": 0, "train-nf": 2, "score": 6}[command]
+        out = tmp_path / "out"
+        err = refuse(capsys, out, command, "--data-path", str(data),
+                     *checkpoint_flags(trained_run)[:extra])
+        assert f"{short}: video has 4 frames, need at least 8" in err
+        assert not (out / output).exists()
+
+    def test_native_20_without_flows_trains_and_scores(self, small_run):
+        lines = (small_run / "scores" / "v20.csv").read_text().splitlines()
+        assert len(lines) == 17  # header + 16 frames
 
 
 def _artifact_hashes(out):

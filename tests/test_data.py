@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flowvad.clips import ClipSpec, iter_clips, load_video
+from flowvad.config import RunConfig
 from flowvad.errors import ConfigError, ShapeError
 from flowvad.pnm import read_pnm, write_pnm
 from flowvad.synthetic import (
@@ -43,6 +44,12 @@ class TestPnm:
         path = tmp_path / "x.pgm"
         path.write_bytes(b"P2\n3 2\n255\n")
         with pytest.raises(ShapeError, match="magic"):
+            read_pnm(path)
+
+    def test_truncated_header_names_file(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n4 4")
+        with pytest.raises(ShapeError, match="x.pgm: truncated header"):
             read_pnm(path)
 
     def test_wrong_maxval_rejected(self, tmp_path):
@@ -129,6 +136,13 @@ class TestClipLoading:
         with pytest.raises(ShapeError):
             load_video(spec)
 
+    def test_mixed_frame_sizes_rejected(self, rng, tmp_path):
+        write_frames(tmp_path / "v", rng.integers(0, 256, size=(4, 8, 8), dtype=np.uint8))
+        write_pnm(tmp_path / "v" / "frame_00009.pgm", np.zeros((8, 12), dtype=np.uint8))
+        spec = ClipSpec(source=str(tmp_path / "v"), clip_len=4, tau=4)
+        with pytest.raises(ShapeError, match=r"frames differ in size: \[\(8, 8\), \(8, 12\)\]"):
+            load_video(spec)
+
     def test_loader_determinism_hash(self, rng, tmp_path):
         frames = rng.integers(0, 256, size=(10, 8, 8), dtype=np.uint8)
         write_frames(tmp_path / "v", frames)
@@ -144,9 +158,14 @@ class TestClipLoading:
         assert stream_hash() == stream_hash()
 
     def test_spec_validation_aggregates(self):
+        # the clip settings a ClipSpec is built from are checked by RunConfig
         with pytest.raises(ConfigError) as exc:
-            ClipSpec(source="x", clip_len=7, tau=4, stride=0, color="hsv")
-        assert len(exc.value.problems) == 3
+            RunConfig(clip_len=7, tau=4, clip_stride=0, color="hsv").validate()
+        problems = exc.value.problems
+        assert len(problems) == 3
+        assert any("multiple of tau" in p for p in problems)
+        assert any("clip_stride" in p for p in problems)
+        assert any("hsv" in p for p in problems)
 
     def test_clip_invariants(self, tmp_path):
         path = tmp_path / "v.t5"

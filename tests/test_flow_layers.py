@@ -12,8 +12,9 @@ from flowvad.flow import (
     InvertibleConv1x1,
     Squeeze,
 )
-from flowvad.tensor import Tensor, broadcast_to, concat, conv3d, matmul
+from flowvad.tensor import Tensor, concat, conv3d
 
+from graph_ops import broadcast_to, matmul, relu
 from numeric import max_relative_error, numerical_gradient, numerical_jacobian
 
 
@@ -257,8 +258,8 @@ def autodiff_step(an, mix, cpl, x):
     wmat = matmul(Tensor(mix.perm), matmul(l_full, u_full))
     y = matmul(wmat, y.reshape(n, c, h * w)).reshape(n, c, h, w)
     xa, xb = y[:, : cpl.ca], y[:, cpl.ca :]
-    hid = autodiff_conv2d(xa, cpl.w1, cpl.b1, 1).relu()
-    hid = autodiff_conv2d(hid, cpl.w2, cpl.b2, 0).relu()
+    hid = relu(autodiff_conv2d(xa, cpl.w1, cpl.b1, 1))
+    hid = relu(autodiff_conv2d(hid, cpl.w2, cpl.b2, 0))
     hid = autodiff_conv2d(hid, cpl.w3, cpl.b3, 1)
     log_s = hid[:, : cpl.cb].tanh() * cpl.clamp
     return concat([xa, xb * log_s.exp() + hid[:, cpl.cb :]], axis=1)
