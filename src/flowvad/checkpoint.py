@@ -78,9 +78,12 @@ def read_manifest(directory):
     path = os.path.join(directory, _MANIFEST)
     if not os.path.exists(path):
         raise ConfigError(f"no checkpoint manifest found in {directory}")
-    with open(path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "flowvad-checkpoint-v1":
+    try:
+        with open(path, "rb") as fh:
+            manifest = json.loads(fh.read())
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ConfigError(f"{path}: not a checkpoint manifest ({exc})") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != "flowvad-checkpoint-v1":
         raise ConfigError(f"{path}: unrecognized checkpoint format")
     return manifest
 
@@ -101,11 +104,15 @@ def load_checkpoint(directory, config=None):
             )
     params = {}
     for name, entry in manifest["parameters"].items():
-        arr = load_tensor(os.path.join(directory, entry["file"]))
+        path = os.path.join(directory, entry["file"])
+        try:
+            arr = load_tensor(path)
+        except ShapeError as exc:
+            raise ConfigError(str(exc)) from None
         want_shape = tuple(entry["shape"])
         if arr.size != int(np.prod(want_shape, dtype=np.int64)):
-            raise ShapeError(
-                f"{entry['file']}: payload size {arr.size} does not match "
+            raise ConfigError(
+                f"{path}: payload size {arr.size} does not match "
                 f"manifest shape {want_shape}"
             )
         params[name] = arr.reshape(want_shape)

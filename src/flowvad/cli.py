@@ -17,6 +17,7 @@ abort.
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -135,12 +136,7 @@ def _resolve_config(args):
         value = getattr(args, f"cfg_{field.name}", None)
         if value is not None:
             overrides[field.name] = value
-    if args.config:
-        with _open_input(args.config, "config file") as fh:
-            text = fh.read()
-    else:
-        text = ""
-    config = parse_config(text)
+    config = parse_config(_read_text(args.config, "config file") if args.config else "")
     if args.preset:
         config = apply_preset(config, args.preset)
     if overrides:
@@ -150,11 +146,14 @@ def _resolve_config(args):
     return config
 
 
-def _open_input(path, what):
+def _read_text(path, what):
     try:
-        return open(path, newline="")
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
 
 
 def _ae_config(config):
@@ -447,22 +446,21 @@ def _video_name(source):
 
 
 def _read_score_csv(path):
-    with _open_input(path, "score CSV") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCORE_HEADER:
-            raise ConfigError(f"{path}: unexpected header {header}")
-        cols = {name: [] for name in SCORE_HEADER}
-        for line, row in enumerate(reader, start=2):
-            for name, value in zip(SCORE_HEADER, row):
-                where = f"{path}: row {line - 1} (line {line}), column {name}: {value!r}"
-                try:
-                    number = float(value)
-                except ValueError:
-                    raise ConfigError(f"{where} is not a number") from None
-                if name == "label" and not number.is_integer():
-                    raise ConfigError(f"{where} is not an integer label")
-                cols[name].append(number)
+    reader = csv.reader(io.StringIO(_read_text(path, "score CSV"), newline=""))
+    header = next(reader, None)
+    if header != SCORE_HEADER:
+        raise ConfigError(f"{path}: unexpected header {header}")
+    cols = {name: [] for name in SCORE_HEADER}
+    for line, row in enumerate(reader, start=2):
+        for name, value in zip(SCORE_HEADER, row):
+            where = f"{path}: row {line - 1} (line {line}), column {name}: {value!r}"
+            try:
+                number = float(value)
+            except ValueError:
+                raise ConfigError(f"{where} is not a number") from None
+            if name == "label" and not number.is_integer():
+                raise ConfigError(f"{where} is not an integer label")
+            cols[name].append(number)
     out = {name: np.array(vals) for name, vals in cols.items()}
     out["label"] = out["label"].astype(int)
     return out

@@ -11,12 +11,16 @@ unit Gaussian, so
 
 holds exactly and the negative log-likelihood is exact, not a bound.
 
-Forward runs on autodiff tensors for training. Each actnorm, 1x1 mix and
-coupling conditioner is a single graph node whose backward is written out
-in NumPy (the LU gradients follow Glow, Kingma and Dhariwal 2018,
-arXiv:1807.03039); the log-determinant terms, the coupling's affine part
-and the level plumbing are ordinary autodiff ops. :meth:`FlowStack.nll_of`
-runs under :func:`~flowvad.tensor.no_grad` and builds no graph. Inverses
+Every layer runs on plain arrays: ``forward`` returns its output, its
+per-sample log |det| and what its ``backward`` needs, and ``backward`` maps
+the output gradient to the input gradient while accumulating the gradients
+of the parameters that require them. :meth:`FlowStack.forward` records the
+whole stack as one autodiff node, the per-sample NLL, whose backward walks
+the layers in reverse: the prior gives d nll / dz = z, every log-det term
+gets d nll / d logdet = -1, and the closed-form log-dets and LU gradients
+follow Glow (Kingma and Dhariwal 2018, arXiv:1807.03039, Table 1). When no
+gradient is wanted, as under :func:`~flowvad.tensor.no_grad` in
+:meth:`FlowStack.nll_of`, no layer keeps anything for a backward. Inverses
 run on plain arrays since sampling and round-trip checks never need
 gradients.
 """
@@ -31,7 +35,7 @@ from scipy.linalg import lu as lu_decompose
 from scipy.linalg import solve_triangular
 
 from .errors import NumericError, ShapeError
-from .tensor import Tensor, concat, no_grad
+from .tensor import Tensor, grad_enabled, no_grad
 
 __all__ = [
     "FlowConfig",
@@ -55,14 +59,34 @@ def _window(k: int, size: int) -> tuple[slice, slice]:
 
 def _patches(x: np.ndarray) -> np.ndarray:
     """Columns of the zero-padded 3x3 neighbourhoods of channel-major
-    (c, n, h, w) input, shape (c*9, n*h*w), rows in (c, kh, kw) order."""
-    c, n, h, w = x.shape
-    cols = np.zeros((c, 3, 3, n, h, w))
+    (c, h, w, n) input, shape (c*9, h*w*n), rows in (c, kh, kw) order."""
+    c, h, w, n = x.shape
+    cols = np.zeros((c, 3, 3, h, w, n))
     rows = [_window(k, h) for k in range(3)]
     for b, (out_w, in_w) in enumerate(_window(k, w) for k in range(3)):
         for a, (out_h, in_h) in enumerate(rows):
-            cols[:, a, b, :, out_h, out_w] = x[:, :, in_h, in_w]
-    return cols.reshape(c * 9, n * h * w)
+            cols[:, a, b, out_h, out_w] = x[:, in_h, in_w]
+    return cols.reshape(c * 9, h * w * n)
+
+
+def _tap_sum(taps: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """A zero-padded 3x3 conv from the products of each tap alone.
+
+    ``taps`` is (9*c, h*w*n) with rows in (kh, kw, c) order, one GEMM of
+    (kh, kw, cout)-ordered weights with the input; output position i sums
+    tap (a, b) read at i + (a - 1, b - 1). Returns (c, h, w, n), built in
+    place over the centre tap. Unlike :func:`_patches`, nothing of the
+    input's width is copied nine times.
+    """
+    h, w, n = dims
+    t = taps.reshape(3, 3, -1, h, w, n)
+    out = t[1, 1]
+    rows = [_window(k, h) for k in range(3)]
+    for b, (out_w, in_w) in enumerate(_window(k, w) for k in range(3)):
+        for a, (out_h, in_h) in enumerate(rows):
+            if a != 1 or b != 1:
+                out[:, out_h, out_w] += t[a, b, :, in_h, in_w]
+    return out
 
 
 def _flipped(m: np.ndarray) -> np.ndarray:
@@ -73,7 +97,7 @@ def _flipped(m: np.ndarray) -> np.ndarray:
     return flip.transpose(1, 0, 2, 3).reshape(cin, cout * 9)
 
 
-def gaussian_log_density(z: Tensor) -> Tensor:
+def gaussian_log_density(z: np.ndarray) -> np.ndarray:
     """Per-sample log density under an isotropic unit Gaussian, shape (batch,)."""
     axes = tuple(range(1, z.ndim))
     d = int(np.prod(z.shape[1:]))
@@ -101,27 +125,25 @@ class ActNorm:
         self.bias.data = -mean / std
         self.initialized = True
 
-    def forward(self, x: Tensor, init: bool = False) -> tuple[Tensor, Tensor]:
+    def forward(self, x: np.ndarray, init: bool = False):
         if init and not self.initialized:
-            self.initialize(x.data)
+            self.initialize(x)
         n, c, h, w = x.shape
         if c != self.channels:
             raise ShapeError(f"actnorm built for {self.channels} channels, got {x.shape}")
-        logs, bias = self.logs, self.bias
-        scale = np.exp(logs.data).reshape(1, c, 1, 1)
-        out = Tensor(x.data * scale + bias.data.reshape(1, c, 1, 1))
+        scale = np.exp(self.logs.data).reshape(1, c, 1, 1)
+        y = x * scale + self.bias.data.reshape(1, c, 1, 1)
+        return y, self.logs.data.sum() * float(h * w), (x, scale)
 
-        def backward():
-            g = out.grad
-            if x.requires_grad:
-                x._accumulate(g * scale)
-            if logs.requires_grad:
-                logs._accumulate((g * x.data).sum(axis=(0, 2, 3)) * scale.reshape(c))
-            if bias.requires_grad:
-                bias._accumulate(g.sum(axis=(0, 2, 3)))
-
-        logdet = logs.sum() * float(h * w)
-        return out._record((x, logs, bias), backward), logdet
+    def backward(self, cache, g: np.ndarray, gld: np.ndarray) -> np.ndarray:
+        x, scale = cache
+        n, c, h, w = x.shape
+        if self.logs.requires_grad:
+            glogs = (g * x).sum(axis=(0, 2, 3)) * scale.reshape(c)
+            self.logs._accumulate(glogs + float(h * w) * gld.sum())
+        if self.bias.requires_grad:
+            self.bias._accumulate(g.sum(axis=(0, 2, 3)))
+        return g * scale
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
         n, c, h, w = z.shape
@@ -159,42 +181,40 @@ class InvertibleConv1x1:
         self._eye = np.eye(channels)
 
     def _weight_np(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        c = self.channels
         l_full = self.lower.data * self._mask_low + self._eye
         u_full = self.upper.data * self._mask_up + np.diag(
             self.sign * np.exp(self.log_diag.data)
         )
         return self.perm, l_full, u_full
 
-    def forward(self, x: Tensor, init: bool = False) -> tuple[Tensor, Tensor]:
+    def forward(self, x: np.ndarray, init: bool = False):
         n, c, h, w = x.shape
         if c != self.channels:
             raise ShapeError(f"1x1 conv built for {self.channels} channels, got {x.shape}")
         perm, l_full, u_full = self._weight_np()
         wmat = perm @ (l_full @ u_full)
-        cols = x.data.reshape(n, c, h * w)
-        out = Tensor(np.matmul(wmat, cols).reshape(n, c, h, w))
-        lower, upper, log_diag = self.lower, self.upper, self.log_diag
+        cols = x.reshape(n, c, h * w)
+        y = np.matmul(wmat, cols).reshape(n, c, h, w)
+        return y, self.log_diag.data.sum() * float(h * w), (cols, wmat, l_full, u_full)
 
-        def backward():
-            g = out.grad.reshape(n, c, h * w)
-            if x.requires_grad:
-                x._accumulate(np.matmul(wmat.T, g).reshape(x.shape))
-            if not (lower.requires_grad or upper.requires_grad or log_diag.requires_grad):
-                return
+    def backward(self, cache, g: np.ndarray, gld: np.ndarray) -> np.ndarray:
+        cols, wmat, l_full, u_full = cache
+        shape = g.shape
+        g = g.reshape(cols.shape)
+        lower, upper, log_diag = self.lower, self.upper, self.log_diag
+        if lower.requires_grad or upper.requires_grad or log_diag.requires_grad:
             # dW summed over samples, then through W = P (L U) to the factors
-            g_lu = perm.T @ np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+            g_lu = self.perm.T @ np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
             if lower.requires_grad:
                 lower._accumulate((g_lu @ u_full.T) * self._mask_low)
             g_u = l_full.T @ g_lu
             if upper.requires_grad:
                 upper._accumulate(g_u * self._mask_up)
             if log_diag.requires_grad:
-                # U's diagonal is sign * exp(log_diag)
-                log_diag._accumulate(np.diag(g_u) * np.diag(u_full))
-
-        logdet = log_diag.sum() * float(h * w)
-        return out._record((x, lower, upper, log_diag), backward), logdet
+                # U's diagonal is sign * exp(log_diag), which also is the log-det
+                gdiag = np.diag(g_u) * np.diag(u_full)
+                log_diag._accumulate(gdiag + float(cols.shape[2]) * gld.sum())
+        return np.matmul(wmat.T, g).reshape(shape)
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
         n, c, h, w = z.shape
@@ -240,76 +260,96 @@ class AffineCoupling:
         self.w3 = Tensor(np.zeros((2 * self.cb, hidden, 3, 3)), requires_grad=True)
         self.b3 = Tensor(np.zeros(2 * self.cb), requires_grad=True)
 
-    def _net(self, xa: Tensor) -> tuple[Tensor, Tensor]:
-        """The conditioner as one graph node; returns (raw scale, shift).
+    def _net(self, xa: np.ndarray):
+        """The conditioner on (n, ca, h, w) input.
 
-        Activations are channel-major, (channels, n*h*w), so each conv is one
-        GEMM over the whole batch: the 3x3 convs on patch columns, the 1x1
-        conv on the activations themselves. The input gradient of a 3x3 conv
-        is the 3x3 conv of its output gradient with the flipped kernel.
+        Returns its output, raw scale then shift, channel-major as
+        (2*cb, h, w, n), and what :meth:`_net_backward` needs. Activations
+        are channel-major, (channels, h*w*n), so each conv is one GEMM over
+        the whole batch, and the batch axis last keeps the rows of a shifted
+        3x3 tap contiguous. Only the narrow ca-channel input is expanded
+        into 3x3 patch columns; the final 3x3 conv reads the wide hidden
+        activations once, through :func:`_tap_sum`.
         """
-        n, ca, hh, ww = xa.shape
-        dims = (n, hh, ww)
+        n, _, hh, ww = xa.shape
+        w1, w3 = self.w1.data, self.w3.data
+        hidden = w1.shape[0]
+        cols1 = _patches(xa.transpose(1, 2, 3, 0))
+        r1 = w1.reshape(hidden, -1) @ cols1
+        r1 += self.b1.data[:, None]
+        np.maximum(r1, 0.0, out=r1)
+        r2 = self.w2.data.reshape(hidden, hidden) @ r1
+        r2 += self.b2.data[:, None]
+        np.maximum(r2, 0.0, out=r2)
+        out = _tap_sum(w3.transpose(2, 3, 0, 1).reshape(-1, hidden) @ r2, (hh, ww, n))
+        out += self.b3.data[:, None, None, None]
+        return out, (cols1, r1, r2)
+
+    def _net_backward(self, cache, g: np.ndarray) -> np.ndarray:
+        """Conditioner gradients from the (2*cb, h, w, n) output gradient;
+        returns the input gradient, channel-major (ca, h, w, n).
+
+        The 3x3 patches of the narrow output gradient give both the final
+        conv's weight gradient and, with the flipped kernel, its input
+        gradient. The first conv's input gradient is the flipped-kernel conv
+        of its output gradient, summed per tap.
+        """
+        cols1, r1, r2 = cache
         w1, b1, w2, b2, w3, b3 = self.w1, self.b1, self.w2, self.b2, self.w3, self.b3
         hidden = w1.shape[0]
-        m1 = w1.data.reshape(hidden, -1)
-        m2 = w2.data.reshape(hidden, hidden)
-        m3 = w3.data.reshape(w3.shape[0], -1)
-        cols1 = _patches(xa.data.transpose(1, 0, 2, 3))
-        r1 = m1 @ cols1
-        r1 += b1.data[:, None]
-        np.maximum(r1, 0.0, out=r1)
-        r2 = m2 @ r1
-        r2 += b2.data[:, None]
-        np.maximum(r2, 0.0, out=r2)
-        cols3 = _patches(r2.reshape(hidden, *dims))
-        h3 = m3 @ cols3
-        h3 += b3.data[:, None]
-        out = Tensor(h3.reshape(-1, *dims).transpose(1, 0, 2, 3))
+        if b3.requires_grad:
+            b3._accumulate(g.sum(axis=(1, 2, 3)))
+        cols = _patches(g)
+        if w3.requires_grad:
+            # row (o, a, b) of cols holds g shifted by (a - 1, b - 1), which
+            # meets r2 through tap (2 - a, 2 - b) of w3
+            gw = (cols @ r2.T).reshape(-1, 3, 3, hidden)
+            w3._accumulate(gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+        gh = _flipped(w3.data.reshape(w3.shape[0], -1)) @ cols
+        gh *= r2 > 0.0
+        if b2.requires_grad:
+            b2._accumulate(gh.sum(axis=1))
+        if w2.requires_grad:
+            w2._accumulate((gh @ r1.T).reshape(w2.shape))
+        gh = w2.data.reshape(hidden, hidden).T @ gh
+        gh *= r1 > 0.0
+        if b1.requires_grad:
+            b1._accumulate(gh.sum(axis=1))
+        if w1.requires_grad:
+            w1._accumulate((gh @ cols1.T).reshape(w1.shape))
+        taps = w1.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(-1, hidden) @ gh
+        return _tap_sum(taps, g.shape[1:])
 
-        def backward():
-            g = out.grad.transpose(1, 0, 2, 3).reshape(m3.shape[0], -1)
-            if b3.requires_grad:
-                b3._accumulate(g.sum(axis=1))
-            if w3.requires_grad:
-                w3._accumulate((g @ cols3.T).reshape(w3.shape))
-            if not any(t.requires_grad for t in (w2, b2, w1, b1, xa)):
-                return
-            g = np.where(r2 > 0.0, _flipped(m3) @ _patches(g.reshape(-1, *dims)), 0.0)
-            if b2.requires_grad:
-                b2._accumulate(g.sum(axis=1))
-            if w2.requires_grad:
-                w2._accumulate((g @ r1.T).reshape(w2.shape))
-            if not any(t.requires_grad for t in (w1, b1, xa)):
-                return
-            g = np.where(r1 > 0.0, m2.T @ g, 0.0)
-            if b1.requires_grad:
-                b1._accumulate(g.sum(axis=1))
-            if w1.requires_grad:
-                w1._accumulate((g @ cols1.T).reshape(w1.shape))
-            if xa.requires_grad:
-                gx = _flipped(m1) @ _patches(g.reshape(hidden, *dims))
-                xa._accumulate(gx.reshape(ca, *dims).transpose(1, 0, 2, 3))
-
-        h = out._record((xa, w1, b1, w2, b2, w3, b3), backward)
-        return h[:, : self.cb], h[:, self.cb :]
-
-    def forward(self, x: Tensor, init: bool = False) -> tuple[Tensor, Tensor]:
+    def forward(self, x: np.ndarray, init: bool = False):
         if x.shape[1] != self.channels:
             raise ShapeError(f"coupling built for {self.channels} channels, got {x.shape}")
         xa, xb = x[:, : self.ca], x[:, self.ca :]
-        raw, shift = self._net(xa)
-        log_s = raw.tanh() * self.clamp
-        yb = xb * log_s.exp() + shift
-        logdet = log_s.sum(axis=(1, 2, 3))
-        return concat([xa, yb], axis=1), logdet
+        h, net = self._net(xa)
+        t = np.tanh(h[: self.cb].transpose(3, 0, 1, 2))
+        log_s = t * self.clamp
+        s = np.exp(log_s)
+        y = np.concatenate([xa, xb * s + h[self.cb :].transpose(3, 0, 1, 2)], axis=1)
+        return y, log_s.sum(axis=(1, 2, 3)), (xb, t, s, net)
+
+    def backward(self, cache, g: np.ndarray, gld: np.ndarray) -> np.ndarray:
+        xb, t, s, net = cache
+        ca, cb = self.ca, self.cb
+        n, _, hh, ww = g.shape
+        gyb = g[:, ca:]
+        # yb = xb * exp(log_s) + shift and log_s = clamp * tanh(raw) also
+        # sums into the log-det
+        glog = s * (gyb * xb) + gld.reshape(n, 1, 1, 1)
+        gh = np.empty((2 * cb, hh, ww, n))
+        gh[:cb] = ((1.0 - t * t) * (glog * self.clamp)).transpose(1, 2, 3, 0)
+        gh[cb:] = gyb.transpose(1, 2, 3, 0)
+        gxa = g[:, :ca] + self._net_backward(net, gh).transpose(3, 0, 1, 2)
+        return np.concatenate([gxa, gyb * s], axis=1)
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         za, zb = z[:, : self.ca], z[:, self.ca :]
-        with no_grad():
-            raw, shift = self._net(Tensor(za))
-        log_s = np.tanh(raw.data) * self.clamp
-        xb = (zb - shift.data) / np.exp(log_s)
+        h, _ = self._net(za)
+        log_s = np.tanh(h[: self.cb].transpose(3, 0, 1, 2)) * self.clamp
+        xb = (zb - h[self.cb :].transpose(3, 0, 1, 2)) / np.exp(log_s)
         logdet_inv = -log_s.sum(axis=(1, 2, 3))
         return np.concatenate([za, xb], axis=1), logdet_inv
 
@@ -332,10 +372,10 @@ class Squeeze:
             raise ShapeError(f"squeeze factor must be >= 1, got {factor}")
         self.factor = factor
 
-    def forward(self, x: Tensor, init: bool = False) -> tuple[Tensor, Tensor]:
+    def forward(self, x: np.ndarray, init: bool = False):
         f = self.factor
         if f == 1:
-            return x, Tensor(0.0)
+            return x, 0.0, None
         n, c, h, w = x.shape
         if h % f or w % f:
             raise ShapeError(f"spatial dims {(h, w)} not divisible by squeeze factor {f}")
@@ -344,7 +384,10 @@ class Squeeze:
             .transpose((0, 1, 3, 5, 2, 4))
             .reshape(n, c * f * f, h // f, w // f)
         )
-        return out, Tensor(0.0)
+        return out, 0.0, None
+
+    def backward(self, cache, g: np.ndarray, gld: np.ndarray) -> np.ndarray:
+        return self.inverse(g)[0]
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
         f = self.factor
@@ -402,10 +445,10 @@ class FlowConfig:
 class FlowResult:
     """Everything the forward pass knows about a batch."""
 
-    nll: Tensor  # (batch,)
-    log_prior: Tensor  # (batch,)
-    logdet: Tensor  # (batch,)
-    z_parts: list[Tensor]
+    nll: Tensor  # (batch,), the one graph node of the stack
+    log_prior: np.ndarray  # (batch,)
+    logdet: np.ndarray  # (batch,)
+    z_parts: list[np.ndarray]
     dims: int
 
     def bits_per_dim(self) -> np.ndarray:
@@ -420,7 +463,6 @@ class FlowStack:
         self.levels: list[dict] = []
         c = config.channels
         for level in range(config.levels):
-            squeeze = Squeeze(config.squeeze)
             c *= config.squeeze**2
             steps = []
             for _ in range(config.steps):
@@ -431,13 +473,21 @@ class FlowStack:
                         AffineCoupling(c, config.hidden, rng, clamp=config.scale_clamp),
                     )
                 )
+            # (name, layer) in forward order; the name prefixes its
+            # parameters and labels its log-det in a forward trace
+            layers = []
+            if config.squeeze > 1:
+                layers.append((f"level{level}.squeeze", Squeeze(config.squeeze)))
+            for si, step in enumerate(steps):
+                kinds = ("actnorm", "mix", "coupling")
+                layers += [(f"level{level}.step{si}.{k}", t) for k, t in zip(kinds, step)]
             keep = c // 2 if level < config.levels - 1 else c
-            self.levels.append({"squeeze": squeeze, "steps": steps, "channels": c, "keep": keep})
+            self.levels.append({"steps": steps, "layers": layers, "channels": c, "keep": keep})
             c = keep
 
     # ------------------------------------------------------------ forward
 
-    def _check_input(self, x: Tensor) -> None:
+    def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 4:
             raise ShapeError(f"flow input must be (batch, channel, h, w), got {x.shape}")
         n, c, h, w = x.shape
@@ -457,38 +507,30 @@ class FlowStack:
     ) -> FlowResult:
         """Map input to latents; returns per-sample NLL and the logdet total.
 
-        ``trace``, when a list, collects (layer_name, per_sample_logdet)
-        pairs so the chain-sum identity can be checked from outside.
+        The NLL is one graph node whose parents are ``x`` (when a Tensor
+        requiring gradients) and every parameter; its backward is the
+        layers' own, in reverse. ``trace``, when a list, collects
+        (layer_name, per_sample_logdet) pairs so the chain-sum identity can
+        be checked from outside.
         """
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
+        x_in = x if isinstance(x, Tensor) else None
+        x = np.asarray(x.data if x_in is not None else x, dtype=np.float64)
         self._check_input(x)
         n = x.shape[0]
-        dims = int(np.prod(x.shape[1:]))
+        parents = ([x_in] if x_in is not None else []) + self.parameters()
+        record = grad_enabled() and any(p.requires_grad for p in parents)
         h = x
-        logdet = Tensor(np.zeros(n))
-        z_parts: list[Tensor] = []
-
-        def note(name: str, ld: Tensor):
-            if trace is not None:
-                arr = ld.data if isinstance(ld, Tensor) else np.asarray(ld)
-                trace.append((name, np.broadcast_to(arr, (n,)).copy()))
-
-        for li, level in enumerate(self.levels):
-            if self.config.squeeze > 1:
-                h, ld = level["squeeze"].forward(h)
-                note(f"level{li}.squeeze", ld)
+        logdet = np.zeros(n)
+        z_parts: list[np.ndarray] = []
+        caches = []
+        for level in self.levels:
+            for name, layer in level["layers"]:
+                h, ld, cache = layer.forward(h, init=init)
                 logdet = logdet + ld
-            for si, (an, inv, cpl) in enumerate(level["steps"]):
-                h, ld = an.forward(h, init=init)
-                note(f"level{li}.step{si}.actnorm", ld)
-                logdet = logdet + ld
-                h, ld = inv.forward(h)
-                note(f"level{li}.step{si}.mix", ld)
-                logdet = logdet + ld
-                h, ld = cpl.forward(h)
-                note(f"level{li}.step{si}.coupling", ld)
-                logdet = logdet + ld
+                if trace is not None:
+                    trace.append((name, np.broadcast_to(ld, (n,)).copy()))
+                if record:
+                    caches.append((layer, cache))
             if level["keep"] < level["channels"]:
                 z_parts.append(h[:, level["keep"] :])
                 h = h[:, : level["keep"]]
@@ -497,13 +539,31 @@ class FlowStack:
         log_prior = gaussian_log_density(z_parts[0])
         for z in z_parts[1:]:
             log_prior = log_prior + gaussian_log_density(z)
-        nll = (log_prior + logdet) * (-1.0)
+        nll = Tensor((log_prior + logdet) * (-1.0))
+
+        def backward():
+            go = nll.grad
+            gld = -go  # nll = -(log prior + logdet)
+            g_parts = [z * go.reshape(n, 1, 1, 1) for z in z_parts]
+            g = g_parts.pop()
+            for level in reversed(self.levels):
+                if level["keep"] < level["channels"]:
+                    g = np.concatenate([g, g_parts.pop()], axis=1)
+                for _ in level["layers"]:
+                    layer, cache = caches.pop()
+                    g = layer.backward(cache, g, gld)
+            if x_in is not None and x_in.requires_grad:
+                x_in._accumulate(g)
+
+        if record:
+            nll._record(parents, backward)
+        dims = int(np.prod(x.shape[1:]))
         return FlowResult(nll=nll, log_prior=log_prior, logdet=logdet, z_parts=z_parts, dims=dims)
 
     def nll_of(self, x) -> np.ndarray:
         """Per-sample negative log-likelihood; records no graph."""
         with no_grad():
-            return self.forward(x).nll.data.copy()
+            return self.forward(x).nll.data
 
     # ------------------------------------------------------------ inverse
 
@@ -526,15 +586,9 @@ class FlowStack:
                     f"latent part channel mismatch at level {li}: "
                     f"{h.shape} vs expected {level['channels']} channels"
                 )
-            for an, inv, cpl in reversed(level["steps"]):
-                h, ld = cpl.inverse(h)
+            for _, layer in reversed(level["layers"]):
+                h, ld = layer.inverse(h)
                 total = total + ld
-                h, ld = inv.inverse(h)
-                total = total + ld
-                h, ld = an.inverse(h)
-                total = total + ld
-            if self.config.squeeze > 1:
-                h, _ = level["squeeze"].inverse(h)
         return (h, total) if return_logdet else h
 
     def init_actnorm(self, x) -> None:
@@ -546,22 +600,13 @@ class FlowStack:
 
     @property
     def num_transforms(self) -> int:
-        count = 0
-        for level in self.levels:
-            if self.config.squeeze > 1:
-                count += 1
-            count += 3 * len(level["steps"])
-            if level["keep"] < level["channels"]:
-                count += 1
-        return count
+        return sum(len(lv["layers"]) + (lv["keep"] < lv["channels"]) for lv in self.levels)
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        for li, level in enumerate(self.levels):
-            for si, (an, inv, cpl) in enumerate(level["steps"]):
-                out.update(an.named_parameters(f"level{li}.step{si}.actnorm"))
-                out.update(inv.named_parameters(f"level{li}.step{si}.mix"))
-                out.update(cpl.named_parameters(f"level{li}.step{si}.coupling"))
+        for level in self.levels:
+            for name, layer in level["layers"]:
+                out.update(layer.named_parameters(name))
         return out
 
     def parameters(self) -> list[Tensor]:

@@ -15,13 +15,12 @@ Design constraints, fixed on purpose:
   per-channel bias of :func:`conv3d` and :func:`conv_transpose3d`, whose
   gradient the conv's own backward computes.
 * slicing copies; no view aliasing survives into the backward pass.
-* max-reduction ties send the whole gradient to the lowest flat index.
 
-The flow layers of :mod:`flowvad.flow` (actnorm, the LU 1x1 mix and the
-coupling conditioner) each record one node through ``_record`` with a
-hand-written NumPy backward that honours ``requires_grad`` on every parent.
-Inside a :func:`no_grad` block no node records parents or a backward
-closure, so inference builds no graph.
+The flow stack of :mod:`flowvad.flow` records one node, its per-sample
+negative log-likelihood, through ``_record``; its hand-written NumPy
+backward honours ``requires_grad`` on every parent. Inside a
+:func:`no_grad` block no node records parents or a backward closure, so
+inference builds no graph.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ __all__ = [
     "concat",
     "conv3d",
     "conv_transpose3d",
-    "assert_finite",
+    "grad_enabled",
     "no_grad",
 ]
 
@@ -58,6 +57,11 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED.reset(token)
+
+
+def grad_enabled() -> bool:
+    """False inside a :func:`no_grad` block."""
+    return _GRAD_ENABLED.get()
 
 
 def _as_array(data) -> np.ndarray:
@@ -94,9 +98,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_err(self)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -167,8 +168,6 @@ class Tensor:
     def __add__(self, other):
         return _binary(self, other, np.add, _add_back)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return _binary(self, other, np.subtract, _sub_back)
 
@@ -182,17 +181,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return _binary(self, other, _checked_divide, _div_back)
-
-    def __rtruediv__(self, other):
-        return _wrap(other).__truediv__(self)
-
-    def __neg__(self):
-        out = Tensor(-self.data)
-
-        def backward():
-            self._accumulate(-out.grad)
-
-        return out._record((self,), backward)
 
     def __pow__(self, exponent):
         if isinstance(exponent, Tensor):
@@ -211,36 +199,6 @@ class Tensor:
         return out._record((self,), backward)
 
     # ---------------------------------------------------------- nonlinearity
-
-    def exp(self) -> "Tensor":
-        with np.errstate(over="ignore"):
-            out_data = np.exp(self.data)
-        _check_finite(out_data, "exp")
-        out = Tensor(out_data)
-
-        def backward():
-            self._accumulate(out_data * out.grad)
-
-        return out._record((self,), backward)
-
-    def log(self) -> "Tensor":
-        if np.any(self.data <= 0.0):
-            raise NumericError("log requires strictly positive input")
-        out = Tensor(np.log(self.data))
-
-        def backward():
-            self._accumulate(out.grad / self.data)
-
-        return out._record((self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-        out = Tensor(out_data)
-
-        def backward():
-            self._accumulate((1.0 - out_data**2) * out.grad)
-
-        return out._record((self,), backward)
 
     def sigmoid(self) -> "Tensor":
         out_data = expit(self.data)
@@ -298,31 +256,6 @@ class Tensor:
 
         def backward():
             self._accumulate(_spread(out.grad, self.shape, axis, keepdims) / count)
-
-        return out._record((self,), backward)
-
-    def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        """Max-reduce; on ties the gradient goes to the lowest flat index."""
-        if axis is None:
-            flat_idx = int(np.argmax(self.data))
-            out_data = self.data.reshape(-1)[flat_idx]
-            out = Tensor(out_data if keepdims is False else np.full((1,) * self.ndim, out_data))
-
-            def backward():
-                g = np.zeros_like(self.data)
-                g.reshape(-1)[flat_idx] = np.sum(out.grad)
-                self._accumulate(g)
-
-            return out._record((self,), backward)
-
-        idx = np.argmax(self.data, axis=axis)
-        out = Tensor(np.max(self.data, axis=axis, keepdims=keepdims))
-
-        def backward():
-            g = np.zeros_like(self.data)
-            go = out.grad if keepdims else np.expand_dims(out.grad, axis)
-            np.put_along_axis(g, np.expand_dims(idx, axis), go, axis=axis)
-            self._accumulate(g)
 
         return out._record((self,), backward)
 
@@ -694,10 +627,3 @@ def conv_transpose3d(
 
     return out._record((x, w) if bias is None else (x, w, bias), backward)
 
-
-def assert_finite(t, context: str = "tensor") -> None:
-    """Raise :class:`NumericError` if any value is NaN or infinite."""
-    data = t.data if isinstance(t, Tensor) else np.asarray(t)
-    if not np.all(np.isfinite(data)):
-        bad = int(np.count_nonzero(~np.isfinite(data)))
-        raise NumericError(f"{context} contains {bad} non-finite values")

@@ -33,8 +33,13 @@ class TrainConfig:
     seed: int = 0
 
 
-def _snapshot(params):
-    return {name: p.data.copy() for name, p in params.items()}
+def _snapshot(params, saved=None):
+    """Copy every parameter into ``saved``, allocating the buffers when None."""
+    if saved is None:
+        return {name: p.data.copy() for name, p in params.items()}
+    for name, p in params.items():
+        np.copyto(saved[name], p.data)
+    return saved
 
 
 def _check_params_finite(params, step):
@@ -82,7 +87,7 @@ def train_autoencoder(model, clips, config):
             raise TrainingAborted(
                 f"reconstruction training aborted at step {step}: {exc}"
             ) from exc
-        good = _snapshot(params)
+        _snapshot(params, good)
         curve.append(
             {
                 "step": step,
@@ -121,9 +126,8 @@ def train_flow(stack, samples, config):
     ceiling = None
     for step in range(config.steps):
         idx = rng.integers(0, n, size=config.batch_size)
-        batch = Tensor(data[idx])
         try:
-            nll = stack.forward(batch).nll.mean()
+            nll = stack.forward(data[idx]).nll.mean()
             value = float(nll.data)
             if not np.isfinite(value):
                 raise NumericError(f"nll became non-finite at step {step}")
@@ -141,7 +145,7 @@ def train_flow(stack, samples, config):
         except NumericError as exc:
             _restore(params, good)
             raise TrainingAborted(f"density training aborted at step {step}: {exc}") from exc
-        good = _snapshot(params)
+        _snapshot(params, good)
         curve.append({"step": step, "nll": value})
         if step % LOG_EVERY == 0:
             log.info("flow step %d nll %.6f", step, value)

@@ -1,11 +1,11 @@
 """Autodiff ops that only the tests use.
 
-The package's flow layers carry hand-written backwards, so nothing in
-`flowvad` needs a general broadcast, matrix product or ReLU node. The tests
-still do: the generic-op oracle for the flow step in `test_flow_layers.py`,
-the op registry of the acceptance gradient check, and `test_tensor_ops.py`.
-Each op records one node through `Tensor._record`, like the ops in
-`flowvad.tensor`.
+The flow stack is one node with a hand-written backward, so nothing in
+`flowvad` needs a general broadcast, matrix product, ReLU, exp, log, tanh,
+negation or max node. The tests still do: the generic-op oracle for the flow
+stack in `test_flow_layers.py`, the op registry of the acceptance gradient
+check, and `test_tensor_ops.py`. Each op records one node through
+`Tensor._record`, like the ops in `flowvad.tensor`.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from flowvad.errors import ShapeError
-from flowvad.tensor import Tensor, _unbroadcast
+from flowvad.errors import NumericError, ShapeError
+from flowvad.tensor import Tensor, _check_finite, _unbroadcast
 
-__all__ = ["broadcast_to", "matmul", "relu"]
+__all__ = ["amax", "broadcast_to", "exp", "log", "matmul", "neg", "relu", "tanh"]
 
 
 def broadcast_to(t: Tensor, shape: Sequence[int]) -> Tensor:
@@ -58,5 +58,73 @@ def relu(t: Tensor) -> Tensor:
 
     def backward():
         t._accumulate(np.where(mask, out.grad, 0.0))
+
+    return out._record((t,), backward)
+
+
+def neg(t: Tensor) -> Tensor:
+    out = Tensor(-t.data)
+
+    def backward():
+        t._accumulate(-out.grad)
+
+    return out._record((t,), backward)
+
+
+def exp(t: Tensor) -> Tensor:
+    with np.errstate(over="ignore"):
+        out_data = np.exp(t.data)
+    _check_finite(out_data, "exp")
+    out = Tensor(out_data)
+
+    def backward():
+        t._accumulate(out_data * out.grad)
+
+    return out._record((t,), backward)
+
+
+def log(t: Tensor) -> Tensor:
+    if np.any(t.data <= 0.0):
+        raise NumericError("log requires strictly positive input")
+    out = Tensor(np.log(t.data))
+
+    def backward():
+        t._accumulate(out.grad / t.data)
+
+    return out._record((t,), backward)
+
+
+def tanh(t: Tensor) -> Tensor:
+    out_data = np.tanh(t.data)
+    out = Tensor(out_data)
+
+    def backward():
+        t._accumulate((1.0 - out_data**2) * out.grad)
+
+    return out._record((t,), backward)
+
+
+def amax(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    """Max-reduce; on ties the gradient goes to the lowest flat index."""
+    if axis is None:
+        flat_idx = int(np.argmax(t.data))
+        out_data = t.data.reshape(-1)[flat_idx]
+        out = Tensor(out_data if keepdims is False else np.full((1,) * t.ndim, out_data))
+
+        def backward():
+            g = np.zeros_like(t.data)
+            g.reshape(-1)[flat_idx] = np.sum(out.grad)
+            t._accumulate(g)
+
+        return out._record((t,), backward)
+
+    idx = np.argmax(t.data, axis=axis)
+    out = Tensor(np.max(t.data, axis=axis, keepdims=keepdims))
+
+    def backward():
+        g = np.zeros_like(t.data)
+        go = out.grad if keepdims else np.expand_dims(out.grad, axis)
+        np.put_along_axis(g, np.expand_dims(idx, axis), go, axis=axis)
+        t._accumulate(g)
 
     return out._record((t,), backward)

@@ -472,6 +472,45 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "config error:" in err and str(missing) in err
 
+    def test_non_utf8_config_file_exit_2(self, scene, tmp_path, capsys):
+        config = tmp_path / "latin.cfg"
+        config.write_bytes(bytes(range(256)))
+        err = refuse(capsys, tmp_path / "out", "train-itae",
+                     "--data-path", str(scene / "train"), "--config", str(config))
+        assert str(config) in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
+    def test_non_utf8_score_csv_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "latin.csv"
+        write_score_csv(path, [0, 1, 0, 1])
+        path.write_bytes(path.read_bytes() + b"4,0.\xe9,0.0,0.0,0.4,1\n")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and str(path) in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("damage", ["truncated-tensor", "manifest-not-json"])
+    @pytest.mark.parametrize("command", ["train-nf", "score"])
+    def test_corrupt_checkpoint_exit_2(
+        self, scene, trained_run, tmp_path, capsys, command, damage
+    ):
+        itae = tmp_path / "itae"
+        shutil.copytree(trained_run / "itae", itae)
+        if damage == "truncated-tensor":
+            broken = itae / "decode1_bias.t5"
+            broken.write_bytes(broken.read_bytes()[:10])
+        else:
+            broken = itae / "manifest.json"
+            broken.write_text('{"format": "flowvad-checkpoint-v1", "parameters": ')
+        flags = checkpoint_flags(trained_run)
+        flags[1] = str(itae)
+        if command == "train-nf":
+            flags = flags[:2]
+        data = scene / ("train" if command == "train-nf" else "test")
+        out = tmp_path / "out"
+        err = refuse(capsys, out, command, "--data-path", str(data), *flags)
+        assert str(broken) in err
+        assert not out.exists()
+
 
 FLOWS_OFF = ["--use-static-flow", "false", "--use-dynamic-flow", "false"]
 

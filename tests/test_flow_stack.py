@@ -22,7 +22,7 @@ def perturb(stack, rng, scale=0.3):
 
 
 def flatten_latents(z_parts):
-    return np.concatenate([z.data.reshape(z.shape[0], -1) for z in z_parts], axis=1)
+    return np.concatenate([z.reshape(z.shape[0], -1) for z in z_parts], axis=1)
 
 
 class TestComposedStack:
@@ -31,7 +31,7 @@ class TestComposedStack:
         perturb(stack, rng)
         x = rng.normal(size=(3, 2, 4, 4))
         result = stack.forward(Tensor(x))
-        back = stack.inverse([z.data for z in result.z_parts])
+        back = stack.inverse(result.z_parts)
         assert np.max(np.abs(back - x)) < 1e-6
 
     def test_forward_of_inverse_is_identity(self, rng):
@@ -42,17 +42,15 @@ class TestComposedStack:
         x = stack.inverse(z_parts)
         result = stack.forward(Tensor(x))
         for got, want in zip(result.z_parts, z_parts):
-            assert np.max(np.abs(got.data - want)) < 1e-6
+            assert np.max(np.abs(got - want)) < 1e-6
 
     def test_logdet_antisymmetry(self, rng):
         stack = FlowStack(FlowConfig(channels=2, levels=2, steps=4, hidden=8), rng)
         perturb(stack, rng)
         x = rng.normal(size=(2, 2, 4, 4))
         result = stack.forward(Tensor(x))
-        _, inv_logdet = stack.inverse(
-            [z.data for z in result.z_parts], return_logdet=True
-        )
-        assert np.allclose(result.logdet.data, -inv_logdet, atol=1e-8)
+        _, inv_logdet = stack.inverse(result.z_parts, return_logdet=True)
+        assert np.allclose(result.logdet, -inv_logdet, atol=1e-8)
 
     def test_nll_equals_prior_plus_per_layer_logdets(self, rng):
         stack = FlowStack(FlowConfig(channels=2, levels=2, steps=3, hidden=8), rng)
@@ -64,9 +62,7 @@ class TestComposedStack:
         chain = np.zeros(2)
         for _, ld in trace:
             chain = chain + ld
-        prior = sum(
-            gaussian_log_density(z).data for z in result.z_parts
-        )
+        prior = sum(gaussian_log_density(z) for z in result.z_parts)
         assert np.array_equal(result.nll.data, -(prior + chain))
 
     def test_composed_logdet_matches_numerical_jacobian(self, rng):
@@ -83,7 +79,7 @@ class TestComposedStack:
 
         j = numerical_jacobian(f, x.reshape(-1).copy())
         _, logabs = np.linalg.slogdet(j)
-        analytic = stack.forward(Tensor(x)).logdet.data[0]
+        analytic = stack.forward(Tensor(x)).logdet[0]
         assert analytic == pytest.approx(logabs, abs=1e-6)
 
     def test_fresh_stack_nll_on_zeros_is_gaussian_constant(self, rng):
@@ -175,11 +171,24 @@ class TestGraphFreeNll:
         stack.nll_of(Tensor(x, requires_grad=True))
         monkeypatch.undo()
         (result,) = results
-        for t in (result.nll, result.logdet, result.log_prior, *result.z_parts):
-            assert t._parents == () and t._backward is None and not t.requires_grad
+        t = result.nll
+        assert t._parents == () and t._backward is None and not t.requires_grad
         result.nll.sum().backward()
         for name, p in stack.named_parameters().items():
             assert p.grad is None, name
         # gradients come back once the block is left
         stack.forward(Tensor(x)).nll.mean().backward()
         assert all(p.grad is not None for p in stack.parameters())
+
+    def test_forward_records_one_node_and_none_without_grad(self, rng):
+        stack = FlowStack(FlowConfig(channels=2, levels=2, steps=2, hidden=8), rng)
+        perturb(stack, rng)
+        x = Tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=True)
+        nll = stack.forward(x).nll
+        # the NLL is the only node: its parents are the leaves themselves
+        assert nll._backward is not None and nll.shape == (3,)
+        assert {id(p) for p in nll._parents} == {id(x), *map(id, stack.parameters())}
+        assert all(p._backward is None and p._parents == () for p in nll._parents)
+        with no_grad():
+            nll = stack.forward(x).nll
+        assert nll._backward is None and nll._parents == () and not nll.requires_grad

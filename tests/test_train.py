@@ -6,7 +6,30 @@ import pytest
 from flowvad.autoencoder import AutoencoderConfig, TwoPathAutoencoder
 from flowvad.errors import TrainingAborted
 from flowvad.flow import FlowConfig, FlowStack
+from flowvad.optim import Adam
 from flowvad.train import TrainConfig, train_autoencoder, train_flow
+
+
+def copies_at_each_call(monkeypatch, owner, attr, params, then=None):
+    """Patch owner.attr to copy `params` before each call and run `then`
+    after it; returns the list of copies, one per call."""
+    copies = []
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        copies.append({name: p.data.copy() for name, p in params.items()})
+        out = original(*args, **kwargs)
+        if then is not None:
+            then(len(copies))
+        return out
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    return copies
+
+
+def assert_params_equal(params, values):
+    for name, p in params.items():
+        assert np.array_equal(p.data, values[name]), name
 
 
 def tiny_model(seed=0):
@@ -56,16 +79,35 @@ class TestAutoencoderLoop:
         c2 = train_autoencoder(tiny_model(1), clips, cfg)
         assert c1 == c2
 
-    def test_abort_restores_last_good_params(self, rng):
+    def test_abort_restores_last_good_params(self, rng, monkeypatch):
         model = tiny_model()
+        params = model.named_parameters()
+        starts = copies_at_each_call(monkeypatch, TwoPathAutoencoder, "reconstruct", params)
         bad = np.full((1, 1, 4, 16, 16), np.nan)
         clips = tiny_clips(rng, n=3) + [bad]
         with pytest.raises(TrainingAborted, match="aborted at step"):
             train_autoencoder(
                 model, clips, TrainConfig(steps=40, batch_size=1, lr=1e-3, seed=5)
             )
-        for name, p in model.named_parameters().items():
+        for name, p in params.items():
             assert np.all(np.isfinite(p.data)), name
+        assert len(starts) > 1  # the bad clip was not drawn first
+        assert_params_equal(params, starts[-1])
+
+    def test_abort_after_update_restores_pre_step_params(self, rng, monkeypatch):
+        model = tiny_model()
+        params = model.named_parameters()
+
+        def poison(calls):
+            if calls == 3:
+                params["decode4.bias"].data[...] = np.nan
+
+        starts = copies_at_each_call(monkeypatch, Adam, "step", params, then=poison)
+        with pytest.raises(TrainingAborted, match="aborted at step 2"):
+            train_autoencoder(
+                model, tiny_clips(rng, n=2), TrainConfig(steps=5, batch_size=1, lr=1e-3)
+            )
+        assert_params_equal(params, starts[-1])
 
     def test_no_clips_rejected(self):
         with pytest.raises(ValueError, match="no training clips"):
@@ -106,16 +148,29 @@ class TestFlowLoop:
         c2 = train_flow(tiny_flow(2), samples, cfg)
         assert c1 == c2
 
-    def test_divergence_aborts_and_restores(self, rng):
+    def test_divergence_aborts_and_restores(self, rng, monkeypatch):
         stack = tiny_flow()
         samples = flow_samples(rng)
         stack.init_actnorm(samples[:8])
-        before = {k: v.data.copy() for k, v in stack.named_parameters().items()}
+        params = stack.named_parameters()
+        starts = copies_at_each_call(monkeypatch, FlowStack, "forward", params)
         with pytest.raises(TrainingAborted, match="aborted"):
             train_flow(stack, samples, TrainConfig(steps=200, batch_size=8, lr=3e2))
-        after = stack.named_parameters()
-        for name in before:
-            assert np.all(np.isfinite(after[name].data)), name
+        for name, p in params.items():
+            assert np.all(np.isfinite(p.data)), name
+        assert_params_equal(params, starts[-1])
+
+    def test_one_forward_per_step(self, rng, monkeypatch):
+        calls = []
+        forward = FlowStack.forward
+
+        def counting(stack, *args, **kwargs):
+            calls.append(kwargs.get("init", False))
+            return forward(stack, *args, **kwargs)
+
+        monkeypatch.setattr(FlowStack, "forward", counting)
+        train_flow(tiny_flow(), flow_samples(rng), TrainConfig(steps=4, batch_size=8, lr=1e-3))
+        assert calls == [True, False, False, False, False]  # actnorm init, then one per step
 
     def test_bad_sample_shape_rejected(self, rng):
         with pytest.raises(ValueError, match="samples"):
