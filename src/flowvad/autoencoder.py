@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import Tensor, concat, conv3d, conv_transpose3d
 
-__all__ = ["AutoencoderConfig", "TwoPathAutoencoder", "Conv3dLayer", "layer_shapes"]
+__all__ = ["AutoencoderConfig", "TwoPathAutoencoder", "Conv3dLayer"]
 
 
 @dataclass(frozen=True)
@@ -262,47 +262,3 @@ class TwoPathAutoencoder:
         xs, xd = self.encode(x)
         return self.decode(xs, xd)
 
-
-def layer_shapes(
-    config: AutoencoderConfig, time: int, height: int, width: int
-) -> dict[str, tuple[int, ...]]:
-    """Per-stage output shapes (channel, time, h, w) from the stride arithmetic.
-
-    Uses the same floor((d + 2p - k)/s) + 1 rule the convolutions apply, so a
-    single real forward pass validates every row at once.
-    """
-
-    def down(dims, geom):
-        k, s, p = geom
-        return tuple((d + 2 * pi - ki) // si + 1 for d, ki, si, pi in zip(dims, k, s, p))
-
-    def up(dims, geom):
-        k, s, p, op = geom
-        return tuple(
-            (d - 1) * si - 2 * pi + ki + oi
-            for d, si, pi, ki, oi in zip(dims, s, p, k, op)
-        )
-
-    if time % config.tau:
-        raise ShapeError(f"clip length {time} not divisible by tau={config.tau}")
-    shapes: dict[str, tuple[int, ...]] = {}
-    sdims = ((time - 1) // config.tau + 1, height, width)
-    ddims = (time, height, width)
-    for i in range(4):
-        sdims = down(sdims, _STATIC_GEOM[i])
-        shapes[f"static{i + 1}"] = (config.static_channels[i], *sdims)
-        if config.dynamic_path:
-            ddims = down(ddims, _DYNAMIC_GEOM[i])
-            shapes[f"dynamic{i + 1}"] = (config.dynamic_channels[i], *ddims)
-    out_ch = [
-        config.static_channels[3],
-        config.static_channels[1],
-        config.static_channels[0],
-        config.in_channels,
-    ]
-    udims = sdims
-    dec_geom = _decoder_geom(config.tau)
-    for i in range(4):
-        udims = up(udims, dec_geom[i])
-        shapes[f"decode{i + 1}"] = (out_ch[i], *udims)
-    return shapes

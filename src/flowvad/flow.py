@@ -451,9 +451,6 @@ class FlowResult:
     z_parts: list[np.ndarray]
     dims: int
 
-    def bits_per_dim(self) -> np.ndarray:
-        return self.nll.data / (self.dims * math.log(2.0))
-
 
 class FlowStack:
     """L levels of K flow steps with multi-scale factor-out."""
@@ -597,10 +594,6 @@ class FlowStack:
             self.forward(x, init=True)
 
     # --------------------------------------------------------- parameters
-
-    @property
-    def num_transforms(self) -> int:
-        return sum(len(lv["layers"]) + (lv["keep"] < lv["channels"]) for lv in self.levels)
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -15,6 +15,10 @@ Design constraints, fixed on purpose:
   per-channel bias of :func:`conv3d` and :func:`conv_transpose3d`, whose
   gradient the conv's own backward computes.
 * slicing copies; no view aliasing survives into the backward pass.
+* memory is bounded by recompute: a conv node keeps its unpadded input, not
+  its im2col columns, and backward re-forms the columns one group of
+  samples at a time; :meth:`Tensor.backward` releases each non-leaf node's
+  gradient and closure as soon as that node has passed its gradient on.
 
 The flow stack of :mod:`flowvad.flow` records one node, its per-sample
 negative log-likelihood, through ``_record``; its hand-written NumPy
@@ -64,18 +68,13 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED.get()
 
 
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """Dense float64 array with reverse-mode gradient support."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_cleared")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._backward = None
@@ -128,10 +127,12 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar loss; clears the recorded graph after.
+        """Backpropagate from a scalar loss, clearing the graph as it goes.
 
         Every node is visited exactly once, parents after children, so
-        gradients along diamond-shaped paths accumulate by addition.
+        gradients along diamond-shaped paths accumulate by addition. Once a
+        node's backward has run, its closure, parents and (unless it is a
+        leaf) gradient are dropped. A second call raises.
         """
         if self.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -158,9 +159,10 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward()
-        for node in order:
-            node._backward = None
-            node._parents = ()
+                node._backward = None
+            if node._parents:
+                node.grad = None
+                node._parents = ()
             node._cleared = True
 
     # ------------------------------------------------------------ arithmetic
@@ -440,6 +442,10 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
 # ------------------------------------------------------------ 3d convolution
 
 
+# Most bytes of im2col columns a conv holds at once; larger samples run alone.
+_COLS_BUDGET = 16 * 2**20
+
+
 def _triple(v) -> tuple[int, int, int]:
     if isinstance(v, int):
         return (v, v, v)
@@ -509,12 +515,32 @@ def _tap_sum(taps: np.ndarray, s, p, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _batch_groups(n: int, sample_bytes: int) -> list[slice]:
+    """Consecutive batch slices whose im2col columns fit in ``_COLS_BUDGET``
+    bytes, each holding at least one sample."""
+    size = max(1, _COLS_BUDGET // sample_bytes)
+    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
+
+
+def _add_in_order(acc: np.ndarray, parts: np.ndarray) -> None:
+    """``acc += parts[0]``, then ``parts[1]``, ...: from zeros, over every
+    group of a batch, bitwise the whole batch's ``.sum(axis=0)``."""
+    for part in parts:
+        acc += part
+
+
 def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), bias=None) -> Tensor:
     """3-D convolution (cross-correlation) over (batch, channel, time, h, w).
 
     ``w`` has shape (out_channels, in_channels, kt, kh, kw) and the optional
     ``bias`` shape (out_channels,). Output spatial dims follow
     floor((d + 2p - k) / s) + 1 per axis.
+
+    The batch runs in groups whose im2col columns fit in ``_COLS_BUDGET``
+    bytes, one matmul (one GEMM per sample) each. The node keeps the unpadded
+    input, not the columns; backward re-forms each group's columns and adds
+    the per-sample weight gradients in sample order from zeros, bitwise the
+    whole-batch ``.sum(axis=0)``.
     """
     x, w = _wrap(x), _wrap(w)
     s, p = _triple(stride), _triple(padding)
@@ -526,25 +552,37 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), bias=None)
         raise ShapeError(f"conv3d channel mismatch: input {x.shape} vs weight {w.shape}")
     k = tuple(k)
     out_dims = _conv_out_dims(dims, k, s, p)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1]), (p[2], p[2])))
-    cols = _im2col(xp, k, s, out_dims)
+    positions = out_dims[0] * out_dims[1] * out_dims[2]
+    xd = x.data
     w2 = w.data.reshape(cout, -1)
-    y = np.matmul(w2, cols).reshape(n, cout, *out_dims)
+    groups = _batch_groups(n, w2.shape[1] * positions * xd.itemsize)
+    pad = ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1]), (p[2], p[2]))
+
+    def columns(g: slice) -> np.ndarray:
+        return _im2col(np.pad(xd[g], pad), k, s, out_dims)
+
+    y = np.empty((n, cout, *out_dims))
+    for g in groups:
+        np.matmul(w2, columns(g), out=y[g].reshape(-1, cout, positions))
     if bias is not None:
         y += bias.data.reshape(1, cout, 1, 1, 1)
     out = Tensor(y)
-    positions = out_dims[0] * out_dims[1] * out_dims[2]
 
     def backward():
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)))
         gy = out.grad.reshape(n, cout, positions)
-        if w.requires_grad:
-            gw = np.matmul(gy, cols.transpose(0, 2, 1)).sum(axis=0)
+        gw = np.zeros(w2.shape) if w.requires_grad else None
+        gx = np.empty(x.shape) if x.requires_grad else None
+        for g in groups:
+            if gw is not None:
+                _add_in_order(gw, np.matmul(gy[g], columns(g).transpose(0, 2, 1)))
+            if gx is not None:
+                _tap_sum(np.matmul(w2.T, gy[g]).reshape(-1, cin, *k, *out_dims), s, p, gx[g])
+        if gw is not None:
             w._accumulate(gw.reshape(w.shape))
-        if x.requires_grad:
-            gcols = np.matmul(w2.T, gy).reshape(n, cin, *k, *out_dims)
-            x._accumulate(_tap_sum(gcols, s, p, np.empty(x.shape)))
+        if gx is not None:
+            x._accumulate(gx)
 
     return out._record((x, w) if bias is None else (x, w, bias), backward)
 
@@ -576,6 +614,8 @@ def conv_transpose3d(
     Each phase sums its taps from zero in (a, b, e) order, the order of a
     direct scatter-add of all taps, so every output value is bitwise what
     that scatter gives.
+
+    Backward im2cols the output gradient by sample groups, as :func:`conv3d`.
     """
     x, w = _wrap(x), _wrap(w)
     s, p, op = _triple(stride), _triple(padding), _triple(output_padding)
@@ -601,11 +641,12 @@ def conv_transpose3d(
             f"conv_transpose3d produces non-positive dims {out_dims} from input {x.shape}"
         )
     positions = dims[0] * dims[1] * dims[2]
+    xd = x.data
     w2 = w.data.reshape(cin, -1)
     y = np.empty((n, cout, *out_dims))
     taps = np.empty((w2.shape[1], positions))
     for i in range(n):
-        np.matmul(w2.T, x.data[i].reshape(cin, positions), out=taps)
+        np.matmul(w2.T, xd[i].reshape(cin, positions), out=taps)
         _tap_sum(taps.reshape(1, cout, *k, *dims), s, p, y[i : i + 1])
     if bias is not None:
         y += bias.data.reshape(1, cout, 1, 1, 1)
@@ -614,15 +655,20 @@ def conv_transpose3d(
     def backward():
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)))
-        gpad = np.pad(out.grad, ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1]), (p[2], p[2])))
-        gcols = _im2col(gpad, k, s, dims)
-        if x.requires_grad:
-            gx = np.matmul(w2, gcols)
+        pad = ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1]), (p[2], p[2]))
+        xs = xd.reshape(n, cin, positions)
+        gw = np.zeros(w2.shape) if w.requires_grad else None
+        gx = np.empty((n, cin, positions)) if x.requires_grad else None
+        for g in _batch_groups(n, w2.shape[1] * positions * xd.itemsize):
+            gcols = _im2col(np.pad(out.grad[g], pad), k, s, dims)
+            if gx is not None:
+                np.matmul(w2, gcols, out=gx[g])
+            if gw is not None:
+                _add_in_order(gw, np.matmul(xs[g], gcols.transpose(0, 2, 1)))
+            del gcols  # before the next group's columns exist
+        if gx is not None:
             x._accumulate(gx.reshape(x.shape))
-        if w.requires_grad:
-            gw = np.matmul(x.data.reshape(n, cin, positions), gcols.transpose(0, 2, 1)).sum(
-                axis=0
-            )
+        if gw is not None:
             w._accumulate(gw.reshape(w.shape))
 
     return out._record((x, w) if bias is None else (x, w, bias), backward)

@@ -43,6 +43,9 @@ def _snapshot(params, saved=None):
 
 
 def _check_params_finite(params, step):
+    """One check over all parameters; the loop only names the offender."""
+    if np.isfinite(np.concatenate([p.data.ravel() for p in params.values()])).all():
+        return
     for name, p in params.items():
         if not np.all(np.isfinite(p.data)):
             raise NumericError(f"parameter {name} became non-finite at step {step}")

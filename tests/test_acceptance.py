@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from flowvad.autoencoder import AutoencoderConfig, TwoPathAutoencoder, layer_shapes
+from flowvad.autoencoder import AutoencoderConfig, TwoPathAutoencoder
 from flowvad.checkpoint import checkpoint_hash
 from flowvad.cli import main
 from flowvad.flow import (
@@ -34,6 +34,7 @@ from flowvad.tensor import Tensor, concat, conv3d, conv_transpose3d
 from flowvad.train import TrainConfig, train_flow
 
 from graph_ops import amax, broadcast_to, exp, log, matmul, neg, relu, tanh
+from model_oracles import layer_shapes
 from numeric import max_relative_error, numerical_gradient, numerical_jacobian
 
 

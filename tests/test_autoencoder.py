@@ -1,11 +1,17 @@
 """Topology and behavior of the two-path autoencoder."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from flowvad.autoencoder import AutoencoderConfig, TwoPathAutoencoder, layer_shapes
+from flowvad.autoencoder import AutoencoderConfig, TwoPathAutoencoder
 from flowvad.errors import ShapeError
+from flowvad.losses import recon_loss
 from flowvad.tensor import Tensor
+
+from model_oracles import layer_shapes
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +158,24 @@ class TestParameters:
         ((model.reconstruct(x) - x) ** 2).mean().backward()
         for name, p in model.named_parameters().items():
             assert p.grad is not None, name
+
+
+class TestTrainingMemory:
+    def test_step_peak_stays_under_cap(self):
+        """Batch-2 8x64x64 step, the acceptance geometry: reconstruct,
+        recon_loss and backward together allocate under 550 MB at peak
+        (about 340 MB). Conv nodes that keep their im2col columns for
+        backward go past it (about 720 MB)."""
+        rng = np.random.default_rng(3)
+        model = TwoPathAutoencoder(AutoencoderConfig(tau=4), rng)
+        x = Tensor(rng.uniform(size=(2, 1, 8, 64, 64)))
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # 3 of 5 MS-SSIM scales
+                recon_loss(x, model.reconstruct(x)).total.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 550 * 2**20
+        assert all(p.grad is not None for p in model.parameters())

@@ -7,6 +7,7 @@ here, never from the code under test.
 import numpy as np
 import pytest
 
+from flowvad import tensor
 from flowvad.autoencoder import _DYNAMIC_GEOM, _STATIC_GEOM, Conv3dLayer, _decoder_geom
 from flowvad.errors import ShapeError
 from flowvad.tensor import Tensor, conv3d, conv_transpose3d
@@ -286,6 +287,95 @@ class TestAutoencoderGeometries:
 
         assert max_relative_error(xt.grad, numerical_gradient(loss_x, x0.copy())) < 1e-4
         assert max_relative_error(wt.grad, numerical_gradient(loss_w, w0.copy())) < 1e-4
+
+
+# Which operands require gradients: both, the input frozen, the weight frozen.
+TRAINABLE = [
+    pytest.param(True, True, id="both"),
+    pytest.param(False, True, id="x-frozen"),
+    pytest.param(True, False, id="w-frozen"),
+]
+
+
+def batch3_case(transpose):
+    """Batch-3 operands at the static4 geometry, or the strided decode3
+    geometry (tau 4) for the transpose, and the bytes of one sample's im2col
+    columns: (cin * k, output positions) for the conv, (cout * k, input
+    positions) for the transpose's backward."""
+    rng = np.random.default_rng(16)
+    if transpose:
+        kernel, stride, padding, outpad = _decoder_geom(4)[2]
+        x0 = rng.normal(size=(3, 2, 2, 2, 2))
+        w0 = rng.normal(size=(2, 2, *kernel))
+        cols_bytes = 2 * 27 * 8 * 8
+
+        def op(x, w):
+            return conv_transpose3d(x, w, stride, padding, outpad)
+
+        def loops(x, w):
+            return conv_transpose3d_loops(x, w, stride, padding, outpad)
+
+    else:
+        kernel, stride, padding = _STATIC_GEOM[3]
+        x0 = rng.normal(size=(3, 2, 2, 4, 4))
+        w0 = rng.normal(size=(2, 2, *kernel))
+        cols_bytes = 2 * 27 * 32 * 8
+
+        def op(x, w):
+            return conv3d(x, w, stride, padding)
+
+        def loops(x, w):
+            return conv3d_loops(x, w, stride, padding)
+
+    return x0, w0, op, loops, cols_bytes
+
+
+def batch3_grads(transpose, x_trains, w_trains):
+    x0, w0, op, _, _ = batch3_case(transpose)
+    xt = Tensor(x0, requires_grad=x_trains)
+    wt = Tensor(w0, requires_grad=w_trains)
+    (op(xt, wt) ** 2).sum().backward()
+    return xt.grad, wt.grad
+
+
+class TestBatchOfThree:
+    """Three samples: the weight gradient sums three per-sample terms, and
+    the batch may run in one group or in several."""
+
+    @pytest.mark.parametrize("x_trains,w_trains", TRAINABLE)
+    @pytest.mark.parametrize("transpose", [False, True], ids=["static4", "decode3"])
+    def test_values_and_grads(self, transpose, x_trains, w_trains):
+        x0, w0, op, loops, _ = batch3_case(transpose)
+        assert np.allclose(op(Tensor(x0), Tensor(w0)).data, loops(x0, w0), atol=1e-12)
+        gx, gw = batch3_grads(transpose, x_trains, w_trains)
+
+        def loss_x(a):
+            return float((loops(a, w0) ** 2).sum())
+
+        def loss_w(a):
+            return float((loops(x0, a) ** 2).sum())
+
+        if x_trains:
+            assert max_relative_error(gx, numerical_gradient(loss_x, x0.copy())) < 1e-4
+        else:
+            assert gx is None
+        if w_trains:
+            assert max_relative_error(gw, numerical_gradient(loss_w, w0.copy())) < 1e-4
+        else:
+            assert gw is None
+
+    @pytest.mark.parametrize("x_trains,w_trains", TRAINABLE)
+    @pytest.mark.parametrize("transpose", [False, True], ids=["static4", "decode3"])
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_grouped_batch_is_bitwise_one_group(
+        self, monkeypatch, transpose, x_trains, w_trains, group
+    ):
+        # the default budget runs all three samples in one group
+        want = batch3_grads(transpose, x_trains, w_trains)
+        monkeypatch.setattr(tensor, "_COLS_BUDGET", group * batch3_case(transpose)[4])
+        got = batch3_grads(transpose, x_trains, w_trains)
+        for g, h in zip(got, want):
+            assert (g is None and h is None) or np.array_equal(g, h)
 
 
 class TestLayerBias:

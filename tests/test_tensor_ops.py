@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowvad.errors import NumericError, ShapeError
-from flowvad.tensor import Tensor, concat, no_grad
+from flowvad.tensor import Tensor, concat, conv3d, no_grad
 
 from graph_ops import amax, broadcast_to, exp, log, matmul, neg, relu, tanh
 from numeric import max_relative_error, numerical_gradient
@@ -91,6 +91,29 @@ class TestGraph:
         y.backward()
         with pytest.raises(RuntimeError):
             y.backward()
+
+    def test_backward_releases_every_non_leaf_node(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 1, 2, 4, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 1, 1, 3, 3)), requires_grad=True)
+        frozen = Tensor(rng.normal(size=(2, 2, 2, 4, 4)))
+        h = conv3d(x, w, padding=(0, 1, 1)).leaky_relu()
+        loss = (h * h + h * frozen).mean()
+        nodes, todo = {}, [loss]
+        while todo:
+            node = todo.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                todo.extend(node._parents)
+        inner = [t for t in nodes.values() if t._parents]
+        assert len(inner) == 6 and {id(x), id(w)} < nodes.keys()
+        loss.backward()
+        for t in inner:
+            assert t.grad is None and t._backward is None and t._parents == ()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        assert frozen.grad is None
+        with pytest.raises(RuntimeError):
+            loss.backward()
 
     def test_no_grad_tracking_without_requires_grad(self):
         x = Tensor([1.0])

@@ -103,7 +103,9 @@ class TestAutoencoderLoop:
                 params["decode4.bias"].data[...] = np.nan
 
         starts = copies_at_each_call(monkeypatch, Adam, "step", params, then=poison)
-        with pytest.raises(TrainingAborted, match="aborted at step 2"):
+        with pytest.raises(
+            TrainingAborted, match="aborted at step 2: parameter decode4.bias became non-finite"
+        ):
             train_autoencoder(
                 model, tiny_clips(rng, n=2), TrainConfig(steps=5, batch_size=1, lr=1e-3)
             )
