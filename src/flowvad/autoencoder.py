@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import assign_state
 from .errors import ShapeError
 from .tensor import Tensor, concat, conv3d, conv_transpose3d
 
@@ -194,20 +195,7 @@ class TwoPathAutoencoder:
         return self._frozen
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        params = self.named_parameters()
-        missing = sorted(set(params) - set(state))
-        extra = sorted(set(state) - set(params))
-        if missing or extra:
-            raise ShapeError(
-                f"parameter name mismatch: missing {missing}, unexpected {extra}"
-            )
-        for name, tensor in params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != tensor.shape:
-                raise ShapeError(
-                    f"{name}: stored shape {arr.shape} != model shape {tensor.shape}"
-                )
-            tensor.data = arr.copy()
+        assign_state(self.named_parameters(), state)
 
     # -------------------------------------------------------------- forward
 

@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .tensor_io import load_tensor, save_tensor
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "load_checkpoint",
     "checkpoint_hash",
     "read_manifest",
+    "assign_state",
 ]
 
 _MANIFEST = "manifest.json"
@@ -130,3 +131,26 @@ def checkpoint_hash(directory):
         with open(os.path.join(directory, manifest["parameters"][name]["file"]), "rb") as fh:
             digest.update(fh.read())
     return digest.hexdigest()
+
+
+def assign_state(params, state):
+    """Copy ``state`` (name -> array) into ``params`` (name -> Tensor).
+
+    The names must match, then every shape, then every value must be finite;
+    nothing is copied unless all of them hold.
+    """
+    missing = sorted(set(params) - set(state))
+    extra = sorted(set(state) - set(params))
+    if missing or extra:
+        raise ShapeError(f"state mismatch: missing {missing}, unexpected {extra}")
+    arrays = {name: np.asarray(state[name], dtype=np.float64) for name in params}
+    for name, arr in arrays.items():
+        if arr.shape != params[name].shape:
+            raise ShapeError(
+                f"{name}: stored shape {arr.shape} != model shape {params[name].shape}"
+            )
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise NumericError(f"{name}: stored parameters contain non-finite values")
+    for name, arr in arrays.items():
+        params[name].data = arr.copy()

@@ -38,12 +38,12 @@ from .config import (
 from .errors import ConfigError, NumericError, ShapeError, TrainingAborted
 from .flow import FlowConfig, FlowStack
 from .pipeline import collect_flow_samples, score_video
-from .scoring import fuse, minmax_normalize, roc_auc_eer
+from .scoring import fuse, nll_score, roc_auc_eer
 from .synthetic import (
     AnomalySpan,
     SceneConfig,
     generate_scene,
-    read_labels,
+    parse_labels,
     write_scene,
 )
 from .train import TrainConfig, train_autoencoder, train_flow
@@ -156,21 +156,30 @@ def _read_text(path, what):
         raise ConfigError(f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
 
 
-def _ae_config(config):
-    return AutoencoderConfig(
-        in_channels=config.in_channels,
-        tau=config.tau,
-        dynamic_path=config.dynamic_path,
-    )
+def _model(config, channels=None):
+    """The run's autoencoder, or with ``channels`` its density model over that
+    many feature channels, seeded as in training; returns (model, its config)."""
+    if channels is None:
+        model_config = AutoencoderConfig(config.in_channels, config.tau, config.dynamic_path)
+        return TwoPathAutoencoder(model_config, np.random.default_rng(config.seed)), model_config
+    model_config = FlowConfig(channels, config.flow_levels, config.flow_steps, config.flow_hidden)
+    return FlowStack(model_config, np.random.default_rng(config.seed + 1)), model_config
 
 
-def _flow_config(config, channels):
-    return FlowConfig(
-        channels=channels,
-        levels=config.flow_levels,
-        steps=config.flow_steps,
-        hidden=config.flow_hidden,
-    )
+def _load(config, directory, channels=None):
+    """A model as `_model` builds it, with the checkpoint in ``directory``."""
+    model, model_config = _model(config, channels)
+    model.load_state(load_checkpoint(directory, model_config))
+    return model
+
+
+def _save(config, kind, model, model_config, curve):
+    """Write checkpoint <out_dir>/<kind> and its loss curve <kind>_loss.csv."""
+    ckpt = os.path.join(config.out_dir, kind)
+    save_checkpoint(ckpt, model.named_parameters(), model_config, extra={"kind": kind})
+    rows = [[repr(value) for value in row.values()] for row in curve]
+    _write_rows(os.path.join(config.out_dir, f"{kind}_loss.csv"), list(curve[0]), rows)
+    return ckpt
 
 
 def _clip_spec(config, source):
@@ -223,37 +232,14 @@ def cmd_train_itae(args):
     clips = []
     for source, _ in _video_sources(config.data_path):
         clips.extend(iter_clips(_clip_spec(config, source), _load_checked(config, source)))
-    model = TwoPathAutoencoder(_ae_config(config), np.random.default_rng(config.seed))
-    curve = train_autoencoder(
-        model,
-        clips,
-        TrainConfig(
-            steps=config.itae_steps,
-            batch_size=config.itae_batch,
-            lr=config.itae_lr,
-            seed=config.seed,
-        ),
-    )
-    os.makedirs(config.out_dir, exist_ok=True)
-    ckpt = os.path.join(config.out_dir, "itae")
-    save_checkpoint(ckpt, model.named_parameters(), _ae_config(config), extra={"kind": "itae"})
-    _write_rows(
-        os.path.join(config.out_dir, "itae_loss.csv"),
-        ["step", "l2", "ms_ssim", "gradient", "total"],
-        [[r["step"], repr(r["l2"]), repr(r["ms_ssim"]), repr(r["gradient"]), repr(r["total"])]
-         for r in curve],
-    )
+    model, model_config = _model(config)
+    train_cfg = TrainConfig(config.itae_steps, config.itae_batch, config.itae_lr, config.seed)
+    curve = train_autoencoder(model, clips, train_cfg)
+    ckpt = _save(config, "itae", model, model_config, curve)
     write_config(os.path.join(config.out_dir, "config.cfg"), config)
     print(f"trained {config.itae_steps} steps; checkpoint at {ckpt}")
     print(f"final loss {curve[-1]['total']:.6f} (from {curve[0]['total']:.6f})")
     return 0
-
-
-def _load_frozen_model(config, itae_dir):
-    model = TwoPathAutoencoder(_ae_config(config), np.random.default_rng(config.seed))
-    model.load_state(load_checkpoint(itae_dir, _ae_config(config)))
-    model.freeze()
-    return model
 
 
 def cmd_train_nf(args):
@@ -262,7 +248,8 @@ def cmd_train_nf(args):
         raise ConfigError("train-nf needs use_static_flow or use_dynamic_flow")
     sources = _video_sources(config.data_path)
     itae_dir = args.itae_dir or os.path.join(config.out_dir, "itae")
-    model = _load_frozen_model(config, itae_dir)
+    model = _load(config, itae_dir)
+    model.freeze()
     hash_before = checkpoint_hash(itae_dir)
 
     statics = []
@@ -280,13 +267,7 @@ def cmd_train_nf(args):
         if d is not None:
             dynamics.append(d)
 
-    train_cfg = TrainConfig(
-        steps=config.nf_steps,
-        batch_size=config.nf_batch,
-        lr=config.nf_lr,
-        seed=config.seed,
-    )
-    os.makedirs(config.out_dir, exist_ok=True)
+    train_cfg = TrainConfig(config.nf_steps, config.nf_batch, config.nf_lr, config.seed)
     for name, samples, channels, enabled in (
         ("static", statics, 3, config.use_static_flow),
         ("dynamic", dynamics, 2, config.use_dynamic_flow),
@@ -296,20 +277,9 @@ def cmd_train_nf(args):
         if not samples:
             raise ConfigError(f"no {name} feature samples collected")
         data = np.concatenate(samples, axis=0)
-        stack = FlowStack(
-            _flow_config(config, channels), np.random.default_rng(config.seed + 1)
-        )
+        stack, flow_config = _model(config, channels)
         curve = train_flow(stack, data, train_cfg)
-        ckpt = os.path.join(config.out_dir, f"nf_{name}")
-        save_checkpoint(
-            ckpt, stack.named_parameters(), _flow_config(config, channels),
-            extra={"kind": f"nf_{name}"},
-        )
-        _write_rows(
-            os.path.join(config.out_dir, f"nf_{name}_loss.csv"),
-            ["step", "nll"],
-            [[r["step"], repr(r["nll"])] for r in curve],
-        )
+        ckpt = _save(config, f"nf_{name}", stack, flow_config, curve)
         print(
             f"{name} density model: {len(data)} samples, final nll "
             f"{curve[-1]['nll']:.4f}; checkpoint at {ckpt}"
@@ -352,22 +322,12 @@ def _video_sources(data_path):
     for entry in entries:
         sub = os.path.join(data_path, entry)
         if os.path.isdir(sub):
-            videos.extend(
-                (src, lab) for src, lab in _video_sources(sub)
-            )
+            videos.extend(_video_sources(sub))
         elif entry.lower().endswith(".t5"):
             videos.append((sub, None))
     if not videos:
         raise ConfigError(f"no videos found under {data_path}")
     return videos
-
-
-def _load_flow(config, directory, channels):
-    stack = FlowStack(
-        _flow_config(config, channels), np.random.default_rng(config.seed + 1)
-    )
-    stack.load_state(load_checkpoint(directory, _flow_config(config, channels)))
-    return stack
 
 
 def cmd_score(args):
@@ -388,34 +348,28 @@ def cmd_score(args):
     ]
     if clashes:
         raise ConfigError(clashes)
-    for source, _ in sources:  # refuse an unfit video before any checkpoint or output
-        _load_checked(config, source)
+    labels = []  # refuse an unfit video or label file before any checkpoint or output
+    for source, label_path in sources:
+        total = _load_checked(config, source).shape[2]
+        labels.append(_read_labels(config.label_path or label_path, total))
 
     itae_dir = args.itae_dir or os.path.join(config.out_dir, "itae")
-    model = _load_frozen_model(config, itae_dir)
+    model = _load(config, itae_dir)
+    model.freeze()
     static_flow = None
     dynamic_flow = None
     if config.use_static_flow:
         static_dir = args.static_dir or os.path.join(config.out_dir, "nf_static")
-        static_flow = _load_flow(config, static_dir, 3)
+        static_flow = _load(config, static_dir, 3)
     if config.use_dynamic_flow:
         dynamic_dir = args.dynamic_dir or os.path.join(config.out_dir, "nf_dynamic")
-        dynamic_flow = _load_flow(config, dynamic_dir, 2)
+        dynamic_flow = _load(config, dynamic_dir, 2)
 
     score_dir = os.path.join(config.out_dir, "scores")
     os.makedirs(score_dir, exist_ok=True)
-    for source, label_path in sources:
+    for (source, _), video_labels in zip(sources, labels):
         video = _load_checked(config, source)
-        label_path = config.label_path or label_path
         total = video.shape[2]
-        if label_path:
-            labels = read_labels(label_path)
-            if len(labels) != total:
-                raise ConfigError(
-                    f"{label_path}: {len(labels)} labels for {total} frames"
-                )
-        else:
-            labels = np.full(total, -1, dtype=int)
         series = score_video(
             model, video, config, static_flow=static_flow, dynamic_flow=dynamic_flow
         )
@@ -428,7 +382,7 @@ def cmd_score(args):
                 repr(float(series["nll_static"][t])),
                 repr(float(series["nll_dynamic"][t])),
                 repr(float(series["fused"][t])),
-                int(labels[t]),
+                int(video_labels[t]),
             ]
             for t in range(total)
         ]
@@ -436,6 +390,16 @@ def cmd_score(args):
         print(f"scored {name}: {total} frames -> {path}")
     write_config(os.path.join(config.out_dir, "config.cfg"), config)
     return 0
+
+
+def _read_labels(path, total):
+    """Frame labels from ``path``, or -1 (unlabeled) for every frame when None."""
+    if not path:
+        return np.full(total, -1, dtype=int)
+    labels = parse_labels(_read_text(path, "label file"), path)
+    if len(labels) != total:
+        raise ConfigError(f"{path}: {len(labels)} labels for {total} frames")
+    return labels
 
 
 def _video_name(source):
@@ -452,14 +416,22 @@ def _read_score_csv(path):
         raise ConfigError(f"{path}: unexpected header {header}")
     cols = {name: [] for name in SCORE_HEADER}
     for line, row in enumerate(reader, start=2):
+        at = f"{path}: row {line - 1} (line {line})"
+        if len(row) != len(SCORE_HEADER):
+            column = SCORE_HEADER[len(row)] if len(row) < len(SCORE_HEADER) else len(row)
+            raise ConfigError(
+                f"{at}, column {column}: {len(row)} cells, expected {len(SCORE_HEADER)}"
+            )
         for name, value in zip(SCORE_HEADER, row):
-            where = f"{path}: row {line - 1} (line {line}), column {name}: {value!r}"
+            where = f"{at}, column {name}: {value!r}"
             try:
                 number = float(value)
             except ValueError:
                 raise ConfigError(f"{where} is not a number") from None
-            if name == "label" and not number.is_integer():
-                raise ConfigError(f"{where} is not an integer label")
+            if not np.isfinite(number):
+                raise ConfigError(f"{where} is not finite")
+            if name == "label" and number not in (-1, 0, 1):
+                raise ConfigError(f"{where} is not a label (-1, 0 or 1)")
             cols[name].append(number)
     out = {name: np.array(vals) for name, vals in cols.items()}
     out["label"] = out["label"].astype(int)
@@ -508,14 +480,7 @@ def cmd_sweep(args):
     rows = []
     for lam in grid:
         fused = np.concatenate(
-            [
-                fuse(
-                    v["recon"],
-                    minmax_normalize(v["nll_static"] + v["nll_dynamic"]),
-                    lam,
-                )
-                for v in videos
-            ]
+            [fuse(v["recon"], nll_score(v["nll_static"], v["nll_dynamic"]), lam) for v in videos]
         )
         auc, eer, _ = roc_auc_eer(fused, labels)
         rows.append([repr(lam), repr(round(auc, 6)), repr(round(eer, 6))])

@@ -34,6 +34,7 @@ import numpy as np
 from scipy.linalg import lu as lu_decompose
 from scipy.linalg import solve_triangular
 
+from .checkpoint import assign_state
 from .errors import NumericError, ShapeError
 from .tensor import Tensor, grad_enabled, no_grad
 
@@ -606,20 +607,7 @@ class FlowStack:
         return list(self.named_parameters().values())
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        params = self.named_parameters()
-        missing = sorted(set(params) - set(state))
-        extra = sorted(set(state) - set(params))
-        if missing or extra:
-            raise ShapeError(f"flow state mismatch: missing {missing}, unexpected {extra}")
-        for name, tensor in params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != tensor.shape:
-                raise ShapeError(
-                    f"{name}: stored shape {arr.shape} != model shape {tensor.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"{name}: stored parameters contain non-finite values")
-            tensor.data = arr.copy()
+        assign_state(self.named_parameters(), state)
         for level in self.levels:
             for an, _, _ in level["steps"]:
                 an.initialized = True

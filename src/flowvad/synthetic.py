@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .pnm import write_pnm
 
-__all__ = ["SceneConfig", "AnomalySpan", "generate_scene", "write_scene", "read_labels"]
+__all__ = ["SceneConfig", "AnomalySpan", "generate_scene", "write_scene", "parse_labels"]
 
 MODES = ("speed", "shape", "reverse")
 
@@ -141,9 +141,9 @@ def write_scene(out_dir, frames, labels):
     return frame_dir
 
 
-def read_labels(path):
-    with open(path) as fh:
-        vals = [line.strip() for line in fh if line.strip()]
+def parse_labels(text, path):
+    """Per-frame 0/1 labels from the text of ``path``, one integer a line."""
+    vals = [line.strip() for line in text.splitlines() if line.strip()]
     try:
         labels = np.array([int(v) for v in vals])
     except ValueError:

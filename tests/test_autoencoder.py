@@ -137,20 +137,6 @@ class TestParameters:
         assert model.frozen
         assert all(not p.requires_grad for p in model.parameters())
 
-    def test_load_state_rejects_shape_mismatch(self, small_model):
-        _, model = small_model
-        state = {k: v.data.copy() for k, v in model.named_parameters().items()}
-        state["static1.weight"] = np.zeros((2, 2))
-        with pytest.raises(ShapeError):
-            model.load_state(state)
-
-    def test_load_state_rejects_missing_names(self, small_model):
-        _, model = small_model
-        state = {k: v.data.copy() for k, v in model.named_parameters().items()}
-        state.pop("decode4.bias")
-        with pytest.raises(ShapeError):
-            model.load_state(state)
-
     def test_gradients_reach_every_parameter(self):
         cfg = AutoencoderConfig(in_channels=1, tau=2)
         model = TwoPathAutoencoder(cfg, np.random.default_rng(11))

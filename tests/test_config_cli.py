@@ -407,6 +407,45 @@ class TestInputErrors:
         assert "config error:" in err
         assert str(path) in err and "row 3" in err and "label" in err and "'0.7'" in err
 
+    @pytest.mark.parametrize("bad_row, problem", [
+        ("2,0.3,0.0,0.0,0.3", "column label: 5 cells, expected 6"),
+        ("2,0.3,0.0,0.0,0.3,0,7", "column 7: 7 cells, expected 6"),
+        ("", "column frame_index: 0 cells, expected 6"),
+        ("2,0.3,0.0,0.0,nan,0", "column fused: 'nan' is not finite"),
+        ("2,inf,0.0,0.0,0.3,0", "column recon: 'inf' is not finite"),
+        ("2,0.3,0.0,0.0,0.3,2", "column label: '2' is not a label"),
+    ], ids=["short-row", "long-row", "empty-row", "nan-fused", "inf-recon", "label-2"])
+    @pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
+    def test_broken_score_csv_exit_2(self, tmp_path, capsys, command, bad_row, problem):
+        path = tmp_path / "broken.csv"
+        write_score_csv(path, [0, 1])
+        path.write_text(path.read_text() + bad_row + "\n3,0.4,0.0,0.0,0.4,1\n")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert f"{path}: row 3 (line 4), {problem}" in err
+
+    @pytest.mark.parametrize("damage", ["missing", "non-utf8", "too-few"])
+    def test_score_label_file_exit_2(self, scene, trained_run, tmp_path, capsys, damage):
+        data = tmp_path / "data"
+        for name in ("first", "second"):
+            shutil.copytree(scene / "test", data / name)
+        labels = data / "second" / "labels.txt"
+        flags = []
+        if damage == "missing":
+            data = data / "first"
+            labels = tmp_path / "no_such_labels.txt"
+            flags = ["--label-path", str(labels)]
+        elif damage == "non-utf8":
+            labels.write_bytes(b"0\n\xff\n")
+        else:
+            labels.write_text("0\n" * 31)
+        out = tmp_path / "out"
+        err = refuse(capsys, out, "score", "--data-path", str(data), *flags,
+                     *checkpoint_flags(trained_run))
+        assert str(labels) in err
+        assert not (out / "scores").exists()
+
     @pytest.mark.parametrize(
         "command, flag",
         [("train-nf", "--itae-dir"), ("score", "--static-dir"), ("score", "--dynamic-dir")],

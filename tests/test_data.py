@@ -13,7 +13,7 @@ from flowvad.synthetic import (
     AnomalySpan,
     SceneConfig,
     generate_scene,
-    read_labels,
+    parse_labels,
     write_scene,
 )
 from flowvad.tensor_io import save_tensor
@@ -250,5 +250,6 @@ class TestSynthetic:
         spec = ClipSpec(source=frame_dir, clip_len=12, tau=4)
         video = load_video(spec)
         assert np.allclose(video[0, 0] * 255, frames)
-        back = read_labels(tmp_path / "scene" / "labels.txt")
+        path = tmp_path / "scene" / "labels.txt"
+        back = parse_labels(path.read_text(), path)
         assert np.array_equal(back, labels)

@@ -15,6 +15,7 @@ from flowvad.checkpoint import (
     save_checkpoint,
 )
 from flowvad.errors import ConfigError, NumericError, ShapeError
+from flowvad.flow import FlowConfig, FlowStack
 from flowvad.tensor_io import MAGIC, load_tensor, save_tensor
 
 
@@ -79,6 +80,34 @@ class TestCheckpoints:
         fresh.load_state(load_checkpoint(ckpt, cfg))
         for name, p in model.named_parameters().items():
             assert np.array_equal(p.data, fresh.named_parameters()[name].data), name
+
+    @pytest.mark.parametrize("damage", ["wrong-shape", "missing-name", "extra-name", "nan-value"])
+    @pytest.mark.parametrize("kind", ["autoencoder", "flow"])
+    def test_load_state_rejects(self, kind, damage):
+        if kind == "autoencoder":
+            model = TwoPathAutoencoder(
+                AutoencoderConfig(in_channels=1, tau=2), np.random.default_rng(0)
+            )
+        else:
+            model = FlowStack(
+                FlowConfig(channels=2, levels=1, steps=2, hidden=4), np.random.default_rng(0)
+            )
+        params = model.named_parameters()
+        before = {name: p.data.copy() for name, p in params.items()}
+        state = {name: -v for name, v in before.items()}
+        last = list(state)[-1]
+        if damage == "wrong-shape":
+            state[last] = np.zeros((2, 2))
+        elif damage == "missing-name":
+            state.pop(last)
+        elif damage == "extra-name":
+            state["unknown.weight"] = np.zeros(3)
+        else:
+            state[last] = np.full_like(state[last], np.nan)
+        with pytest.raises(NumericError if damage == "nan-value" else ShapeError):
+            model.load_state(state)
+        for name, p in model.named_parameters().items():  # nothing copied, not even the first
+            assert np.array_equal(p.data, before[name]), name
 
     def test_true_shapes_restored(self, rng, tmp_path):
         params = {"w.bias": rng.normal(size=(7,)), "w.kernel": rng.normal(size=(2, 3, 4))}

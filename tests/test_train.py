@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from flowvad.autoencoder import AutoencoderConfig, TwoPathAutoencoder
-from flowvad.errors import TrainingAborted
+from flowvad.errors import NumericError, TrainingAborted
 from flowvad.flow import FlowConfig, FlowStack
 from flowvad.optim import Adam
-from flowvad.train import TrainConfig, train_autoencoder, train_flow
+from flowvad.tensor import Tensor
+from flowvad.train import TrainConfig, _check_params_finite, train_autoencoder, train_flow
 
 
 def copies_at_each_call(monkeypatch, owner, attr, params, then=None):
@@ -162,6 +163,23 @@ class TestFlowLoop:
             assert np.all(np.isfinite(p.data)), name
         assert_params_equal(params, starts[-1])
 
+    def test_abort_after_update_restores_pre_step_params(self, rng, monkeypatch):
+        stack = tiny_flow()
+        params = stack.named_parameters()
+
+        def poison(calls):
+            if calls == 3:
+                params["level0.step1.coupling.b3"].data[...] = np.nan
+
+        starts = copies_at_each_call(monkeypatch, Adam, "step", params, then=poison)
+        with pytest.raises(
+            TrainingAborted,
+            match="density training aborted at step 2: "
+            "parameter level0.step1.coupling.b3 became non-finite",
+        ):
+            train_flow(stack, flow_samples(rng), TrainConfig(steps=5, batch_size=8, lr=1e-3))
+        assert_params_equal(params, starts[-1])
+
     def test_one_forward_per_step(self, rng, monkeypatch):
         calls = []
         forward = FlowStack.forward
@@ -177,3 +195,18 @@ class TestFlowLoop:
     def test_bad_sample_shape_rejected(self, rng):
         with pytest.raises(ValueError, match="samples"):
             train_flow(tiny_flow(), rng.normal(size=(8, 2, 4)), TrainConfig(steps=1, batch_size=4, lr=1e-3))
+
+
+class TestParameterCheck:
+    def test_overflowing_total_is_not_an_abort(self):
+        # every value finite, but their sum overflows to inf
+        params = {"a": Tensor(np.full(4, 1e308)), "b": Tensor(np.array([-1e308, 1e308]))}
+        _check_params_finite(params, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_the_non_finite_parameter(self, bad):
+        values = np.ones(3)
+        values[1] = bad
+        params = {"a": Tensor(np.full(4, 1e308)), "b": Tensor(values)}
+        with pytest.raises(NumericError, match="parameter b became non-finite at step 7"):
+            _check_params_finite(params, 7)
