@@ -108,7 +108,7 @@ def load_checkpoint(directory, config=None):
         path = os.path.join(directory, entry["file"])
         try:
             arr = load_tensor(path)
-        except ShapeError as exc:
+        except (ShapeError, NumericError) as exc:
             raise ConfigError(str(exc)) from None
         want_shape = tuple(entry["shape"])
         if arr.size != int(np.prod(want_shape, dtype=np.int64)):

@@ -37,7 +37,7 @@ from .config import (
 )
 from .errors import ConfigError, NumericError, ShapeError, TrainingAborted
 from .flow import FlowConfig, FlowStack
-from .pipeline import collect_flow_samples, score_video
+from .pipeline import STREAMS, collect_flow_samples, score_video
 from .scoring import fuse, nll_score, roc_auc_eer
 from .synthetic import (
     AnomalySpan,
@@ -169,7 +169,10 @@ def _model(config, channels=None):
 def _load(config, directory, channels=None):
     """A model as `_model` builds it, with the checkpoint in ``directory``."""
     model, model_config = _model(config, channels)
-    model.load_state(load_checkpoint(directory, model_config))
+    try:
+        model.load_state(load_checkpoint(directory, model_config))
+    except ShapeError as exc:
+        raise ConfigError(f"checkpoint {directory} does not fit the model: {exc}") from None
     return model
 
 
@@ -244,7 +247,8 @@ def cmd_train_itae(args):
 
 def cmd_train_nf(args):
     config = _resolve_config(args)
-    if not (config.use_static_flow or config.use_dynamic_flow):
+    streams = [name for name in STREAMS if getattr(config, f"use_{name}_flow")]
+    if not streams:
         raise ConfigError("train-nf needs use_static_flow or use_dynamic_flow")
     sources = _video_sources(config.data_path)
     itae_dir = args.itae_dir or os.path.join(config.out_dir, "itae")
@@ -252,32 +256,19 @@ def cmd_train_nf(args):
     model.freeze()
     hash_before = checkpoint_hash(itae_dir)
 
-    statics = []
-    dynamics = []
+    samples = {name: [] for name in streams}
     for source, _ in sources:
-        s, d = collect_flow_samples(
-            model,
-            _load_checked(config, source),
-            config,
-            need_static=config.use_static_flow,
-            need_dynamic=config.use_dynamic_flow,
-        )
-        if s is not None:
-            statics.append(s)
-        if d is not None:
-            dynamics.append(d)
+        pooled = collect_flow_samples(model, _load_checked(config, source), config)
+        for name, array in zip(STREAMS, pooled):
+            if name in samples and array is not None:
+                samples[name].append(array)
 
     train_cfg = TrainConfig(config.nf_steps, config.nf_batch, config.nf_lr, config.seed)
-    for name, samples, channels, enabled in (
-        ("static", statics, 3, config.use_static_flow),
-        ("dynamic", dynamics, 2, config.use_dynamic_flow),
-    ):
-        if not enabled:
-            continue
-        if not samples:
+    for name, arrays in samples.items():
+        if not arrays:
             raise ConfigError(f"no {name} feature samples collected")
-        data = np.concatenate(samples, axis=0)
-        stack, flow_config = _model(config, channels)
+        data = np.concatenate(arrays, axis=0)
+        stack, flow_config = _model(config, STREAMS[name])
         curve = train_flow(stack, data, train_cfg)
         ckpt = _save(config, f"nf_{name}", stack, flow_config, curve)
         print(
@@ -295,7 +286,7 @@ def _load_checked(config, source):
     """Load one video and refuse it, naming the source, unless this run can take it."""
     try:
         video = load_video(_clip_spec(config, source))
-    except ShapeError as exc:
+    except (ShapeError, NumericError) as exc:
         raise ConfigError(str(exc)) from None
     config.check_frames(source, video)
     return video
@@ -356,14 +347,11 @@ def cmd_score(args):
     itae_dir = args.itae_dir or os.path.join(config.out_dir, "itae")
     model = _load(config, itae_dir)
     model.freeze()
-    static_flow = None
-    dynamic_flow = None
-    if config.use_static_flow:
-        static_dir = args.static_dir or os.path.join(config.out_dir, "nf_static")
-        static_flow = _load(config, static_dir, 3)
-    if config.use_dynamic_flow:
-        dynamic_dir = args.dynamic_dir or os.path.join(config.out_dir, "nf_dynamic")
-        dynamic_flow = _load(config, dynamic_dir, 2)
+    flows = {}
+    for name, channels in STREAMS.items():
+        if getattr(config, f"use_{name}_flow"):
+            flow_dir = getattr(args, f"{name}_dir") or os.path.join(config.out_dir, f"nf_{name}")
+            flows[name] = _load(config, flow_dir, channels)
 
     score_dir = os.path.join(config.out_dir, "scores")
     os.makedirs(score_dir, exist_ok=True)
@@ -371,7 +359,7 @@ def cmd_score(args):
         video = _load_checked(config, source)
         total = video.shape[2]
         series = score_video(
-            model, video, config, static_flow=static_flow, dynamic_flow=dynamic_flow
+            model, video, config, flows.get("static"), flows.get("dynamic")
         )
         name = _video_name(source)
         path = os.path.join(score_dir, f"{name}.csv")

@@ -5,12 +5,15 @@ windows of clip_len frames, one every `stride` frames. Training uses them as
 they are; scoring (`window_starts`) adds one clamped tail window so that every
 frame is covered. `encode_windows` is the one bridge from frozen autoencoder
 latents to density-model samples, shared by `collect_flow_samples` (step two)
-and `score_video`, so both feed the flows identical features.
+and `score_video`, so both feed the flows identical features. It always pools
+both density streams listed in `STREAMS`; only a one-path model has no
+dynamic samples.
 
-Each scored window yields a per-frame reconstruction error (patch max), a
-per-slice static NLL (held across its tau span), and a per-frame dynamic NLL.
-Frames covered by several windows take the mean. The normalized likelihood
-term and the fused score are computed within the video.
+Each scored window yields a per-frame reconstruction error (patch max) and,
+per stream, a per-sample NLL held across the frames the sample stands for
+(tau for a static slice, one for a dynamic slice). Frames covered by several
+windows take the mean. The normalized likelihood term and the fused score are
+computed within the video.
 """
 
 import numpy as np
@@ -27,6 +30,7 @@ from .scoring import (
 from .tensor import Tensor
 
 __all__ = [
+    "STREAMS",
     "clip_starts",
     "window_starts",
     "encode_windows",
@@ -36,6 +40,11 @@ __all__ = [
 
 RECON_BATCH = 4  # windows reconstructed per forward pass
 FLOW_BATCH = 64  # feature slices per density-model pass
+
+# The density streams, in the order encode_windows and collect_flow_samples
+# give them, with the feature channels of one sample: (max, avg, intensity)
+# for a static slice, (max, avg) for a dynamic one.
+STREAMS = {"static": 3, "dynamic": 2}
 
 
 def clip_starts(total, clip_len, stride):
@@ -54,7 +63,7 @@ def window_starts(total, clip_len, stride):
     return starts
 
 
-def encode_windows(model, video, starts, clip_len, static=True, dynamic=True):
+def encode_windows(model, video, starts, clip_len):
     """Encode the windows at `starts`, RECON_BATCH at a time, with a frozen
     model; the one bridge from latents to density-model samples.
 
@@ -62,8 +71,8 @@ def encode_windows(model, video, starts, clip_len, static=True, dynamic=True):
     (B, C, clip_len, H, W) input, latents the encoder's (static, dynamic)
     output, statics one (clip_len/tau, 3, h, w) sample array per window with
     channels (max, avg, intensity), and dynamics one (clip_len, 2, h, w)
-    array per window with channels (max, avg). A stream that is not asked
-    for, or a one-path model's dynamic stream, gives an empty list.
+    array per window with channels (max, avg). Both streams are always
+    pooled; a one-path model's dynamic list is empty.
     """
     if not model.frozen:
         raise RuntimeError("flow inputs must come from a frozen autoencoder")
@@ -75,20 +84,20 @@ def encode_windows(model, video, starts, clip_len, static=True, dynamic=True):
         statics = []
         dynamics = []
         for k in range(len(group)):
-            if static:
-                pooled = pool_features(xs.data[k : k + 1])
-                statics.append(append_intensity(pooled, windows[k : k + 1], tau))
-            if dynamic and xd is not None:
+            pooled = pool_features(xs.data[k : k + 1])
+            statics.append(append_intensity(pooled, windows[k : k + 1], tau))
+            if xd is not None:
                 dynamics.append(pool_features(xd.data[k : k + 1]))
         yield windows, (xs, xd), statics, dynamics
 
 
-def collect_flow_samples(model, video, config, need_static=True, need_dynamic=True):
+def collect_flow_samples(model, video, config):
     """Pool per-slice density-model samples of a frozen model from every
     training window.
 
-    Windows step by clip_stride. Returns (static (S, 3, h, w) or None,
-    dynamic (D, 2, h, w) or None).
+    Windows step by clip_stride. Returns (static (S, 3, h, w), dynamic
+    (D, 2, h, w)); the static array is never None, the dynamic one is None
+    for a one-path model.
     """
     total = video.shape[2]
     starts = clip_starts(total, config.clip_len, config.clip_stride)
@@ -96,14 +105,11 @@ def collect_flow_samples(model, video, config, need_static=True, need_dynamic=Tr
         raise ConfigError(f"video has {total} frames, need at least {config.clip_len}")
     statics = []
     dynamics = []
-    for _, _, s, d in encode_windows(
-        model, video, starts, config.clip_len, need_static, need_dynamic
-    ):
+    for _, _, s, d in encode_windows(model, video, starts, config.clip_len):
         statics.extend(s)
         dynamics.extend(d)
-    static = np.concatenate(statics, axis=0) if statics else None
     dynamic = np.concatenate(dynamics, axis=0) if dynamics else None
-    return static, dynamic
+    return np.concatenate(statics, axis=0), dynamic
 
 
 def _batched_nll(stack, samples, batch):
@@ -122,16 +128,12 @@ def score_video(model, video, config, static_flow=None, dynamic_flow=None):
     zeros (recon-only ablations).
     """
     total = video.shape[2]
-    tau = config.tau
     starts = window_starts(total, config.clip_len, config.score_stride)
+    flows = {"static": static_flow, "dynamic": dynamic_flow}
 
     recon_rows = []
-    static_samples = []
-    dynamic_samples = []
-    for windows, (xs, xd), s, d in encode_windows(
-        model, video, starts, config.clip_len,
-        static_flow is not None, dynamic_flow is not None,
-    ):
+    samples = {name: [] for name in STREAMS}
+    for windows, (xs, xd), s, d in encode_windows(model, video, starts, config.clip_len):
         out = model.decode(xs, xd).data
         for k in range(windows.shape[0]):
             recon_rows.append(
@@ -142,43 +144,26 @@ def score_video(model, video, config, static_flow=None, dynamic_flow=None):
                     stride=config.patch_stride,
                 )
             )
-        static_samples.extend(s)
-        dynamic_samples.extend(d)
+        samples["static"].extend(s)
+        samples["dynamic"].extend(d)
 
-    recon = aggregate_windows(recon_rows, starts, total)
-
-    if static_flow is not None:
-        flat = np.concatenate(static_samples, axis=0)
-        nll = _batched_nll(static_flow, flat, FLOW_BATCH)
-        per_clip = config.clip_len // tau
+    series = {"recon": aggregate_windows(recon_rows, starts, total)}
+    for name, flow in flows.items():
+        if flow is None:
+            series[f"nll_{name}"] = np.zeros(total)
+            continue
+        nll = _batched_nll(flow, np.concatenate(samples[name], axis=0), FLOW_BATCH)
+        # A window's samples split its clip_len frames evenly: each holds
+        # for tau frames (static) or one frame (dynamic).
         rows = [
-            expand_static(nll[i * per_clip : (i + 1) * per_clip], config.clip_len, tau)
-            for i in range(len(starts))
+            expand_static(row, config.clip_len, config.clip_len // row.size)
+            for row in np.split(nll, len(starts))
         ]
-        nll_static = aggregate_windows(rows, starts, total)
-    else:
-        nll_static = np.zeros(total)
-
-    if dynamic_flow is not None:
-        flat = np.concatenate(dynamic_samples, axis=0)
-        nll = _batched_nll(dynamic_flow, flat, FLOW_BATCH)
-        rows = [
-            nll[i * config.clip_len : (i + 1) * config.clip_len]
-            for i in range(len(starts))
-        ]
-        nll_dynamic = aggregate_windows(rows, starts, total)
-    else:
-        nll_dynamic = np.zeros(total)
+        series[f"nll_{name}"] = aggregate_windows(rows, starts, total)
 
     if static_flow is None and dynamic_flow is None:
-        nll_norm = np.zeros(total)
+        series["nll_norm"] = np.zeros(total)
     else:
-        nll_norm = nll_score(nll_static, nll_dynamic)
-    fused = fuse(recon, nll_norm, config.lambda_l)
-    return {
-        "recon": recon,
-        "nll_static": nll_static,
-        "nll_dynamic": nll_dynamic,
-        "nll_norm": nll_norm,
-        "fused": fused,
-    }
+        series["nll_norm"] = nll_score(series["nll_static"], series["nll_dynamic"])
+    series["fused"] = fuse(series["recon"], series["nll_norm"], config.lambda_l)
+    return series

@@ -66,11 +66,9 @@ class AnomalySpan:
 
 
 def _check_spans(spans, n_frames):
-    by_mode = {}
     for s in spans:
         if s.end > n_frames:
             raise ConfigError(f"span [{s.start}, {s.end}) exceeds {n_frames} frames")
-        by_mode.setdefault(s.mode, []).append(s)
     for a in spans:
         for b in spans:
             if a.mode != b.mode and a.start < b.end and b.start < a.end:

@@ -209,15 +209,23 @@ class TestTrainCommands:
         assert rc == 2
         assert "different configuration" in capsys.readouterr().err
 
-    def test_nf_static_only_ablation(self, scene, tmp_path):
+    @pytest.mark.parametrize("kept, dropped", [("static", "dynamic"), ("dynamic", "static")])
+    def test_nf_one_flow_ablation(self, scene, trained_run, tmp_path, kept, dropped):
         out = tmp_path / "abl"
-        assert main(["train-itae", "--data-path", str(scene / "train"),
-                     "--out-dir", str(out), *BASE_FLAGS]) == 0
-        assert main(["train-nf", "--data-path", str(scene / "train"),
-                     "--out-dir", str(out), *BASE_FLAGS,
-                     "--use-dynamic-flow", "false"]) == 0
-        assert (out / "nf_static").exists()
-        assert not (out / "nf_dynamic").exists()
+        flags = ["--out-dir", str(out), "--itae-dir", str(trained_run / "itae"),
+                 *BASE_FLAGS, f"--use-{dropped}-flow", "false"]
+        assert main(["train-nf", "--data-path", str(scene / "train"), *flags]) == 0
+        assert (out / f"nf_{kept}").exists()
+        assert not (out / f"nf_{dropped}").exists()
+        # scoring with the one flow: the absent stream reads zero and the
+        # present one alone makes the likelihood term
+        assert main(["score", "--data-path", str(scene / "test"), *flags]) == 0
+        rows = np.genfromtxt(out / "scores" / "test.csv", delimiter=",", names=True)
+        assert np.all(rows[f"nll_{dropped}"] == 0.0)
+        nll = rows[f"nll_{kept}"]
+        assert nll.max() > nll.min()
+        norm = (nll - nll.min()) / (nll.max() - nll.min())
+        assert np.allclose(rows["fused"], rows["recon"] + 0.3 * norm, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nf_divergence_exit_code(self, scene, trained_run, tmp_path, capsys):
@@ -548,6 +556,40 @@ class TestInputErrors:
         out = tmp_path / "out"
         err = refuse(capsys, out, command, "--data-path", str(data), *flags)
         assert str(broken) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "damage", ["permuted-shape", "missing-entry", "nan-video", "inf-weight"]
+    )
+    def test_stored_data_that_does_not_fit_exit_2(
+        self, scene, trained_run, tmp_path, capsys, damage
+    ):
+        itae = tmp_path / "itae"
+        shutil.copytree(trained_run / "itae", itae)
+        manifest_path = itae / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        command, data, named = "score", scene / "test", itae
+        if damage == "permuted-shape":
+            entry = manifest["parameters"]["decode4.weight"]
+            entry["shape"] = entry["shape"][::-1]
+        elif damage == "missing-entry":
+            del manifest["parameters"]["decode4.bias"]
+        elif damage == "nan-video":
+            arr = np.full((1, 1, 16, 32, 32), 0.5)
+            arr[0, 0, 3, 5, 7] = np.nan
+            command, data = "train-itae", tmp_path / "nanvid.t5"
+            save_tensor(data, arr)
+            named = data
+        else:
+            named = itae / "decode4_bias.t5"
+            save_tensor(named, np.full(manifest["parameters"]["decode4.bias"]["shape"], np.inf))
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        flags = checkpoint_flags(trained_run) if command == "score" else []
+        if flags:
+            flags[1] = str(itae)
+        err = refuse(capsys, out, command, "--data-path", str(data), *flags)
+        assert str(named) in err
         assert not out.exists()
 
 

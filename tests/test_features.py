@@ -164,13 +164,6 @@ class TestFullBridge:
             assert np.allclose(s, one_s, rtol=0, atol=1e-12)
             assert np.allclose(d, one_d, rtol=0, atol=1e-12)
 
-    def test_streams_not_asked_for_are_empty(self, model, rng):
-        video = rng.uniform(size=(1, 1, 8, 32, 32))
-        [(_, _, s, d)] = encode_windows(model, video, [0], 8, static=False)
-        assert s == [] and len(d) == 1
-        [(_, _, s, d)] = encode_windows(model, video, [0], 8, dynamic=False)
-        assert len(s) == 1 and d == []
-
     def test_requires_frozen_model(self, rng):
         m = TwoPathAutoencoder(
             AutoencoderConfig(in_channels=1, tau=4), np.random.default_rng(3)
