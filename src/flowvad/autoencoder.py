@@ -73,7 +73,14 @@ def _decoder_geom(tau: int) -> list[tuple]:
 
 
 class Conv3dLayer:
-    """One convolution (optionally transposed) with bias."""
+    """One convolution (optionally transposed) with bias and, when built with
+    ``leaky=True``, a leaky ReLU of ``slope``.
+
+    The conv op adds the bias and applies the activation to each block of
+    its output in place (see :func:`flowvad.tensor.conv3d`), so a call
+    returns one node and allocates one output array. ``slope`` also sets the
+    He-style initial weight scale, with or without the activation.
+    """
 
     def __init__(
         self,
@@ -86,11 +93,13 @@ class Conv3dLayer:
         output_padding=(0, 0, 0),
         transpose: bool = False,
         slope: float = 0.2,
+        leaky: bool = False,
     ):
         self.stride = tuple(stride)
         self.padding = tuple(padding)
         self.output_padding = tuple(output_padding)
         self.transpose = transpose
+        self.activation = slope if leaky else None
         fan_in = cin * int(np.prod(kernel))
         std = np.sqrt(2.0 / ((1.0 + slope**2) * fan_in))
         shape = (cin, cout, *kernel) if transpose else (cout, cin, *kernel)
@@ -100,9 +109,15 @@ class Conv3dLayer:
     def __call__(self, x: Tensor) -> Tensor:
         if self.transpose:
             return conv_transpose3d(
-                x, self.weight, self.stride, self.padding, self.output_padding, self.bias
+                x,
+                self.weight,
+                self.stride,
+                self.padding,
+                self.output_padding,
+                self.bias,
+                self.activation,
             )
-        return conv3d(x, self.weight, self.stride, self.padding, self.bias)
+        return conv3d(x, self.weight, self.stride, self.padding, self.bias, self.activation)
 
 
 class TwoPathAutoencoder:
@@ -116,7 +131,7 @@ class TwoPathAutoencoder:
 
         def conv(cin, cout, geom):
             k, s, p = geom
-            return Conv3dLayer(rng, cin, cout, k, s, p, slope=slope)
+            return Conv3dLayer(rng, cin, cout, k, s, p, slope=slope, leaky=True)
 
         # static encoder input channels grow by the lateral width when fused
         static_in = [c, sc[0], sc[1], sc[2]]
@@ -142,7 +157,14 @@ class TwoPathAutoencoder:
                 for i in range(4)
             ]
             self.fuse_proj = Conv3dLayer(
-                rng, sc[3] + dc[3], sc[3], (1, 1, 1), (1, 1, 1), (0, 0, 0), slope=slope
+                rng,
+                sc[3] + dc[3],
+                sc[3],
+                (1, 1, 1),
+                (1, 1, 1),
+                (0, 0, 0),
+                slope=slope,
+                leaky=True,
             )
 
         dec_channels = [sc[3], sc[3], sc[1], sc[0], c]
@@ -156,6 +178,7 @@ class TwoPathAutoencoder:
                 output_padding=dec_geom[i][3],
                 transpose=True,
                 slope=slope,
+                leaky=i < 3,
             )
             for i in range(4)
         ]
@@ -216,34 +239,32 @@ class TwoPathAutoencoder:
         if not isinstance(x, Tensor):
             x = Tensor(x)
         self._check_input(x)
-        slope = self.config.leaky_slope
         s = x[:, :, :: self.config.tau]
         if not self.config.dynamic_path:
             for layer in self.static_convs:
-                s = layer(s).leaky_relu(slope)
+                s = layer(s)
             return s, None
 
         d = x
         dyn_feats = []
         for layer in self.dynamic_convs:
-            d = layer(d).leaky_relu(slope)
+            d = layer(d)
             dyn_feats.append(d)
         for i, layer in enumerate(self.static_convs):
-            s = layer(s).leaky_relu(slope)
+            s = layer(s)
             if i < 3:
                 s = concat([s, self.laterals[i](dyn_feats[i])], axis=1)
         return s, dyn_feats[3]
 
     def decode(self, static_latent: Tensor, dynamic_latent: Tensor | None) -> Tensor:
-        slope = self.config.leaky_slope
         h = static_latent
         if self.config.dynamic_path:
             if dynamic_latent is None:
                 raise ShapeError("two-path decode requires the dynamic latent")
             lat = self.laterals[3](dynamic_latent)
-            h = self.fuse_proj(concat([h, lat], axis=1)).leaky_relu(slope)
+            h = self.fuse_proj(concat([h, lat], axis=1))
         for layer in self.decoder[:-1]:
-            h = layer(h).leaky_relu(slope)
+            h = layer(h)
         return self.decoder[-1](h).sigmoid()
 
     def reconstruct(self, x: Tensor) -> Tensor:

@@ -323,6 +323,13 @@ def _video_sources(data_path):
 
 def cmd_score(args):
     config = _resolve_config(args)
+    unused = [
+        f"--{name}-dir {getattr(args, f'{name}_dir')} given, but use_{name}_flow is false"
+        for name in STREAMS
+        if getattr(args, f"{name}_dir") and not getattr(config, f"use_{name}_flow")
+    ]
+    if unused:
+        raise ConfigError(unused)
     sources = _video_sources(config.data_path)
     if config.label_path and len(sources) > 1:
         raise ConfigError(

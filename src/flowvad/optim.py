@@ -23,7 +23,14 @@ def cosine_schedule(base_lr: float, total_steps: int):
 
 
 class Adam:
-    """Standard Adam; the learning rate is a schedule, step -> lr."""
+    """Standard Adam; the learning rate is a schedule, step -> lr.
+
+    A step updates the moments and every parameter in place, through two
+    scratch buffers the size of the largest parameter, in the operation
+    order of ``lr * (m / bias1) / (sqrt(v / bias2) + eps)``: the same bits
+    as the textbook expression, without its temporaries. The buffers live
+    only for the step, so they add nothing to the peak of a backward pass.
+    """
 
     def __init__(
         self,
@@ -39,6 +46,7 @@ class Adam:
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        self._largest = max((p.size for p in self.params), default=0)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -50,12 +58,22 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.step_count
         bias2 = 1.0 - b2**self.step_count
+        update_buf, denom_buf = np.empty(self._largest), np.empty(self._largest)
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
             g = p.grad
+            update = update_buf[: p.size].reshape(p.shape)
+            denom = denom_buf[: p.size].reshape(p.shape)
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(1.0 - b1, g, out=update)
             v *= b2
-            v += (1.0 - b2) * g * g
-            p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            np.multiply(1.0 - b2, g, out=update)
+            v += np.multiply(update, g, out=update)
+            np.divide(m, bias1, out=update)
+            update *= lr
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            p.data -= update

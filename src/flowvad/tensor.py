@@ -15,10 +15,16 @@ Design constraints, fixed on purpose:
   per-channel bias of :func:`conv3d` and :func:`conv_transpose3d`, whose
   gradient the conv's own backward computes.
 * slicing copies; no view aliasing survives into the backward pass.
-* memory is bounded by recompute: a conv node keeps its unpadded input, not
-  its im2col columns, and backward re-forms the columns one group of
-  samples at a time; :meth:`Tensor.backward` releases each non-leaf node's
-  gradient and closure as soon as that node has passed its gradient on.
+* memory is bounded by recompute and by finishing arrays in place: a conv
+  node keeps its unpadded input, not its im2col columns, and backward
+  re-forms the columns one group of samples at a time. A conv adds its bias
+  and applies its leaky ReLU to each block of its output as soon as the
+  block is written, so the pre-activation is never a second array; the
+  transposed conv forms its per-tap products one bounded block of output
+  channels at a time. :meth:`Tensor.backward` drops each node once it has
+  passed its gradient on, so an intermediate's data is freed as soon as
+  nothing else holds it, and a conv hands its freshly allocated gradients
+  to its parents without a copy.
 
 The flow stack of :mod:`flowvad.flow` records one node, its per-sample
 negative log-likelihood, through ``_record``; its hand-written NumPy
@@ -116,13 +122,16 @@ class Tensor:
             self._backward = backward
         return self
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` to this tensor's gradient. A first gradient is copied,
+        so no view aliasing survives, unless ``owned`` says no other array
+        shares ``g``'s memory; then it is kept as it is."""
         if g.shape != self.data.shape:
             raise ShapeError(
                 f"gradient shape {g.shape} does not match tensor shape {self.data.shape}"
             )
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g if owned else g.copy()
         else:
             self.grad = self.grad + g
 
@@ -132,7 +141,9 @@ class Tensor:
         Every node is visited exactly once, parents after children, so
         gradients along diamond-shaped paths accumulate by addition. Once a
         node's backward has run, its closure, parents and (unless it is a
-        leaf) gradient are dropped. A second call raises.
+        leaf) gradient are dropped, and so is the walk's own reference to
+        it: a node nothing else holds is freed before the next one runs. A
+        second call raises.
         """
         if self.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -156,7 +167,8 @@ class Tensor:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward()
                 node._backward = None
@@ -208,19 +220,6 @@ class Tensor:
 
         def backward():
             self._accumulate(out_data * (1.0 - out_data) * out.grad)
-
-        return out._record((self,), backward)
-
-    def leaky_relu(self, slope: float = 0.2) -> "Tensor":
-        """x where x > 0, else slope * x; as max(x, slope * x) for 0 <= slope <= 1."""
-        if not 0.0 <= slope <= 1.0:
-            raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
-        scaled = slope * self.data
-        out = Tensor(np.maximum(self.data, scaled, out=scaled))
-
-        def backward():
-            mask = self.data > 0.0
-            self._accumulate(np.where(mask, out.grad, slope * out.grad))
 
         return out._record((self,), backward)
 
@@ -442,7 +441,8 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
 # ------------------------------------------------------------ 3d convolution
 
 
-# Most bytes of im2col columns a conv holds at once; larger samples run alone.
+# Most bytes of im2col columns, or of one sample's per-tap products, a conv
+# holds at once; a larger sample (or output channel) runs alone.
 _COLS_BUDGET = 16 * 2**20
 
 
@@ -515,10 +515,11 @@ def _tap_sum(taps: np.ndarray, s, p, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _batch_groups(n: int, sample_bytes: int) -> list[slice]:
-    """Consecutive batch slices whose im2col columns fit in ``_COLS_BUDGET``
-    bytes, each holding at least one sample."""
-    size = max(1, _COLS_BUDGET // sample_bytes)
+def _batch_groups(n: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices of ``range(n)`` whose im2col columns (or tap
+    products), ``item_bytes`` per item, fit in ``_COLS_BUDGET`` bytes, each
+    holding at least one item."""
+    size = max(1, _COLS_BUDGET // item_bytes)
     return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
@@ -529,21 +530,53 @@ def _add_in_order(acc: np.ndarray, parts: np.ndarray) -> None:
         acc += part
 
 
-def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), bias=None) -> Tensor:
+def _check_slope(slope) -> None:
+    # max(x, slope * x) is the leaky ReLU only for 0 <= slope <= 1
+    if slope is not None and not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky ReLU slope must be in [0, 1], got {slope}")
+
+
+def _finish_block(blk: np.ndarray, bias, slope) -> None:
+    """Add the per-channel ``bias`` (channel axis -4 of ``blk``), then apply
+    leaky ReLU as max(x, slope * x), in place; the only temporary is
+    ``slope * blk``, one block in size."""
+    if bias is not None:
+        blk += bias.reshape(-1, 1, 1, 1)
+    if slope is not None:
+        np.maximum(blk, slope * blk, out=blk)
+
+
+def _leaky_grad(grad: np.ndarray, y: np.ndarray, slope, blocks) -> None:
+    """Turn the gradient of a leaky ReLU's output ``y`` into that of its
+    input, in place, one block at a time. For 0 <= slope <= 1, y > 0 exactly
+    where the input is > 0, so the activated output is all the node keeps."""
+    if slope is None:
+        return
+    for b in blocks:
+        blk = grad[b]
+        blk *= np.where(y[b] > 0.0, 1.0, slope)
+
+
+def conv3d(
+    x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), bias=None, slope=None
+) -> Tensor:
     """3-D convolution (cross-correlation) over (batch, channel, time, h, w).
 
     ``w`` has shape (out_channels, in_channels, kt, kh, kw) and the optional
     ``bias`` shape (out_channels,). Output spatial dims follow
-    floor((d + 2p - k) / s) + 1 per axis.
+    floor((d + 2p - k) / s) + 1 per axis. With a ``slope`` in [0, 1] the
+    output is the leaky ReLU, max(y, slope * y), of the biased convolution.
 
     The batch runs in groups whose im2col columns fit in ``_COLS_BUDGET``
-    bytes, one matmul (one GEMM per sample) each. The node keeps the unpadded
-    input, not the columns; backward re-forms each group's columns and adds
-    the per-sample weight gradients in sample order from zeros, bitwise the
-    whole-batch ``.sum(axis=0)``.
+    bytes, one matmul (one GEMM per sample) each; the bias and activation
+    finish each group's output in place as soon as its GEMM is written. The
+    node keeps the unpadded input, not the columns; backward re-forms each
+    group's columns and adds the per-sample weight gradients in sample order
+    from zeros, bitwise the whole-batch ``.sum(axis=0)``.
     """
     x, w = _wrap(x), _wrap(w)
     s, p = _triple(stride), _triple(padding)
+    _check_slope(slope)
     if x.ndim != 5 or w.ndim != 5:
         raise ShapeError(f"conv3d expects 5-d input and weight, got {x.shape} and {w.shape}")
     n, cin, *dims = x.shape
@@ -557,6 +590,7 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), bias=None)
     w2 = w.data.reshape(cout, -1)
     groups = _batch_groups(n, w2.shape[1] * positions * xd.itemsize)
     pad = ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1]), (p[2], p[2]))
+    b = None if bias is None else bias.data
 
     def columns(g: slice) -> np.ndarray:
         return _im2col(np.pad(xd[g], pad), k, s, out_dims)
@@ -564,13 +598,13 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), bias=None)
     y = np.empty((n, cout, *out_dims))
     for g in groups:
         np.matmul(w2, columns(g), out=y[g].reshape(-1, cout, positions))
-    if bias is not None:
-        y += bias.data.reshape(1, cout, 1, 1, 1)
+        _finish_block(y[g], b, slope)
     out = Tensor(y)
 
     def backward():
+        _leaky_grad(out.grad, y, slope, groups)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)))
+            bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)), owned=True)
         gy = out.grad.reshape(n, cout, positions)
         gw = np.zeros(w2.shape) if w.requires_grad else None
         gx = np.empty(x.shape) if x.requires_grad else None
@@ -580,9 +614,9 @@ def conv3d(x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), bias=None)
             if gx is not None:
                 _tap_sum(np.matmul(w2.T, gy[g]).reshape(-1, cin, *k, *out_dims), s, p, gx[g])
         if gw is not None:
-            w._accumulate(gw.reshape(w.shape))
+            w._accumulate(gw.reshape(w.shape), owned=True)
         if gx is not None:
-            x._accumulate(gx)
+            x._accumulate(gx, owned=True)
 
     return out._record((x, w) if bias is None else (x, w, bias), backward)
 
@@ -594,31 +628,36 @@ def conv_transpose3d(
     padding=(0, 0, 0),
     output_padding=(0, 0, 0),
     bias=None,
+    slope=None,
 ) -> Tensor:
     """Transposed 3-D convolution, the adjoint of :func:`conv3d`.
 
     ``w`` has shape (in_channels, out_channels, kt, kh, kw) and the optional
     ``bias`` shape (out_channels,); with matching stride and padding,
     <conv3d(x, w), y> == <x, conv_transpose3d(y, w)>. Output dims follow
-    (d - 1) * s - 2p + k + output_padding per axis.
+    (d - 1) * s - 2p + k + output_padding per axis. With a ``slope`` in
+    [0, 1] the output is the leaky ReLU of the biased transposed convolution.
 
-    A matmul per sample gives every tap's product, (cout, kt, kh, kw,
-    *in_dims), in one buffer reused across the batch, so the products of the
-    whole batch are never held at once. Tap (a, b, e) of input position i
-    lands on padded position a + s*i. The output splits into s_t*s_h*s_w
-    phases, output index = r + s*m per axis (sub-pixel convolution: Shi et
-    al. 2016, arXiv:1609.05158). Only taps with a = r + p (mod s) reach
-    phase r, each as a slice shifted by (a - r - p) / s, so each phase is
-    summed in its own dense accumulator and written into the output once by
-    strided assignment: no scatter-add onto a padded buffer and no crop.
-    Each phase sums its taps from zero in (a, b, e) order, the order of a
-    direct scatter-add of all taps, so every output value is bitwise what
-    that scatter gives.
+    Per sample, the output channels run in blocks whose per-tap products,
+    (block, kt, kh, kw, *in_dims), fit in ``_COLS_BUDGET`` bytes: one matmul
+    gives a block's products in one buffer reused across blocks and samples,
+    so no sample's full set of products is ever held. Tap (a, b, e) of input
+    position i lands on padded position a + s*i. The output splits into
+    s_t*s_h*s_w phases, output index = r + s*m per axis (sub-pixel
+    convolution: Shi et al. 2016, arXiv:1609.05158). Only taps with
+    a = r + p (mod s) reach phase r, each as a slice shifted by
+    (a - r - p) / s, so each phase is summed in its own dense accumulator and
+    written into the output once by strided assignment: no scatter-add onto
+    a padded buffer and no crop. Each phase sums its taps from zero in
+    (a, b, e) order, the order of a direct scatter-add of all taps, so every
+    output value is bitwise what that scatter gives. The bias and activation
+    finish each block in place as soon as its taps are summed.
 
     Backward im2cols the output gradient by sample groups, as :func:`conv3d`.
     """
     x, w = _wrap(x), _wrap(w)
     s, p, op = _triple(stride), _triple(padding), _triple(output_padding)
+    _check_slope(slope)
     if x.ndim != 5 or w.ndim != 5:
         raise ShapeError(
             f"conv_transpose3d expects 5-d input and weight, got {x.shape} and {w.shape}"
@@ -643,18 +682,24 @@ def conv_transpose3d(
     positions = dims[0] * dims[1] * dims[2]
     xd = x.data
     w2 = w.data.reshape(cin, -1)
+    b = None if bias is None else bias.data
+    w_by_channel = w2.reshape(cin, cout, -1)
+    channel_blocks = _batch_groups(cout, w_by_channel.shape[2] * positions * xd.itemsize)
+    blocks = [(i, cb) for i in range(n) for cb in channel_blocks]
     y = np.empty((n, cout, *out_dims))
-    taps = np.empty((w2.shape[1], positions))
-    for i in range(n):
-        np.matmul(w2.T, xd[i].reshape(cin, positions), out=taps)
-        _tap_sum(taps.reshape(1, cout, *k, *dims), s, p, y[i : i + 1])
-    if bias is not None:
-        y += bias.data.reshape(1, cout, 1, 1, 1)
+    taps = np.empty((channel_blocks[0].stop * w_by_channel.shape[2], positions))
+    for i, cb in blocks:
+        wb = w_by_channel[:, cb].reshape(cin, -1)
+        rows = taps[: wb.shape[1]]
+        np.matmul(wb.T, xd[i].reshape(cin, positions), out=rows)
+        _tap_sum(rows.reshape(1, -1, *k, *dims), s, p, y[i : i + 1, cb])
+        _finish_block(y[i, cb], None if b is None else b[cb], slope)
     out = Tensor(y)
 
     def backward():
+        _leaky_grad(out.grad, y, slope, blocks)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)))
+            bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)), owned=True)
         pad = ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1]), (p[2], p[2]))
         xs = xd.reshape(n, cin, positions)
         gw = np.zeros(w2.shape) if w.requires_grad else None
@@ -667,9 +712,8 @@ def conv_transpose3d(
                 _add_in_order(gw, np.matmul(xs[g], gcols.transpose(0, 2, 1)))
             del gcols  # before the next group's columns exist
         if gx is not None:
-            x._accumulate(gx.reshape(x.shape))
+            x._accumulate(gx.reshape(x.shape), owned=True)
         if gw is not None:
-            w._accumulate(gw.reshape(w.shape))
+            w._accumulate(gw.reshape(w.shape), owned=True)
 
     return out._record((x, w) if bias is None else (x, w, bias), backward)
-

@@ -2,9 +2,11 @@
 
 The flow stack is one node with a hand-written backward, so nothing in
 `flowvad` needs a general broadcast, matrix product, ReLU, exp, log, tanh,
-negation or max node. The tests still do: the generic-op oracle for the flow
-stack in `test_flow_layers.py`, the op registry of the acceptance gradient
-check, and `test_tensor_ops.py`. Each op records one node through
+negation or max node, and the convs apply their leaky ReLU themselves. The
+tests still do: the generic-op oracle for the flow stack in
+`test_flow_layers.py`, the op registry of the acceptance gradient check, the
+plain-conv-then-activation reference of `test_conv.py`, and
+`test_tensor_ops.py`. Each op records one node through
 `Tensor._record`, like the ops in `flowvad.tensor`.
 """
 
@@ -17,7 +19,7 @@ import numpy as np
 from flowvad.errors import NumericError, ShapeError
 from flowvad.tensor import Tensor, _check_finite, _unbroadcast
 
-__all__ = ["amax", "broadcast_to", "exp", "log", "matmul", "neg", "relu", "tanh"]
+__all__ = ["amax", "broadcast_to", "exp", "leaky_relu", "log", "matmul", "neg", "relu", "tanh"]
 
 
 def broadcast_to(t: Tensor, shape: Sequence[int]) -> Tensor:
@@ -58,6 +60,20 @@ def relu(t: Tensor) -> Tensor:
 
     def backward():
         t._accumulate(np.where(mask, out.grad, 0.0))
+
+    return out._record((t,), backward)
+
+
+def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
+    """x where x > 0, else slope * x; as max(x, slope * x) for 0 <= slope <= 1."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must be in [0, 1], got {slope}")
+    scaled = slope * t.data
+    out = Tensor(np.maximum(t.data, scaled, out=scaled))
+
+    def backward():
+        mask = t.data > 0.0
+        t._accumulate(np.where(mask, out.grad, slope * out.grad))
 
     return out._record((t,), backward)
 

@@ -33,7 +33,7 @@ from flowvad.scoring import roc_auc_eer
 from flowvad.tensor import Tensor, concat, conv3d, conv_transpose3d
 from flowvad.train import TrainConfig, train_flow
 
-from graph_ops import amax, broadcast_to, exp, log, matmul, neg, relu, tanh
+from graph_ops import amax, broadcast_to, exp, leaky_relu, log, matmul, neg, relu, tanh
 from model_oracles import layer_shapes
 from numeric import max_relative_error, numerical_gradient, numerical_jacobian
 
@@ -205,7 +205,7 @@ def _op_registry(rng):
         ("tanh", [a34], lambda a: (tanh(a) * Tensor(b34)).sum()),
         ("sigmoid", [a34], lambda a: (a.sigmoid() * Tensor(b34)).sum()),
         ("relu", [away], lambda a: (relu(a) * Tensor(b34)).sum()),
-        ("leaky_relu", [away], lambda a: (a.leaky_relu(0.2) * Tensor(b34)).sum()),
+        ("leaky_relu", [away], lambda a: (leaky_relu(a, 0.2) * Tensor(b34)).sum()),
         ("abs", [away], lambda a: (a.abs() * Tensor(b34)).sum()),
         ("clamp_min", [away], lambda a: (a.clamp_min(0.0) * Tensor(b34)).sum()),
         ("sum_axis", [a34], lambda a: (a.sum(axis=1) * Tensor(b34[:, 0])).sum()),
@@ -334,28 +334,23 @@ class TestArchitectureGeometry:
 
             rng = np.random.default_rng(3)
             model = TwoPathAutoencoder(desk, rng)
-            slope = desk.leaky_slope
             x = Tensor(rng.random((1, 1, 8, 64, 64)))
             seen = {}
             d = x
             dyn = []
             for i, layer in enumerate(model.dynamic_convs):
-                d = layer(d).leaky_relu(slope)
+                d = layer(d)  # each layer applies its own leaky ReLU
                 seen[f"dynamic{i + 1}"] = d.shape[1:]
                 dyn.append(d)
             s = x[:, :, :: desk.tau]
             for i, layer in enumerate(model.static_convs):
-                s = layer(s).leaky_relu(slope)
+                s = layer(s)
                 seen[f"static{i + 1}"] = s.shape[1:]
                 if i < 3:
                     s = concat([s, model.laterals[i](dyn[i])], axis=1)
-            h = model.fuse_proj(
-                concat([s, model.laterals[3](dyn[3])], axis=1)
-            ).leaky_relu(slope)
+            h = model.fuse_proj(concat([s, model.laterals[3](dyn[3])], axis=1))
             for i, layer in enumerate(model.decoder):
                 h = layer(h)
-                if i < 3:
-                    h = h.leaky_relu(slope)
                 seen[f"decode{i + 1}"] = h.shape[1:]
             assert seen == DESK_ROWS
             assert model.reconstruct(x).shape == x.shape

@@ -504,6 +504,15 @@ class TestInputErrors:
         assert str(video) in err and "patch_size 24" in err
         assert not (out / "scores").exists()
 
+    @pytest.mark.parametrize("flag", ["--static-dir", "--dynamic-dir"])
+    def test_flow_dir_for_disabled_stream_exit_2(self, small_run, tmp_path, capsys, flag):
+        flow_dir = tmp_path / "nf"
+        out = tmp_path / "out"
+        err = refuse(capsys, out, "score", "--data-path", str(small_run / "v20.t5"),
+                     "--itae-dir", str(small_run / "itae"), *FLOWS_OFF, flag, str(flow_dir))
+        assert f"{flag} {flow_dir}" in err
+        assert not (out / "scores").exists()
+
     def test_missing_config_file_exit_2(self, scene, tmp_path, capsys):
         missing = tmp_path / "no_such.cfg"
         err = refuse(capsys, tmp_path / "out", "train-itae",

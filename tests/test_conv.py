@@ -12,6 +12,7 @@ from flowvad.autoencoder import _DYNAMIC_GEOM, _STATIC_GEOM, Conv3dLayer, _decod
 from flowvad.errors import ShapeError
 from flowvad.tensor import Tensor, conv3d, conv_transpose3d
 
+from graph_ops import leaky_relu
 from numeric import max_relative_error, numerical_gradient
 
 
@@ -376,6 +377,97 @@ class TestBatchOfThree:
         got = batch3_grads(transpose, x_trains, w_trains)
         for g, h in zip(got, want):
             assert (g is None and h is None) or np.array_equal(g, h)
+
+
+def bits(a):
+    """The raw float64 bits, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def fused_case(transpose):
+    """Batch-2 operands with a bias, at the decode3 geometry (tau 4, three
+    output channels) for the transpose and the static4 geometry for the
+    conv. Sample 0 is all zeros and bias 0 is 0.0, so channel 0 of sample 0
+    has pre-activations that are exactly 0.0."""
+    rng = np.random.default_rng(18)
+    if transpose:
+        kernel, stride, padding, outpad = _decoder_geom(4)[2]
+        x0 = rng.normal(size=(2, 2, 2, 2, 2))
+        w0 = rng.normal(size=(2, 3, *kernel))
+
+        def op(x, w, b, slope=None):
+            return conv_transpose3d(x, w, stride, padding, outpad, b, slope)
+
+    else:
+        kernel, stride, padding = _STATIC_GEOM[3]
+        x0 = rng.normal(size=(2, 2, 2, 4, 4))
+        w0 = rng.normal(size=(3, 2, *kernel))
+
+        def op(x, w, b, slope=None):
+            return conv3d(x, w, stride, padding, b, slope)
+
+    x0[0] = 0.0
+    b0 = rng.normal(size=3)
+    b0[0] = 0.0
+    return x0, w0, b0, op
+
+
+def fused_run(transpose, slope, reference):
+    """Output and input, weight and bias gradients of the conv with its
+    leaky ReLU fused, or (``reference``) of the plain conv followed by the
+    separate leaky ReLU node."""
+    x0, w0, b0, op = fused_case(transpose)
+    x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+    out = leaky_relu(op(x, w, b), slope) if reference else op(x, w, b, slope)
+    probe = np.random.default_rng(19).normal(size=out.shape)
+    data = out.data.copy()
+    (out * Tensor(probe)).sum().backward()
+    return data, x.grad, w.grad, b.grad
+
+
+class TestFusedActivation:
+    """A conv with ``slope`` is bitwise the plain conv followed by leaky ReLU."""
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["static4", "decode3"])
+    def test_bitwise_plain_conv_then_leaky_relu(self, transpose, slope):
+        got = fused_run(transpose, slope, reference=False)
+        want = fused_run(transpose, slope, reference=True)
+        assert np.any(got[0][0, 0] == 0.0)  # exact-zero pre-activations are in the case
+        for g, h in zip(got, want):
+            assert np.array_equal(bits(g), bits(h))
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    def test_in_place_activation_at_signed_zeros(self, slope):
+        # GEMM and tap sums never give -0.0, so the in-place forward and
+        # backward are checked on their own against the separate node
+        pre = np.array([-0.0, 0.0, -1.5, 2.0, -5e-324, 5e-324, -0.0, 0.0])
+        probe = np.array([1.0, -2.0, 3.0, -4.0, 0.5, -0.5, -0.0, 0.0])
+        t = Tensor(pre.copy(), requires_grad=True)
+        want = leaky_relu(t, slope)
+        (want * Tensor(probe)).sum().backward()
+        y = pre.copy()
+        tensor._finish_block(y, None, slope)
+        grad = probe.copy()
+        tensor._leaky_grad(grad, y, slope, [slice(0, 4), slice(4, 8)])
+        assert np.array_equal(bits(y), bits(want.data))
+        assert np.array_equal(bits(grad), bits(t.grad))
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_channel_blocks_are_bitwise_one_block(self, monkeypatch, channels):
+        # the default budget forms all three channels' taps in one block;
+        # a budget of one or two channels' taps splits them 1+1+1 or 2+1
+        want = fused_run(True, 0.2, reference=False)
+        positions = fused_case(True)[0][0, 0].size
+        monkeypatch.setattr(tensor, "_COLS_BUDGET", channels * 27 * positions * 8)
+        got = fused_run(True, 0.2, reference=False)
+        for g, h in zip(got, want):
+            assert np.array_equal(bits(g), bits(h))
+
+    def test_slope_outside_unit_interval_rejected(self):
+        x0, w0, b0, op = fused_case(False)
+        with pytest.raises(ValueError, match="slope"):
+            op(Tensor(x0), Tensor(w0), Tensor(b0), 1.5)
 
 
 class TestLayerBias:

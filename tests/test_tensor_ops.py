@@ -1,12 +1,14 @@
 """Elementwise, reduction, and structural ops of the autodiff tensor core."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from flowvad.errors import NumericError, ShapeError
 from flowvad.tensor import Tensor, concat, conv3d, no_grad
 
-from graph_ops import amax, broadcast_to, exp, log, matmul, neg, relu, tanh
+from graph_ops import amax, broadcast_to, exp, leaky_relu, log, matmul, neg, relu, tanh
 from numeric import max_relative_error, numerical_gradient
 
 
@@ -97,7 +99,7 @@ class TestGraph:
         x = Tensor(rng.normal(size=(2, 1, 2, 4, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 1, 1, 3, 3)), requires_grad=True)
         frozen = Tensor(rng.normal(size=(2, 2, 2, 4, 4)))
-        h = conv3d(x, w, padding=(0, 1, 1)).leaky_relu()
+        h = leaky_relu(conv3d(x, w, padding=(0, 1, 1)))
         loss = (h * h + h * frozen).mean()
         nodes, todo = {}, [loss]
         while todo:
@@ -114,6 +116,27 @@ class TestGraph:
         assert frozen.grad is None
         with pytest.raises(RuntimeError):
             loss.backward()
+
+    def test_backward_frees_an_intermediate_before_later_nodes_run(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        alive_in_later_backward = []
+
+        def probe(t):
+            out = Tensor(t.data.copy())
+
+            def backward():
+                alive_in_later_backward.append(mid_data() is not None)
+                t._accumulate(out.grad)
+
+            return out._record((t,), backward)
+
+        mid = probe(x) * 2.0
+        mid_data = weakref.ref(mid.data)
+        loss = (mid * 3.0).sum()
+        del mid  # the caller holds only x and the loss
+        loss.backward()
+        assert alive_in_later_backward == [False]
+        assert np.array_equal(x.grad, np.full(3, 6.0))
 
     def test_no_grad_tracking_without_requires_grad(self):
         x = Tensor([1.0])
@@ -180,13 +203,13 @@ class TestElementwiseGrads:
             x = r.normal(size=(3, 3))
             return x + 0.05 * np.sign(x)
 
-        check_grad(lambda t: t.leaky_relu(0.2).sum(), sample)
+        check_grad(lambda t: leaky_relu(t, 0.2).sum(), sample)
 
     @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
     def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
         # max(x, slope * x) is the leaky ReLU only for 0 <= slope <= 1
         with pytest.raises(ValueError, match="slope"):
-            Tensor(np.array([-1.0, 2.0])).leaky_relu(slope)
+            leaky_relu(Tensor(np.array([-1.0, 2.0])), slope)
 
     def test_abs(self):
         def sample(r):
