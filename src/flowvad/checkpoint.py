@@ -134,10 +134,12 @@ def checkpoint_hash(directory):
 
 
 def assign_state(params, state):
-    """Copy ``state`` (name -> array) into ``params`` (name -> Tensor).
+    """Copy ``state`` (name -> array) into ``params`` (name -> Tensor) in place.
 
     The names must match, then every shape, then every value must be finite;
-    nothing is copied unless all of them hold.
+    nothing is copied unless all of them hold. Each parameter keeps its own
+    ``.data`` array and receives the values with ``np.copyto``, so loading
+    allocates no second set of parameters and shares no memory with ``state``.
     """
     missing = sorted(set(params) - set(state))
     extra = sorted(set(state) - set(params))
@@ -153,4 +155,4 @@ def assign_state(params, state):
         if not np.isfinite(arr).all():
             raise NumericError(f"{name}: stored parameters contain non-finite values")
     for name, arr in arrays.items():
-        params[name].data = arr.copy()
+        np.copyto(params[name].data, arr)

@@ -450,13 +450,21 @@ def _gather(paths):
 
 
 def cmd_eval(args):
+    """AUC and EER of the fused score, plus the AUC of each score term alone:
+    recon, the per-video normalized NLL and each stream's raw NLL."""
     videos, labels = _gather(args.csvs)
     scores = np.concatenate([v["fused"] for v in videos])
     auc, eer, _ = roc_auc_eer(scores, labels)
-    record = json.dumps(
-        {"auc": round(auc, 6), "eer": round(eer, 6), "n_frames": int(len(scores))},
-        sort_keys=True,
-    )
+    terms = {
+        "auc_recon": [v["recon"] for v in videos],
+        "auc_nll": [nll_score(v["nll_static"], v["nll_dynamic"]) for v in videos],
+        "auc_nll_static": [v["nll_static"] for v in videos],
+        "auc_nll_dynamic": [v["nll_dynamic"] for v in videos],
+    }
+    metrics = {"auc": round(auc, 6), "eer": round(eer, 6), "n_frames": int(len(scores))}
+    for key, series in terms.items():
+        metrics[key] = round(roc_auc_eer(np.concatenate(series), labels)[0], 6)
+    record = json.dumps(metrics, sort_keys=True)
     print(record)
     if args.out:
         with open(args.out, "w") as fh:

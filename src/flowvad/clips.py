@@ -80,6 +80,8 @@ def load_video(spec):
         arr = load_tensor(src)
         if arr.shape[0] != 1:
             raise ShapeError(f"{src}: packed video must have batch dim 1, got {arr.shape}")
+        if arr.size == 0:
+            raise ShapeError(f"{src}: packed video has a zero-length dim: {arr.shape}")
         lo, hi = arr.min(), arr.max()
         if lo < 0.0 or hi > 1.0:
             raise ShapeError(f"{src}: pixel values outside [0, 1]: min {lo}, max {hi}")

@@ -7,7 +7,9 @@ frame is covered. `encode_windows` is the one bridge from frozen autoencoder
 latents to density-model samples, shared by `collect_flow_samples` (step two)
 and `score_video`, so both feed the flows identical features. It always pools
 both density streams listed in `STREAMS`; only a one-path model has no
-dynamic samples.
+dynamic samples. Windows go through the autoencoder one at a time: every
+conv already runs one GEMM per sample, so a batch of windows would give the
+same bits and only hold more of them in memory at once.
 
 Each scored window yields a per-frame reconstruction error (patch max) and,
 per stream, a per-sample NLL held across the frames the sample stands for
@@ -38,7 +40,6 @@ __all__ = [
     "score_video",
 ]
 
-RECON_BATCH = 4  # windows reconstructed per forward pass
 FLOW_BATCH = 64  # feature slices per density-model pass
 
 # The density streams, in the order encode_windows and collect_flow_samples
@@ -64,31 +65,25 @@ def window_starts(total, clip_len, stride):
 
 
 def encode_windows(model, video, starts, clip_len):
-    """Encode the windows at `starts`, RECON_BATCH at a time, with a frozen
-    model; the one bridge from latents to density-model samples.
+    """Encode the windows at `starts`, one at a time, with a frozen model;
+    the one bridge from latents to density-model samples.
 
-    Yields (windows, latents, statics, dynamics) per group: windows is the
-    (B, C, clip_len, H, W) input, latents the encoder's (static, dynamic)
-    output, statics one (clip_len/tau, 3, h, w) sample array per window with
-    channels (max, avg, intensity), and dynamics one (clip_len, 2, h, w)
-    array per window with channels (max, avg). Both streams are always
-    pooled; a one-path model's dynamic list is empty.
+    Yields (window, latents, static, dynamic) per start: window is the
+    (1, C, clip_len, H, W) view into the video, latents the encoder's
+    (static, dynamic) output, static the window's (clip_len/tau, 3, h, w)
+    samples with channels (max, avg, intensity), and dynamic its
+    (clip_len, 2, h, w) samples with channels (max, avg). Both streams are
+    always pooled; a one-path model's dynamic is None.
     """
     if not model.frozen:
         raise RuntimeError("flow inputs must come from a frozen autoencoder")
     tau = model.config.tau
-    for lo in range(0, len(starts), RECON_BATCH):
-        group = starts[lo : lo + RECON_BATCH]
-        windows = np.concatenate([video[:, :, s : s + clip_len] for s in group], axis=0)
-        xs, xd = model.encode(Tensor(windows))
-        statics = []
-        dynamics = []
-        for k in range(len(group)):
-            pooled = pool_features(xs.data[k : k + 1])
-            statics.append(append_intensity(pooled, windows[k : k + 1], tau))
-            if xd is not None:
-                dynamics.append(pool_features(xd.data[k : k + 1]))
-        yield windows, (xs, xd), statics, dynamics
+    for start in starts:
+        window = video[:, :, start : start + clip_len]
+        xs, xd = model.encode(Tensor(window))
+        static = append_intensity(pool_features(xs.data), window, tau)
+        dynamic = None if xd is None else pool_features(xd.data)
+        yield window, (xs, xd), static, dynamic
 
 
 def collect_flow_samples(model, video, config):
@@ -105,9 +100,10 @@ def collect_flow_samples(model, video, config):
         raise ConfigError(f"video has {total} frames, need at least {config.clip_len}")
     statics = []
     dynamics = []
-    for _, _, s, d in encode_windows(model, video, starts, config.clip_len):
-        statics.extend(s)
-        dynamics.extend(d)
+    for _, _, static, dynamic in encode_windows(model, video, starts, config.clip_len):
+        statics.append(static)
+        if dynamic is not None:
+            dynamics.append(dynamic)
     dynamic = np.concatenate(dynamics, axis=0) if dynamics else None
     return np.concatenate(statics, axis=0), dynamic
 
@@ -133,19 +129,16 @@ def score_video(model, video, config, static_flow=None, dynamic_flow=None):
 
     recon_rows = []
     samples = {name: [] for name in STREAMS}
-    for windows, (xs, xd), s, d in encode_windows(model, video, starts, config.clip_len):
+    for window, (xs, xd), static, dynamic in encode_windows(
+        model, video, starts, config.clip_len
+    ):
         out = model.decode(xs, xd).data
-        for k in range(windows.shape[0]):
-            recon_rows.append(
-                patch_max_error(
-                    windows[k : k + 1],
-                    out[k : k + 1],
-                    patch=config.patch_size,
-                    stride=config.patch_stride,
-                )
-            )
-        samples["static"].extend(s)
-        samples["dynamic"].extend(d)
+        recon_rows.append(
+            patch_max_error(window, out, patch=config.patch_size, stride=config.patch_stride)
+        )
+        samples["static"].append(static)
+        if dynamic is not None:
+            samples["dynamic"].append(dynamic)
 
     series = {"recon": aggregate_windows(recon_rows, starts, total)}
     for name, flow in flows.items():

@@ -490,7 +490,8 @@ class TestEndToEnd:
             assert shape_auc >= SHAPE_AUC_FLOOR, f"appearance-anomaly AUC {shape_auc:.4f}"
             ablation_auc = metrics[("one_path", "speed")]["auc"]
             assert speed_auc > ablation_auc, (
-                f"two-path {speed_auc:.4f} vs static-only {ablation_auc:.4f}"
+                f"two-path fused score with flows {speed_auc:.4f} "
+                f"vs one-path recon-only {ablation_auc:.4f}"
             )
             assert pipeline["elapsed"] < 900.0
 

@@ -172,22 +172,34 @@ class TestTrainingMemory:
 
 
 class TestScoringMemory:
-    def test_score_video_peak_stays_under_cap(self):
-        """Scoring a 40-frame 64x64 video at stride 1 without flows
-        allocates under 180 MB at peak (142 MB): decode3's output is the
-        one large array of a RECON_BATCH of windows, finished in place, and
-        its per-tap products are formed a bounded block of channels at a
-        time. A separate activation array and whole-sample tap products
-        go past it (218 MB)."""
+    @staticmethod
+    def score_peak(side, frames, config):
+        """tracemalloc peak of scoring a random video with a frozen seeded
+        two-path model and no flows; checks the series length too."""
         rng = np.random.default_rng(3)
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4), rng)
         model.freeze()
-        video = rng.uniform(size=(1, 1, 40, 64, 64))
+        video = rng.uniform(size=(1, 1, frames, side, side))
         tracemalloc.start()
         try:
-            series = score_video(model, video, RunConfig())
+            series = score_video(model, video, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 180 * 2**20
-        assert series["fused"].shape == (40,)
+        assert series["fused"].shape == (frames,)
+        return peak
+
+    def test_score_video_peak_stays_under_cap(self):
+        """Scoring a 40-frame 64x64 video at stride 1 without flows
+        allocates under 80 MB at peak (about 51 MB): windows go through the
+        autoencoder one at a time, decode3's output is the one large array
+        of a window, finished in place, and its per-tap products are formed
+        a bounded block of channels at a time. Four windows per decode go
+        past it (142 MB)."""
+        assert self.score_peak(64, 40, RunConfig()) < 80 * 2**20
+
+    def test_score_video_peak_stays_under_cap_at_128(self):
+        """A 12-frame 128x128 video at stride 4 without flows allocates
+        under 200 MB at peak (about 155 MB); four windows per decode go past
+        it (257 MB)."""
+        assert self.score_peak(128, 12, RunConfig(score_stride=4)) < 200 * 2**20

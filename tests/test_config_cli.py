@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -279,7 +280,8 @@ class TestScoreEval:
         rc = main(["eval", str(scored), "--out", str(out)])
         assert rc == 0
         record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert set(record) == {"auc", "eer", "n_frames"}
+        assert set(record) == {"auc", "eer", "n_frames", "auc_recon", "auc_nll",
+                               "auc_nll_static", "auc_nll_dynamic"}
         assert record["n_frames"] == 32
         assert json.loads(out.read_text()) == record
 
@@ -322,6 +324,30 @@ class TestScoreEval:
         record = json.loads(capsys.readouterr().out.strip())
         assert record["auc"] == pytest.approx(1.0)
         assert record["eer"] == pytest.approx(0.0)
+
+    def test_eval_reports_each_score_term(self, tmp_path, capsys):
+        # Two videos, labels 0 0 1 1 each. AUCs by counting (positive,
+        # negative) pairs, ties half: recon 10/16; raw static NLL 12/16;
+        # raw dynamic NLL 6/16; the per-video min-max of static + dynamic
+        # 11/16 (video b's sum is constant, so it normalizes to zeros);
+        # the fused column separates the classes.
+        columns = {
+            "a": ([0.1, 0.4, 0.2, 0.3], [1, 2, 3, 4], [0, 0, 0, 0]),
+            "b": ([0.5, 0.6, 0.7, 0.8], [100, 101, 102, 103], [4, 3, 2, 1]),
+        }
+        paths = []
+        for name, (recon, static, dynamic) in columns.items():
+            rows = ["frame_index,recon,nll_static,nll_dynamic,fused,label"]
+            for i, label in enumerate([0, 0, 1, 1]):
+                rows.append(f"{i},{recon[i]},{static[i]},{dynamic[i]},{label},{label}")
+            paths.append(tmp_path / f"{name}.csv")
+            paths[-1].write_text("\n".join(rows) + "\n")
+        assert main(["eval", *map(str, paths)]) == 0
+        record = json.loads(capsys.readouterr().out.strip())
+        assert record == {
+            "auc": 1.0, "eer": 0.0, "n_frames": 8, "auc_recon": 0.625, "auc_nll": 0.6875,
+            "auc_nll_static": 0.75, "auc_nll_dynamic": 0.375,
+        }
 
 
 def write_score_csv(path, labels):
@@ -489,6 +515,17 @@ class TestInputErrors:
         video.write_bytes(video.read_bytes()[:24])  # the header alone
         err = refuse(capsys, tmp_path / "out", "train-itae", "--data-path", str(video))
         assert str(video) in err
+
+    @pytest.mark.parametrize("command", ["score", "train-itae"])
+    @pytest.mark.parametrize("dims", [(1, 1, 0, 64, 64), (1, 1, 8, 64, 0)],
+                             ids=["no-frames", "zero-width"])
+    def test_zero_length_packed_video_exit_2(self, tmp_path, capsys, command, dims):
+        video = tmp_path / "empty.t5"
+        video.write_bytes(struct.pack("<4s5I", b"T5v1", *dims))  # header, empty payload
+        out = tmp_path / "out"
+        err = refuse(capsys, out, command, "--data-path", str(video))
+        assert f"{video}: packed video has a zero-length dim" in err
+        assert not out.exists()
 
     def test_resize_by_non_integer_factor_exit_2(self, tmp_path, capsys):
         video = packed_video(tmp_path / "v48.t5", 48)

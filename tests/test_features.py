@@ -8,7 +8,8 @@ from flowvad.autoencoder import AutoencoderConfig, TwoPathAutoencoder
 from flowvad.config import RunConfig
 from flowvad.errors import ShapeError
 from flowvad.features import append_intensity, box_resample, pool_features
-from flowvad.pipeline import RECON_BATCH, collect_flow_samples, encode_windows, score_video
+from flowvad.pipeline import collect_flow_samples, encode_windows, score_video, window_starts
+from flowvad.scoring import aggregate_windows, patch_max_error
 from flowvad.tensor import Tensor
 
 
@@ -128,8 +129,8 @@ def model():
 
 def bridge(model, clip):
     """Static and dynamic samples of one whole-clip window."""
-    [(_, _, statics, dynamics)] = encode_windows(model, clip, [0], clip.shape[2])
-    return statics[0], dynamics[0] if dynamics else None
+    [(_, _, static, dynamic)] = encode_windows(model, clip, [0], clip.shape[2])
+    return static, dynamic
 
 
 class TestFullBridge:
@@ -150,19 +151,21 @@ class TestFullBridge:
         assert np.array_equal(d, pool_features(xd.data))
 
     def test_batched_windows_match_single_windows(self, model, rng):
-        video = rng.uniform(size=(1, 1, 8 + 2 * RECON_BATCH, 32, 32))
-        starts = list(range(0, 2 * RECON_BATCH + 1, 2))  # spans two groups
-        statics = []
-        dynamics = []
-        for windows, _, s, d in encode_windows(model, video, starts, 8):
-            assert windows.shape[0] == len(s) == len(d) <= RECON_BATCH
-            statics.extend(s)
-            dynamics.extend(d)
-        assert len(statics) == len(starts)
-        for start, s, d in zip(starts, statics, dynamics):
-            one_s, one_d = bridge(model, video[:, :, start : start + 8])
-            assert np.allclose(s, one_s, rtol=0, atol=1e-12)
-            assert np.allclose(d, one_d, rtol=0, atol=1e-12)
+        # One window per item, each a view into the video; its samples are
+        # bitwise those of one batched encode of every window.
+        video = rng.uniform(size=(1, 1, 16, 32, 32))
+        starts = [0, 2, 4, 6, 8]
+        items = list(encode_windows(model, video, starts, 8))
+        assert len(items) == len(starts)
+        windows = np.concatenate([video[:, :, s : s + 8] for s in starts], axis=0)
+        xs, xd = model.encode(Tensor(windows))
+        for k, (start, (window, _, s, d)) in enumerate(zip(starts, items)):
+            assert window.shape == (1, 1, 8, 32, 32)
+            assert np.shares_memory(window, video)
+            assert np.array_equal(window, video[:, :, start : start + 8])
+            want = append_intensity(pool_features(xs.data[k : k + 1]), windows[k : k + 1], 4)
+            assert np.array_equal(s, want)
+            assert np.array_equal(d, pool_features(xd.data[k : k + 1]))
 
     def test_requires_frozen_model(self, rng):
         m = TwoPathAutoencoder(
@@ -197,13 +200,36 @@ class TestTrainScoreParity:
     def test_score_feeds_flows_the_training_features(self, model, rng):
         # Disjoint full windows and no clamped tail: scoring visits exactly
         # the training windows, so the flows must see identical samples.
-        video = rng.uniform(size=(1, 1, 8 * (RECON_BATCH + 1), 32, 32))
+        video = rng.uniform(size=(1, 1, 8 * 5, 32, 32))
         config = RunConfig(clip_len=8, tau=4, clip_stride=8, score_stride=8).validate()
         static, dynamic = collect_flow_samples(model, video, config)
         flows = RecordingFlow(), RecordingFlow()
         series = score_video(model, video, config, *flows)
         assert np.array_equal(np.concatenate(flows[0].seen), static)
         assert np.array_equal(np.concatenate(flows[1].seen), dynamic)
-        assert static.shape == (2 * (RECON_BATCH + 1), 3, 8, 8)
-        assert dynamic.shape == (8 * (RECON_BATCH + 1), 2, 8, 8)
+        assert static.shape == (2 * 5, 3, 8, 8)
+        assert dynamic.shape == (8 * 5, 2, 8, 8)
         assert np.all(np.isfinite(series["fused"]))
+
+    @pytest.mark.parametrize("color, channels", [("gray", 1), ("rgb", 3)])
+    def test_streamed_recon_matches_batched_decode(self, rng, color, channels):
+        # Oracle: encode and decode every window in one batch, then take
+        # each window's patch max error and the per-frame mean.
+        m = TwoPathAutoencoder(
+            AutoencoderConfig(in_channels=channels, tau=4), np.random.default_rng(5)
+        )
+        m.freeze()
+        video = rng.uniform(size=(1, channels, 21, 32, 32))
+        config = RunConfig(
+            color=color, clip_len=8, tau=4, score_stride=3,
+            patch_size=8, patch_stride=4,
+        ).validate()
+        starts = window_starts(21, 8, 3)
+        windows = np.concatenate([video[:, :, s : s + 8] for s in starts], axis=0)
+        out = m.reconstruct(Tensor(windows)).data
+        rows = [
+            patch_max_error(windows[k : k + 1], out[k : k + 1], patch=8, stride=4)
+            for k in range(len(starts))
+        ]
+        want = aggregate_windows(rows, starts, 21)
+        assert np.array_equal(score_video(m, video, config)["recon"], want)

@@ -64,9 +64,54 @@ class TestTensorFiles:
         with pytest.raises(NumericError):
             load_tensor(path)
 
+    def test_returns_native_float64(self, rng, tmp_path):
+        path = tmp_path / "n.t5"
+        save_tensor(path, rng.normal(size=(3, 4)))
+        back = load_tensor(path)
+        assert back.dtype == np.float64 and back.dtype.isnative
+        assert back.flags.c_contiguous and back.flags.writeable and back.flags.owndata
+
+    def test_huge_dims_rejected_before_allocation(self, tmp_path):
+        # 65535**5 doubles overflow int64; the file holds 16 payload bytes
+        path = tmp_path / "huge.t5"
+        path.write_bytes(struct.pack("<4s5I", MAGIC, *(65535,) * 5) + b"\x00" * 16)
+        with pytest.raises(ShapeError, match="payload length 16 does not match"):
+            load_tensor(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.t5"
+        save_tensor(path, np.zeros((2, 3)))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ShapeError, match="payload"):
+            load_tensor(path)
+
+    @pytest.mark.parametrize("drift, problem", [(-8, "ends after 40 of 48 bytes"),
+                                                (8, "trailing bytes")])
+    def test_file_changed_after_size_check_rejected(self, tmp_path, monkeypatch,
+                                                    drift, problem):
+        # The file is cut or grows between the size check and the read.
+        path = tmp_path / "moving.t5"
+        save_tensor(path, np.zeros((2, 3)))
+        path.write_bytes(path.read_bytes()[: 24 + 48 + drift] + b"\x00" * max(drift, 0))
+        real_fstat = os.fstat
+
+        class Stat:
+            def __init__(self, fd):
+                self.st_size = real_fstat(fd).st_size - drift
+
+        monkeypatch.setattr(os, "fstat", Stat)
+        with pytest.raises(ShapeError, match=problem):
+            load_tensor(path)
+
     def test_rank_6_rejected(self, tmp_path):
         with pytest.raises(ShapeError):
             save_tensor(tmp_path / "x.t5", np.zeros((1,) * 6))
+
+
+def small_model(kind):
+    if kind == "autoencoder":
+        return TwoPathAutoencoder(AutoencoderConfig(in_channels=1, tau=2), np.random.default_rng(0))
+    return FlowStack(FlowConfig(channels=2, levels=1, steps=2, hidden=4), np.random.default_rng(0))
 
 
 class TestCheckpoints:
@@ -84,14 +129,7 @@ class TestCheckpoints:
     @pytest.mark.parametrize("damage", ["wrong-shape", "missing-name", "extra-name", "nan-value"])
     @pytest.mark.parametrize("kind", ["autoencoder", "flow"])
     def test_load_state_rejects(self, kind, damage):
-        if kind == "autoencoder":
-            model = TwoPathAutoencoder(
-                AutoencoderConfig(in_channels=1, tau=2), np.random.default_rng(0)
-            )
-        else:
-            model = FlowStack(
-                FlowConfig(channels=2, levels=1, steps=2, hidden=4), np.random.default_rng(0)
-            )
+        model = small_model(kind)
         params = model.named_parameters()
         before = {name: p.data.copy() for name, p in params.items()}
         state = {name: -v for name, v in before.items()}
@@ -108,6 +146,21 @@ class TestCheckpoints:
             model.load_state(state)
         for name, p in model.named_parameters().items():  # nothing copied, not even the first
             assert np.array_equal(p.data, before[name]), name
+
+    @pytest.mark.parametrize("kind", ["autoencoder", "flow"])
+    def test_load_state_copies_in_place(self, kind):
+        model = small_model(kind)
+        arrays = {name: p.data for name, p in model.named_parameters().items()}
+        state = {name: -v.copy() - 1.0 for name, v in arrays.items()}
+        want = {name: v.copy() for name, v in state.items()}
+        model.load_state(state)
+        for name, p in model.named_parameters().items():
+            assert p.data is arrays[name], name
+            assert np.array_equal(p.data, want[name]), name
+        for v in state.values():
+            v += 5.0
+        for name, p in model.named_parameters().items():  # no memory shared with the state
+            assert np.array_equal(p.data, want[name]), name
 
     def test_true_shapes_restored(self, rng, tmp_path):
         params = {"w.bias": rng.normal(size=(7,)), "w.kernel": rng.normal(size=(2, 3, 4))}
