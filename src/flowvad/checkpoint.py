@@ -11,6 +11,7 @@ training contract verify that frozen weights were not touched.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -86,7 +87,34 @@ def read_manifest(directory):
         raise ConfigError(f"{path}: not a checkpoint manifest ({exc})") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "flowvad-checkpoint-v1":
         raise ConfigError(f"{path}: unrecognized checkpoint format")
+    problem = _manifest_problem(manifest)
+    if problem:
+        raise ConfigError(f"{path}: {problem}")
     return manifest
+
+
+def _manifest_problem(manifest):
+    """What makes a parsed manifest unusable, or None. Every file must be a
+    plain name, so that no entry reads outside the checkpoint directory."""
+    if not isinstance(manifest.get("fingerprint"), str):
+        return "fingerprint missing or not a string"
+    entries = manifest.get("parameters")
+    if not isinstance(entries, dict):
+        return "parameters missing or not an object"
+    for name, entry in entries.items():
+        if not isinstance(entry, dict):
+            return f"parameter {name!r}: entry is not an object"
+        fname = entry.get("file")
+        if (
+            not isinstance(fname, str)
+            or fname in ("", ".", "..")
+            or any(sep and sep in fname for sep in (os.sep, os.altsep, "\0"))
+        ):
+            return f"parameter {name!r}: file {fname!r} is not a plain file name"
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            return f"parameter {name!r}: shape {shape!r} is not a list of non-negative ints"
+    return None
 
 
 def load_checkpoint(directory, config=None):
@@ -111,7 +139,7 @@ def load_checkpoint(directory, config=None):
         except (ShapeError, NumericError) as exc:
             raise ConfigError(str(exc)) from None
         want_shape = tuple(entry["shape"])
-        if arr.size != int(np.prod(want_shape, dtype=np.int64)):
+        if arr.size != math.prod(want_shape):
             raise ConfigError(
                 f"{path}: payload size {arr.size} does not match "
                 f"manifest shape {want_shape}"

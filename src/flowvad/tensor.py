@@ -17,7 +17,9 @@ Design constraints, fixed on purpose:
 * slicing copies; no view aliasing survives into the backward pass.
 * memory is bounded by recompute and by finishing arrays in place: a conv
   node keeps its unpadded input, not its im2col columns, and backward
-  re-forms the columns one group of samples at a time. A conv adds its bias
+  re-forms the columns one group of samples at a time; the transposed conv's
+  backward forms them per sample, one bounded chunk of input positions at a
+  time, from a zero-padded halo of that chunk alone. A conv adds its bias
   and applies its leaky ReLU to each block of its output as soon as the
   block is written, so the pre-activation is never a second array; the
   transposed conv forms its per-tap products one bounded block of output
@@ -523,6 +525,23 @@ def _batch_groups(n: int, item_bytes: int) -> list[slice]:
     return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
+def _position_chunks(dims, row_bytes: int) -> list[tuple[slice, slice, slice]]:
+    """(time, row, column) slices that tile an input grid of ``dims`` into
+    chunks whose im2col columns, ``row_bytes`` per row of positions, fit in
+    ``_COLS_BUDGET`` bytes: whole time slabs when one slab fits, else rows of
+    one slab, at least one row each."""
+    t, h, w = dims
+    if h * row_bytes <= _COLS_BUDGET:
+        size = _COLS_BUDGET // (h * row_bytes)
+        return [(slice(a, min(a + size, t)), slice(0, h), slice(0, w)) for a in range(0, t, size)]
+    size = max(1, _COLS_BUDGET // row_bytes)
+    return [
+        (slice(a, a + 1), slice(r, min(r + size, h)), slice(0, w))
+        for a in range(t)
+        for r in range(0, h, size)
+    ]
+
+
 def _add_in_order(acc: np.ndarray, parts: np.ndarray) -> None:
     """``acc += parts[0]``, then ``parts[1]``, ...: from zeros, over every
     group of a batch, bitwise the whole batch's ``.sum(axis=0)``."""
@@ -653,7 +672,18 @@ def conv_transpose3d(
     output value is bitwise what that scatter gives. The bias and activation
     finish each block in place as soon as its taps are summed.
 
-    Backward im2cols the output gradient by sample groups, as :func:`conv3d`.
+    Backward is a strided :func:`conv3d` of the output gradient. It runs per
+    sample over chunks of the input position grid whose im2col columns fit in
+    ``_COLS_BUDGET`` bytes (whole time slabs, or rows of one slab when a slab
+    does not fit): each chunk copies the part of the output gradient it reads
+    into a zero-padded halo of its own, im2cols that, writes its slice of the
+    input gradient and adds its term of the weight gradient. So neither the
+    padded output gradient nor a sample's full columns are ever held. The
+    output and bias gradient do not depend on the chunking. The input
+    gradient takes the same dot products in any chunk, though BLAS may round
+    a small chunk's GEMM differently, and the weight gradient sums over
+    positions chunk by chunk: both move by rounding only, within 1e-12
+    relative of the unchunked backward.
     """
     x, w = _wrap(x), _wrap(w)
     s, p, op = _triple(stride), _triple(padding), _triple(output_padding)
@@ -700,19 +730,34 @@ def conv_transpose3d(
         _leaky_grad(out.grad, y, slope, blocks)
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)), owned=True)
-        pad = ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1]), (p[2], p[2]))
-        xs = xd.reshape(n, cin, positions)
         gw = np.zeros(w2.shape) if w.requires_grad else None
-        gx = np.empty((n, cin, positions)) if x.requires_grad else None
-        for g in _batch_groups(n, w2.shape[1] * positions * xd.itemsize):
-            gcols = _im2col(np.pad(out.grad[g], pad), k, s, dims)
-            if gx is not None:
-                np.matmul(w2, gcols, out=gx[g])
-            if gw is not None:
-                _add_in_order(gw, np.matmul(xs[g], gcols.transpose(0, 2, 1)))
-            del gcols  # before the next group's columns exist
+        gx = np.empty(x.shape) if x.requires_grad else None
+        for chunk in _position_chunks(dims, w2.shape[1] * dims[2] * xd.itemsize):
+            chunk_dims = tuple(c.stop - c.start for c in chunk)
+            # input position i reads padded gradient rows [s*i, s*i + k), that
+            # is output rows [s*i - p, s*i + k - p); those outside the output
+            # are the zero padding, which stays zero in the halo across samples
+            spans = [
+                (c.start * si - pi, (c.stop - 1) * si + ki - pi)
+                for c, si, pi, ki in zip(chunk, s, p, k)
+            ]
+            halo = np.zeros((cout, *(hi - lo for lo, hi in spans)))
+            src, dst = [], []
+            for (lo, hi), d in zip(spans, out_dims):
+                a = max(lo, 0)
+                b = max(a, min(hi, d))
+                src.append(slice(a, b))
+                dst.append(slice(a - lo, b - lo))
+            for i in range(n):
+                halo[(slice(None), *dst)] = out.grad[(i, slice(None), *src)]
+                gcols = _im2col(halo[None], k, s, chunk_dims)[0]
+                if gx is not None:
+                    gx[(i, slice(None), *chunk)] = (w2 @ gcols).reshape(cin, *chunk_dims)
+                if gw is not None:
+                    gw += xd[(i, slice(None), *chunk)].reshape(cin, -1) @ gcols.T
+                del gcols  # before the next columns exist
         if gx is not None:
-            x._accumulate(gx.reshape(x.shape), owned=True)
+            x._accumulate(gx, owned=True)
         if gw is not None:
             w._accumulate(gw.reshape(w.shape), owned=True)
 

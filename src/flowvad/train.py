@@ -6,8 +6,11 @@ Both run ``_fit``: Adam with a cosine-annealed step size; each step calls the
 stage's ``loss_at(step)``, which draws a batch from a seeded generator and
 returns (loss, curve row), then runs backward, the update and a finiteness
 check of the parameters. A NumericError anywhere in a step (a non-finite
-loss, a diverging density model, a non-finite parameter) restores the
+loss, a diverging density model, a non-finite parameter) leaves the
 parameters as they were when the step began and raises TrainingAborted.
+Only the optimizer update writes a parameter, so the copy that restores them
+is taken after backward and dropped before the next forward: it is never alive
+during a forward or backward pass.
 """
 
 import dataclasses
@@ -50,23 +53,30 @@ def _check_params_finite(params, step):
 
 def _fit(params, config, what, loss_at):
     """Run ``config.steps`` Adam steps on ``loss_at(step) -> (loss, row)``;
-    returns the rows. TrainingAborted names ``what`` and the failing step."""
+    returns the rows. TrainingAborted names ``what`` and the failing step.
+
+    The rollback snapshot is taken after ``loss.backward()``, right before
+    ``opt.step()``, and dropped before the next step's forward. That is enough:
+    ``loss_at`` and backward write no parameter (actnorm's data-dependent
+    init runs before this loop), so an error raised before the snapshot
+    leaves the parameters untouched and there is nothing to restore.
+    """
     opt = Adam(params.values(), cosine_schedule(config.lr, config.steps))
-    good = {name: p.data.copy() for name, p in params.items()}
     curve = []
     for step in range(config.steps):
+        good = None  # drops the last step's snapshot before this forward
         try:
             loss, row = loss_at(step)
             opt.zero_grad()
             loss.backward()
+            good = {name: p.data.copy() for name, p in params.items()}
             opt.step()
             _check_params_finite(params, step)
         except NumericError as exc:
-            for name, p in params.items():
-                p.data[...] = good[name]
+            if good is not None:
+                for name, p in params.items():
+                    p.data[...] = good[name]
             raise TrainingAborted(f"{what} training aborted at step {step}: {exc}") from exc
-        for name, p in params.items():
-            np.copyto(good[name], p.data)
         curve.append(row)
         if step % LOG_EVERY == 0:
             log.info("%s step %d loss %.6f", what, step, float(loss.data))

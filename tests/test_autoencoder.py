@@ -12,6 +12,7 @@ from flowvad.errors import ShapeError
 from flowvad.losses import recon_loss
 from flowvad.pipeline import score_video
 from flowvad.tensor import Tensor
+from flowvad.train import TrainConfig, train_autoencoder
 
 from model_oracles import layer_shapes
 
@@ -149,16 +150,14 @@ class TestParameters:
 
 
 class TestTrainingMemory:
-    def test_step_peak_stays_under_cap(self):
-        """Batch-2 8x64x64 step, the acceptance geometry: reconstruct,
-        recon_loss and backward together allocate under 300 MB at peak
-        (254 MB). A conv followed by a separate leaky ReLU node, which
-        keeps the pre-activation alive for its backward, goes past it
-        (342 MB); conv nodes that keep their im2col columns go further
-        (about 720 MB)."""
+    @staticmethod
+    def step_peak(side):
+        """tracemalloc peak of a batch-2 8-frame step at ``side`` pixels a
+        side: reconstruct, recon_loss and backward, started after the model
+        and the batch exist."""
         rng = np.random.default_rng(3)
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4), rng)
-        x = Tensor(rng.uniform(size=(2, 1, 8, 64, 64)))
+        x = Tensor(rng.uniform(size=(2, 1, 8, side, side)))
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
@@ -167,8 +166,42 @@ class TestTrainingMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 300 * 2**20
         assert all(p.grad is not None for p in model.parameters())
+        return peak
+
+    def test_step_peak_stays_under_cap(self):
+        """At the acceptance geometry (64x64) the step allocates under
+        200 MB at peak (167 MB). The transposed conv's backward forms its
+        im2col columns in bounded position chunks from a padded halo of each
+        chunk; padding each sample's whole output gradient and im2col'ing it
+        at once goes past it (254 MB). A conv followed by a separate leaky
+        ReLU node, or conv nodes that keep their im2col columns, go further
+        (342 and about 720 MB)."""
+        assert self.step_peak(64) < 200 * 2**20
+
+    def test_step_peak_stays_under_cap_at_128(self):
+        """At 128x128 the step allocates under 700 MB at peak (589 MB);
+        whole-sample columns in decode3's backward go past it (1,005 MB)."""
+        assert self.step_peak(128) < 700 * 2**20
+
+    def test_training_steps_peak_stays_under_cap(self):
+        """Two batch-2 64x64 train_autoencoder steps, Adam's moments and the
+        rollback snapshot included, allocate under 300 MB at peak (263 MB).
+        The snapshot is taken after backward; one held through every forward
+        and backward pass goes past it (310 MB), and further with
+        whole-sample columns in decode3's backward as well (397 MB)."""
+        rng = np.random.default_rng(3)
+        model = TwoPathAutoencoder(AutoencoderConfig(tau=4), rng)
+        clips = [rng.uniform(size=(1, 1, 8, 64, 64)) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                train_autoencoder(model, clips, TrainConfig(steps=2, batch_size=2, lr=1e-4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 2**20
 
 
 class TestScoringMemory:

@@ -638,6 +638,41 @@ class TestInputErrors:
         assert str(named) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            ("no-file", lambda m, e, d: e.pop("file")),
+            ("file-not-str", lambda m, e, d: e.update(file=7)),
+            ("absolute-file", lambda m, e, d: e.update(file=str(d / "decode4_bias.t5"))),
+            ("file-in-subdir", lambda m, e, d: e.update(file="../itae/decode4_bias.t5")),
+            ("file-dot-dot", lambda m, e, d: e.update(file="..")),
+            ("file-nul", lambda m, e, d: e.update(file="decode4_bias.t5\0")),
+            ("shape-not-int", lambda m, e, d: e.update(shape=["x"])),
+            ("shape-bool", lambda m, e, d: e.update(shape=[True])),
+            ("shape-negative", lambda m, e, d: e.update(shape=[-1])),
+            ("shape-not-list", lambda m, e, d: e.update(shape="1")),
+            ("entry-not-object", lambda m, e, d: m["parameters"].update({"decode4.bias": []})),
+            ("no-parameters", lambda m, e, d: m.pop("parameters")),
+            ("parameters-not-object", lambda m, e, d: m.update(parameters=[])),
+            ("no-fingerprint", lambda m, e, d: m.pop("fingerprint")),
+            ("fingerprint-not-str", lambda m, e, d: m.update(fingerprint=1)),
+        ],
+        ids=lambda case: case[0],
+    )
+    def test_malformed_manifest_exit_2(self, scene, trained_run, tmp_path, capsys, damage):
+        itae = tmp_path / "itae"
+        shutil.copytree(trained_run / "itae", itae)
+        manifest_path = itae / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        damage[1](manifest, manifest["parameters"]["decode4.bias"], trained_run / "itae")
+        manifest_path.write_text(json.dumps(manifest))
+        flags = checkpoint_flags(trained_run)
+        flags[1] = str(itae)
+        out = tmp_path / "out"
+        err = refuse(capsys, out, "score", "--data-path", str(scene / "test"), *flags)
+        assert str(manifest_path) in err
+        assert not out.exists()
+
 
 FLOWS_OFF = ["--use-static-flow", "false", "--use-dynamic-flow", "false"]
 

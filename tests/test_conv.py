@@ -384,6 +384,11 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def scaled_error(got, want):
+    """Largest |got - want| relative to the largest |want|."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
 def fused_case(transpose):
     """Batch-2 operands with a bias, at the decode3 geometry (tau 4, three
     output channels) for the transpose and the static4 geometry for the
@@ -456,13 +461,19 @@ class TestFusedActivation:
     @pytest.mark.parametrize("channels", [1, 2])
     def test_channel_blocks_are_bitwise_one_block(self, monkeypatch, channels):
         # the default budget forms all three channels' taps in one block;
-        # a budget of one or two channels' taps splits them 1+1+1 or 2+1
+        # a budget of one or two channels' taps splits them 1+1+1 or 2+1.
+        # The smaller budget also splits the backward into position chunks
+        # (rows or slabs): the weight gradient then sums over positions chunk
+        # by chunk, and OpenBLAS forms the 2- or 4-column input-gradient GEMM
+        # of a chunk with another kernel than the 8-column one of a sample.
         want = fused_run(True, 0.2, reference=False)
         positions = fused_case(True)[0][0, 0].size
         monkeypatch.setattr(tensor, "_COLS_BUDGET", channels * 27 * positions * 8)
-        got = fused_run(True, 0.2, reference=False)
-        for g, h in zip(got, want):
+        y, gx, gw, gb = fused_run(True, 0.2, reference=False)
+        for g, h in zip((y, gb), (want[0], want[3])):
             assert np.array_equal(bits(g), bits(h))
+        assert scaled_error(gx, want[1]) < 1e-12
+        assert scaled_error(gw, want[2]) < 1e-12
 
     def test_slope_outside_unit_interval_rejected(self):
         x0, w0, b0, op = fused_case(False)
@@ -496,3 +507,69 @@ class TestLayerBias:
 
         numeric = numerical_gradient(loss_b, layer.bias.data.copy())
         assert max_relative_error(layer.bias.grad, numeric) < 1e-4
+
+
+def conv_transpose3d_backward_full(x, w, gy, stride, padding):
+    """Input and weight gradients of a transposed conv, given the gradient
+    ``gy`` of its output: each sample's whole output gradient is zero-padded
+    and im2col'd at once (no position chunks), the input gradient is one
+    GEMM per sample and the weight gradient adds the per-sample GEMMs in
+    sample order from zeros."""
+    n, cin, *dims = x.shape
+    k = w.shape[2:]
+    pad = ((0, 0), (0, 0), *((pi, pi) for pi in padding))
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(gy, pad), k, axis=(2, 3, 4))
+    windows = windows[:, :, :: stride[0], :: stride[1], :: stride[2]]
+    windows = windows[:, :, : dims[0], : dims[1], : dims[2]]
+    cols = windows.transpose(0, 1, 5, 6, 7, 2, 3, 4).reshape(n, -1, np.prod(dims))
+    w2 = w.reshape(cin, -1)
+    gx = np.matmul(w2, cols).reshape(x.shape)
+    gw = np.zeros(w2.shape)
+    for part in np.matmul(x.reshape(n, cin, -1), cols.transpose(0, 2, 1)):
+        gw += part
+    return gx, gw.reshape(w.shape)
+
+
+# The four decoder stages at tau 4 with the model's channel widths, on
+# 16x16 frames: (input channels, output channels, input dims) per stage.
+DECODER_STAGES = [
+    pytest.param(i, cin, cout, dims, id=f"decode{i + 1}")
+    for i, (cin, cout, dims) in enumerate(
+        [(256, 256, (2, 4, 4)), (256, 128, (2, 4, 4)), (128, 96, (4, 8, 8)), (96, 1, (8, 16, 16))]
+    )
+]
+
+
+class TestChunkedTransposeBackward:
+    """The transposed conv's backward in position chunks against the whole
+    im2col of each sample's padded output gradient: output and bias gradient
+    bitwise, input and weight gradients within 1e-12 relative (the chunked
+    weight gradient sums over positions chunk by chunk)."""
+
+    @pytest.mark.parametrize("budget", ["default", "slabs", "rows"])
+    @pytest.mark.parametrize("stage,cin,cout,dims", DECODER_STAGES)
+    def test_matches_unchunked_backward(self, monkeypatch, stage, cin, cout, dims, budget):
+        kernel, stride, padding, outpad = _decoder_geom(4)[stage]
+        rng = np.random.default_rng(20 + stage)
+        x0 = rng.normal(size=(2, cin, *dims))
+        w0 = rng.normal(size=(cin, cout, *kernel)) / np.sqrt(cin * 27)
+        b0 = rng.normal(size=cout)
+        y_default = conv_transpose3d(Tensor(x0), Tensor(w0), stride, padding, outpad, Tensor(b0), 0.2)
+        row_bytes = cout * 27 * dims[2] * 8
+        if budget != "default":
+            # one slab per chunk, or three rows of one slab per chunk
+            per_chunk = dims[1] * row_bytes if budget == "slabs" else 3 * row_bytes
+            monkeypatch.setattr(tensor, "_COLS_BUDGET", per_chunk)
+            chunks = tensor._position_chunks(dims, row_bytes)
+            assert len(chunks) > 1
+            assert all((c[1].stop - c[1].start == dims[1]) == (budget == "slabs") for c in chunks)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+        out = conv_transpose3d(x, w, stride, padding, outpad, b, 0.2)
+        probe = np.random.default_rng(21).normal(size=out.shape)
+        gy = probe * np.where(out.data > 0.0, 1.0, 0.2)
+        (out * Tensor(probe)).sum().backward()
+        gx, gw = conv_transpose3d_backward_full(x0, w0, gy, stride, padding)
+        assert np.array_equal(bits(out.data), bits(y_default.data))
+        assert np.array_equal(bits(b.grad), bits(gy.sum(axis=(0, 2, 3, 4))))
+        assert scaled_error(x.grad, gx) < 1e-12
+        assert scaled_error(w.grad, gw) < 1e-12
