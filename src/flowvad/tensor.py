@@ -525,21 +525,33 @@ def _batch_groups(n: int, item_bytes: int) -> list[slice]:
     return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
-def _position_chunks(dims, row_bytes: int) -> list[tuple[slice, slice, slice]]:
+def _position_chunks(dims, row_bytes: int, run: int) -> list[tuple[slice, slice, slice]]:
     """(time, row, column) slices that tile an input grid of ``dims`` into
     chunks whose im2col columns, ``row_bytes`` per row of positions, fit in
-    ``_COLS_BUDGET`` bytes: whole time slabs when one slab fits, else rows of
-    one slab, at least one row each."""
+    ``_COLS_BUDGET`` bytes: whole time slabs when one slab fits, else runs of
+    ``run`` rows (which divides the slab height) of one slab, at least one
+    run each."""
     t, h, w = dims
     if h * row_bytes <= _COLS_BUDGET:
-        size = _COLS_BUDGET // (h * row_bytes)
-        return [(slice(a, min(a + size, t)), slice(0, h), slice(0, w)) for a in range(0, t, size)]
-    size = max(1, _COLS_BUDGET // row_bytes)
+        return [(g, slice(0, h), slice(0, w)) for g in _batch_groups(t, h * row_bytes)]
     return [
-        (slice(a, a + 1), slice(r, min(r + size, h)), slice(0, w))
+        (slice(a, a + 1), slice(g.start * run, g.stop * run), slice(0, w))
         for a in range(t)
-        for r in range(0, h, size)
+        for g in _batch_groups(h // run, run * row_bytes)
     ]
+
+
+def _gemm_rows(cin: int, dims) -> int:
+    """Rows of input positions per input-gradient GEMM of the transposed
+    conv's backward: the most rows dividing the slab height of ``dims`` whose
+    columns number no more than the ``cin`` rows of the weights, and at least
+    one row. The GEMMs' shapes depend on the layer alone, so the input
+    gradient is bitwise the same however the positions are chunked. BLAS
+    packs the weights anew for each GEMM; long runs spread that copy over
+    many columns, and a run's columns take no more memory than the weights
+    (or one row)."""
+    height, width = dims[1], dims[2]
+    return max(r for r in range(1, height + 1) if height % r == 0 and r * width <= max(cin, width))
 
 
 def _add_in_order(acc: np.ndarray, parts: np.ndarray) -> None:
@@ -674,16 +686,17 @@ def conv_transpose3d(
 
     Backward is a strided :func:`conv3d` of the output gradient. It runs per
     sample over chunks of the input position grid whose im2col columns fit in
-    ``_COLS_BUDGET`` bytes (whole time slabs, or rows of one slab when a slab
-    does not fit): each chunk copies the part of the output gradient it reads
-    into a zero-padded halo of its own, im2cols that, writes its slice of the
-    input gradient and adds its term of the weight gradient. So neither the
-    padded output gradient nor a sample's full columns are ever held. The
-    output and bias gradient do not depend on the chunking. The input
-    gradient takes the same dot products in any chunk, though BLAS may round
-    a small chunk's GEMM differently, and the weight gradient sums over
-    positions chunk by chunk: both move by rounding only, within 1e-12
-    relative of the unchunked backward.
+    ``_COLS_BUDGET`` bytes (whole time slabs, or runs of rows of one slab
+    when a slab does not fit): each chunk copies the part of the output
+    gradient it reads into a zero-padded halo of its own, im2cols that,
+    writes its rows of the input gradient and adds its term of the weight
+    gradient. So neither the padded output gradient nor a sample's full
+    columns are ever held. The input gradient takes one GEMM per run of rows
+    (:func:`_gemm_rows`) in every chunk, so it, the output and the bias
+    gradient do not depend on the chunking. The weight gradient sums over
+    positions chunk by chunk, so it moves with the chunking by rounding
+    only. Both gradients are within 1e-12 relative of the whole-sample
+    im2col backward.
     """
     x, w = _wrap(x), _wrap(w)
     s, p, op = _triple(stride), _triple(padding), _triple(output_padding)
@@ -732,7 +745,11 @@ def conv_transpose3d(
             bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)), owned=True)
         gw = np.zeros(w2.shape) if w.requires_grad else None
         gx = np.empty(x.shape) if x.requires_grad else None
-        for chunk in _position_chunks(dims, w2.shape[1] * dims[2] * xd.itemsize):
+        # the input gradient takes one GEMM per run of rows in any chunk, as
+        # BLAS may round a column differently with the column count
+        run, width = _gemm_rows(cin, dims), dims[2]
+        gx_runs = None if gx is None else gx.reshape(n, cin, dims[0], dims[1] // run, run * width)
+        for chunk in _position_chunks(dims, w2.shape[1] * width * xd.itemsize, run):
             chunk_dims = tuple(c.stop - c.start for c in chunk)
             # input position i reads padded gradient rows [s*i, s*i + k), that
             # is output rows [s*i - p, s*i + k - p); those outside the output
@@ -744,15 +761,22 @@ def conv_transpose3d(
             halo = np.zeros((cout, *(hi - lo for lo, hi in spans)))
             src, dst = [], []
             for (lo, hi), d in zip(spans, out_dims):
-                a = max(lo, 0)
-                b = max(a, min(hi, d))
-                src.append(slice(a, b))
-                dst.append(slice(a - lo, b - lo))
+                start = max(lo, 0)
+                stop = max(start, min(hi, d))
+                src.append(slice(start, stop))
+                dst.append(slice(start - lo, stop - lo))
+            runs = slice(chunk[1].start // run, chunk[1].stop // run)
+            by_run = (chunk_dims[0], runs.stop - runs.start, run * width)
+            stack = (1, 2, 0, 3)  # (time, run, channel, position in run)
             for i in range(n):
                 halo[(slice(None), *dst)] = out.grad[(i, slice(None), *src)]
                 gcols = _im2col(halo[None], k, s, chunk_dims)[0]
                 if gx is not None:
-                    gx[(i, slice(None), *chunk)] = (w2 @ gcols).reshape(cin, *chunk_dims)
+                    np.matmul(
+                        w2,
+                        gcols.reshape(-1, *by_run).transpose(stack),
+                        out=gx_runs[i, :, chunk[0], runs].transpose(stack),
+                    )
                 if gw is not None:
                     gw += xd[(i, slice(None), *chunk)].reshape(cin, -1) @ gcols.T
                 del gcols  # before the next columns exist

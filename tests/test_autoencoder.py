@@ -171,7 +171,7 @@ class TestTrainingMemory:
 
     def test_step_peak_stays_under_cap(self):
         """At the acceptance geometry (64x64) the step allocates under
-        200 MB at peak (167 MB). The transposed conv's backward forms its
+        200 MB at peak (166 MB). The transposed conv's backward forms its
         im2col columns in bounded position chunks from a padded halo of each
         chunk; padding each sample's whole output gradient and im2col'ing it
         at once goes past it (254 MB). A conv followed by a separate leaky
@@ -180,15 +180,15 @@ class TestTrainingMemory:
         assert self.step_peak(64) < 200 * 2**20
 
     def test_step_peak_stays_under_cap_at_128(self):
-        """At 128x128 the step allocates under 700 MB at peak (589 MB);
+        """At 128x128 the step allocates under 700 MB at peak (582 MB);
         whole-sample columns in decode3's backward go past it (1,005 MB)."""
         assert self.step_peak(128) < 700 * 2**20
 
     def test_training_steps_peak_stays_under_cap(self):
         """Two batch-2 64x64 train_autoencoder steps, Adam's moments and the
-        rollback snapshot included, allocate under 300 MB at peak (263 MB).
+        rollback snapshot included, allocate under 300 MB at peak (262 MB).
         The snapshot is taken after backward; one held through every forward
-        and backward pass goes past it (310 MB), and further with
+        and backward pass goes past it (309 MB), and further with
         whole-sample columns in decode3's backward as well (397 MB)."""
         rng = np.random.default_rng(3)
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4), rng)

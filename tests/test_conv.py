@@ -464,15 +464,13 @@ class TestFusedActivation:
         # a budget of one or two channels' taps splits them 1+1+1 or 2+1.
         # The smaller budget also splits the backward into position chunks
         # (rows or slabs): the weight gradient then sums over positions chunk
-        # by chunk, and OpenBLAS forms the 2- or 4-column input-gradient GEMM
-        # of a chunk with another kernel than the 8-column one of a sample.
+        # by chunk and moves by rounding only.
         want = fused_run(True, 0.2, reference=False)
         positions = fused_case(True)[0][0, 0].size
         monkeypatch.setattr(tensor, "_COLS_BUDGET", channels * 27 * positions * 8)
         y, gx, gw, gb = fused_run(True, 0.2, reference=False)
-        for g, h in zip((y, gb), (want[0], want[3])):
+        for g, h in zip((y, gx, gb), (want[0], want[1], want[3])):
             assert np.array_equal(bits(g), bits(h))
-        assert scaled_error(gx, want[1]) < 1e-12
         assert scaled_error(gw, want[2]) < 1e-12
 
     def test_slope_outside_unit_interval_rejected(self):
@@ -537,6 +535,10 @@ DECODER_STAGES = [
     for i, (cin, cout, dims) in enumerate(
         [(256, 256, (2, 4, 4)), (256, 128, (2, 4, 4)), (128, 96, (4, 8, 8)), (96, 1, (8, 16, 16))]
     )
+] + [
+    # decode3's strides with few channels: its input-gradient GEMMs take one
+    # row each, so a small budget splits the strided grid into rows
+    pytest.param(2, 4, 3, (4, 8, 8), id="decode3-narrow")
 ]
 
 
@@ -544,7 +546,9 @@ class TestChunkedTransposeBackward:
     """The transposed conv's backward in position chunks against the whole
     im2col of each sample's padded output gradient: output and bias gradient
     bitwise, input and weight gradients within 1e-12 relative (the chunked
-    weight gradient sums over positions chunk by chunk)."""
+    backward takes one input-gradient GEMM per run of rows and sums the
+    weight gradient over positions chunk by chunk). The input gradient is
+    bitwise the same under every budget."""
 
     @pytest.mark.parametrize("budget", ["default", "slabs", "rows"])
     @pytest.mark.parametrize("stage,cin,cout,dims", DECODER_STAGES)
@@ -554,22 +558,32 @@ class TestChunkedTransposeBackward:
         x0 = rng.normal(size=(2, cin, *dims))
         w0 = rng.normal(size=(cin, cout, *kernel)) / np.sqrt(cin * 27)
         b0 = rng.normal(size=cout)
-        y_default = conv_transpose3d(Tensor(x0), Tensor(w0), stride, padding, outpad, Tensor(b0), 0.2)
+        x_default = Tensor(x0, requires_grad=True)
+        y_default = conv_transpose3d(
+            x_default, Tensor(w0), stride, padding, outpad, Tensor(b0), 0.2
+        )
+        probe = np.random.default_rng(21).normal(size=y_default.shape)
+        (y_default * Tensor(probe)).sum().backward()
         row_bytes = cout * 27 * dims[2] * 8
         if budget != "default":
-            # one slab per chunk, or three rows of one slab per chunk
+            # one slab per chunk, or three rows (whole runs) of one slab per chunk
             per_chunk = dims[1] * row_bytes if budget == "slabs" else 3 * row_bytes
             monkeypatch.setattr(tensor, "_COLS_BUDGET", per_chunk)
-            chunks = tensor._position_chunks(dims, row_bytes)
+            run = tensor._gemm_rows(cin, dims)
+            chunks = tensor._position_chunks(dims, row_bytes, run)
             assert len(chunks) > 1
-            assert all((c[1].stop - c[1].start == dims[1]) == (budget == "slabs") for c in chunks)
+            assert all(c[0].stop - c[0].start == 1 for c in chunks)
+            assert all((c[1].stop - c[1].start) % run == 0 for c in chunks)
+            split = any(c[1].stop - c[1].start < dims[1] for c in chunks)
+            assert split == (budget == "rows" and run < dims[1])
         x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
         out = conv_transpose3d(x, w, stride, padding, outpad, b, 0.2)
-        probe = np.random.default_rng(21).normal(size=out.shape)
         gy = probe * np.where(out.data > 0.0, 1.0, 0.2)
         (out * Tensor(probe)).sum().backward()
         gx, gw = conv_transpose3d_backward_full(x0, w0, gy, stride, padding)
         assert np.array_equal(bits(out.data), bits(y_default.data))
         assert np.array_equal(bits(b.grad), bits(gy.sum(axis=(0, 2, 3, 4))))
+        # one GEMM per run of rows: the chunking leaves the input gradient bitwise
+        assert np.array_equal(bits(x.grad), bits(x_default.grad))
         assert scaled_error(x.grad, gx) < 1e-12
         assert scaled_error(w.grad, gw) < 1e-12
