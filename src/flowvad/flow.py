@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu as lu_decompose
-from scipy.linalg import solve_triangular
 
 from .checkpoint import assign_state
 from .errors import NumericError, ShapeError
@@ -156,6 +154,25 @@ class ActNorm:
         return {f"{prefix}.logs": self.logs, f"{prefix}.bias": self.bias}
 
 
+def _lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LU with partial pivoting: (p, l, u) with a = p @ l @ u, p a
+    permutation, l unit lower and u upper triangular. Column j pivots on the
+    first row at or below j of largest magnitude, as LAPACK's getrf does."""
+    n = a.shape[0]
+    u = np.array(a, dtype=np.float64)
+    l = np.eye(n)
+    order = np.arange(n)
+    for j in range(n - 1):
+        r = j + int(np.argmax(np.abs(u[j:, j])))
+        u[[j, r]] = u[[r, j]]
+        l[[j, r], :j] = l[[r, j], :j]
+        order[[j, r]] = order[[r, j]]
+        if u[j, j] != 0.0:  # else the column is already zero below j
+            l[j + 1 :, j] = u[j + 1 :, j] / u[j, j]
+            u[j + 1 :] -= np.outer(l[j + 1 :, j], u[j])
+    return np.eye(n)[:, order], l, np.triu(u)
+
+
 class InvertibleConv1x1:
     """Channel-mixing 1x1 convolution in LU form.
 
@@ -167,7 +184,7 @@ class InvertibleConv1x1:
 
     def __init__(self, channels: int, rng: np.random.Generator):
         q, _ = np.linalg.qr(rng.normal(size=(channels, channels)))
-        p, l, u = lu_decompose(q)
+        p, l, u = _lu(q)
         diag = np.diag(u).copy()
         if np.any(np.abs(diag) < 1e-12):
             raise NumericError("singular diagonal in LU initialization")
@@ -223,8 +240,7 @@ class InvertibleConv1x1:
         # solve P L U x = z one factor at a time, all positions as columns
         cols = z.transpose(1, 0, 2, 3).reshape(c, -1)
         tmp = perm.T @ cols
-        tmp = solve_triangular(l_full, tmp, lower=True, unit_diagonal=True)
-        tmp = solve_triangular(u_full, tmp, lower=False)
+        tmp = np.linalg.solve(u_full, np.linalg.solve(l_full, tmp))
         x = tmp.reshape(c, n, h, w).transpose(1, 0, 2, 3)
         return np.ascontiguousarray(x), -float(h * w * self.log_diag.data.sum())
 

@@ -16,8 +16,10 @@ Design constraints, fixed on purpose:
   gradient the conv's own backward computes.
 * slicing copies; no view aliasing survives into the backward pass.
 * memory is bounded by recompute and by finishing arrays in place: a conv
-  node keeps its unpadded input, not its im2col columns, and backward
-  re-forms the columns one group of samples at a time; the transposed conv's
+  forms its im2col columns one group of samples at a time, or, for a sample
+  whose columns exceed the budget, one bounded chunk of output positions at
+  a time; the node keeps its unpadded input, not its columns, and backward
+  re-forms the columns one group of samples at a time. The transposed conv's
   backward forms them per sample, one bounded chunk of input positions at a
   time, from a zero-padded halo of that chunk alone. A conv adds its bias
   and applies its leaky ReLU to each block of its output as soon as the
@@ -43,7 +45,6 @@ import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericError, ShapeError
 
@@ -217,7 +218,10 @@ class Tensor:
     # ---------------------------------------------------------- nonlinearity
 
     def sigmoid(self) -> "Tensor":
-        out_data = expit(self.data)
+        # 1 / (1 + exp(-x)): exp overflows to inf only where the result is
+        # below the smallest normal float, and underflows where it rounds to 1
+        with np.errstate(over="ignore", under="ignore"):
+            out_data = 1.0 / (1.0 + np.exp(-self.data))
         out = Tensor(out_data)
 
         def backward():
@@ -444,7 +448,9 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
 
 
 # Most bytes of im2col columns, or of one sample's per-tap products, a conv
-# holds at once; a larger sample (or output channel) runs alone.
+# holds at once. A sample whose columns exceed it forms them in chunks of
+# positions (conv3d's forward, the transposed conv's backward), or whole and
+# alone (conv3d's backward); a larger output channel's taps run alone.
 _COLS_BUDGET = 16 * 2**20
 
 
@@ -526,7 +532,7 @@ def _batch_groups(n: int, item_bytes: int) -> list[slice]:
 
 
 def _position_chunks(dims, row_bytes: int, run: int) -> list[tuple[slice, slice, slice]]:
-    """(time, row, column) slices that tile an input grid of ``dims`` into
+    """(time, row, column) slices that tile a position grid of ``dims`` into
     chunks whose im2col columns, ``row_bytes`` per row of positions, fit in
     ``_COLS_BUDGET`` bytes: whole time slabs when one slab fits, else runs of
     ``run`` rows (which divides the slab height) of one slab, at least one
@@ -541,17 +547,23 @@ def _position_chunks(dims, row_bytes: int, run: int) -> list[tuple[slice, slice,
     ]
 
 
-def _gemm_rows(cin: int, dims) -> int:
+def _extents(chunk) -> tuple[int, ...]:
+    return tuple(c.stop - c.start for c in chunk)
+
+
+def _gemm_rows(cin: int, cout: int, dims) -> int:
     """Rows of input positions per input-gradient GEMM of the transposed
     conv's backward: the most rows dividing the slab height of ``dims`` whose
-    columns number no more than the ``cin`` rows of the weights, and at least
-    one row. The GEMMs' shapes depend on the layer alone, so the input
-    gradient is bitwise the same however the positions are chunked. BLAS
-    packs the weights anew for each GEMM; long runs spread that copy over
-    many columns, and a run's columns take no more memory than the weights
-    (or one row)."""
+    columns, ``cout``*k by rows*width, hold no more numbers than the weights
+    of a ``cin``-to-``cin`` layer, and at least one row. The GEMMs' shapes
+    depend on the layer alone, so the input gradient is bitwise the same
+    however the positions are chunked. Long runs spread each GEMM's fixed
+    cost (the call, and BLAS packing the weights) over many columns: a layer
+    with few output channels, like the decoder's last, takes whole slabs,
+    while a wide one keeps its runs within a few weights' worth of memory."""
     height, width = dims[1], dims[2]
-    return max(r for r in range(1, height + 1) if height % r == 0 and r * width <= max(cin, width))
+    cap = max(cin * cin, cout * width)
+    return max(r for r in range(1, height + 1) if height % r == 0 and r * width * cout <= cap)
 
 
 def _add_in_order(acc: np.ndarray, parts: np.ndarray) -> None:
@@ -599,11 +611,15 @@ def conv3d(
     output is the leaky ReLU, max(y, slope * y), of the biased convolution.
 
     The batch runs in groups whose im2col columns fit in ``_COLS_BUDGET``
-    bytes, one matmul (one GEMM per sample) each; the bias and activation
-    finish each group's output in place as soon as its GEMM is written. The
+    bytes, one matmul (one GEMM per sample) each. A sample whose columns do
+    not fit runs alone, and forms them one chunk of output positions at a
+    time from its padded input: whole time slabs, or runs of rows of one slab
+    when a slab does not fit (:func:`_position_chunks`), so no sample's full
+    columns are held in the forward. The bias and activation finish each
+    group's (or chunk's) output in place as soon as its GEMM is written. The
     node keeps the unpadded input, not the columns; backward re-forms each
-    group's columns and adds the per-sample weight gradients in sample order
-    from zeros, bitwise the whole-batch ``.sum(axis=0)``.
+    group's whole columns and adds the per-sample weight gradients in sample
+    order from zeros, bitwise the whole-batch ``.sum(axis=0)``.
     """
     x, w = _wrap(x), _wrap(w)
     s, p = _triple(stride), _triple(padding)
@@ -619,17 +635,26 @@ def conv3d(
     positions = out_dims[0] * out_dims[1] * out_dims[2]
     xd = x.data
     w2 = w.data.reshape(cout, -1)
-    groups = _batch_groups(n, w2.shape[1] * positions * xd.itemsize)
+    row_bytes = w2.shape[1] * out_dims[2] * xd.itemsize
+    groups = _batch_groups(n, out_dims[0] * out_dims[1] * row_bytes)
+    # one whole chunk when a sample's columns fit, else slabs or runs of rows
+    chunks = _position_chunks(out_dims, row_bytes, 1)
     pad = ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1]), (p[2], p[2]))
     b = None if bias is None else bias.data
 
-    def columns(g: slice) -> np.ndarray:
-        return _im2col(np.pad(xd[g], pad), k, s, out_dims)
+    def columns(xp: np.ndarray, chunk) -> np.ndarray:
+        # output position i reads padded input [s*i, s*i + k)
+        window = [slice(c.start * si, (c.stop - 1) * si + ki) for c, si, ki in zip(chunk, s, k)]
+        return _im2col(xp[(slice(None), slice(None), *window)], k, s, _extents(chunk))
 
     y = np.empty((n, cout, *out_dims))
     for g in groups:
-        np.matmul(w2, columns(g), out=y[g].reshape(-1, cout, positions))
-        _finish_block(y[g], b, slope)
+        xp = np.pad(xd[g], pad)
+        for chunk in chunks:
+            yc = y[(g, slice(None), *chunk)]
+            # a slab run or a row run of one slab, at full width: a view
+            np.matmul(w2, columns(xp, chunk), out=yc.reshape(-1, cout, yc[0, 0].size))
+            _finish_block(yc, b, slope)
     out = Tensor(y)
 
     def backward():
@@ -639,9 +664,12 @@ def conv3d(
         gy = out.grad.reshape(n, cout, positions)
         gw = np.zeros(w2.shape) if w.requires_grad else None
         gx = np.empty(x.shape) if x.requires_grad else None
+        whole = tuple(slice(0, d) for d in out_dims)
         for g in groups:
             if gw is not None:
-                _add_in_order(gw, np.matmul(gy[g], columns(g).transpose(0, 2, 1)))
+                cols = columns(np.pad(xd[g], pad), whole)
+                _add_in_order(gw, np.matmul(gy[g], cols.transpose(0, 2, 1)))
+                del cols  # before the tap products below exist
             if gx is not None:
                 _tap_sum(np.matmul(w2.T, gy[g]).reshape(-1, cin, *k, *out_dims), s, p, gx[g])
         if gw is not None:
@@ -747,10 +775,10 @@ def conv_transpose3d(
         gx = np.empty(x.shape) if x.requires_grad else None
         # the input gradient takes one GEMM per run of rows in any chunk, as
         # BLAS may round a column differently with the column count
-        run, width = _gemm_rows(cin, dims), dims[2]
+        run, width = _gemm_rows(cin, cout, dims), dims[2]
         gx_runs = None if gx is None else gx.reshape(n, cin, dims[0], dims[1] // run, run * width)
         for chunk in _position_chunks(dims, w2.shape[1] * width * xd.itemsize, run):
-            chunk_dims = tuple(c.stop - c.start for c in chunk)
+            chunk_dims = _extents(chunk)
             # input position i reads padded gradient rows [s*i, s*i + k), that
             # is output rows [s*i - p, s*i + k - p); those outside the output
             # are the zero padding, which stays zero in the halo across samples

@@ -10,7 +10,8 @@ loss, a diverging density model, a non-finite parameter) leaves the
 parameters as they were when the step began and raises TrainingAborted.
 Only the optimizer update writes a parameter, so the copy that restores them
 is taken after backward and dropped before the next forward: it is never alive
-during a forward or backward pass.
+during a forward or backward pass. The gradients are dropped before each
+forward and when training ends, so they are never alive during a forward.
 """
 
 import dataclasses
@@ -59,27 +60,33 @@ def _fit(params, config, what, loss_at):
     ``opt.step()``, and dropped before the next step's forward. That is enough:
     ``loss_at`` and backward write no parameter (actnorm's data-dependent
     init runs before this loop), so an error raised before the snapshot
-    leaves the parameters untouched and there is nothing to restore.
+    leaves the parameters untouched and there is nothing to restore. The
+    gradients live within a step too: they are dropped before each
+    ``loss_at`` and when the loop returns or aborts, so no parameter carries
+    a ``.grad`` into a forward or out of training.
     """
     opt = Adam(params.values(), cosine_schedule(config.lr, config.steps))
     curve = []
-    for step in range(config.steps):
-        good = None  # drops the last step's snapshot before this forward
-        try:
-            loss, row = loss_at(step)
-            opt.zero_grad()
-            loss.backward()
-            good = {name: p.data.copy() for name, p in params.items()}
-            opt.step()
-            _check_params_finite(params, step)
-        except NumericError as exc:
-            if good is not None:
-                for name, p in params.items():
-                    p.data[...] = good[name]
-            raise TrainingAborted(f"{what} training aborted at step {step}: {exc}") from exc
-        curve.append(row)
-        if step % LOG_EVERY == 0:
-            log.info("%s step %d loss %.6f", what, step, float(loss.data))
+    try:
+        for step in range(config.steps):
+            good = None  # drops the last step's snapshot before this forward
+            opt.zero_grad()  # and the last step's gradients
+            try:
+                loss, row = loss_at(step)
+                loss.backward()
+                good = {name: p.data.copy() for name, p in params.items()}
+                opt.step()
+                _check_params_finite(params, step)
+            except NumericError as exc:
+                if good is not None:
+                    for name, p in params.items():
+                        p.data[...] = good[name]
+                raise TrainingAborted(f"{what} training aborted at step {step}: {exc}") from exc
+            curve.append(row)
+            if step % LOG_EVERY == 0:
+                log.info("%s step %d loss %.6f", what, step, float(loss.data))
+    finally:
+        opt.zero_grad()
     return curve
 
 

@@ -204,6 +204,38 @@ class TestTrainingMemory:
         assert peak < 300 * 2**20
 
 
+class TestEncodeMemory:
+    @staticmethod
+    def encode_peak(side):
+        """tracemalloc peak of one frozen 8-frame window's encode at
+        ``side`` pixels a side, started after the model and window exist."""
+        rng = np.random.default_rng(3)
+        model = TwoPathAutoencoder(AutoencoderConfig(tau=4), rng)
+        model.freeze()
+        window = Tensor(rng.uniform(size=(1, 1, 8, side, side)))
+        tracemalloc.start()
+        try:
+            static, dynamic = model.encode(window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert static.shape == (1, 256, 2, side // 4, side // 4)
+        assert dynamic.shape == (1, 32, 8, side // 4, side // 4)
+        return peak
+
+    def test_encode_peak_stays_under_cap(self):
+        """At 64x64 an encode allocates under 30 MB at peak (22 MB): convs
+        whose im2col columns exceed the budget form them one chunk of output
+        positions at a time. static4's whole columns, 32 MB a sample, go
+        past it (37 MB)."""
+        assert self.encode_peak(64) < 30 * 2**20
+
+    def test_encode_peak_stays_under_cap_at_128(self):
+        """At 128x128 an encode allocates under 60 MB at peak (42 MB);
+        whole-sample columns go past it (148 MB)."""
+        assert self.encode_peak(128) < 60 * 2**20
+
+
 class TestScoringMemory:
     @staticmethod
     def score_peak(side, frames, config):
@@ -233,6 +265,6 @@ class TestScoringMemory:
 
     def test_score_video_peak_stays_under_cap_at_128(self):
         """A 12-frame 128x128 video at stride 4 without flows allocates
-        under 200 MB at peak (about 155 MB); four windows per decode go past
+        under 200 MB at peak (about 137 MB); four windows per decode go past
         it (257 MB)."""
         assert self.score_peak(128, 12, RunConfig(score_stride=4)) < 200 * 2**20

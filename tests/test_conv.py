@@ -569,7 +569,7 @@ class TestChunkedTransposeBackward:
             # one slab per chunk, or three rows (whole runs) of one slab per chunk
             per_chunk = dims[1] * row_bytes if budget == "slabs" else 3 * row_bytes
             monkeypatch.setattr(tensor, "_COLS_BUDGET", per_chunk)
-            run = tensor._gemm_rows(cin, dims)
+            run = tensor._gemm_rows(cin, cout, dims)
             chunks = tensor._position_chunks(dims, row_bytes, run)
             assert len(chunks) > 1
             assert all(c[0].stop - c[0].start == 1 for c in chunks)
@@ -587,3 +587,48 @@ class TestChunkedTransposeBackward:
         assert np.array_equal(bits(x.grad), bits(x_default.grad))
         assert scaled_error(x.grad, gx) < 1e-12
         assert scaled_error(w.grad, gw) < 1e-12
+
+
+# The frozen encoder's convs whose columns a large frame splits: static3 and
+# static4 (stride 1) and the strided dynamic2, with few channels and small
+# frames: (kernel, stride, padding, input dims).
+CHUNKED_CONVS = [
+    pytest.param(*_STATIC_GEOM[2], (3, 8, 8), id="static3"),
+    pytest.param(*_STATIC_GEOM[3], (3, 8, 8), id="static4"),
+    pytest.param(*_DYNAMIC_GEOM[1], (4, 12, 12), id="dynamic2"),
+]
+
+
+class TestChunkedConvForward:
+    """A sample whose im2col columns exceed the budget forms them one chunk
+    of output positions at a time (whole time slabs, or runs of rows of one
+    slab), finishing each chunk's bias and leaky ReLU in place: the output
+    is that of the whole-sample forward."""
+
+    @pytest.mark.parametrize("budget", ["slabs", "rows"])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("kernel,stride,padding,dims", CHUNKED_CONVS)
+    def test_matches_whole_sample_forward(
+        self, monkeypatch, kernel, stride, padding, dims, batch, budget
+    ):
+        rng = np.random.default_rng(22)
+        x0 = rng.normal(size=(batch, 3, *dims))
+        w0 = rng.normal(size=(4, 3, *kernel))
+        b0 = rng.normal(size=4)
+
+        def forward():
+            return conv3d(Tensor(x0), Tensor(w0), stride, padding, Tensor(b0), 0.2).data
+
+        want = forward()  # the default budget holds a sample's columns at once
+        out_dims = want.shape[2:]
+        row_bytes = 3 * int(np.prod(kernel)) * out_dims[2] * 8
+        # one slab per chunk, or two rows of one slab per chunk
+        per_chunk = out_dims[1] * row_bytes if budget == "slabs" else 2 * row_bytes
+        monkeypatch.setattr(tensor, "_COLS_BUDGET", per_chunk)
+        chunks = tensor._position_chunks(out_dims, row_bytes, 1)
+        assert len(chunks) == out_dims[0] * (1 if budget == "slabs" else -(-out_dims[1] // 2))
+        got = forward()
+        assert np.any(got < 0.0) and np.any(got > 0.0)  # both sides of the leaky ReLU
+        assert np.array_equal(bits(got), bits(want)) or scaled_error(got, want) < 1e-15
+        loops = conv3d_loops(x0, w0, stride, padding) + b0.reshape(1, -1, 1, 1, 1)
+        assert np.allclose(got, leaky_relu(Tensor(loops), 0.2).data, atol=1e-12)

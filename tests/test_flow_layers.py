@@ -13,6 +13,7 @@ from flowvad.flow import (
     FlowStack,
     InvertibleConv1x1,
     Squeeze,
+    _lu,
 )
 from flowvad.tensor import Tensor, concat, conv3d
 
@@ -110,6 +111,36 @@ class TestInvertibleConv1x1:
         # strict triangles and unit diagonal
         assert np.allclose(np.triu(l_full) - np.eye(5), 0.0)
         assert np.allclose(np.tril(u_full, -1), 0.0)
+
+    @pytest.mark.parametrize("channels", [2, 5, 12, 32])
+    def test_lu_of_rotation(self, channels):
+        q, _ = np.linalg.qr(np.random.default_rng(channels).normal(size=(channels, channels)))
+        p, l, u = _lu(q)
+        assert np.max(np.abs(p @ l @ u - q)) < 1e-14
+        assert np.array_equal(p @ p.T, np.eye(channels)) and np.all(p * (1.0 - p) == 0.0)
+        assert np.array_equal(np.triu(l), np.eye(channels))  # unit lower
+        assert not np.any(np.tril(u, -1))  # upper
+        # each pivot is the largest of what remains of its column, so no
+        # multiplier exceeds 1 in magnitude
+        assert np.all(np.abs(l) <= 1.0)
+
+    def test_lu_pivots_and_zero_column(self):
+        p, l, u = _lu(np.array([[0.0, 2.0], [3.0, 4.0]]))
+        assert np.array_equal(p, [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(l, np.eye(2)) and np.array_equal(u, [[3.0, 4.0], [0.0, 2.0]])
+        # a zero column leaves a zero pivot, which the layer refuses, and no NaN
+        singular = np.array([[0.0, 1.0], [0.0, 2.0]])
+        p, l, u = _lu(singular)
+        assert np.array_equal(p @ l @ u, singular) and u[0, 0] == 0.0
+
+    def test_lu_matches_scipy(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(32, 32)))
+        want = linalg.lu(q)
+        got = _lu(q)
+        assert np.array_equal(got[0], want[0])
+        for g, w in zip(got[1:], want[1:]):
+            assert np.max(np.abs(g - w)) < 1e-13
 
     def test_inverse_roundtrip_and_logdet(self, rng, x8):
         layer = InvertibleConv1x1(2, rng)

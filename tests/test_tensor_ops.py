@@ -1,5 +1,6 @@
 """Elementwise, reduction, and structural ops of the autodiff tensor core."""
 
+import warnings
 import weakref
 
 import numpy as np
@@ -190,6 +191,20 @@ class TestElementwiseGrads:
 
     def test_tanh_sigmoid(self):
         check_grad(lambda t: (tanh(t) * t.sigmoid()).sum(), lambda r: r.normal(size=(4, 2)))
+
+    def test_sigmoid_saturates_without_warning(self):
+        x = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            got = Tensor(x).sigmoid().data
+        assert got[0] == 0.0 and got[2] == 0.5 and got[-1] == 1.0
+        assert 0.0 < got[1] < 1e-17 and 1.0 - 1e-16 < got[3] <= 1.0
+
+    def test_sigmoid_matches_scipy_expit(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.random.default_rng(5).normal(scale=20.0, size=10_000)
+        want = special.expit(x)
+        assert np.max(np.abs(Tensor(x).sigmoid().data - want) / want) < 1e-15
 
     def test_relu_away_from_kink(self):
         def sample(r):

@@ -111,6 +111,7 @@ class TestAutoencoderLoop:
                 model, tiny_clips(rng, n=2), TrainConfig(steps=5, batch_size=1, lr=1e-3)
             )
         assert_params_equal(params, starts[-1])
+        assert all(p.grad is None for p in params.values())  # released on abort too
 
     def test_no_clips_rejected(self):
         with pytest.raises(ValueError, match="no training clips"):
@@ -179,6 +180,7 @@ class TestFlowLoop:
         ):
             train_flow(stack, flow_samples(rng), TrainConfig(steps=5, batch_size=8, lr=1e-3))
         assert_params_equal(params, starts[-1])
+        assert all(p.grad is None for p in params.values())  # released on abort too
 
     def test_one_forward_per_step(self, rng, monkeypatch):
         calls = []
@@ -195,6 +197,42 @@ class TestFlowLoop:
     def test_bad_sample_shape_rejected(self, rng):
         with pytest.raises(ValueError, match="samples"):
             train_flow(tiny_flow(), rng.normal(size=(8, 2, 4)), TrainConfig(steps=1, batch_size=4, lr=1e-3))
+
+
+def grads_at_each_call(monkeypatch, owner, attr, params):
+    """Patch owner.attr to record, before each call, the names of the
+    parameters that carry a gradient; returns the list of records."""
+    seen = []
+    original = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        seen.append([name for name, p in params.items() if p.grad is not None])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    return seen
+
+
+class TestGradientLifetime:
+    """Gradients live only within a step: none is held during the next
+    step's forward, nor after training returns (the abort tests above check
+    that none is held after an abort)."""
+
+    def test_autoencoder(self, rng, monkeypatch):
+        model = tiny_model()
+        params = model.named_parameters()
+        seen = grads_at_each_call(monkeypatch, TwoPathAutoencoder, "reconstruct", params)
+        train_autoencoder(model, tiny_clips(rng, n=2), TrainConfig(steps=3, batch_size=1, lr=1e-3))
+        assert seen == [[], [], []]
+        assert all(p.grad is None for p in params.values())
+
+    def test_flow(self, rng, monkeypatch):
+        stack = tiny_flow()
+        params = stack.named_parameters()
+        seen = grads_at_each_call(monkeypatch, FlowStack, "forward", params)
+        train_flow(stack, flow_samples(rng), TrainConfig(steps=3, batch_size=8, lr=1e-3))
+        assert seen == [[], [], [], []]  # actnorm init, then one per step
+        assert all(p.grad is None for p in params.values())
 
 
 class TestParameterCheck:
