@@ -34,7 +34,7 @@ import numpy as np
 
 from .checkpoint import assign_state
 from .errors import NumericError, ShapeError
-from .tensor import Tensor, grad_enabled, no_grad
+from .tensor import Tensor, _columns, grad_enabled, no_grad
 
 __all__ = [
     "FlowConfig",
@@ -58,14 +58,10 @@ def _window(k: int, size: int) -> tuple[slice, slice]:
 
 def _patches(x: np.ndarray) -> np.ndarray:
     """Columns of the zero-padded 3x3 neighbourhoods of channel-major
-    (c, h, w, n) input, shape (c*9, h*w*n), rows in (c, kh, kw) order."""
-    c, h, w, n = x.shape
-    cols = np.zeros((c, 3, 3, h, w, n))
-    rows = [_window(k, h) for k in range(3)]
-    for b, (out_w, in_w) in enumerate(_window(k, w) for k in range(3)):
-        for a, (out_h, in_h) in enumerate(rows):
-            cols[:, a, b, out_h, out_w] = x[:, in_h, in_w]
-    return cols.reshape(c * 9, h * w * n)
+    (c, h, w, n) input, shape (c*9, h*w*n), rows in (c, kh, kw) order: the
+    conv column builder on x as (1, c, h, w, n) with kernel (3, 3, 1)."""
+    whole = tuple(slice(0, d) for d in x.shape[1:])
+    return _columns(x[None], (3, 3, 1), (1, 1, 1), (1, 1, 0), whole)[0]
 
 
 def _tap_sum(taps: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:

@@ -15,20 +15,22 @@ Design constraints, fixed on purpose:
   per-channel bias of :func:`conv3d` and :func:`conv_transpose3d`, whose
   gradient the conv's own backward computes.
 * slicing copies; no view aliasing survives into the backward pass.
-* memory is bounded by recompute and by finishing arrays in place: a conv
-  forms its im2col columns one group of samples at a time, or, for a sample
-  whose columns exceed the budget, one bounded chunk of output positions at
-  a time; the node keeps its unpadded input, not its columns, and backward
-  re-forms the columns one group of samples at a time. The transposed conv's
-  backward forms them per sample, one bounded chunk of input positions at a
-  time, from a zero-padded halo of that chunk alone. A conv adds its bias
-  and applies its leaky ReLU to each block of its output as soon as the
-  block is written, so the pre-activation is never a second array; the
-  transposed conv forms its per-tap products one bounded block of output
-  channels at a time. :meth:`Tensor.backward` drops each node once it has
-  passed its gradient on, so an intermediate's data is freed as soon as
-  nothing else holds it, and a conv hands its freshly allocated gradients
-  to its parents without a copy.
+* memory is bounded by recompute and by finishing arrays in place. Every
+  convolution pass is built from two helpers. The column builder
+  (:func:`_columns`) forms the im2col columns of one chunk of positions
+  from a zero-padded halo of what the chunk reads: a group of samples at a
+  time, or, for a sample whose columns exceed the budget, whole time slabs
+  or runs of rows; conv3d's forward and weight gradient and the transposed
+  conv's backward use it, and a conv node keeps its unpadded input, not its
+  columns. The tap scatter (:func:`_scatter_taps`) forms per-tap products
+  one sample and one bounded block of channels at a time and sums them onto
+  the output grid; the transposed conv's forward and conv3d's input
+  gradient use it. A conv adds its bias and applies its leaky ReLU to each
+  block of its output as soon as the block is written, so the
+  pre-activation is never a second array. :meth:`Tensor.backward` drops
+  each node once it has passed its gradient on, so an intermediate's data
+  is freed as soon as nothing else holds it, and a conv hands its freshly
+  allocated gradients to its parents without a copy.
 
 The flow stack of :mod:`flowvad.flow` records one node, its per-sample
 negative log-likelihood, through ``_record``; its hand-written NumPy
@@ -449,8 +451,7 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
 
 # Most bytes of im2col columns, or of one sample's per-tap products, a conv
 # holds at once. A sample whose columns exceed it forms them in chunks of
-# positions (conv3d's forward, the transposed conv's backward), or whole and
-# alone (conv3d's backward); a larger output channel's taps run alone.
+# positions; a larger channel's taps run alone.
 _COLS_BUDGET = 16 * 2**20
 
 
@@ -475,29 +476,13 @@ def _conv_out_dims(dims, k, s, p) -> tuple[int, int, int]:
     return tuple(out)
 
 
-def _im2col(xp: np.ndarray, k, s, out_dims) -> np.ndarray:
-    """Gather conv patches into (batch, C*kt*kh*kw, positions). Copies."""
-    n, c = xp.shape[:2]
-    kt, kh, kw = k
-    st, sh, sw = s
-    do, ho, wo = out_dims
-    sn, sc, sd, sh_, sw_ = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, kt, kh, kw, do, ho, wo),
-        strides=(sn, sc, sd, sh_, sw_, sd * st, sh_ * sh, sw_ * sw),
-        writeable=False,
-    )
-    return view.reshape(n, c * kt * kh * kw, do * ho * wo)
-
-
 def _tap_sum(taps: np.ndarray, s, p, out: np.ndarray) -> np.ndarray:
     """Sum per-tap products onto the cropped output grid of a transposed conv.
 
     ``taps`` is (n, c, kt, kh, kw, *in_dims); tap (a, b, e) of input position
     (i, j, l) lands on padded position (a + s_t*i, b + s_h*j, e + s_w*l), and
     ``out`` (n, c, *out_dims), overwritten and returned, is the padded grid
-    with ``p`` cut from each side. This is the adjoint of :func:`_im2col`.
+    with ``p`` cut from each side. This is the adjoint of :func:`_columns`.
     See :func:`conv_transpose3d` for the method.
     """
     n, c, *k = taps.shape[:5]
@@ -547,10 +532,6 @@ def _position_chunks(dims, row_bytes: int, run: int) -> list[tuple[slice, slice,
     ]
 
 
-def _extents(chunk) -> tuple[int, ...]:
-    return tuple(c.stop - c.start for c in chunk)
-
-
 def _gemm_rows(cin: int, cout: int, dims) -> int:
     """Rows of input positions per input-gradient GEMM of the transposed
     conv's backward: the most rows dividing the slab height of ``dims`` whose
@@ -564,13 +545,6 @@ def _gemm_rows(cin: int, cout: int, dims) -> int:
     height, width = dims[1], dims[2]
     cap = max(cin * cin, cout * width)
     return max(r for r in range(1, height + 1) if height % r == 0 and r * width * cout <= cap)
-
-
-def _add_in_order(acc: np.ndarray, parts: np.ndarray) -> None:
-    """``acc += parts[0]``, then ``parts[1]``, ...: from zeros, over every
-    group of a batch, bitwise the whole batch's ``.sum(axis=0)``."""
-    for part in parts:
-        acc += part
 
 
 def _check_slope(slope) -> None:
@@ -600,6 +574,53 @@ def _leaky_grad(grad: np.ndarray, y: np.ndarray, slope, blocks) -> None:
         blk *= np.where(y[b] > 0.0, 1.0, slope)
 
 
+def _columns(x: np.ndarray, k, s, p, chunk) -> np.ndarray:
+    """The column builder: im2col columns, (n, c*kt*kh*kw, positions), of
+    the output positions ``chunk`` (time, row, column slices) of a conv with
+    kernel ``k``, stride ``s`` and padding ``p`` over ``x`` (n, c, *dims).
+    Output position i reads input [s*i - p, s*i + k - p); the chunk copies
+    that into a zero-padded halo of its own and im2cols it, so neither the
+    padded input nor the columns of other positions are formed."""
+    lo = [ch.start * si - pi for ch, si, pi in zip(chunk, s, p)]
+    hi = [(ch.stop - 1) * si + ki - pi for ch, si, pi, ki in zip(chunk, s, p, k)]
+    halo = np.zeros((*x.shape[:2], *(b - a for a, b in zip(lo, hi))))
+    src = [slice(max(a, 0), max(a, 0, min(b, d))) for a, b, d in zip(lo, hi, x.shape[2:])]
+    dst = [slice(r.start - a, r.stop - a) for r, a in zip(src, lo)]
+    halo[(slice(None), slice(None), *dst)] = x[(slice(None), slice(None), *src)]
+    # tap (a, b, e) of position (i, j, l) is halo[..., s_t*i + a, s_h*j + b, s_w*l + e]
+    dims = tuple(ch.stop - ch.start for ch in chunk)
+    st = halo.strides
+    view = np.ndarray(
+        (*halo.shape[:2], *k, *dims), halo.dtype, halo, 0,
+        (*st, *(sd * si for sd, si in zip(st[2:], s))),
+    )
+    return view.reshape(halo.shape[0], -1, dims[0] * dims[1] * dims[2])
+
+
+def _scatter_taps(x: np.ndarray, w: np.ndarray, s, p, out: np.ndarray, bias=None, slope=None):
+    """The tap scatter: the transposed conv of ``x`` (n, cx, *dims) with
+    ``w`` (cx, cy, kt, kh, kw), written over ``out`` (n, cy, *out_dims) and
+    finished in place with the per-channel ``bias`` and leaky ReLU ``slope``;
+    returns the (sample, channel block) index pairs it finished, in order.
+    Per sample, the output channels run in blocks whose per-tap products fit
+    in ``_COLS_BUDGET`` bytes: one GEMM puts a block's products in one buffer
+    reused across blocks and samples, and :func:`_tap_sum` sums them onto
+    the block's output."""
+    n, cx = x.shape[:2]
+    k, positions = w.shape[2:], x[0, 0].size
+    by_channel = w.reshape(cx, w.shape[1], -1)
+    channel_blocks = _batch_groups(w.shape[1], by_channel.shape[2] * positions * x.itemsize)
+    blocks = [(i, cb) for i in range(n) for cb in channel_blocks]
+    taps = np.empty((channel_blocks[0].stop * by_channel.shape[2], positions))
+    for i, cb in blocks:
+        wb = by_channel[:, cb].reshape(cx, -1)
+        rows = taps[: wb.shape[1]]
+        np.matmul(wb.T, x[i].reshape(cx, positions), out=rows)
+        _tap_sum(rows.reshape(1, -1, *k, *x.shape[2:]), s, p, out[i : i + 1, cb])
+        _finish_block(out[i, cb], None if bias is None else bias[cb], slope)
+    return blocks
+
+
 def conv3d(
     x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), bias=None, slope=None
 ) -> Tensor:
@@ -611,15 +632,15 @@ def conv3d(
     output is the leaky ReLU, max(y, slope * y), of the biased convolution.
 
     The batch runs in groups whose im2col columns fit in ``_COLS_BUDGET``
-    bytes, one matmul (one GEMM per sample) each. A sample whose columns do
-    not fit runs alone, and forms them one chunk of output positions at a
-    time from its padded input: whole time slabs, or runs of rows of one slab
-    when a slab does not fit (:func:`_position_chunks`), so no sample's full
-    columns are held in the forward. The bias and activation finish each
-    group's (or chunk's) output in place as soon as its GEMM is written. The
-    node keeps the unpadded input, not the columns; backward re-forms each
-    group's whole columns and adds the per-sample weight gradients in sample
-    order from zeros, bitwise the whole-batch ``.sum(axis=0)``.
+    bytes; a sample whose columns do not fit runs alone, over whole time
+    slabs or runs of rows of one slab (:func:`_position_chunks`). Each
+    chunk's columns come from the column builder (:func:`_columns`), one
+    matmul (one GEMM per sample) writes its output, and the bias and
+    activation finish it in place. The node keeps the unpadded input.
+    Backward adds each sample's weight-gradient term chunk by chunk from
+    zeros (bitwise the batch ``.sum(axis=0)`` where a sample is one chunk,
+    within rounding where it is split), and takes the input gradient from
+    the tap scatter (:func:`_scatter_taps`), the exact adjoint.
     """
     x, w = _wrap(x), _wrap(w)
     s, p = _triple(stride), _triple(padding)
@@ -632,28 +653,22 @@ def conv3d(
         raise ShapeError(f"conv3d channel mismatch: input {x.shape} vs weight {w.shape}")
     k = tuple(k)
     out_dims = _conv_out_dims(dims, k, s, p)
-    positions = out_dims[0] * out_dims[1] * out_dims[2]
     xd = x.data
     w2 = w.data.reshape(cout, -1)
     row_bytes = w2.shape[1] * out_dims[2] * xd.itemsize
     groups = _batch_groups(n, out_dims[0] * out_dims[1] * row_bytes)
     # one whole chunk when a sample's columns fit, else slabs or runs of rows
     chunks = _position_chunks(out_dims, row_bytes, 1)
-    pad = ((0, 0), (0, 0), (p[0], p[0]), (p[1], p[1]), (p[2], p[2]))
     b = None if bias is None else bias.data
-
-    def columns(xp: np.ndarray, chunk) -> np.ndarray:
-        # output position i reads padded input [s*i, s*i + k)
-        window = [slice(c.start * si, (c.stop - 1) * si + ki) for c, si, ki in zip(chunk, s, k)]
-        return _im2col(xp[(slice(None), slice(None), *window)], k, s, _extents(chunk))
 
     y = np.empty((n, cout, *out_dims))
     for g in groups:
-        xp = np.pad(xd[g], pad)
         for chunk in chunks:
-            yc = y[(g, slice(None), *chunk)]
             # a slab run or a row run of one slab, at full width: a view
-            np.matmul(w2, columns(xp, chunk), out=yc.reshape(-1, cout, yc[0, 0].size))
+            yc = y[(g, slice(None), *chunk)]
+            cols = _columns(xd[g], k, s, p, chunk)
+            np.matmul(w2, cols, out=yc.reshape(-1, cout, yc[0, 0].size))
+            del cols  # before the next columns exist
             _finish_block(yc, b, slope)
     out = Tensor(y)
 
@@ -661,20 +676,19 @@ def conv3d(
         _leaky_grad(out.grad, y, slope, groups)
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)), owned=True)
-        gy = out.grad.reshape(n, cout, positions)
-        gw = np.zeros(w2.shape) if w.requires_grad else None
-        gx = np.empty(x.shape) if x.requires_grad else None
-        whole = tuple(slice(0, d) for d in out_dims)
-        for g in groups:
-            if gw is not None:
-                cols = columns(np.pad(xd[g], pad), whole)
-                _add_in_order(gw, np.matmul(gy[g], cols.transpose(0, 2, 1)))
-                del cols  # before the tap products below exist
-            if gx is not None:
-                _tap_sum(np.matmul(w2.T, gy[g]).reshape(-1, cin, *k, *out_dims), s, p, gx[g])
-        if gw is not None:
+        if w.requires_grad:
+            gw = np.zeros(w2.shape)
+            for g in groups:
+                for chunk in chunks:
+                    cols = _columns(xd[g], k, s, p, chunk)
+                    gy = out.grad[(g, slice(None), *chunk)]
+                    for j in range(len(cols)):
+                        gw += gy[j].reshape(cout, -1) @ cols[j].T
+                    del cols  # before the next columns exist
             w._accumulate(gw.reshape(w.shape), owned=True)
-        if gx is not None:
+        if x.requires_grad:
+            gx = np.empty(x.shape)
+            _scatter_taps(out.grad, w.data, s, p, gx)
             x._accumulate(gx, owned=True)
 
     return out._record((x, w) if bias is None else (x, w, bias), backward)
@@ -697,34 +711,32 @@ def conv_transpose3d(
     (d - 1) * s - 2p + k + output_padding per axis. With a ``slope`` in
     [0, 1] the output is the leaky ReLU of the biased transposed convolution.
 
-    Per sample, the output channels run in blocks whose per-tap products,
-    (block, kt, kh, kw, *in_dims), fit in ``_COLS_BUDGET`` bytes: one matmul
-    gives a block's products in one buffer reused across blocks and samples,
-    so no sample's full set of products is ever held. Tap (a, b, e) of input
-    position i lands on padded position a + s*i. The output splits into
-    s_t*s_h*s_w phases, output index = r + s*m per axis (sub-pixel
-    convolution: Shi et al. 2016, arXiv:1609.05158). Only taps with
-    a = r + p (mod s) reach phase r, each as a slice shifted by
-    (a - r - p) / s, so each phase is summed in its own dense accumulator and
-    written into the output once by strided assignment: no scatter-add onto
-    a padded buffer and no crop. Each phase sums its taps from zero in
-    (a, b, e) order, the order of a direct scatter-add of all taps, so every
-    output value is bitwise what that scatter gives. The bias and activation
-    finish each block in place as soon as its taps are summed.
+    The forward is the tap scatter (:func:`_scatter_taps`), which forms the
+    per-tap products one bounded block of output channels of one sample at a
+    time. Tap (a, b, e) of input position i lands on padded position
+    a + s*i. The output splits into s_t*s_h*s_w phases, output index
+    = r + s*m per axis (sub-pixel convolution: Shi et al. 2016,
+    arXiv:1609.05158). Only taps with a = r + p (mod s) reach phase r, each
+    as a slice shifted by (a - r - p) / s, so each phase is summed in its own
+    dense accumulator and written into the output once by strided
+    assignment: no scatter-add onto a padded buffer and no crop. Each phase
+    sums its taps from zero in (a, b, e) order, the order of a direct
+    scatter-add of all taps, so every output value is bitwise what that
+    scatter gives. The bias and activation finish each block in place as
+    soon as its taps are summed.
 
     Backward is a strided :func:`conv3d` of the output gradient. It runs per
     sample over chunks of the input position grid whose im2col columns fit in
     ``_COLS_BUDGET`` bytes (whole time slabs, or runs of rows of one slab
-    when a slab does not fit): each chunk copies the part of the output
-    gradient it reads into a zero-padded halo of its own, im2cols that,
-    writes its rows of the input gradient and adds its term of the weight
-    gradient. So neither the padded output gradient nor a sample's full
-    columns are ever held. The input gradient takes one GEMM per run of rows
-    (:func:`_gemm_rows`) in every chunk, so it, the output and the bias
-    gradient do not depend on the chunking. The weight gradient sums over
-    positions chunk by chunk, so it moves with the chunking by rounding
-    only. Both gradients are within 1e-12 relative of the whole-sample
-    im2col backward.
+    when a slab does not fit), each from the column builder
+    (:func:`_columns`): a chunk writes its rows of the input gradient and
+    adds its term of the weight gradient, so neither the padded output
+    gradient nor a sample's full columns are ever held. The input gradient
+    takes one GEMM per run of rows (:func:`_gemm_rows`) in every chunk, so
+    it, the output and the bias gradient do not depend on the chunking. The
+    weight gradient sums over positions chunk by chunk, so it moves with the
+    chunking by rounding only. Both gradients are within 1e-12 relative of
+    the whole-sample im2col backward.
     """
     x, w = _wrap(x), _wrap(w)
     s, p, op = _triple(stride), _triple(padding), _triple(output_padding)
@@ -750,21 +762,10 @@ def conv_transpose3d(
         raise ShapeError(
             f"conv_transpose3d produces non-positive dims {out_dims} from input {x.shape}"
         )
-    positions = dims[0] * dims[1] * dims[2]
     xd = x.data
     w2 = w.data.reshape(cin, -1)
-    b = None if bias is None else bias.data
-    w_by_channel = w2.reshape(cin, cout, -1)
-    channel_blocks = _batch_groups(cout, w_by_channel.shape[2] * positions * xd.itemsize)
-    blocks = [(i, cb) for i in range(n) for cb in channel_blocks]
     y = np.empty((n, cout, *out_dims))
-    taps = np.empty((channel_blocks[0].stop * w_by_channel.shape[2], positions))
-    for i, cb in blocks:
-        wb = w_by_channel[:, cb].reshape(cin, -1)
-        rows = taps[: wb.shape[1]]
-        np.matmul(wb.T, xd[i].reshape(cin, positions), out=rows)
-        _tap_sum(rows.reshape(1, -1, *k, *dims), s, p, y[i : i + 1, cb])
-        _finish_block(y[i, cb], None if b is None else b[cb], slope)
+    blocks = _scatter_taps(xd, w.data, s, p, y, None if bias is None else bias.data, slope)
     out = Tensor(y)
 
     def backward():
@@ -777,28 +778,12 @@ def conv_transpose3d(
         # BLAS may round a column differently with the column count
         run, width = _gemm_rows(cin, cout, dims), dims[2]
         gx_runs = None if gx is None else gx.reshape(n, cin, dims[0], dims[1] // run, run * width)
+        stack = (1, 2, 0, 3)  # (time, run, channel, position in run)
         for chunk in _position_chunks(dims, w2.shape[1] * width * xd.itemsize, run):
-            chunk_dims = _extents(chunk)
-            # input position i reads padded gradient rows [s*i, s*i + k), that
-            # is output rows [s*i - p, s*i + k - p); those outside the output
-            # are the zero padding, which stays zero in the halo across samples
-            spans = [
-                (c.start * si - pi, (c.stop - 1) * si + ki - pi)
-                for c, si, pi, ki in zip(chunk, s, p, k)
-            ]
-            halo = np.zeros((cout, *(hi - lo for lo, hi in spans)))
-            src, dst = [], []
-            for (lo, hi), d in zip(spans, out_dims):
-                start = max(lo, 0)
-                stop = max(start, min(hi, d))
-                src.append(slice(start, stop))
-                dst.append(slice(start - lo, stop - lo))
             runs = slice(chunk[1].start // run, chunk[1].stop // run)
-            by_run = (chunk_dims[0], runs.stop - runs.start, run * width)
-            stack = (1, 2, 0, 3)  # (time, run, channel, position in run)
+            by_run = (chunk[0].stop - chunk[0].start, runs.stop - runs.start, run * width)
             for i in range(n):
-                halo[(slice(None), *dst)] = out.grad[(i, slice(None), *src)]
-                gcols = _im2col(halo[None], k, s, chunk_dims)[0]
+                gcols = _columns(out.grad[i : i + 1], k, s, p, chunk)[0]
                 if gx is not None:
                     np.matmul(
                         w2,

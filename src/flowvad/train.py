@@ -139,7 +139,10 @@ def train_flow(stack, samples, config):
 
     def loss_at(step):
         nonlocal ceiling
-        nll = stack.forward(data[rng.integers(0, n, size=config.batch_size)]).nll.mean()
+        # a diverging stack overflows inside its layers; the finiteness check
+        # and the ceiling below report it, so NumPy's own warnings stay quiet
+        with np.errstate(over="ignore", invalid="ignore"):
+            nll = stack.forward(data[rng.integers(0, n, size=config.batch_size)]).nll.mean()
         value = float(nll.data)
         if not np.isfinite(value):
             raise NumericError(f"nll became non-finite at step {step}")

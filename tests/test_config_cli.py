@@ -232,16 +232,19 @@ class TestTrainCommands:
         norm = (nll - nll.min()) / (nll.max() - nll.min())
         assert np.allclose(rows["fused"], rows["recon"] + 0.3 * norm, atol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nf_divergence_exit_code(self, scene, trained_run, tmp_path, capsys):
+    def test_nf_divergence_exit_code(self, scene, trained_run, tmp_path):
+        # in a fresh interpreter, so that any NumPy warning would reach stderr
         out = tmp_path / "div"
         out.mkdir()
-        rc = main(["train-nf", "--data-path", str(scene / "train"),
-                   "--itae-dir", str(trained_run / "itae"),
-                   "--out-dir", str(out), *BASE_FLAGS,
-                   "--nf-steps", "60", "--nf-lr", "500.0"])
-        assert rc == 3
-        assert "numeric abort" in capsys.readouterr().err
+        argv = ["train-nf", "--data-path", str(scene / "train"),
+                "--itae-dir", str(trained_run / "itae"),
+                "--out-dir", str(out), *BASE_FLAGS,
+                "--nf-steps", "60", "--nf-lr", "500.0"]
+        code = f"import sys; from flowvad.cli import main; sys.exit(main({argv!r}))"
+        proc = _run_in_subprocess(code)
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric abort: "), proc.stderr
 
     def test_missing_data_path(self, capsys):
         rc = main(["train-itae", *BASE_FLAGS])

@@ -4,6 +4,9 @@ Expected values come from independent nested-loop implementations written
 here, never from the code under test.
 """
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -632,3 +635,91 @@ class TestChunkedConvForward:
         assert np.array_equal(bits(got), bits(want)) or scaled_error(got, want) < 1e-15
         loops = conv3d_loops(x0, w0, stride, padding) + b0.reshape(1, -1, 1, 1, 1)
         assert np.allclose(got, leaky_relu(Tensor(loops), 0.2).data, atol=1e-12)
+
+
+def conv3d_backward_full(x, w, gy, stride, padding):
+    """Input and weight gradients of a conv, given the gradient ``gy`` of
+    its output: each sample's whole padded input is im2col'd at once (no
+    position chunks), the input gradient scatter-adds each sample's tap
+    products, one GEMM for all input channels, onto a zero padded grid in
+    tap order and crops it, and the weight gradient adds the per-sample
+    GEMMs in sample order from zeros."""
+    n, cin, *dims = x.shape
+    cout, _, *k = w.shape
+    out_dims = gy.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), *((pi, pi) for pi in padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=(2, 3, 4))
+    windows = windows[:, :, :: stride[0], :: stride[1], :: stride[2]]
+    windows = windows[:, :, : out_dims[0], : out_dims[1], : out_dims[2]]
+    cols = windows.transpose(0, 1, 5, 6, 7, 2, 3, 4).reshape(n, -1, np.prod(out_dims))
+    w2 = w.reshape(cout, -1)
+    gy2 = gy.reshape(n, cout, -1)
+    gw = np.zeros(w2.shape)
+    gxp = np.zeros(xp.shape)
+    for i in range(n):
+        gw += gy2[i] @ cols[i].T
+        taps = (w2.T @ gy2[i]).reshape(cin, *k, *out_dims)
+        for tap in itertools.product(*(range(ki) for ki in k)):
+            grid = tuple(slice(a, a + si * oi, si) for a, si, oi in zip(tap, stride, out_dims))
+            gxp[(i, slice(None), *grid)] += taps[(slice(None), *tap)]
+    crop = tuple(slice(pi, pi + d) for pi, d in zip(padding, dims))
+    return gxp[(slice(None), slice(None), *crop)], gw.reshape(w.shape)
+
+
+class TestChunkedConvBackward:
+    """conv3d's backward under a budget that splits a sample's columns into
+    one-slab or two-row chunks, and its input channels' tap products into
+    blocks, against the whole-sample im2col backward: the input gradient
+    bitwise, the weight gradient (summed over position chunks) within 1e-12
+    relative."""
+
+    @pytest.mark.parametrize("budget", ["slabs", "rows"])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("kernel,stride,padding,dims", CHUNKED_CONVS)
+    def test_matches_whole_sample_backward(
+        self, monkeypatch, kernel, stride, padding, dims, batch, budget
+    ):
+        rng = np.random.default_rng(23)
+        x0 = rng.normal(size=(batch, 3, *dims))
+        w0 = rng.normal(size=(4, 3, *kernel))
+        geometry = zip(dims, kernel, stride, padding)
+        out_dims = tuple((d + 2 * p - k) // s + 1 for d, k, s, p in geometry)
+        row_bytes = 3 * int(np.prod(kernel)) * out_dims[2] * 8
+        per_chunk = out_dims[1] * row_bytes if budget == "slabs" else 2 * row_bytes
+        monkeypatch.setattr(tensor, "_COLS_BUDGET", per_chunk)
+        assert len(tensor._position_chunks(out_dims, row_bytes, 1)) > 1
+        # the three input channels' tap products do not fit in one block
+        assert 3 * int(np.prod(kernel)) * int(np.prod(out_dims)) * 8 > per_chunk
+        x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+        out = conv3d(x, w, stride, padding)
+        gy = np.random.default_rng(24).normal(size=out.shape)
+        (out * Tensor(gy)).sum().backward()
+        gx, gw = conv3d_backward_full(x0, w0, gy, stride, padding)
+        assert np.array_equal(bits(x.grad), bits(gx))
+        assert scaled_error(w.grad, gw) < 1e-12
+
+
+class TestConvBackwardMemory:
+    def test_static4_backward_peak_at_128(self):
+        """conv3d's backward at static4's shape for 128x128 frames, batch 2
+        (288 channels in, 256 out, 2x32x32 positions), where one sample's
+        columns take 127 MB: the weight gradient forms them in position
+        chunks and the input gradient scatters its tap products in channel
+        blocks, so the backward allocates under 80 MB at peak (54 MB).
+        Whole-sample columns and tap products go past it (169 MB)."""
+        rng = np.random.default_rng(25)
+        kernel, stride, padding = _STATIC_GEOM[3]
+        x = Tensor(rng.normal(size=(2, 288, 2, 32, 32)), requires_grad=True)
+        w = Tensor(rng.normal(size=(256, 288, *kernel)) / 100.0, requires_grad=True)
+        b = Tensor(np.zeros(256), requires_grad=True)
+        out = conv3d(x, w, stride, padding, b, 0.2)
+        loss = (out * Tensor(rng.normal(size=out.shape))).sum()
+        del out
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and w.grad is not None
+        assert peak < 80 * 2**20

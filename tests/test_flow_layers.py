@@ -14,6 +14,7 @@ from flowvad.flow import (
     InvertibleConv1x1,
     Squeeze,
     _lu,
+    _patches,
 )
 from flowvad.tensor import Tensor, concat, conv3d
 
@@ -431,3 +432,30 @@ class TestHandWrittenBackward:
             assert np.allclose(xin.grad, full.grad, rtol=1e-12, atol=1e-14)
         else:
             assert xin.grad is None
+
+
+def patches_oracle(x):
+    """Zero-padded 3x3 neighbourhoods of (c, h, w, n) input, one position at a
+    time: row (ch, a, b) of column (i, j, m) is x[ch, i + a - 1, j + b - 1, m],
+    or 0 outside the grid."""
+    c, h, w, n = x.shape
+    cols = np.zeros((c, 3, 3, h, w, n))
+    for a in range(3):
+        for b in range(3):
+            for i in range(h):
+                for j in range(w):
+                    if 0 <= i + a - 1 < h and 0 <= j + b - 1 < w:
+                        cols[:, a, b, i, j] = x[:, i + a - 1, j + b - 1]
+    return cols.reshape(c * 9, h * w * n)
+
+
+# The coupling conditioner's inputs at the two levels of a 2-level flow on
+# 3x16x16 static features, batch 8: (n, ca, h, w) after each squeeze.
+@pytest.mark.parametrize("shape", [(8, 6, 8, 8), (8, 12, 4, 4)], ids=["level0", "level1"])
+def test_patches_match_neighbourhood_oracle(rng, shape):
+    xa = rng.normal(size=shape)
+    x = xa.transpose(1, 2, 3, 0)  # channel-major, as the conditioner passes it
+    want = patches_oracle(x)
+    got = _patches(x)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
