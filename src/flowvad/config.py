@@ -12,6 +12,7 @@ its outputs so a run can always be reproduced from its artifacts.
 import dataclasses
 
 from .errors import ConfigError
+from .losses import SSIM_WINDOW
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "write_config",
            "apply_preset", "PRESETS"]
@@ -93,13 +94,17 @@ class RunConfig:
         if height % grain or width % grain:
             problems.append(f"{kind} frames {height}x{width}: height and width must be "
                             f"multiples of {grain} (4, times 2 per flow level if a flow is on)")
+        if min(height, width) < SSIM_WINDOW:
+            problems.append(f"{kind} frames {height}x{width} are smaller than the "
+                            f"{SSIM_WINDOW}-pixel MS-SSIM window of the training loss")
         if self.patch_size > min(height, width):
             problems.append(f"patch_size {self.patch_size} exceeds {kind} frames {height}x{width}")
         return problems
 
     def check_frames(self, source, video):
         """Refuse a loaded (1, C, T, H, W) video this run cannot take: fewer than
-        clip_len frames, or frames off the grain or smaller than patch_size."""
+        clip_len frames, or frames off the grain or smaller than the MS-SSIM
+        window or patch_size."""
         problems = self._frame_problems(*video.shape[-2:], "loaded")
         if video.shape[2] < self.clip_len:
             problems.append(f"video has {video.shape[2]} frames, need at least {self.clip_len}")

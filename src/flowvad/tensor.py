@@ -6,14 +6,15 @@ parent tensors on the output; calling :meth:`Tensor.backward` on a scalar
 loss walks the recorded graph once in reverse topological order and
 accumulates ``d loss / d leaf`` into each ``requires_grad`` leaf.
 
+The engine keeps only what the models record: the graph itself
+(``_record``, ``_accumulate``, :meth:`Tensor.backward`), basic slicing,
+``sigmoid``, the whole-array ``mean``, :func:`concat`, :func:`conv3d`,
+:func:`conv_transpose3d` and :func:`no_grad`. There is no generic
+elementwise arithmetic.
+
 Design constraints, fixed on purpose:
 
 * float64 everywhere; no mixed precision.
-* elementwise ops broadcast only over the leading batch axis (or against
-  scalars); an operand of any other shape must be expanded to the full shape
-  first, so every gradient path is explicit. The one exception is the
-  per-channel bias of :func:`conv3d` and :func:`conv_transpose3d`, whose
-  gradient the conv's own backward computes.
 * slicing copies; no view aliasing survives into the backward pass.
 * memory is bounded by recompute and by finishing arrays in place. Every
   convolution pass is built from two helpers. The column builder
@@ -34,7 +35,9 @@ Design constraints, fixed on purpose:
 
 The flow stack of :mod:`flowvad.flow` records one node, its per-sample
 negative log-likelihood, through ``_record``; its hand-written NumPy
-backward honours ``requires_grad`` on every parent. Inside a
+backward honours ``requires_grad`` on every parent. The reconstruction loss
+of :mod:`flowvad.losses` records one node, the total, whose only parent is
+the reconstruction, with a hand-written NumPy backward too. Inside a
 :func:`no_grad` block no node records parents or a backward closure, so
 inference builds no graph.
 """
@@ -48,7 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 
 __all__ = [
     "Tensor",
@@ -182,41 +185,6 @@ class Tensor:
                 node._parents = ()
             node._cleared = True
 
-    # ------------------------------------------------------------ arithmetic
-
-    def __add__(self, other):
-        return _binary(self, other, np.add, _add_back)
-
-    def __sub__(self, other):
-        return _binary(self, other, np.subtract, _sub_back)
-
-    def __rsub__(self, other):
-        return _wrap(other).__sub__(self)
-
-    def __mul__(self, other):
-        return _binary(self, other, np.multiply, _mul_back)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return _binary(self, other, _checked_divide, _div_back)
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, Tensor):
-            raise TypeError("tensor exponents are not supported; use a python number")
-        c = float(exponent)
-        base = self.data
-        if c != int(c) and np.any(base < 0.0):
-            raise NumericError(f"pow with fractional exponent {c} on negative base")
-        out_data = base**c
-        _check_finite(out_data, f"pow(exponent={c})")
-        out = Tensor(out_data)
-
-        def backward():
-            self._accumulate(c * base ** (c - 1.0) * out.grad)
-
-        return out._record((self,), backward)
-
     # ---------------------------------------------------------- nonlinearity
 
     def sigmoid(self) -> "Tensor":
@@ -231,65 +199,18 @@ class Tensor:
 
         return out._record((self,), backward)
 
-    def abs(self) -> "Tensor":
-        out = Tensor(np.abs(self.data))
-        sign = np.sign(self.data)
-
-        def backward():
-            self._accumulate(sign * out.grad)
-
-        return out._record((self,), backward)
-
-    def clamp_min(self, floor: float) -> "Tensor":
-        mask = self.data > floor
-        out = Tensor(np.where(mask, self.data, floor))
-
-        def backward():
-            self._accumulate(np.where(mask, out.grad, 0.0))
-
-        return out._record((self,), backward)
-
     # ------------------------------------------------------------ reductions
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims))
+    def mean(self) -> "Tensor":
+        """Mean over every element."""
+        out = Tensor(self.data.mean())
 
         def backward():
-            self._accumulate(_spread(out.grad, self.shape, axis, keepdims))
+            self._accumulate(np.full(self.shape, out.grad / self.size), owned=True)
 
         return out._record((self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.size if axis is None else _axis_count(self.shape, axis)
-        out = Tensor(self.data.mean(axis=axis, keepdims=keepdims))
-
-        def backward():
-            self._accumulate(_spread(out.grad, self.shape, axis, keepdims) / count)
-
-        return out._record((self,), backward)
-
-    # --------------------------------------------------------------- reshape
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        # copy so the output never aliases this tensor's buffer
-        out = Tensor(self.data.reshape(shape).copy())
-
-        def backward():
-            self._accumulate(out.grad.reshape(self.shape))
-
-        return out._record((self,), backward)
-
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        axes = tuple(axes)
-        out = Tensor(self.data.transpose(axes).copy())
-        inverse = tuple(np.argsort(axes))
-
-        def backward():
-            self._accumulate(out.grad.transpose(inverse))
-
-        return out._record((self,), backward)
+    # --------------------------------------------------------------- slicing
 
     def __getitem__(self, idx) -> "Tensor":
         _check_basic_index(idx)
@@ -314,95 +235,6 @@ def _wrap(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
-
-
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{op} produced non-finite values")
-
-
-def _checked_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.divide(a, b)
-    _check_finite(out, "divide")
-    return out
-
-
-def _broadcast_ok(sa: tuple[int, ...], sb: tuple[int, ...]) -> bool:
-    """Exact match, scalar, or broadcast across the leading batch axis only."""
-    if sa == sb or len(sa) == 0 or len(sb) == 0:
-        return True
-    if len(sa) == len(sb) and sa[1:] == sb[1:] and (sa[0] == 1 or sb[0] == 1):
-        return True
-    if sa == sb[1:] or sb == sa[1:]:
-        return True
-    return False
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-def _binary(a: Tensor, other, np_op, back) -> Tensor:
-    b = _wrap(other)
-    if not _broadcast_ok(a.shape, b.shape):
-        raise ShapeError(
-            f"elementwise op on incompatible shapes {a.shape} and {b.shape}; "
-            "only batch-axis or scalar broadcasting is allowed; expand the "
-            "operand to the full shape first"
-        )
-    out = Tensor(np_op(a.data, b.data))
-
-    def backward():
-        ga, gb = back(a.data, b.data, out.grad)
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(gb, b.shape))
-
-    return out._record((a, b), backward)
-
-
-def _add_back(a, b, g):
-    return g, g
-
-
-def _sub_back(a, b, g):
-    return g, -g
-
-
-def _mul_back(a, b, g):
-    return g * b, g * a
-
-
-def _div_back(a, b, g):
-    return g / b, -g * a / (b * b)
-
-
-def _spread(grad: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(grad.reshape((1,) * len(shape)), shape).copy()
-    if not keepdims:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        for ax in sorted(a % len(shape) for a in axes):
-            grad = np.expand_dims(grad, ax)
-    return np.broadcast_to(grad, shape).copy()
-
-
-def _axis_count(shape: tuple[int, ...], axis) -> int:
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    n = 1
-    for ax in axes:
-        n *= shape[ax]
-    return n
 
 
 def _check_basic_index(idx) -> None:

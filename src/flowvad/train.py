@@ -112,9 +112,9 @@ def train_autoencoder(model, clips, config):
             raise NumericError(f"loss became non-finite at step {step}")
         return loss.total, {
             "step": step,
-            "l2": float(loss.l2.data),
-            "ms_ssim": float(loss.ms_ssim.data),
-            "gradient": float(loss.gradient.data),
+            "l2": loss.l2,
+            "ms_ssim": loss.ms_ssim,
+            "gradient": loss.gradient,
             "total": total,
         }
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import graph_ops  # noqa: F401  attaches the test-only elementwise ops to Tensor
+
 
 @pytest.fixture
 def rng():

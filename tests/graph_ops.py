@@ -1,13 +1,22 @@
 """Autodiff ops that only the tests use.
 
-The flow stack is one node with a hand-written backward, so nothing in
-`flowvad` needs a general broadcast, matrix product, ReLU, exp, log, tanh,
-negation or max node, and the convs apply their leaky ReLU themselves. The
-tests still do: the generic-op oracle for the flow stack in
-`test_flow_layers.py`, the op registry of the acceptance gradient check, the
+The flow stack and the reconstruction loss are each one node with a
+hand-written backward, so nothing in `flowvad` needs generic elementwise
+arithmetic, a general broadcast, reshape, transpose, per-axis reduction,
+matrix product, ReLU, exp, log, tanh, negation or max node, and the convs
+apply their leaky ReLU themselves. The tests still do: the autodiff oracles
+for the flow stack in `test_flow_layers.py` and for the loss in
+`test_losses.py`, the op registry of the acceptance gradient check, the
 plain-conv-then-activation reference of `test_conv.py`, and
-`test_tensor_ops.py`. Each op records one node through
-`Tensor._record`, like the ops in `flowvad.tensor`.
+`test_tensor_ops.py`. Each op records one node through `Tensor._record`,
+like the ops in `flowvad.tensor`.
+
+Importing this module (`conftest.py` does) attaches the arithmetic
+operators and the `abs`, `clamp_min`, `sum`, `reshape` and `transpose`
+methods to `Tensor`, so the oracles write `a * b`. Elementwise ops
+broadcast only over the leading batch axis or against scalars; an operand
+of any other shape must be expanded to the full shape first, so every
+gradient path is explicit.
 """
 
 from __future__ import annotations
@@ -17,9 +26,227 @@ from typing import Sequence
 import numpy as np
 
 from flowvad.errors import NumericError, ShapeError
-from flowvad.tensor import Tensor, _check_finite, _unbroadcast
+from flowvad.tensor import Tensor, _wrap
 
-__all__ = ["amax", "broadcast_to", "exp", "leaky_relu", "log", "matmul", "neg", "relu", "tanh"]
+__all__ = [
+    "amax", "broadcast_to", "exp", "leaky_relu", "log", "matmul", "mean_axis", "neg", "relu", "tanh",
+]
+
+
+# ---------------------------------------------------------------- helpers
+
+
+def _check_finite(arr: np.ndarray, op: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"{op} produced non-finite values")
+
+
+def _checked_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.divide(a, b)
+    _check_finite(out, "divide")
+    return out
+
+
+def _broadcast_ok(sa: tuple[int, ...], sb: tuple[int, ...]) -> bool:
+    """Exact match, scalar, or broadcast across the leading batch axis only."""
+    if sa == sb or len(sa) == 0 or len(sb) == 0:
+        return True
+    if len(sa) == len(sb) and sa[1:] == sb[1:] and (sa[0] == 1 or sb[0] == 1):
+        return True
+    if sa == sb[1:] or sb == sa[1:]:
+        return True
+    return False
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _binary(a: Tensor, other, np_op, back) -> Tensor:
+    b = _wrap(other)
+    if not _broadcast_ok(a.shape, b.shape):
+        raise ShapeError(
+            f"elementwise op on incompatible shapes {a.shape} and {b.shape}; "
+            "only batch-axis or scalar broadcasting is allowed; expand the "
+            "operand to the full shape first"
+        )
+    out = Tensor(np_op(a.data, b.data))
+
+    def backward():
+        ga, gb = back(a.data, b.data, out.grad)
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(ga, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(gb, b.shape))
+
+    return out._record((a, b), backward)
+
+
+def _add_back(a, b, g):
+    return g, g
+
+
+def _sub_back(a, b, g):
+    return g, -g
+
+
+def _mul_back(a, b, g):
+    return g * b, g * a
+
+
+def _div_back(a, b, g):
+    return g / b, -g * a / (b * b)
+
+
+def _spread(grad: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
+    if axis is None:
+        return np.broadcast_to(grad.reshape((1,) * len(shape)), shape).copy()
+    if not keepdims:
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        for ax in sorted(a % len(shape) for a in axes):
+            grad = np.expand_dims(grad, ax)
+    return np.broadcast_to(grad, shape).copy()
+
+
+def _axis_count(shape: tuple[int, ...], axis) -> int:
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    n = 1
+    for ax in axes:
+        n *= shape[ax]
+    return n
+
+
+# ------------------------------------------------ methods attached to Tensor
+
+
+def _add(self, other):
+    return _binary(self, other, np.add, _add_back)
+
+
+def _sub(self, other):
+    return _binary(self, other, np.subtract, _sub_back)
+
+
+def _rsub(self, other):
+    return _sub(_wrap(other), self)
+
+
+def _mul(self, other):
+    return _binary(self, other, np.multiply, _mul_back)
+
+
+def _truediv(self, other):
+    return _binary(self, other, _checked_divide, _div_back)
+
+
+def _pow(self, exponent):
+    if isinstance(exponent, Tensor):
+        raise TypeError("tensor exponents are not supported; use a python number")
+    c = float(exponent)
+    base = self.data
+    if c != int(c) and np.any(base < 0.0):
+        raise NumericError(f"pow with fractional exponent {c} on negative base")
+    out_data = base**c
+    _check_finite(out_data, f"pow(exponent={c})")
+    out = Tensor(out_data)
+
+    def backward():
+        self._accumulate(c * base ** (c - 1.0) * out.grad)
+
+    return out._record((self,), backward)
+
+
+def _abs(self) -> Tensor:
+    out = Tensor(np.abs(self.data))
+    sign = np.sign(self.data)
+
+    def backward():
+        self._accumulate(sign * out.grad)
+
+    return out._record((self,), backward)
+
+
+def _clamp_min(self, floor: float) -> Tensor:
+    mask = self.data > floor
+    out = Tensor(np.where(mask, self.data, floor))
+
+    def backward():
+        self._accumulate(np.where(mask, out.grad, 0.0))
+
+    return out._record((self,), backward)
+
+
+def _sum(self, axis=None, keepdims: bool = False) -> Tensor:
+    out = Tensor(self.data.sum(axis=axis, keepdims=keepdims))
+
+    def backward():
+        self._accumulate(_spread(out.grad, self.shape, axis, keepdims))
+
+    return out._record((self,), backward)
+
+
+def _reshape(self, *shape) -> Tensor:
+    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
+        shape = tuple(shape[0])
+    # copy so the output never aliases this tensor's buffer
+    out = Tensor(self.data.reshape(shape).copy())
+
+    def backward():
+        self._accumulate(out.grad.reshape(self.shape))
+
+    return out._record((self,), backward)
+
+
+def _transpose(self, axes: Sequence[int]) -> Tensor:
+    axes = tuple(axes)
+    out = Tensor(self.data.transpose(axes).copy())
+    inverse = tuple(np.argsort(axes))
+
+    def backward():
+        self._accumulate(out.grad.transpose(inverse))
+
+    return out._record((self,), backward)
+
+
+for _name, _op in {
+    "__add__": _add,
+    "__sub__": _sub,
+    "__rsub__": _rsub,
+    "__mul__": _mul,
+    "__rmul__": _mul,
+    "__truediv__": _truediv,
+    "__pow__": _pow,
+    "abs": _abs,
+    "clamp_min": _clamp_min,
+    "sum": _sum,
+    "reshape": _reshape,
+    "transpose": _transpose,
+}.items():
+    setattr(Tensor, _name, _op)
+
+
+# ------------------------------------------------------------ functions
+
+
+def mean_axis(t: Tensor, axis, keepdims: bool = False) -> Tensor:
+    """Mean over ``axis`` (an int or a tuple); ``Tensor.mean`` takes the
+    whole array only."""
+    count = _axis_count(t.shape, axis)
+    out = Tensor(t.data.mean(axis=axis, keepdims=keepdims))
+
+    def backward():
+        t._accumulate(_spread(out.grad, t.shape, axis, keepdims) / count)
+
+    return out._record((t,), backward)
 
 
 def broadcast_to(t: Tensor, shape: Sequence[int]) -> Tensor:

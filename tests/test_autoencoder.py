@@ -149,6 +149,27 @@ class TestParameters:
             assert p.grad is not None, name
 
 
+def graph_nodes(t):
+    """Number of tensors reachable from ``t`` through recorded parents."""
+    seen, todo = set(), [t]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    return len(seen)
+
+
+@pytest.mark.filterwarnings("ignore:frame .* supports only")
+def test_step_graph_is_the_autoencoder_plus_one_loss_node():
+    rng = np.random.default_rng(4)
+    model = TwoPathAutoencoder(AutoencoderConfig(tau=4), rng)
+    x = Tensor(rng.uniform(size=(2, 1, 8, 32, 32)))
+    recon = model.reconstruct(x)
+    assert graph_nodes(recon) == 56
+    assert graph_nodes(recon_loss(x, recon).total) == 57
+
+
 class TestTrainingMemory:
     @staticmethod
     def step_peak(side):

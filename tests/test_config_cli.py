@@ -22,6 +22,7 @@ from flowvad.config import (
     serialize_config,
 )
 from flowvad.errors import ConfigError
+from flowvad.losses import SSIM_WINDOW
 from flowvad.tensor_io import load_tensor, save_tensor
 
 
@@ -730,6 +731,20 @@ class TestFrameGeometry:
         assert not (out / "itae").exists()
 
     @pytest.mark.parametrize(
+        "side, flags, kind",
+        [(16, ["--resize-h", "8", "--resize-w", "8"], "resized"), (8, [], "v8.t5: loaded")],
+        ids=["resize-8", "native-8"],
+    )
+    def test_frames_below_the_ssim_window_refused(self, tmp_path, capsys, side, flags, kind):
+        # with both flows off the grain is 4, so only the window refuses 8x8
+        video = packed_video(tmp_path / f"v{side}.t5", side)
+        out = tmp_path / "out"
+        err = refuse(capsys, out, "train-itae", "--data-path", str(video), "--patch-size", "4",
+                     *FLOWS_OFF, *flags)
+        assert f"{kind} frames 8x8 are smaller than the {SSIM_WINDOW}-pixel MS-SSIM window" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "side, flags",
         [
             (64, ["--resize-h", "32", "--resize-w", "32"]),
@@ -810,6 +825,26 @@ def test_cli_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_tensor_has_no_elementwise_layer():
+    """Without the tests' graph_ops, the engine defines no generic
+    elementwise op or helper, and ``Tensor.mean`` reduces the whole array."""
+    methods = ("__add__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+               "__pow__", "abs", "clamp_min", "sum", "reshape", "transpose")
+    helpers = ("_binary", "_broadcast_ok", "_unbroadcast", "_add_back", "_sub_back",
+               "_mul_back", "_div_back", "_checked_divide", "_check_finite", "_spread",
+               "_axis_count")
+    proc = _run_in_subprocess(
+        "import inspect, sys, flowvad.cli\n"
+        "from flowvad import tensor\n"
+        "assert 'graph_ops' not in sys.modules\n"
+        f"print([n for n in {methods!r} if hasattr(tensor.Tensor, n)]"
+        f" + [n for n in {helpers!r} if hasattr(tensor, n)])\n"
+        "print(list(inspect.signature(tensor.Tensor.mean).parameters))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['self']"]
 
 
 def test_blas_thread_count_moves_artifacts_by_rounding_only(scene, tmp_path):

@@ -1,20 +1,164 @@
-"""Reconstruction loss terms against brute-force reference implementations."""
+"""Reconstruction loss: the one-node loss against its autodiff oracle and
+against brute-force reference implementations."""
 
 import numpy as np
 import pytest
 
-from flowvad.losses import (
-    MS_SSIM_WEIGHTS,
-    gradient_difference,
-    ms_ssim,
-    recon_loss,
-    usable_scales,
-)
-from flowvad.tensor import Tensor
+from flowvad.errors import ShapeError
+from flowvad.losses import MS_SSIM_WEIGHTS, SSIM_WINDOW, recon_loss, usable_scales
+from flowvad.tensor import Tensor, conv3d, no_grad
 
+from graph_ops import mean_axis
 from numeric import max_relative_error, numerical_gradient
 
 C1, C2 = 0.01**2, 0.03**2
+
+
+# ---------------------------------------------------------------- the oracle
+
+
+def _oracle_blur(x):
+    coords = np.arange(SSIM_WINDOW, dtype=np.float64) - (SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-(coords**2) / (2.0 * 1.5**2))
+    g = g / g.sum()
+    kw = Tensor(g.reshape(1, 1, 1, 1, SSIM_WINDOW))
+    kh = Tensor(g.reshape(1, 1, 1, SSIM_WINDOW, 1))
+    return conv3d(conv3d(x, kw), kh)
+
+
+def _oracle_halve(x):
+    return conv3d(x, Tensor(np.full((1, 1, 1, 2, 2), 0.25)), stride=(1, 2, 2))
+
+
+def autodiff_ms_ssim(x, y):
+    """Mean MS-SSIM over all frames, as a graph of generic tensor ops."""
+    b, _, t, h, w = x.shape
+    scales = usable_scales(h, w)
+    weights = np.array(MS_SSIM_WEIGHTS[:scales])
+    weights = weights / weights.sum()
+
+    def frames(v):
+        gray = mean_axis(v, 1, keepdims=True)
+        return gray.transpose((0, 2, 1, 3, 4)).reshape(b * t, 1, 1, h, w)
+
+    fx, fy = frames(x), frames(y)
+    reduce_axes = (1, 2, 3, 4)
+    score = None
+    for level in range(scales):
+        mu1 = _oracle_blur(fx)
+        mu2 = _oracle_blur(fy)
+        mu1_sq, mu2_sq, mu12 = mu1 * mu1, mu2 * mu2, mu1 * mu2
+        s1 = _oracle_blur(fx * fx) - mu1_sq
+        s2 = _oracle_blur(fy * fy) - mu2_sq
+        s12 = _oracle_blur(fx * fy) - mu12
+        cs_map = (2.0 * s12 + C2) / (s1 + s2 + C2)
+        if level < scales - 1:
+            factor = mean_axis(cs_map, reduce_axes)
+            fx, fy = _oracle_halve(fx), _oracle_halve(fy)
+        else:
+            lum = (2.0 * mu12 + C1) / (mu1_sq + mu2_sq + C1)
+            factor = mean_axis(lum * cs_map, reduce_axes)
+        term = factor.clamp_min(1e-6) ** float(weights[level])
+        score = term if score is None else score * term
+    return score.mean()
+
+
+def autodiff_gradient_difference(x, y):
+    xh = x[:, :, :, 1:, :] - x[:, :, :, :-1, :]
+    xw = x[:, :, :, :, 1:] - x[:, :, :, :, :-1]
+    yh = y[:, :, :, 1:, :] - y[:, :, :, :-1, :]
+    yw = y[:, :, :, :, 1:] - y[:, :, :, :, :-1]
+    num = (xh - yh).abs().sum() + (xw - yw).abs().sum()
+    return num * (1.0 / (xh.size + xw.size))
+
+
+def autodiff_recon_loss(target, output):
+    """The loss as a graph of generic tensor ops, the way ``recon_loss``
+    recorded it before it became one node: (l2, 1 - MS-SSIM, gradient term,
+    total)."""
+    l2 = ((target - output) ** 2).mean()
+    ssim_term = 1.0 - autodiff_ms_ssim(target, output)
+    grad_term = autodiff_gradient_difference(target, output)
+    return l2, ssim_term, grad_term, l2 + ssim_term + grad_term
+
+
+ORACLE_SHAPES = [
+    (1, 1, 4, 32, 32),
+    (2, 1, 8, 64, 64),
+    (2, 1, 8, 128, 128),
+    (1, 3, 2, 24, 24),
+    (1, 1, 2, 176, 176),
+    (1, 1, 2, 45, 38),
+]
+
+
+@pytest.mark.filterwarnings("ignore:frame .* supports only")
+class TestAgainstAutodiffOracle:
+    @pytest.mark.parametrize(
+        "shape", ORACLE_SHAPES, ids=["32", "64", "128", "rgb", "176-five-scales", "odd-45x38"]
+    )
+    def test_values_bitwise_and_gradient(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        target = rng.random(shape)
+        out0 = np.clip(target + rng.normal(0, 0.1, shape), 0.0, 1.0)
+        if shape[-1] == 176:
+            assert usable_scales(*shape[-2:]) == len(MS_SSIM_WEIGHTS)
+
+        output = Tensor(out0, requires_grad=True)
+        loss = recon_loss(Tensor(target), output)
+        loss.total.backward()
+        oracle_out = Tensor(out0, requires_grad=True)
+        oracle = autodiff_recon_loss(Tensor(target), oracle_out)
+        oracle[3].backward()
+
+        got = (loss.l2, loss.ms_ssim, loss.gradient, loss.total.item())
+        assert got == tuple(term.item() for term in oracle)
+        want = oracle_out.grad
+        assert np.max(np.abs(output.grad - want)) / np.max(np.abs(want)) < 1e-12
+
+    def test_clamped_level_passes_no_gradient(self):
+        # a negated first frame drives its factors below the clamp's floor,
+        # where no gradient may flow; the second frame stays above it
+        rng = np.random.default_rng(11)
+        target = rng.random((1, 1, 2, 48, 48))
+        out0 = np.clip(target + rng.normal(0, 0.1, target.shape), 0.0, 1.0)
+        out0[:, :, 0] = 1.0 - target[:, :, 0]
+        output = Tensor(out0, requires_grad=True)
+        recon_loss(Tensor(target), output).total.backward()
+        oracle_out = Tensor(out0, requires_grad=True)
+        oracle = autodiff_recon_loss(Tensor(target), oracle_out)
+        oracle[3].backward()
+        want = oracle_out.grad
+        assert np.max(np.abs(output.grad - want)) / np.max(np.abs(want)) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:frame .* supports only")
+class TestNode:
+    def test_one_node_whose_only_parent_is_the_output(self):
+        rng = np.random.default_rng(8)
+        output = Tensor(rng.random((1, 1, 1, 11, 11)), requires_grad=True)
+        total = recon_loss(Tensor(rng.random((1, 1, 1, 11, 11))), output).total
+        assert total._parents == (output,)
+
+    def test_target_requiring_gradients_raises(self):
+        rng = np.random.default_rng(9)
+        target = Tensor(rng.random((1, 1, 1, 11, 11)), requires_grad=True)
+        with pytest.raises(ValueError, match="target"):
+            recon_loss(target, Tensor(rng.random((1, 1, 1, 11, 11)), requires_grad=True))
+
+    def test_records_nothing_without_gradients(self):
+        rng = np.random.default_rng(10)
+        target = Tensor(rng.random((1, 1, 1, 11, 11)))
+        output = Tensor(rng.random((1, 1, 1, 11, 11)), requires_grad=True)
+        with no_grad():
+            inside = recon_loss(target, output).total
+        plain = recon_loss(target, Tensor(output.data)).total
+        for total in (inside, plain):
+            assert not total.requires_grad and total._parents == ()
+        assert inside.item() == plain.item()
+
+
+# ------------------------------------------------------------ loop references
 
 
 def gaussian_window_2d(size=11, sigma=1.5):
@@ -66,19 +210,23 @@ def ms_ssim_loops(img1, img2, scales):
     return value
 
 
+def ssim_term(x, y):
+    """The loss's 1 - MS-SSIM term of two clips."""
+    return recon_loss(Tensor(x), Tensor(y)).ms_ssim
+
+
 class TestMsSsim:
     def test_identical_clips_score_one(self):
-        x = Tensor(np.random.default_rng(0).random((1, 1, 2, 32, 32)))
+        x = np.random.default_rng(0).random((1, 1, 2, 32, 32))
         with pytest.warns(UserWarning):
-            assert ms_ssim(x, x).item() == pytest.approx(1.0, abs=1e-12)
+            assert ssim_term(x, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_noisy_pair_scores_below_one(self):
         rng = np.random.default_rng(1)
         x = rng.random((1, 1, 1, 32, 32))
         y = np.clip(x + rng.normal(0, 0.1, x.shape), 0, 1)
         with pytest.warns(UserWarning):
-            score = ms_ssim(Tensor(x), Tensor(y)).item()
-        assert score < 1.0 - 1e-4
+            assert ssim_term(x, y) > 1e-4
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_windowed_loop_reference(self, seed):
@@ -88,10 +236,8 @@ class TestMsSsim:
         scales = usable_scales(26, 26)
         assert scales == 2
         want = np.mean([ms_ssim_loops(frames[t], noisy[t], scales) for t in range(2)])
-        x = Tensor(frames[None, None].transpose(0, 1, 2, 3, 4).reshape(1, 1, 2, 26, 26))
-        y = Tensor(noisy.reshape(1, 1, 2, 26, 26))
         with pytest.warns(UserWarning):
-            got = ms_ssim(x, y).item()
+            got = 1.0 - ssim_term(frames.reshape(1, 1, 2, 26, 26), noisy.reshape(1, 1, 2, 26, 26))
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_scale_count_shrinks_with_warning(self):
@@ -99,9 +245,9 @@ class TestMsSsim:
         assert usable_scales(64, 64) == 3
         assert usable_scales(11, 11) == 1
         assert usable_scales(10, 64) == 0
-        x = Tensor(np.random.default_rng(2).random((1, 1, 1, 16, 16)))
+        x = np.random.default_rng(2).random((1, 1, 1, 16, 16))
         with pytest.warns(UserWarning, match="scales"):
-            ms_ssim(x, x)
+            ssim_term(x, x)
 
     def test_channel_mean_luminance(self):
         # an rgb clip whose channel mean equals a gray clip scores identically
@@ -110,40 +256,42 @@ class TestMsSsim:
         gray = rgb.mean(axis=1, keepdims=True)
         other = rng.random((1, 1, 1, 24, 24))
         with pytest.warns(UserWarning):
-            a = ms_ssim(Tensor(rgb), Tensor(np.repeat(other, 3, axis=1))).item()
-            b = ms_ssim(Tensor(gray), Tensor(other)).item()
+            a = ssim_term(rgb, np.repeat(other, 3, axis=1))
+            b = ssim_term(gray, other)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def gradient_term(x, y):
+    with pytest.warns(UserWarning, match="scales"):
+        return recon_loss(Tensor(x), Tensor(y)).gradient
 
 
 class TestGradientTerm:
     def test_constant_images_have_zero_term(self):
-        x = Tensor(np.full((1, 1, 2, 8, 8), 0.3))
-        y = Tensor(np.full((1, 1, 2, 8, 8), 0.9))
-        assert gradient_difference(x, y).item() == 0.0
+        x = np.full((1, 1, 2, 12, 12), 0.3)
+        y = np.full((1, 1, 2, 12, 12), 0.9)
+        assert gradient_term(x, y) == 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(4)
-        x, y = Tensor(rng.random((1, 1, 2, 8, 8))), Tensor(rng.random((1, 1, 2, 8, 8)))
-        assert gradient_difference(x, y).item() == pytest.approx(
-            gradient_difference(y, x).item(), abs=1e-15
-        )
+        x, y = rng.random((1, 1, 2, 12, 12)), rng.random((1, 1, 2, 12, 12))
+        assert gradient_term(x, y) == pytest.approx(gradient_term(y, x), abs=1e-15)
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(5)
-        x = rng.random((1, 1, 1, 6, 7))
-        y = rng.random((1, 1, 1, 6, 7))
+        x = rng.random((1, 1, 1, 12, 13))
+        y = rng.random((1, 1, 1, 12, 13))
         total, count = 0.0, 0
         img1, img2 = x[0, 0, 0], y[0, 0, 0]
-        for i in range(5):
-            for j in range(7):
+        for i in range(11):
+            for j in range(13):
                 total += abs((img1[i + 1, j] - img1[i, j]) - (img2[i + 1, j] - img2[i, j]))
                 count += 1
-        for i in range(6):
-            for j in range(6):
+        for i in range(12):
+            for j in range(12):
                 total += abs((img1[i, j + 1] - img1[i, j]) - (img2[i, j + 1] - img2[i, j]))
                 count += 1
-        got = gradient_difference(Tensor(x), Tensor(y)).item()
-        assert got == pytest.approx(total / count, abs=1e-12)
+        assert gradient_term(x, y) == pytest.approx(total / count, abs=1e-12)
 
 
 class TestReconLoss:
@@ -158,9 +306,9 @@ class TestReconLoss:
         y = Tensor(np.zeros((1, 1, 2, 16, 16)))
         with pytest.warns(UserWarning):
             loss = recon_loss(x, y)
-        assert loss.l2.item() == pytest.approx(0.25, abs=1e-15)
-        assert loss.gradient.item() == 0.0
-        assert loss.ms_ssim.item() > 0.0
+        assert loss.l2 == pytest.approx(0.25, abs=1e-15)
+        assert loss.gradient == 0.0
+        assert loss.ms_ssim > 0.0
 
     def test_total_is_equal_weight_sum(self):
         rng = np.random.default_rng(7)
@@ -168,9 +316,12 @@ class TestReconLoss:
         y = Tensor(rng.random((1, 1, 1, 24, 24)))
         with pytest.warns(UserWarning):
             loss = recon_loss(x, y)
-        assert loss.total.item() == pytest.approx(
-            loss.l2.item() + loss.ms_ssim.item() + loss.gradient.item(), abs=1e-12
-        )
+        assert loss.total.item() == loss.l2 + loss.ms_ssim + loss.gradient
+
+    def test_frame_below_the_window_raises(self):
+        x = Tensor(np.zeros((1, 1, 1, SSIM_WINDOW - 1, 16)))
+        with pytest.raises(ShapeError, match=f"smaller than the SSIM window {SSIM_WINDOW}"):
+            recon_loss(x, x)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_loss_gradient_check(self, seed):
