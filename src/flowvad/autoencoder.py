@@ -10,6 +10,21 @@ must pass through the bottleneck.
 
 All tensors are (batch, channel, time, height, width). Spatial dims shrink
 by 4x in the encoder; the static temporal length is T / tau throughout.
+
+Layer calls, :meth:`~TwoPathAutoencoder.encode` and
+:meth:`~TwoPathAutoencoder.decode` record no autodiff node. In training,
+:meth:`~TwoPathAutoencoder.reconstruct` records one, the reconstruction,
+whose parents are the parameters that require gradients. Its hand-written
+NumPy backward walks the fixed chain in reverse, and each layer's input and
+output are held only until that layer's backward has used them. Every
+decoder layer writes its input gradient over its input, the previous
+layer's activated output, reading that input's leaky-ReLU sign and its
+weight-gradient term chunk by chunk first (the idea of In-Place Activated
+BatchNorm, Rota Bulo et al., arXiv:1712.02616: recover an activation's
+backward from its output, so the gradient can take the output's place).
+Each concat is one array, and a conv's output is read back as its channel
+slice. With gradients off (:func:`~flowvad.tensor.no_grad`) or a frozen
+model, nothing is kept for a backward.
 """
 
 from __future__ import annotations
@@ -20,7 +35,15 @@ import numpy as np
 
 from .checkpoint import assign_state
 from .errors import ShapeError
-from .tensor import Tensor, concat, conv3d, conv_transpose3d
+from .tensor import (
+    Tensor,
+    _leaky_grad,
+    conv3d,
+    conv3d_backward,
+    conv_transpose3d,
+    conv_transpose3d_backward,
+    grad_enabled,
+)
 
 __all__ = ["AutoencoderConfig", "TwoPathAutoencoder", "Conv3dLayer"]
 
@@ -76,10 +99,12 @@ class Conv3dLayer:
     """One convolution (optionally transposed) with bias and, when built with
     ``leaky=True``, a leaky ReLU of ``slope``.
 
-    The conv op adds the bias and applies the activation to each block of
-    its output in place (see :func:`flowvad.tensor.conv3d`), so a call
-    returns one node and allocates one output array. ``slope`` also sets the
-    He-style initial weight scale, with or without the activation.
+    A call runs the layer's forward: the conv kernel adds the bias and
+    applies the activation to each block of its output in place (see
+    :func:`flowvad.tensor.conv3d`), so it allocates one output array, and it
+    records no autodiff node. :meth:`backward` is the layer's part of the
+    model's hand-written backward pass. ``slope`` also sets the He-style
+    initial weight scale, with or without the activation.
     """
 
     def __init__(
@@ -107,17 +132,42 @@ class Conv3dLayer:
         self.bias = Tensor(np.zeros(cout), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
+        w, b = self.weight.data, self.bias.data
         if self.transpose:
-            return conv_transpose3d(
-                x,
-                self.weight,
-                self.stride,
-                self.padding,
-                self.output_padding,
-                self.bias,
-                self.activation,
+            y = conv_transpose3d(
+                x.data, w, self.stride, self.padding, self.output_padding, b, self.activation
             )
-        return conv3d(x, self.weight, self.stride, self.padding, self.bias, self.activation)
+        else:
+            y = conv3d(x.data, w, self.stride, self.padding, b, self.activation)
+        return Tensor(y)
+
+    def backward(self, x: np.ndarray, gy: np.ndarray, grad_input: bool = True, input_slope=None):
+        """Add the gradients of this layer's call on ``x`` to its weight and
+        bias, given ``gy``, the gradient of the call's output with the
+        layer's own activation already undone (a C-contiguous array), and
+        return the input gradient, or None without ``grad_input``.
+
+        A transposed layer writes the input gradient over ``x`` itself and
+        multiplies it by the derivative of the leaky ReLU of ``input_slope``
+        whose output ``x`` is, so it returns the gradient of its producer's
+        pre-activation in ``x``'s memory. A conv returns a new array and
+        ignores ``input_slope``.
+        """
+        w, b = self.weight, self.bias
+        if b.requires_grad:
+            b._accumulate(gy.sum(axis=(0, 2, 3, 4)), owned=True)
+        if self.transpose:
+            gw = conv_transpose3d_backward(
+                x, w.data, gy, self.stride, self.padding, w.requires_grad, grad_input, input_slope
+            )
+            gx = x if grad_input else None
+        else:
+            gw, gx = conv3d_backward(
+                x, w.data, gy, self.stride, self.padding, w.requires_grad, grad_input
+            )
+        if gw is not None:
+            w._accumulate(gw, owned=True)
+        return gx
 
 
 class TwoPathAutoencoder:
@@ -234,40 +284,147 @@ class TwoPathAutoencoder:
         if h % 4 != 0 or w % 4 != 0:
             raise ShapeError(f"frame dims ({h}, {w}) must be divisible by 4")
 
-    def encode(self, x: Tensor) -> tuple[Tensor, Tensor | None]:
-        """Return (static latent, dynamic latent); dynamic is None for one-path."""
+    def encode(self, x: Tensor, tape: dict | None = None) -> tuple[Tensor, Tensor | None]:
+        """Return (static latent, dynamic latent); dynamic is None for one-path.
+
+        Records no autodiff node. With a ``tape`` (from :meth:`reconstruct`)
+        it saves the arrays the backward pass reads: each static conv's
+        input, and the input of each dynamic conv plus the last one's output.
+        """
         if not isinstance(x, Tensor):
             x = Tensor(x)
         self._check_input(x)
-        s = x[:, :, :: self.config.tau]
-        if not self.config.dynamic_path:
-            for layer in self.static_convs:
-                s = layer(s)
-            return s, None
-
-        d = x
-        dyn_feats = []
-        for layer in self.dynamic_convs:
-            d = layer(d)
-            dyn_feats.append(d)
+        s = Tensor(x.data[:, :, :: self.config.tau])
+        static_in = []
+        d, dyn = x, []
+        if self.config.dynamic_path:
+            dyn.append(x.data)
+            for layer in self.dynamic_convs:
+                d = layer(d)
+                dyn.append(d.data)
         for i, layer in enumerate(self.static_convs):
+            if tape is not None:
+                static_in.append(s.data)
             s = layer(s)
-            if i < 3:
-                s = concat([s, self.laterals[i](dyn_feats[i])], axis=1)
-        return s, dyn_feats[3]
+            if self.config.dynamic_path and i < 3:
+                # one array; the backward reads the conv's output as its channel slice
+                lat = self.laterals[i](Tensor(dyn[i + 1]))
+                s = Tensor(np.concatenate([s.data, lat.data], axis=1))
+                del lat
+        if tape is not None:
+            tape.update(static_in=static_in, dyn=dyn)
+        if not self.config.dynamic_path:
+            return s, None
+        return s, d
 
-    def decode(self, static_latent: Tensor, dynamic_latent: Tensor | None) -> Tensor:
+    def decode(
+        self, static_latent: Tensor, dynamic_latent: Tensor | None, tape: dict | None = None
+    ) -> Tensor:
+        """Reconstruct the clip from the latents. Records no autodiff node;
+        with a ``tape`` it saves ``fuse``'s input and each decoder layer's."""
         h = static_latent
         if self.config.dynamic_path:
             if dynamic_latent is None:
                 raise ShapeError("two-path decode requires the dynamic latent")
             lat = self.laterals[3](dynamic_latent)
-            h = self.fuse_proj(concat([h, lat], axis=1))
-        for layer in self.decoder[:-1]:
+            h = Tensor(np.concatenate([h.data, lat.data], axis=1))
+            del lat
+            if tape is not None:
+                tape["fuse_in"] = h.data
+            h = self.fuse_proj(h)
+        dec_in = []
+        for layer in self.decoder:
+            if tape is not None:
+                dec_in.append(h.data)
             h = layer(h)
-        return self.decoder[-1](h).sigmoid()
+        if tape is not None:
+            tape["dec_in"] = dec_in
+        # 1 / (1 + exp(-x)): exp overflows to inf only where the result is
+        # below the smallest normal float, and underflows where it rounds to 1
+        with np.errstate(over="ignore", under="ignore"):
+            return Tensor(1.0 / (1.0 + np.exp(-h.data)))
 
     def reconstruct(self, x: Tensor) -> Tensor:
-        xs, xd = self.encode(x)
-        return self.decode(xs, xd)
+        """``decode(*encode(x))``. With gradients enabled (see
+        :func:`~flowvad.tensor.no_grad`) and parameters that require them,
+        the reconstruction records one autodiff node whose parents are those
+        parameters and whose backward is :meth:`_backward`; otherwise it
+        records nothing and keeps nothing for a backward."""
+        params = [p for p in self.parameters() if p.requires_grad]
+        tape = {} if params and grad_enabled() else None
+        if tape is not None and isinstance(x, Tensor) and x.requires_grad:
+            raise ValueError("reconstruct differentiates the parameters only; "
+                             "the input must not require gradients")
+        xs, xd = self.encode(x, tape)
+        out = self.decode(xs, xd, tape)
+        if tape is None:
+            return out
+        del xs, xd
 
+        def backward():
+            self._backward(tape, out.data, out.grad)
+
+        return out._record(params, backward)
+
+    def _backward(self, tape: dict, recon: np.ndarray, grad: np.ndarray) -> None:
+        """Give every parameter that requires it its gradient, from ``grad``,
+        the gradient of the reconstruction ``recon``, walking the fixed chain
+        in reverse: the sigmoid, ``decode4`` to ``decode1``, ``fuse``, the
+        static path with the laterals, and the dynamic path. Each array of
+        the ``tape`` is popped when its layer's backward needs it and
+        dropped once it has been used.
+
+        Each decoder layer writes its input gradient over its input, the
+        activated output of the layer before it, already multiplied by that
+        layer's leaky-ReLU derivative (see
+        :func:`~flowvad.tensor.conv_transpose3d_backward`), and the layer
+        before starts from that buffer. So the largest array of the step,
+        ``decode3``'s output, is never alive beside a gradient of its size.
+        The encoder's gradients are new arrays; a concat's gradient is split
+        into contiguous copies of its channel slices, and the two gradients
+        reaching a dynamic feature, through the next dynamic conv and
+        through its lateral, are added before its own activation is undone.
+        """
+        slope = self.config.leaky_slope
+        two_path = self.config.dynamic_path
+        g = recon * (1.0 - recon) * grad  # through the sigmoid
+        dec_in = tape["dec_in"]
+        for layer in reversed(self.decoder):
+            h = dec_in.pop()
+            layer.backward(h, g, input_slope=slope)
+            g = h  # now the gradient of h's producer before its activation
+            del h
+        # g: the gradient of fuse's pre-activation, or of static4's in one-path
+        cat, lat_grads = None, [None] * 4
+        if two_path:
+            cat = tape.pop("fuse_in")
+            g = self.fuse_proj.backward(cat, g)
+        static_in = tape["static_in"]
+        channels = self.config.static_channels
+        for i in reversed(range(4)):
+            # g: the gradient of static i's output, next to lateral i's in
+            # cat when two-path; in one-path at i = 3 already of its
+            # pre-activation, and below that of its activated output, cat
+            if two_path:
+                lat_grads[i] = g[:, channels[i] :].copy()
+                g = g[:, : channels[i]].copy()
+                _leaky_grad(g, cat[:, : channels[i]], slope)
+            elif i < 3:
+                _leaky_grad(g, cat, slope)
+            cat = static_in.pop()
+            g = self.static_convs[i].backward(cat, g, grad_input=i > 0)
+        del cat, g
+        if not two_path:
+            return
+        dyn = tape["dyn"]
+        d_out, g = dyn.pop(), None
+        for i in reversed(range(4)):
+            # the gradient of dynamic i's output: through lateral i, plus
+            # through dynamic i + 1 below the top
+            g_lat = self.laterals[i].backward(d_out, lat_grads[i])
+            lat_grads[i] = None
+            g = g_lat if g is None else g + g_lat
+            del g_lat
+            _leaky_grad(g, d_out, slope)
+            d_out = dyn.pop()  # dynamic i's input
+            g = self.dynamic_convs[i].backward(d_out, g, grad_input=i > 0)

@@ -48,30 +48,30 @@ def _gaussian_1d() -> np.ndarray:
 
 
 # the blur's kernels along width and height, and the 2x2 halving's
-_KW = Tensor(_gaussian_1d().reshape(1, 1, 1, 1, SSIM_WINDOW))
-_KH = Tensor(_KW.data.reshape(1, 1, 1, SSIM_WINDOW, 1))
-_POOL = Tensor(np.full((1, 1, 1, 2, 2), 0.25))
+_KW = _gaussian_1d().reshape(1, 1, 1, 1, SSIM_WINDOW)
+_KH = _KW.reshape(1, 1, 1, SSIM_WINDOW, 1)
+_POOL = np.full((1, 1, 1, 2, 2), 0.25)
 _HALVE_STRIDE = (1, 2, 2)
 
 
 def _blur(x: np.ndarray) -> np.ndarray:
     """Separable valid-mode Gaussian filter over the last two axes."""
-    return conv3d(conv3d(x, _KW), _KH).data
+    return conv3d(conv3d(x, _KW), _KH)
 
 
 def _blur_adjoint(g: np.ndarray) -> np.ndarray:
-    return conv_transpose3d(conv_transpose3d(g, _KH), _KW).data
+    return conv_transpose3d(conv_transpose3d(g, _KH), _KW)
 
 
 def _halve(x: np.ndarray) -> np.ndarray:
-    return conv3d(x, _POOL, stride=_HALVE_STRIDE).data
+    return conv3d(x, _POOL, stride=_HALVE_STRIDE)
 
 
 def _halve_adjoint(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Adjoint of :func:`_halve` back onto frames of ``shape``; an odd side's
     last row or column, which the halving drops, gets zero."""
     extra = (0, shape[3] % 2, shape[4] % 2)
-    return conv_transpose3d(g, _POOL, stride=_HALVE_STRIDE, output_padding=extra).data
+    return conv_transpose3d(g, _POOL, stride=_HALVE_STRIDE, output_padding=extra)
 
 
 def usable_scales(height: int, width: int) -> int:

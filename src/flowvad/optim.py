@@ -22,14 +22,19 @@ def cosine_schedule(base_lr: float, total_steps: int):
     return lr_at
 
 
+# Values of a parameter that one in-place Adam pass updates at a time.
+_BLOCK = 2**16
+
+
 class Adam:
     """Standard Adam; the learning rate is a schedule, step -> lr.
 
-    A step updates the moments and every parameter in place, through two
-    scratch buffers the size of the largest parameter, in the operation
-    order of ``lr * (m / bias1) / (sqrt(v / bias2) + eps)``: the same bits
-    as the textbook expression, without its temporaries. The buffers live
-    only for the step, so they add nothing to the peak of a backward pass.
+    A step updates the moments and every parameter in place, over each
+    parameter's flat view in blocks of ``_BLOCK`` values, through two
+    scratch buffers of one block each, in the operation order of
+    ``lr * (m / bias1) / (sqrt(v / bias2) + eps)``. Every operation is
+    elementwise, so the blocks give the same bits as the textbook
+    expression over the whole parameter, without its temporaries.
     """
 
     def __init__(
@@ -44,9 +49,9 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._largest = max((p.size for p in self.params), default=0)
+        # flat, like the views of each parameter the update runs over
+        self._m = [np.zeros(p.size) for p in self.params]
+        self._v = [np.zeros(p.size) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -58,22 +63,26 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.step_count
         bias2 = 1.0 - b2**self.step_count
-        update_buf, denom_buf = np.empty(self._largest), np.empty(self._largest)
-        for p, m, v in zip(self.params, self._m, self._v):
+        update_buf, denom_buf = np.empty(_BLOCK), np.empty(_BLOCK)
+        for p, m_all, v_all in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            g = p.grad
-            update = update_buf[: p.size].reshape(p.shape)
-            denom = denom_buf[: p.size].reshape(p.shape)
-            m *= b1
-            m += np.multiply(1.0 - b1, g, out=update)
-            v *= b2
-            np.multiply(1.0 - b2, g, out=update)
-            v += np.multiply(update, g, out=update)
-            np.divide(m, bias1, out=update)
-            update *= lr
-            np.divide(v, bias2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            update /= denom
-            p.data -= update
+            # the update writes through this view: copy=False raises rather than copy
+            data_all = p.data.reshape(-1, copy=False)
+            g_all = p.grad.reshape(-1)
+            for start in range(0, p.size, _BLOCK):
+                block = slice(start, start + _BLOCK)
+                data, g, m, v = data_all[block], g_all[block], m_all[block], v_all[block]
+                update, denom = update_buf[: g.size], denom_buf[: g.size]
+                m *= b1
+                m += np.multiply(1.0 - b1, g, out=update)
+                v *= b2
+                np.multiply(1.0 - b2, g, out=update)
+                v += np.multiply(update, g, out=update)
+                np.divide(m, bias1, out=update)
+                update *= lr
+                np.divide(v, bias2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += self.eps
+                update /= denom
+                data -= update

@@ -1,45 +1,53 @@
-"""Reverse-mode automatic differentiation over dense float64 numpy arrays.
+"""Reverse-mode automatic differentiation over dense float64 numpy arrays,
+and the convolution kernels the models differentiate by hand.
 
-A ``Tensor`` wraps an ndarray plus an optional gradient. Every operation
-that participates in differentiation records a backward closure and its
-parent tensors on the output; calling :meth:`Tensor.backward` on a scalar
-loss walks the recorded graph once in reverse topological order and
-accumulates ``d loss / d leaf`` into each ``requires_grad`` leaf.
+A ``Tensor`` wraps an ndarray plus an optional gradient. A model that is
+differentiated records one node on its output with ``_record``: the
+parents are the tensors that want gradients, and the backward closure is a
+hand-written NumPy pass that hands each parent its gradient through
+``_accumulate``. Calling :meth:`Tensor.backward` on a scalar loss walks the
+recorded nodes once, parents after children.
 
-The engine keeps only what the models record: the graph itself
-(``_record``, ``_accumulate``, :meth:`Tensor.backward`), basic slicing,
-``sigmoid``, the whole-array ``mean``, :func:`concat`, :func:`conv3d`,
-:func:`conv_transpose3d` and :func:`no_grad`. There is no generic
-elementwise arithmetic.
+The engine keeps only that: ``_record``, ``_accumulate``,
+:meth:`Tensor.backward`, the whole-array ``mean`` and :func:`no_grad`.
+Three models record a node. The autoencoder of :mod:`flowvad.autoencoder`
+records the reconstruction, whose parents are its parameters; the
+reconstruction loss of :mod:`flowvad.losses` records the total, whose only
+parent is the reconstruction; the flow stack of :mod:`flowvad.flow` records
+its per-sample negative log-likelihood, which ``mean`` reduces. A training
+step's graph is therefore two nodes over the parameters. Inside a
+:func:`no_grad` block no node records parents or a backward closure, so
+inference builds no graph.
+
+The convolutions are array kernels. :func:`conv3d` and
+:func:`conv_transpose3d` run forward on ndarrays and record nothing;
+:func:`conv3d_backward` and :func:`conv_transpose3d_backward` give one
+call's gradients from the gradient of its output, and the models call them
+from their own backward passes.
 
 Design constraints, fixed on purpose:
 
 * float64 everywhere; no mixed precision.
-* slicing copies; no view aliasing survives into the backward pass.
+* ``_accumulate`` copies a first gradient unless the caller says it owns
+  it, so no view aliasing survives into a gradient. Sharing a buffer is a
+  backward pass's own, stated decision: the transposed conv's backward
+  writes its input gradient over its input.
 * memory is bounded by recompute and by finishing arrays in place. Every
   convolution pass is built from two helpers. The column builder
   (:func:`_columns`) forms the im2col columns of one chunk of positions
   from a zero-padded halo of what the chunk reads: a group of samples at a
   time, or, for a sample whose columns exceed the budget, whole time slabs
   or runs of rows; conv3d's forward and weight gradient and the transposed
-  conv's backward use it, and a conv node keeps its unpadded input, not its
-  columns. The tap scatter (:func:`_scatter_taps`) forms per-tap products
-  one sample and one bounded block of channels at a time and sums them onto
-  the output grid; the transposed conv's forward and conv3d's input
-  gradient use it. A conv adds its bias and applies its leaky ReLU to each
-  block of its output as soon as the block is written, so the
-  pre-activation is never a second array. :meth:`Tensor.backward` drops
-  each node once it has passed its gradient on, so an intermediate's data
-  is freed as soon as nothing else holds it, and a conv hands its freshly
-  allocated gradients to its parents without a copy.
-
-The flow stack of :mod:`flowvad.flow` records one node, its per-sample
-negative log-likelihood, through ``_record``; its hand-written NumPy
-backward honours ``requires_grad`` on every parent. The reconstruction loss
-of :mod:`flowvad.losses` records one node, the total, whose only parent is
-the reconstruction, with a hand-written NumPy backward too. Inside a
-:func:`no_grad` block no node records parents or a backward closure, so
-inference builds no graph.
+  conv's backward use it, and a backward rebuilds the columns from the
+  unpadded input rather than keeping them. The tap scatter
+  (:func:`_scatter_taps`) forms per-tap products one sample and one
+  bounded block of channels at a time and sums them onto the output grid;
+  the transposed conv's forward and conv3d's input gradient use it. A conv
+  adds its bias and applies its leaky ReLU to each block of its output as
+  soon as the block is written, so the pre-activation is never a second
+  array, and the activated output is all its backward needs.
+  :meth:`Tensor.backward` drops each node once it has passed its gradient
+  on, so what its closure held is freed before the next node runs.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,9 +63,10 @@ from .errors import ShapeError
 
 __all__ = [
     "Tensor",
-    "concat",
     "conv3d",
+    "conv3d_backward",
     "conv_transpose3d",
+    "conv_transpose3d_backward",
     "grad_enabled",
     "no_grad",
 ]
@@ -185,20 +194,6 @@ class Tensor:
                 node._parents = ()
             node._cleared = True
 
-    # ---------------------------------------------------------- nonlinearity
-
-    def sigmoid(self) -> "Tensor":
-        # 1 / (1 + exp(-x)): exp overflows to inf only where the result is
-        # below the smallest normal float, and underflows where it rounds to 1
-        with np.errstate(over="ignore", under="ignore"):
-            out_data = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(out_data)
-
-        def backward():
-            self._accumulate(out_data * (1.0 - out_data) * out.grad)
-
-        return out._record((self,), backward)
-
     # ------------------------------------------------------------ reductions
 
     def mean(self) -> "Tensor":
@@ -210,72 +205,12 @@ class Tensor:
 
         return out._record((self,), backward)
 
-    # --------------------------------------------------------------- slicing
-
-    def __getitem__(self, idx) -> "Tensor":
-        _check_basic_index(idx)
-        out = Tensor(self.data[idx].copy())
-
-        def backward():
-            g = np.zeros_like(self.data)
-            g[idx] = out.grad
-            self._accumulate(g)
-
-        return out._record((self,), backward)
-
 
 # -------------------------------------------------------------------- helpers
 
 
 def _scalar_err(t: Tensor):
     raise ShapeError(f"item() requires a single-element tensor, got shape {t.shape}")
-
-
-def _wrap(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value)
-
-
-def _check_basic_index(idx) -> None:
-    items = idx if isinstance(idx, tuple) else (idx,)
-    for it in items:
-        if not (isinstance(it, (int, slice, np.integer)) or it is Ellipsis or it is None):
-            raise TypeError(
-                "only basic indexing (ints, slices, Ellipsis) is supported; "
-                f"got {type(it).__name__}"
-            )
-
-
-# --------------------------------------------------------------- structural
-
-
-def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
-    ts = [_wrap(t) for t in tensors]
-    if not ts:
-        raise ShapeError("concat requires at least one tensor")
-    ndim = ts[0].ndim
-    for t in ts[1:]:
-        if t.ndim != ndim:
-            raise ShapeError(f"concat rank mismatch: {ts[0].shape} vs {t.shape}")
-        for ax in range(ndim):
-            if ax != axis % ndim and t.shape[ax] != ts[0].shape[ax]:
-                raise ShapeError(
-                    f"concat shapes differ off-axis: {ts[0].shape} vs {t.shape} (axis={axis})"
-                )
-    out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
-    sizes = [t.shape[axis % ndim] for t in ts]
-
-    def backward():
-        start = 0
-        for t, size in zip(ts, sizes):
-            if t.requires_grad:
-                sl = [slice(None)] * ndim
-                sl[axis % ndim] = slice(start, start + size)
-                t._accumulate(out.grad[tuple(sl)])
-            start += size
-
-    return out._record(ts, backward)
 
 
 # ------------------------------------------------------------ 3d convolution
@@ -395,15 +330,17 @@ def _finish_block(blk: np.ndarray, bias, slope) -> None:
         np.maximum(blk, slope * blk, out=blk)
 
 
-def _leaky_grad(grad: np.ndarray, y: np.ndarray, slope, blocks) -> None:
+def _leaky_grad(grad: np.ndarray, y: np.ndarray, slope) -> None:
     """Turn the gradient of a leaky ReLU's output ``y`` into that of its
-    input, in place, one block at a time. For 0 <= slope <= 1, y > 0 exactly
-    where the input is > 0, so the activated output is all the node keeps."""
+    input, in place: scale it by ``slope`` where y is not > 0, one sample
+    (index of the first axis) at a time, so the only temporaries are a
+    sample's boolean masks. For 0 <= slope <= 1, y > 0 exactly where the
+    input is > 0, so the activated output is all a backward needs."""
     if slope is None:
         return
-    for b in blocks:
-        blk = grad[b]
-        blk *= np.where(y[b] > 0.0, 1.0, slope)
+    for i in range(len(grad)):
+        blk = grad[i : i + 1]
+        np.multiply(blk, slope, out=blk, where=~(y[i : i + 1] > 0.0))
 
 
 def _columns(x: np.ndarray, k, s, p, chunk) -> np.ndarray:
@@ -432,8 +369,7 @@ def _columns(x: np.ndarray, k, s, p, chunk) -> np.ndarray:
 def _scatter_taps(x: np.ndarray, w: np.ndarray, s, p, out: np.ndarray, bias=None, slope=None):
     """The tap scatter: the transposed conv of ``x`` (n, cx, *dims) with
     ``w`` (cx, cy, kt, kh, kw), written over ``out`` (n, cy, *out_dims) and
-    finished in place with the per-channel ``bias`` and leaky ReLU ``slope``;
-    returns the (sample, channel block) index pairs it finished, in order.
+    finished in place with the per-channel ``bias`` and leaky ReLU ``slope``.
     Per sample, the output channels run in blocks whose per-tap products fit
     in ``_COLS_BUDGET`` bytes: one GEMM puts a block's products in one buffer
     reused across blocks and samples, and :func:`_tap_sum` sums them onto
@@ -442,39 +378,34 @@ def _scatter_taps(x: np.ndarray, w: np.ndarray, s, p, out: np.ndarray, bias=None
     k, positions = w.shape[2:], x[0, 0].size
     by_channel = w.reshape(cx, w.shape[1], -1)
     channel_blocks = _batch_groups(w.shape[1], by_channel.shape[2] * positions * x.itemsize)
-    blocks = [(i, cb) for i in range(n) for cb in channel_blocks]
     taps = np.empty((channel_blocks[0].stop * by_channel.shape[2], positions))
-    for i, cb in blocks:
-        wb = by_channel[:, cb].reshape(cx, -1)
-        rows = taps[: wb.shape[1]]
-        np.matmul(wb.T, x[i].reshape(cx, positions), out=rows)
-        _tap_sum(rows.reshape(1, -1, *k, *x.shape[2:]), s, p, out[i : i + 1, cb])
-        _finish_block(out[i, cb], None if bias is None else bias[cb], slope)
-    return blocks
+    for i in range(n):
+        for cb in channel_blocks:
+            wb = by_channel[:, cb].reshape(cx, -1)
+            rows = taps[: wb.shape[1]]
+            np.matmul(wb.T, x[i].reshape(cx, positions), out=rows)
+            _tap_sum(rows.reshape(1, -1, *k, *x.shape[2:]), s, p, out[i : i + 1, cb])
+            _finish_block(out[i, cb], None if bias is None else bias[cb], slope)
 
 
 def conv3d(
-    x: Tensor, w: Tensor, stride=(1, 1, 1), padding=(0, 0, 0), bias=None, slope=None
-) -> Tensor:
+    x: np.ndarray, w: np.ndarray, stride=(1, 1, 1), padding=(0, 0, 0), bias=None, slope=None
+):
     """3-D convolution (cross-correlation) over (batch, channel, time, h, w).
 
     ``w`` has shape (out_channels, in_channels, kt, kh, kw) and the optional
     ``bias`` shape (out_channels,). Output spatial dims follow
     floor((d + 2p - k) / s) + 1 per axis. With a ``slope`` in [0, 1] the
     output is the leaky ReLU, max(y, slope * y), of the biased convolution.
+    Returns a new array; records nothing.
 
     The batch runs in groups whose im2col columns fit in ``_COLS_BUDGET``
     bytes; a sample whose columns do not fit runs alone, over whole time
     slabs or runs of rows of one slab (:func:`_position_chunks`). Each
     chunk's columns come from the column builder (:func:`_columns`), one
     matmul (one GEMM per sample) writes its output, and the bias and
-    activation finish it in place. The node keeps the unpadded input.
-    Backward adds each sample's weight-gradient term chunk by chunk from
-    zeros (bitwise the batch ``.sum(axis=0)`` where a sample is one chunk,
-    within rounding where it is split), and takes the input gradient from
-    the tap scatter (:func:`_scatter_taps`), the exact adjoint.
+    activation finish it in place.
     """
-    x, w = _wrap(x), _wrap(w)
     s, p = _triple(stride), _triple(padding)
     _check_slope(slope)
     if x.ndim != 5 or w.ndim != 5:
@@ -485,56 +416,72 @@ def conv3d(
         raise ShapeError(f"conv3d channel mismatch: input {x.shape} vs weight {w.shape}")
     k = tuple(k)
     out_dims = _conv_out_dims(dims, k, s, p)
-    xd = x.data
-    w2 = w.data.reshape(cout, -1)
-    row_bytes = w2.shape[1] * out_dims[2] * xd.itemsize
-    groups = _batch_groups(n, out_dims[0] * out_dims[1] * row_bytes)
-    # one whole chunk when a sample's columns fit, else slabs or runs of rows
-    chunks = _position_chunks(out_dims, row_bytes, 1)
-    b = None if bias is None else bias.data
-
+    w2 = w.reshape(cout, -1)
     y = np.empty((n, cout, *out_dims))
-    for g in groups:
-        for chunk in chunks:
-            # a slab run or a row run of one slab, at full width: a view
-            yc = y[(g, slice(None), *chunk)]
-            cols = _columns(xd[g], k, s, p, chunk)
-            np.matmul(w2, cols, out=yc.reshape(-1, cout, yc[0, 0].size))
+    for g, chunk in _conv_chunks(n, w2.shape[1], out_dims):
+        # a slab run or a row run of one slab, at full width: a view
+        yc = y[(g, slice(None), *chunk)]
+        cols = _columns(x[g], k, s, p, chunk)
+        np.matmul(w2, cols, out=yc.reshape(-1, cout, yc[0, 0].size))
+        del cols  # before the next columns exist
+        _finish_block(yc, bias, slope)
+    return y
+
+
+def _conv_chunks(n: int, col_rows: int, out_dims) -> list[tuple[slice, tuple]]:
+    """(sample group, position chunk) pairs of a conv3d pass whose im2col
+    columns have ``col_rows`` rows: groups of samples whose columns fit in
+    ``_COLS_BUDGET`` bytes, each over one whole chunk when a sample's columns
+    fit, else over slabs or runs of rows."""
+    row_bytes = col_rows * out_dims[2] * 8
+    groups = _batch_groups(n, out_dims[0] * out_dims[1] * row_bytes)
+    chunks = _position_chunks(out_dims, row_bytes, 1)
+    return [(g, chunk) for g in groups for chunk in chunks]
+
+
+def conv3d_backward(
+    x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride=(1, 1, 1), padding=(0, 0, 0),
+    grad_weight: bool = True, grad_input: bool = True,
+):
+    """Weight and input gradients, (gw, gx), of ``conv3d(x, w, stride,
+    padding)`` given ``gy``, the gradient of its biased output before any
+    activation; either is None when not asked for. The bias gradient is
+    ``gy.sum(axis=(0, 2, 3, 4))``.
+
+    The weight gradient adds each sample's term chunk by chunk from zeros
+    (bitwise the batch ``.sum(axis=0)`` where a sample is one chunk, within
+    rounding where it is split), rebuilding the forward's columns from
+    ``x``. The input gradient, a new array, comes from the tap scatter
+    (:func:`_scatter_taps`), the exact adjoint.
+    """
+    s, p = _triple(stride), _triple(padding)
+    cout, k = w.shape[0], tuple(w.shape[2:])
+    w2 = w.reshape(cout, -1)
+    gw = gx = None
+    if grad_weight:
+        gw = np.zeros(w2.shape)
+        for g, chunk in _conv_chunks(x.shape[0], w2.shape[1], gy.shape[2:]):
+            cols = _columns(x[g], k, s, p, chunk)
+            gyc = gy[(g, slice(None), *chunk)]
+            for j in range(len(cols)):
+                gw += gyc[j].reshape(cout, -1) @ cols[j].T
             del cols  # before the next columns exist
-            _finish_block(yc, b, slope)
-    out = Tensor(y)
-
-    def backward():
-        _leaky_grad(out.grad, y, slope, groups)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)), owned=True)
-        if w.requires_grad:
-            gw = np.zeros(w2.shape)
-            for g in groups:
-                for chunk in chunks:
-                    cols = _columns(xd[g], k, s, p, chunk)
-                    gy = out.grad[(g, slice(None), *chunk)]
-                    for j in range(len(cols)):
-                        gw += gy[j].reshape(cout, -1) @ cols[j].T
-                    del cols  # before the next columns exist
-            w._accumulate(gw.reshape(w.shape), owned=True)
-        if x.requires_grad:
-            gx = np.empty(x.shape)
-            _scatter_taps(out.grad, w.data, s, p, gx)
-            x._accumulate(gx, owned=True)
-
-    return out._record((x, w) if bias is None else (x, w, bias), backward)
+        gw = gw.reshape(w.shape)
+    if grad_input:
+        gx = np.empty(x.shape)
+        _scatter_taps(gy, w, s, p, gx)
+    return gw, gx
 
 
 def conv_transpose3d(
-    x: Tensor,
-    w: Tensor,
+    x: np.ndarray,
+    w: np.ndarray,
     stride=(1, 1, 1),
     padding=(0, 0, 0),
     output_padding=(0, 0, 0),
     bias=None,
     slope=None,
-) -> Tensor:
+):
     """Transposed 3-D convolution, the adjoint of :func:`conv3d`.
 
     ``w`` has shape (in_channels, out_channels, kt, kh, kw) and the optional
@@ -542,6 +489,7 @@ def conv_transpose3d(
     <conv3d(x, w), y> == <x, conv_transpose3d(y, w)>. Output dims follow
     (d - 1) * s - 2p + k + output_padding per axis. With a ``slope`` in
     [0, 1] the output is the leaky ReLU of the biased transposed convolution.
+    Returns a new array; records nothing.
 
     The forward is the tap scatter (:func:`_scatter_taps`), which forms the
     per-tap products one bounded block of output channels of one sample at a
@@ -556,21 +504,7 @@ def conv_transpose3d(
     scatter-add of all taps, so every output value is bitwise what that
     scatter gives. The bias and activation finish each block in place as
     soon as its taps are summed.
-
-    Backward is a strided :func:`conv3d` of the output gradient. It runs per
-    sample over chunks of the input position grid whose im2col columns fit in
-    ``_COLS_BUDGET`` bytes (whole time slabs, or runs of rows of one slab
-    when a slab does not fit), each from the column builder
-    (:func:`_columns`): a chunk writes its rows of the input gradient and
-    adds its term of the weight gradient, so neither the padded output
-    gradient nor a sample's full columns are ever held. The input gradient
-    takes one GEMM per run of rows (:func:`_gemm_rows`) in every chunk, so
-    it, the output and the bias gradient do not depend on the chunking. The
-    weight gradient sums over positions chunk by chunk, so it moves with the
-    chunking by rounding only. Both gradients are within 1e-12 relative of
-    the whole-sample im2col backward.
     """
-    x, w = _wrap(x), _wrap(w)
     s, p, op = _triple(stride), _triple(padding), _triple(output_padding)
     _check_slope(slope)
     if x.ndim != 5 or w.ndim != 5:
@@ -583,7 +517,6 @@ def conv_transpose3d(
         raise ShapeError(
             f"conv_transpose3d channel mismatch: input {x.shape} vs weight {w.shape}"
         )
-    k = tuple(k)
     for oi, si in zip(op, s):
         if oi >= si:
             raise ShapeError(f"output_padding {op} must be < stride {s}")
@@ -594,40 +527,78 @@ def conv_transpose3d(
         raise ShapeError(
             f"conv_transpose3d produces non-positive dims {out_dims} from input {x.shape}"
         )
-    xd = x.data
-    w2 = w.data.reshape(cin, -1)
     y = np.empty((n, cout, *out_dims))
-    blocks = _scatter_taps(xd, w.data, s, p, y, None if bias is None else bias.data, slope)
-    out = Tensor(y)
+    _scatter_taps(x, w, s, p, y, bias, slope)
+    return y
 
-    def backward():
-        _leaky_grad(out.grad, y, slope, blocks)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)), owned=True)
-        gw = np.zeros(w2.shape) if w.requires_grad else None
-        gx = np.empty(x.shape) if x.requires_grad else None
-        # the input gradient takes one GEMM per run of rows in any chunk, as
-        # BLAS may round a column differently with the column count
-        run, width = _gemm_rows(cin, cout, dims), dims[2]
-        gx_runs = None if gx is None else gx.reshape(n, cin, dims[0], dims[1] // run, run * width)
-        stack = (1, 2, 0, 3)  # (time, run, channel, position in run)
-        for chunk in _position_chunks(dims, w2.shape[1] * width * xd.itemsize, run):
-            runs = slice(chunk[1].start // run, chunk[1].stop // run)
-            by_run = (chunk[0].stop - chunk[0].start, runs.stop - runs.start, run * width)
-            for i in range(n):
-                gcols = _columns(out.grad[i : i + 1], k, s, p, chunk)[0]
-                if gx is not None:
-                    np.matmul(
-                        w2,
-                        gcols.reshape(-1, *by_run).transpose(stack),
-                        out=gx_runs[i, :, chunk[0], runs].transpose(stack),
-                    )
-                if gw is not None:
-                    gw += xd[(i, slice(None), *chunk)].reshape(cin, -1) @ gcols.T
-                del gcols  # before the next columns exist
-        if gx is not None:
-            x._accumulate(gx, owned=True)
-        if gw is not None:
-            w._accumulate(gw.reshape(w.shape), owned=True)
 
-    return out._record((x, w) if bias is None else (x, w, bias), backward)
+def conv_transpose3d_backward(
+    x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride=(1, 1, 1), padding=(0, 0, 0),
+    grad_weight: bool = True, grad_input: bool = True, input_slope=None,
+):
+    """Weight gradient of ``conv_transpose3d(x, w, stride, padding, ...)``
+    given ``gy``, the gradient of its biased output before any activation,
+    or None when not asked for. The bias gradient is
+    ``gy.sum(axis=(0, 2, 3, 4))``.
+
+    With ``grad_input`` the input gradient is written over ``x`` itself,
+    which must be C-contiguous; with an ``input_slope`` it is also
+    multiplied by the derivative of the leaky ReLU of that slope whose
+    activated output ``x`` is, so ``x`` ends as the gradient of its
+    producer's pre-activation. Each chunk of ``x`` is read, for its sign
+    and its weight-gradient term, before its input gradient overwrites it.
+
+    This is a strided :func:`conv3d` of the output gradient. It runs per
+    sample over chunks of the input position grid whose im2col columns fit in
+    ``_COLS_BUDGET`` bytes (whole time slabs, or runs of rows of one slab
+    when a slab does not fit), each from the column builder
+    (:func:`_columns`). Per chunk and sample it takes the sign of the
+    chunk's values, adds the chunk's weight-gradient term, runs the
+    input-gradient GEMMs into the chunk and scales the values whose input
+    was not positive by the slope; neither the padded output gradient nor a
+    sample's full columns are ever held. The input gradient takes one GEMM
+    per run of rows (:func:`_gemm_rows`) in every chunk, so it does not
+    depend on the chunking, and the mask multiplies it exactly as a
+    separate leaky-ReLU backward would. The weight gradient sums over
+    positions chunk by chunk, so it moves with the chunking by rounding
+    only. Both gradients are within 1e-12 relative of the whole-sample
+    im2col backward.
+    """
+    s, p = _triple(stride), _triple(padding)
+    _check_slope(input_slope)
+    n, cin, *dims = x.shape
+    k = tuple(w.shape[2:])
+    w2 = w.reshape(cin, -1)
+    cout = w.shape[1]
+    gw = np.zeros(w2.shape) if grad_weight else None
+    # the input gradient takes one GEMM per run of rows in any chunk, as
+    # BLAS may round a column differently with the column count
+    run, width = _gemm_rows(cin, cout, dims), dims[2]
+    if grad_input:
+        if not x.flags.c_contiguous:
+            raise ValueError("conv_transpose3d_backward writes over x, which must be C-contiguous")
+        x_runs = x.reshape(n, cin, dims[0], dims[1] // run, run * width)
+    stack = (1, 2, 0, 3)  # (time, run, channel, position in run)
+    for chunk in _position_chunks(dims, w2.shape[1] * width * x.itemsize, run):
+        runs = slice(chunk[1].start // run, chunk[1].stop // run)
+        by_run = (chunk[0].stop - chunk[0].start, runs.stop - runs.start, run * width)
+        for i in range(n):
+            gcols = _columns(gy[i : i + 1], k, s, p, chunk)[0]
+            xc = x[(i, slice(None), *chunk)]
+            if grad_input and input_slope is not None:
+                # where the producer's leaky ReLU scaled its input
+                scaled = xc > 0.0
+                np.logical_not(scaled, out=scaled)
+            if gw is not None:
+                gw += xc.reshape(cin, -1) @ gcols.T
+            if grad_input:
+                np.matmul(
+                    w2,
+                    gcols.reshape(-1, *by_run).transpose(stack),
+                    out=x_runs[i, :, chunk[0], runs].transpose(stack),
+                )
+                if input_slope is not None:
+                    np.multiply(xc, input_slope, out=xc, where=scaled)
+                    del scaled
+            del gcols  # before the next columns exist
+    return None if gw is None else gw.reshape(w.shape)

@@ -1,15 +1,19 @@
 """Two-step training loops.
 
-Step one fits the autoencoder to reconstruct normal clips. Step two freezes
-it and fits one density model per feature stream on the bridged features.
+Step one fits the autoencoder to reconstruct normal clips; a step's graph
+is two nodes, the reconstruction and the loss, each with a hand-written
+backward, and the autoencoder's backward writes each decoder layer's input
+gradient over its input. Step two freezes it and fits one density model per
+feature stream on the bridged features.
 Both run ``_fit``: Adam with a cosine-annealed step size; each step calls the
 stage's ``loss_at(step)``, which draws a batch from a seeded generator and
 returns (loss, curve row), then runs backward, the update and a finiteness
 check of the parameters. A NumericError anywhere in a step (a non-finite
 loss, a diverging density model, a non-finite parameter) leaves the
 parameters as they were when the step began and raises TrainingAborted.
-Only the optimizer update writes a parameter, so the copy that restores them
-is taken after backward and dropped before the next forward: it is never alive
+Only the optimizer update writes a parameter (backward overwrites
+activations, never parameters), so the copy that restores them is taken
+after backward and dropped before the next forward: it is never alive
 during a forward or backward pass. The gradients are dropped before each
 forward and when training ends, so they are never alive during a forward.
 """

@@ -1,39 +1,51 @@
 """Autodiff ops that only the tests use.
 
-The flow stack and the reconstruction loss are each one node with a
-hand-written backward, so nothing in `flowvad` needs generic elementwise
-arithmetic, a general broadcast, reshape, transpose, per-axis reduction,
-matrix product, ReLU, exp, log, tanh, negation or max node, and the convs
-apply their leaky ReLU themselves. The tests still do: the autodiff oracles
-for the flow stack in `test_flow_layers.py` and for the loss in
-`test_losses.py`, the op registry of the acceptance gradient check, the
-plain-conv-then-activation reference of `test_conv.py`, and
-`test_tensor_ops.py`. Each op records one node through `Tensor._record`,
-like the ops in `flowvad.tensor`.
+The flow stack, the reconstruction loss and the autoencoder are each one
+node with a hand-written backward, so nothing in `flowvad` needs generic
+elementwise arithmetic, a general broadcast, reshape, transpose, per-axis
+reduction, matrix product, ReLU, exp, log, tanh, negation, max, slicing,
+sigmoid, concat or per-layer conv node. The tests still do: the autodiff
+oracles for the flow stack in `test_flow_layers.py`, for the loss in
+`test_losses.py` and for the autoencoder in `model_oracles.py`, the op
+registry of the acceptance gradient check, the conv tests of
+`test_conv.py`, and `test_tensor_ops.py`. Each op records one node through
+`Tensor._record`, like the models in `flowvad`. The conv nodes wrap the
+array kernels of `flowvad.tensor`; their backward undoes the leaky ReLU
+from the activated output, sums the bias gradient and calls the backward
+kernel, on a copy of the input for the transposed conv, whose kernel
+writes the input gradient over its input.
 
 Importing this module (`conftest.py` does) attaches the arithmetic
-operators and the `abs`, `clamp_min`, `sum`, `reshape` and `transpose`
-methods to `Tensor`, so the oracles write `a * b`. Elementwise ops
-broadcast only over the leading batch axis or against scalars; an operand
-of any other shape must be expanded to the full shape first, so every
-gradient path is explicit.
+operators, basic slicing and the `abs`, `clamp_min`, `sum`, `reshape`,
+`transpose` and `sigmoid` methods to `Tensor`, so the oracles write
+`a * b` and `x[:, :, ::tau]`. Elementwise ops broadcast only over the
+leading batch axis or against scalars; an operand of any other shape must
+be expanded to the full shape first, so every gradient path is explicit.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from flowvad import tensor
 from flowvad.errors import NumericError, ShapeError
-from flowvad.tensor import Tensor, _wrap
+from flowvad.tensor import Tensor
 
 __all__ = [
-    "amax", "broadcast_to", "exp", "leaky_relu", "log", "matmul", "mean_axis", "neg", "relu", "tanh",
+    "amax", "broadcast_to", "concat", "conv3d", "conv_transpose3d", "exp", "leaky_relu", "log",
+    "matmul", "mean_axis", "neg", "relu", "tanh",
 ]
 
 
 # ---------------------------------------------------------------- helpers
+
+
+def _wrap(value) -> Tensor:
+    if isinstance(value, Tensor):
+        return value
+    return Tensor(value)
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -217,6 +229,42 @@ def _transpose(self, axes: Sequence[int]) -> Tensor:
     return out._record((self,), backward)
 
 
+def _check_basic_index(idx) -> None:
+    items = idx if isinstance(idx, tuple) else (idx,)
+    for it in items:
+        if not (isinstance(it, (int, slice, np.integer)) or it is Ellipsis or it is None):
+            raise TypeError(
+                "only basic indexing (ints, slices, Ellipsis) is supported; "
+                f"got {type(it).__name__}"
+            )
+
+
+def _getitem(self, idx) -> Tensor:
+    """Basic slicing; the output is a copy, so no view aliasing survives
+    into the backward pass."""
+    _check_basic_index(idx)
+    out = Tensor(self.data[idx].copy())
+
+    def backward():
+        g = np.zeros_like(self.data)
+        g[idx] = out.grad
+        self._accumulate(g)
+
+    return out._record((self,), backward)
+
+
+def _sigmoid(self) -> Tensor:
+    # 1 / (1 + exp(-x)), as the autoencoder's last step computes it
+    with np.errstate(over="ignore", under="ignore"):
+        out_data = 1.0 / (1.0 + np.exp(-self.data))
+    out = Tensor(out_data)
+
+    def backward():
+        self._accumulate(out_data * (1.0 - out_data) * out.grad)
+
+    return out._record((self,), backward)
+
+
 for _name, _op in {
     "__add__": _add,
     "__sub__": _sub,
@@ -230,6 +278,8 @@ for _name, _op in {
     "sum": _sum,
     "reshape": _reshape,
     "transpose": _transpose,
+    "__getitem__": _getitem,
+    "sigmoid": _sigmoid,
 }.items():
     setattr(Tensor, _name, _op)
 
@@ -371,3 +421,80 @@ def amax(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         t._accumulate(g)
 
     return out._record((t,), backward)
+
+
+def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
+    ts = [_wrap(t) for t in tensors]
+    if not ts:
+        raise ShapeError("concat requires at least one tensor")
+    ndim = ts[0].ndim
+    for t in ts[1:]:
+        if t.ndim != ndim:
+            raise ShapeError(f"concat rank mismatch: {ts[0].shape} vs {t.shape}")
+        for ax in range(ndim):
+            if ax != axis % ndim and t.shape[ax] != ts[0].shape[ax]:
+                raise ShapeError(
+                    f"concat shapes differ off-axis: {ts[0].shape} vs {t.shape} (axis={axis})"
+                )
+    out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
+    sizes = [t.shape[axis % ndim] for t in ts]
+
+    def backward():
+        start = 0
+        for t, size in zip(ts, sizes):
+            if t.requires_grad:
+                sl = [slice(None)] * ndim
+                sl[axis % ndim] = slice(start, start + size)
+                t._accumulate(out.grad[tuple(sl)])
+            start += size
+
+    return out._record(ts, backward)
+
+
+def conv3d(x, w, stride=(1, 1, 1), padding=(0, 0, 0), bias=None, slope=None) -> Tensor:
+    """`flowvad.tensor.conv3d` as one node over ``x``, ``w`` and ``bias``."""
+    x, w = _wrap(x), _wrap(w)
+    y = tensor.conv3d(x.data, w.data, stride, padding, None if bias is None else bias.data, slope)
+    out = Tensor(y)
+
+    def backward():
+        tensor._leaky_grad(out.grad, y, slope)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)), owned=True)
+        gw, gx = tensor.conv3d_backward(
+            x.data, w.data, out.grad, stride, padding, w.requires_grad, x.requires_grad
+        )
+        if gw is not None:
+            w._accumulate(gw, owned=True)
+        if gx is not None:
+            x._accumulate(gx, owned=True)
+
+    return out._record((x, w) if bias is None else (x, w, bias), backward)
+
+
+def conv_transpose3d(
+    x, w, stride=(1, 1, 1), padding=(0, 0, 0), output_padding=(0, 0, 0), bias=None, slope=None
+) -> Tensor:
+    """`flowvad.tensor.conv_transpose3d` as one node over ``x``, ``w`` and
+    ``bias``."""
+    x, w = _wrap(x), _wrap(w)
+    y = tensor.conv_transpose3d(
+        x.data, w.data, stride, padding, output_padding, None if bias is None else bias.data, slope
+    )
+    out = Tensor(y)
+
+    def backward():
+        tensor._leaky_grad(out.grad, y, slope)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)), owned=True)
+        # the kernel writes the input gradient over its input: give it a copy
+        gx = x.data.copy() if x.requires_grad else x.data
+        gw = tensor.conv_transpose3d_backward(
+            gx, w.data, out.grad, stride, padding, w.requires_grad, x.requires_grad
+        )
+        if x.requires_grad:
+            x._accumulate(gx, owned=True)
+        if gw is not None:
+            w._accumulate(gw, owned=True)
+
+    return out._record((x, w) if bias is None else (x, w, bias), backward)

@@ -1,5 +1,8 @@
-"""Shape and size arithmetic that only the tests use.
+"""Model oracles and shape and size arithmetic that only the tests use.
 
+`graph_reconstruct` builds the autoencoder's forward as a per-layer graph
+of `graph_ops` nodes, so `Tensor.backward` gives the gradients that
+`TwoPathAutoencoder.reconstruct`'s hand-written backward must match.
 `layer_shapes` states the paper's per-stage layer table from the stride
 arithmetic alone, so one real forward pass can check every row at once.
 `bits_per_dim` and `num_transforms` read a flow result and a flow stack.
@@ -13,8 +16,47 @@ import numpy as np
 
 from flowvad.autoencoder import _DYNAMIC_GEOM, _STATIC_GEOM, AutoencoderConfig, _decoder_geom
 from flowvad.errors import ShapeError
+from flowvad.tensor import Tensor
 
-__all__ = ["bits_per_dim", "layer_shapes", "num_transforms"]
+from graph_ops import concat, conv3d, conv_transpose3d
+
+__all__ = ["bits_per_dim", "graph_reconstruct", "layer_shapes", "num_transforms"]
+
+
+def _layer_node(layer, h: Tensor) -> Tensor:
+    """One `Conv3dLayer` as a graph node over its own parameters."""
+    if layer.transpose:
+        return conv_transpose3d(
+            h, layer.weight, layer.stride, layer.padding, layer.output_padding,
+            layer.bias, layer.activation,
+        )
+    return conv3d(h, layer.weight, layer.stride, layer.padding, layer.bias, layer.activation)
+
+
+def graph_reconstruct(model, x: Tensor) -> Tensor:
+    """The reconstruction of ``x`` as a graph of one node per layer, slice,
+    concat and the sigmoid: 56 nodes over the parameters for a two-path
+    model. Values are those of ``model.reconstruct``; the graph's backward
+    is the reference for its gradients."""
+    cfg = model.config
+    s = x[:, :, :: cfg.tau]
+    if not cfg.dynamic_path:
+        for layer in model.static_convs:
+            s = _layer_node(layer, s)
+    else:
+        d, dyn = x, []
+        for layer in model.dynamic_convs:
+            d = _layer_node(layer, d)
+            dyn.append(d)
+        for i, layer in enumerate(model.static_convs):
+            s = _layer_node(layer, s)
+            if i < 3:
+                s = concat([s, _layer_node(model.laterals[i], dyn[i])], axis=1)
+        lat = _layer_node(model.laterals[3], dyn[3])
+        s = _layer_node(model.fuse_proj, concat([s, lat], axis=1))
+    for layer in model.decoder:
+        s = _layer_node(layer, s)
+    return s.sigmoid()
 
 
 def layer_shapes(

@@ -30,10 +30,23 @@ from flowvad.flow import (
 )
 from flowvad.losses import recon_loss
 from flowvad.scoring import roc_auc_eer
-from flowvad.tensor import Tensor, concat, conv3d, conv_transpose3d
+from flowvad.tensor import Tensor
 from flowvad.train import TrainConfig, train_flow
 
-from graph_ops import amax, broadcast_to, exp, leaky_relu, log, matmul, neg, relu, tanh
+from graph_ops import (
+    amax,
+    broadcast_to,
+    concat,
+    conv3d,
+    conv_transpose3d,
+    exp,
+    leaky_relu,
+    log,
+    matmul,
+    neg,
+    relu,
+    tanh,
+)
 from model_oracles import layer_shapes
 from numeric import max_relative_error, numerical_gradient, numerical_jacobian
 

@@ -1,5 +1,7 @@
 """Topology and behavior of the two-path autoencoder."""
 
+import contextlib
+import functools
 import tracemalloc
 import warnings
 
@@ -11,10 +13,10 @@ from flowvad.config import RunConfig
 from flowvad.errors import ShapeError
 from flowvad.losses import recon_loss
 from flowvad.pipeline import score_video
-from flowvad.tensor import Tensor
+from flowvad.tensor import Tensor, no_grad
 from flowvad.train import TrainConfig, train_autoencoder
 
-from model_oracles import layer_shapes
+from model_oracles import graph_reconstruct, layer_shapes
 
 
 @pytest.fixture(scope="module")
@@ -162,16 +164,126 @@ def graph_nodes(t):
 
 @pytest.mark.filterwarnings("ignore:frame .* supports only")
 def test_step_graph_is_the_autoencoder_plus_one_loss_node():
+    """The reconstruction is one node whose parents are the parameters, and
+    the loss adds one more: a step's graph is 2 nodes over the 34
+    parameters, where the per-layer graph had 56 plus the loss's one."""
     rng = np.random.default_rng(4)
     model = TwoPathAutoencoder(AutoencoderConfig(tau=4), rng)
     x = Tensor(rng.uniform(size=(2, 1, 8, 32, 32)))
     recon = model.reconstruct(x)
-    assert graph_nodes(recon) == 56
-    assert graph_nodes(recon_loss(x, recon).total) == 57
+    params = model.parameters()
+    assert [id(p) for p in recon._parents] == [id(p) for p in params]
+    assert all(p._backward is None for p in params)
+    assert graph_nodes(recon) == 1 + len(params) == 35
+    assert graph_nodes(recon_loss(x, recon).total) == 2 + len(params)
+
+
+def bits(a):
+    """The raw float64 bits, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def step_grads(model, x, reconstruct):
+    """Parameter gradients of one recon_loss step through ``reconstruct``,
+    and the reconstruction; leaves no gradient on the model."""
+    params = model.named_parameters()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # 3 of 5 MS-SSIM scales
+        out = reconstruct(x)
+        recon_loss(x, out).total.backward()
+    grads = {name: p.grad for name, p in params.items()}
+    for p in params.values():
+        p.grad = None
+    return out.data, grads
+
+
+class TestHandWrittenBackward:
+    """reconstruct's one node against the per-layer graph of
+    ``graph_reconstruct``, built from the tests' autodiff ops."""
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("two_path", [True, False], ids=["two-path", "one-path"])
+    def test_gradients_bitwise_equal_the_graph_oracle(self, two_path, batch):
+        # the same products and leaky-ReLU masks run in the same order, and
+        # the two gradients reaching a dynamic feature add commutatively
+        rng = np.random.default_rng(5)
+        model = TwoPathAutoencoder(AutoencoderConfig(tau=4, dynamic_path=two_path), rng)
+        x = Tensor(rng.uniform(size=(batch, 1, 8, 64, 64)))
+        want_out, want = step_grads(model, x, lambda t: graph_reconstruct(model, t))
+        out, got = step_grads(model, x, model.reconstruct)
+        assert np.array_equal(bits(out), bits(want_out))
+        assert set(got) == set(want)
+        for name, g in got.items():
+            assert g is not None and np.array_equal(bits(g), bits(want[name])), name
+
+    def test_frozen_parameters_get_no_gradient(self):
+        rng = np.random.default_rng(6)
+        model = TwoPathAutoencoder(AutoencoderConfig(tau=2), rng)
+        frozen = {"lateral2.weight", "dynamic1.bias", "decode3.weight", "static1.weight"}
+        params = model.named_parameters()
+        for name in frozen:
+            params[name].requires_grad = False
+        x = Tensor(rng.uniform(size=(2, 1, 4, 16, 16)))
+        _, want = step_grads(model, x, lambda t: graph_reconstruct(model, t))
+        _, got = step_grads(model, x, model.reconstruct)
+        for name, g in got.items():
+            if name in frozen:
+                assert g is None and want[name] is None, name
+            else:
+                assert np.array_equal(bits(g), bits(want[name])), name
+
+    def test_input_requiring_gradients_rejected(self, small_model):
+        _, model = small_model
+        x = Tensor(np.zeros((1, 1, 4, 16, 16)), requires_grad=True)
+        with pytest.raises(ValueError, match="parameters only"):
+            model.reconstruct(x)
+
+
+class TestNoGraph:
+    """Inference records no node and keeps no layer's arrays for a backward."""
+
+    @staticmethod
+    def held_after(model, mode):
+        """Outputs of encode, decode and reconstruct on a 32x32 window, and
+        the bytes still allocated once they return, the outputs included."""
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.uniform(size=(1, 1, 8, 32, 32)))
+        tracemalloc.start()
+        try:
+            with no_grad() if mode == "no_grad" else contextlib.nullcontext():
+                xs, xd = model.encode(x)
+                recon = model.decode(xs, xd)
+                out = model.reconstruct(x)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return (xs, xd, recon, out), held
+
+    @pytest.mark.parametrize("mode", ["no_grad", "frozen"])
+    def test_inference_records_nothing_and_keeps_nothing(self, mode):
+        model = TwoPathAutoencoder(AutoencoderConfig(tau=4), np.random.default_rng(8))
+        if mode == "frozen":
+            model.freeze()
+        outs, held = self.held_after(model, mode)
+        for t in outs:
+            assert t._parents == () and t._backward is None and not t.requires_grad
+        # the four outputs (about 0.7 MB); decode3's output alone is 6.3 MB
+        assert held < sum(t.data.nbytes for t in outs) + 2**18
+
+    def test_training_reconstruct_keeps_its_layers_for_backward(self):
+        # the contrast: encode and decode alone record nothing, but a
+        # recording reconstruct holds the arrays its backward reads
+        model = TwoPathAutoencoder(AutoencoderConfig(tau=4), np.random.default_rng(8))
+        (xs, xd, recon, out), held = self.held_after(model, "training")
+        assert all(t._parents == () for t in (xs, xd, recon))
+        assert len(out._parents) == len(model.parameters())
+        assert held > 96 * 8 * 32 * 32 * 8  # decode3's output at least
 
 
 class TestTrainingMemory:
+    # each peak is measured once and checked against both of its caps
     @staticmethod
+    @functools.cache
     def step_peak(side):
         """tracemalloc peak of a batch-2 8-frame step at ``side`` pixels a
         side: reconstruct, recon_loss and backward, started after the model
@@ -190,27 +302,12 @@ class TestTrainingMemory:
         assert all(p.grad is not None for p in model.parameters())
         return peak
 
-    def test_step_peak_stays_under_cap(self):
-        """At the acceptance geometry (64x64) the step allocates under
-        200 MB at peak (166 MB). The transposed conv's backward forms its
-        im2col columns in bounded position chunks from a padded halo of each
-        chunk; padding each sample's whole output gradient and im2col'ing it
-        at once goes past it (254 MB). A conv followed by a separate leaky
-        ReLU node, or conv nodes that keep their im2col columns, go further
-        (342 and about 720 MB)."""
-        assert self.step_peak(64) < 200 * 2**20
-
-    def test_step_peak_stays_under_cap_at_128(self):
-        """At 128x128 the step allocates under 700 MB at peak (582 MB);
-        whole-sample columns in decode3's backward go past it (1,005 MB)."""
-        assert self.step_peak(128) < 700 * 2**20
-
-    def test_training_steps_peak_stays_under_cap(self):
-        """Two batch-2 64x64 train_autoencoder steps, Adam's moments and the
-        rollback snapshot included, allocate under 300 MB at peak (262 MB).
-        The snapshot is taken after backward; one held through every forward
-        and backward pass goes past it (309 MB), and further with
-        whole-sample columns in decode3's backward as well (397 MB)."""
+    @staticmethod
+    @functools.cache
+    def train_peak():
+        """tracemalloc peak of two batch-2 64x64 train_autoencoder steps,
+        Adam's moments and the rollback snapshot included, started after
+        the model exists."""
         rng = np.random.default_rng(3)
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4), rng)
         clips = [rng.uniform(size=(1, 1, 8, 64, 64)) for _ in range(2)]
@@ -222,7 +319,52 @@ class TestTrainingMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 300 * 2**20
+        return peak
+
+    def test_step_peak_stays_under_cap(self):
+        """At the acceptance geometry (64x64) the step allocates under
+        200 MB at peak. The transposed conv's backward forms its im2col
+        columns in bounded position chunks from a padded halo of each chunk;
+        padding each sample's whole output gradient and im2col'ing it at
+        once goes past it (254 MB). A conv followed by a separate leaky ReLU
+        node, or conv nodes that keep their im2col columns, go further (342
+        and about 720 MB)."""
+        assert self.step_peak(64) < 200 * 2**20
+
+    def test_step_peak_stays_under_tight_cap(self):
+        """The step allocates under 130 MB at peak at 64x64 (99 MB). Each
+        decoder layer's backward writes its input gradient over its input,
+        so decode3's 48 MB output is never alive beside decode4's input
+        gradient, and the concats keep one array each; the per-layer graph,
+        which holds both, goes past it (163 MB)."""
+        assert self.step_peak(64) < 130 * 2**20
+
+    def test_step_peak_stays_under_cap_at_128(self):
+        """At 128x128 the step allocates under 700 MB at peak; whole-sample
+        columns in decode3's backward go past it (1,005 MB)."""
+        assert self.step_peak(128) < 700 * 2**20
+
+    def test_step_peak_stays_under_tight_cap_at_128(self):
+        """At 128x128 the step allocates under 450 MB at peak (333 MB): the
+        backward no longer holds decode4's input gradient (192 MB) beside
+        decode3's output of the same size, as the per-layer graph did
+        (577 MB)."""
+        assert self.step_peak(128) < 450 * 2**20
+
+    def test_training_steps_peak_stays_under_cap(self):
+        """Two training steps allocate under 300 MB at peak. The snapshot is
+        taken after backward; one held through every forward and backward
+        pass goes past it (309 MB), and further with whole-sample columns
+        in decode3's backward as well (397 MB)."""
+        assert self.train_peak() < 300 * 2**20
+
+    def test_training_steps_peak_stays_under_tight_cap(self):
+        """Two training steps allocate under 230 MB at peak (195 MB): the
+        step's backward overwrites decoder inputs with their gradients, and
+        Adam updates each parameter in blocks through two one-block scratch
+        buffers. The per-layer graph with whole-parameter scratch buffers
+        goes past it (259 MB)."""
+        assert self.train_peak() < 230 * 2**20
 
 
 class TestEncodeMemory:

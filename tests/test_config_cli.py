@@ -829,12 +829,14 @@ def test_cli_loads_no_scipy():
 
 def test_cli_tensor_has_no_elementwise_layer():
     """Without the tests' graph_ops, the engine defines no generic
-    elementwise op or helper, and ``Tensor.mean`` reduces the whole array."""
+    elementwise op or helper, no slicing, sigmoid or concat node, and
+    ``Tensor.mean`` reduces the whole array."""
     methods = ("__add__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
-               "__pow__", "abs", "clamp_min", "sum", "reshape", "transpose")
+               "__pow__", "abs", "clamp_min", "sum", "reshape", "transpose", "__getitem__",
+               "sigmoid")
     helpers = ("_binary", "_broadcast_ok", "_unbroadcast", "_add_back", "_sub_back",
                "_mul_back", "_div_back", "_checked_divide", "_check_finite", "_spread",
-               "_axis_count")
+               "_axis_count", "_wrap", "_check_basic_index", "concat")
     proc = _run_in_subprocess(
         "import inspect, sys, flowvad.cli\n"
         "from flowvad import tensor\n"

@@ -13,9 +13,9 @@ import pytest
 from flowvad import tensor
 from flowvad.autoencoder import _DYNAMIC_GEOM, _STATIC_GEOM, Conv3dLayer, _decoder_geom
 from flowvad.errors import ShapeError
-from flowvad.tensor import Tensor, conv3d, conv_transpose3d
+from flowvad.tensor import Tensor
 
-from graph_ops import leaky_relu
+from graph_ops import conv3d, conv_transpose3d, leaky_relu
 from numeric import max_relative_error, numerical_gradient
 
 
@@ -457,7 +457,7 @@ class TestFusedActivation:
         y = pre.copy()
         tensor._finish_block(y, None, slope)
         grad = probe.copy()
-        tensor._leaky_grad(grad, y, slope, [slice(0, 4), slice(4, 8)])
+        tensor._leaky_grad(grad, y, slope)
         assert np.array_equal(bits(y), bits(want.data))
         assert np.array_equal(bits(grad), bits(t.grad))
 
@@ -483,7 +483,9 @@ class TestFusedActivation:
 
 
 class TestLayerBias:
-    """The bias is added inside the conv; its value and gradient go through the layer."""
+    """The bias is added inside the conv; its value goes through the layer's
+    call, which records no node, and its gradient through the layer's
+    backward."""
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_bias_value_and_grad(self, transpose):
@@ -501,7 +503,9 @@ class TestLayerBias:
 
         out = layer(Tensor(x0))
         assert np.allclose(out.data, y0 + layer.bias.data.reshape(1, 3, 1, 1, 1), atol=1e-12)
-        (out**2).sum().backward()
+        assert out._parents == () and not out.requires_grad
+        # d sum(out^2) / d out; a transposed layer writes over its input, so it gets a copy
+        layer.backward(x0.copy(), 2.0 * out.data)
 
         def loss_b(b):
             return float(((y0 + b.reshape(1, 3, 1, 1, 1)) ** 2).sum())

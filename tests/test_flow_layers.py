@@ -16,9 +16,9 @@ from flowvad.flow import (
     _lu,
     _patches,
 )
-from flowvad.tensor import Tensor, concat, conv3d
+from flowvad.tensor import Tensor
 
-from graph_ops import broadcast_to, exp, matmul, relu, tanh
+from graph_ops import broadcast_to, concat, conv3d, exp, matmul, relu, tanh
 from numeric import max_relative_error, numerical_gradient, numerical_jacobian
 
 

@@ -6,9 +6,9 @@ import pytest
 
 from flowvad.errors import ShapeError
 from flowvad.losses import MS_SSIM_WEIGHTS, SSIM_WINDOW, recon_loss, usable_scales
-from flowvad.tensor import Tensor, conv3d, no_grad
+from flowvad.tensor import Tensor, no_grad
 
-from graph_ops import mean_axis
+from graph_ops import conv3d, mean_axis
 from numeric import max_relative_error, numerical_gradient
 
 C1, C2 = 0.01**2, 0.03**2

@@ -7,9 +7,22 @@ import numpy as np
 import pytest
 
 from flowvad.errors import NumericError, ShapeError
-from flowvad.tensor import Tensor, concat, conv3d, no_grad
+from flowvad.tensor import Tensor, no_grad
 
-from graph_ops import amax, broadcast_to, exp, leaky_relu, log, matmul, mean_axis, neg, relu, tanh
+from graph_ops import (
+    amax,
+    broadcast_to,
+    concat,
+    conv3d,
+    exp,
+    leaky_relu,
+    log,
+    matmul,
+    mean_axis,
+    neg,
+    relu,
+    tanh,
+)
 from numeric import max_relative_error, numerical_gradient
 
 

@@ -6,6 +6,7 @@ import pytest
 from flowvad.autoencoder import AutoencoderConfig, TwoPathAutoencoder
 from flowvad.errors import NumericError, TrainingAborted
 from flowvad.flow import FlowConfig, FlowStack
+from flowvad import optim
 from flowvad.optim import Adam
 from flowvad.tensor import Tensor
 from flowvad.train import TrainConfig, _check_params_finite, train_autoencoder, train_flow
@@ -251,3 +252,26 @@ class TestParameterCheck:
         params = {"a": Tensor(np.full(4, 1e308)), "b": Tensor(values)}
         with pytest.raises(NumericError, match="parameter b became non-finite at step 7"):
             _check_params_finite(params, 7)
+
+
+class TestAdam:
+    def test_blocked_update_is_the_textbook_expression_bitwise(self):
+        """A parameter of three whole blocks and a ragged tail, over three
+        steps with a changing learning rate: the in-place blocked update
+        gives the bits of the whole-array textbook expression."""
+        rng = np.random.default_rng(9)
+        shape = (3, optim._BLOCK + 411)  # 3 * 65,947 values: 3 blocks and a tail
+        assert (3 * shape[1]) % optim._BLOCK != 0 and 3 * shape[1] > 3 * optim._BLOCK
+        p = Tensor(rng.normal(size=shape), requires_grad=True)
+        opt = Adam([p], lambda step: 1e-3 * (step + 1))
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        data, m, v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+        for step in range(3):
+            g = rng.normal(size=shape)
+            p.grad = g.copy()
+            opt.step()
+            t, lr = step + 1, 1e-3 * (step + 1)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            data = data - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            assert np.array_equal(p.data.view(np.uint64), data.view(np.uint64)), step
