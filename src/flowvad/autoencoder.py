@@ -355,8 +355,8 @@ class TwoPathAutoencoder:
         if tape is not None and isinstance(x, Tensor) and x.requires_grad:
             raise ValueError("reconstruct differentiates the parameters only; "
                              "the input must not require gradients")
-        xs, xd = self.encode(x, tape)
-        out = self.decode(xs, xd, tape)
+        xs, xd = self.encode(x, tape=tape)
+        out = self.decode(xs, xd, tape=tape)
         if tape is None:
             return out
         del xs, xd

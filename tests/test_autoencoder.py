@@ -243,9 +243,18 @@ class TestNoGraph:
     """Inference records no node and keeps no layer's arrays for a backward."""
 
     @staticmethod
-    def held_after(model, mode):
-        """Outputs of encode, decode and reconstruct on a 32x32 window, and
-        the bytes still allocated once they return, the outputs included."""
+    def held_after(model, mode, monkeypatch):
+        """Outputs of encode, decode and reconstruct on a 32x32 window, the
+        tapes reconstruct hands encode and decode, and the bytes still
+        allocated once they return, the outputs included."""
+        tapes = []
+        for name in ("encode", "decode"):
+
+            def spy(self, *args, tape=None, _original=getattr(TwoPathAutoencoder, name)):
+                tapes.append(tape)
+                return _original(self, *args, tape=tape)
+
+            monkeypatch.setattr(TwoPathAutoencoder, name, spy)
         rng = np.random.default_rng(7)
         x = Tensor(rng.uniform(size=(1, 1, 8, 32, 32)))
         tracemalloc.start()
@@ -257,26 +266,28 @@ class TestNoGraph:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        return (xs, xd, recon, out), held
+        return (xs, xd, recon, out), tapes, held
 
     @pytest.mark.parametrize("mode", ["no_grad", "frozen"])
-    def test_inference_records_nothing_and_keeps_nothing(self, mode):
+    def test_inference_records_nothing_and_keeps_nothing(self, mode, monkeypatch):
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4), np.random.default_rng(8))
         if mode == "frozen":
             model.freeze()
-        outs, held = self.held_after(model, mode)
+        outs, tapes, held = self.held_after(model, mode, monkeypatch)
         for t in outs:
             assert t._parents == () and t._backward is None and not t.requires_grad
-        # the four outputs (about 0.7 MB); decode3's output alone is 6.3 MB
+        assert tapes == [None] * 4  # nothing is saved for a backward, even briefly
+        # the four outputs (about 0.6 MB); decode3's output alone is 6.3 MB
         assert held < sum(t.data.nbytes for t in outs) + 2**18
 
-    def test_training_reconstruct_keeps_its_layers_for_backward(self):
+    def test_training_reconstruct_keeps_its_layers_for_backward(self, monkeypatch):
         # the contrast: encode and decode alone record nothing, but a
         # recording reconstruct holds the arrays its backward reads
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4), np.random.default_rng(8))
-        (xs, xd, recon, out), held = self.held_after(model, "training")
+        (xs, xd, recon, out), tapes, held = self.held_after(model, "training", monkeypatch)
         assert all(t._parents == () for t in (xs, xd, recon))
         assert len(out._parents) == len(model.parameters())
+        assert tapes[:2] == [None, None] and tapes[2] is tapes[3] is not None
         assert held > 96 * 8 * 32 * 32 * 8  # decode3's output at least
 
 
