@@ -12,19 +12,21 @@ All tensors are (batch, channel, time, height, width). Spatial dims shrink
 by 4x in the encoder; the static temporal length is T / tau throughout.
 
 Layer calls, :meth:`~TwoPathAutoencoder.encode` and
-:meth:`~TwoPathAutoencoder.decode` record no autodiff node. In training,
-:meth:`~TwoPathAutoencoder.reconstruct` records one, the reconstruction,
-whose parents are the parameters that require gradients. Its hand-written
-NumPy backward walks the fixed chain in reverse, and each layer's input and
-output are held only until that layer's backward has used them. Every
-decoder layer writes its input gradient over its input, the previous
-layer's activated output, reading that input's leaky-ReLU sign and its
-weight-gradient term chunk by chunk first (the idea of In-Place Activated
-BatchNorm, Rota Bulo et al., arXiv:1712.02616: recover an activation's
-backward from its output, so the gradient can take the output's place).
-Each concat is one array, and a conv's output is read back as its channel
-slice. With gradients off (:func:`~flowvad.tensor.no_grad`) or a frozen
-model, nothing is kept for a backward.
+:meth:`~TwoPathAutoencoder.decode` record no autodiff node. The model
+trains whole or is frozen whole. In training,
+:meth:`~TwoPathAutoencoder.reconstruct` records one node, the
+reconstruction, whose parents are all the parameters. Its hand-written
+NumPy backward walks the fixed chain in reverse, asks no parameter whether
+it wants a gradient, and holds each layer's input and output only until
+that layer's backward has used them. Every decoder layer writes its input
+gradient over its input, the previous layer's activated output, reading
+that input's leaky-ReLU sign and its weight-gradient term chunk by chunk
+first (the idea of In-Place Activated BatchNorm, Rota Bulo et al.,
+arXiv:1712.02616: recover an activation's backward from its output, so the
+gradient can take the output's place). Each concat is one array, and a
+conv's output is read back as its channel slice. With gradients off
+(:func:`~flowvad.tensor.no_grad`) or a frozen model, nothing is kept for a
+backward.
 """
 
 from __future__ import annotations
@@ -142,31 +144,26 @@ class Conv3dLayer:
         return Tensor(y)
 
     def backward(self, x: np.ndarray, gy: np.ndarray, grad_input: bool = True, input_slope=None):
-        """Add the gradients of this layer's call on ``x`` to its weight and
-        bias, given ``gy``, the gradient of the call's output with the
-        layer's own activation already undone (a C-contiguous array), and
-        return the input gradient, or None without ``grad_input``.
+        """Add the gradients of this layer's call on ``x`` to both its weight
+        and its bias, given ``gy``, the gradient of the call's output with
+        the layer's own activation already undone (a C-contiguous array),
+        and return the input gradient, or None without ``grad_input``.
 
-        A transposed layer writes the input gradient over ``x`` itself and
-        multiplies it by the derivative of the leaky ReLU of ``input_slope``
-        whose output ``x`` is, so it returns the gradient of its producer's
-        pre-activation in ``x``'s memory. A conv returns a new array and
-        ignores ``input_slope``.
+        A transposed layer always writes the input gradient over ``x`` itself
+        and multiplies it by the derivative of the leaky ReLU of
+        ``input_slope`` whose output ``x`` is, so it returns the gradient of
+        its producer's pre-activation in ``x``'s memory, and ignores
+        ``grad_input``. A conv returns a new array and ignores
+        ``input_slope``.
         """
-        w, b = self.weight, self.bias
-        if b.requires_grad:
-            b._accumulate(gy.sum(axis=(0, 2, 3, 4)), owned=True)
+        self.bias._accumulate(gy.sum(axis=(0, 2, 3, 4)), owned=True)
+        w = self.weight.data
         if self.transpose:
-            gw = conv_transpose3d_backward(
-                x, w.data, gy, self.stride, self.padding, w.requires_grad, grad_input, input_slope
-            )
-            gx = x if grad_input else None
+            gw = conv_transpose3d_backward(x, w, gy, self.stride, self.padding, input_slope)
+            gx = x
         else:
-            gw, gx = conv3d_backward(
-                x, w.data, gy, self.stride, self.padding, w.requires_grad, grad_input
-            )
-        if gw is not None:
-            w._accumulate(gw, owned=True)
+            gw, gx = conv3d_backward(x, w, gy, self.stride, self.padding, grad_input)
+        self.weight._accumulate(gw, owned=True)
         return gx
 
 
@@ -346,12 +343,11 @@ class TwoPathAutoencoder:
 
     def reconstruct(self, x: Tensor) -> Tensor:
         """``decode(*encode(x))``. With gradients enabled (see
-        :func:`~flowvad.tensor.no_grad`) and parameters that require them,
-        the reconstruction records one autodiff node whose parents are those
+        :func:`~flowvad.tensor.no_grad`) on a model that is not frozen, the
+        reconstruction records one autodiff node whose parents are all the
         parameters and whose backward is :meth:`_backward`; otherwise it
         records nothing and keeps nothing for a backward."""
-        params = [p for p in self.parameters() if p.requires_grad]
-        tape = {} if params and grad_enabled() else None
+        tape = {} if grad_enabled() and not self._frozen else None
         if tape is not None and isinstance(x, Tensor) and x.requires_grad:
             raise ValueError("reconstruct differentiates the parameters only; "
                              "the input must not require gradients")
@@ -364,15 +360,15 @@ class TwoPathAutoencoder:
         def backward():
             self._backward(tape, out.data, out.grad)
 
-        return out._record(params, backward)
+        return out._record(self.parameters(), backward)
 
     def _backward(self, tape: dict, recon: np.ndarray, grad: np.ndarray) -> None:
-        """Give every parameter that requires it its gradient, from ``grad``,
-        the gradient of the reconstruction ``recon``, walking the fixed chain
-        in reverse: the sigmoid, ``decode4`` to ``decode1``, ``fuse``, the
-        static path with the laterals, and the dynamic path. Each array of
-        the ``tape`` is popped when its layer's backward needs it and
-        dropped once it has been used.
+        """Give every parameter its gradient, from ``grad``, the gradient of
+        the reconstruction ``recon``, walking the fixed chain in reverse: the
+        sigmoid, ``decode4`` to ``decode1``, ``fuse``, the static path with
+        the laterals, and the dynamic path. Each array of the ``tape`` is
+        popped when its layer's backward needs it and dropped once it has
+        been used.
 
         Each decoder layer writes its input gradient over its input, the
         activated output of the layer before it, already multiplied by that

@@ -31,6 +31,7 @@ from .config import (
     PRESETS,
     RunConfig,
     apply_preset,
+    nonnegative_problems,
     parse_config,
     serialize_config,
     write_config,
@@ -203,7 +204,16 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
+def _check_out(path):
+    """Refuse an --out file whose directory does not exist, before any work."""
+    parent = os.path.dirname(path or "")
+    if parent and not os.path.isdir(parent):
+        raise ConfigError(f"--out {path}: directory {parent} does not exist")
+
+
 def cmd_gen_synth(args):
+    if args.n_frames < 1:
+        raise ConfigError(f"--n-frames must be >= 1, got {args.n_frames}")
     spans = []
     for text in args.anomaly:
         parts = text.split(":")
@@ -452,6 +462,7 @@ def _gather(paths):
 def cmd_eval(args):
     """AUC and EER of the fused score, plus the AUC of each score term alone:
     recon, the per-video normalized NLL and each stream's raw NLL."""
+    _check_out(args.out)
     videos, labels = _gather(args.csvs)
     scores = np.concatenate([v["fused"] for v in videos])
     auc, eer, _ = roc_auc_eer(scores, labels)
@@ -473,6 +484,7 @@ def cmd_eval(args):
 
 
 def cmd_sweep(args):
+    _check_out(args.out)
     videos, labels = _gather(args.csvs)
     try:
         grid = [float(v) for v in args.grid.split(",") if v.strip()]
@@ -480,6 +492,8 @@ def cmd_sweep(args):
         raise ConfigError(f"--grid wants comma-separated numbers, got {args.grid!r}") from None
     if not grid:
         raise ConfigError("--grid is empty")
+    if problems := nonnegative_problems(("--grid value", lam) for lam in grid):
+        raise ConfigError(problems)
     rows = []
     for lam in grid:
         fused = np.concatenate(

@@ -10,12 +10,20 @@ its outputs so a run can always be reproduced from its artifacts.
 """
 
 import dataclasses
+import math
 
 from .errors import ConfigError
 from .losses import SSIM_WINDOW
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "write_config",
-           "apply_preset", "PRESETS"]
+           "apply_preset", "PRESETS", "nonnegative_problems"]
+
+
+def nonnegative_problems(named_values):
+    """One problem for each (name, value) pair whose value is not a finite
+    number >= 0, as rates, fusion weights and resize dims must be."""
+    return [f"{name} must be a finite number >= 0, got {value!r}"
+            for name, value in named_values if not (math.isfinite(value) and value >= 0)]
 
 
 @dataclasses.dataclass
@@ -80,9 +88,9 @@ class RunConfig:
                      "patch_size", "patch_stride", "score_stride", "clip_stride"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("itae_lr", "nf_lr", "lambda_l", "resize_h", "resize_w"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name} must be >= 0, got {getattr(self, name)}")
+        problems += nonnegative_problems(
+            (n, getattr(self, n)) for n in ("itae_lr", "nf_lr", "lambda_l", "resize_h", "resize_w")
+        )
         if problems:
             raise ConfigError(problems)
         return self

@@ -13,9 +13,10 @@ holds exactly and the negative log-likelihood is exact, not a bound.
 
 Every layer runs on plain arrays: ``forward`` returns its output, its
 per-sample log |det| and what its ``backward`` needs, and ``backward`` maps
-the output gradient to the input gradient while accumulating the gradients
-of the parameters that require them. :meth:`FlowStack.forward` records the
-whole stack as one autodiff node, the per-sample NLL, whose backward walks
+the output gradient to the input gradient while accumulating the gradient
+of every parameter, asking none whether it wants one. The stack trains
+whole or is frozen whole: :meth:`FlowStack.forward` records the whole
+stack as one autodiff node, the per-sample NLL, whose backward walks
 the layers in reverse: the prior gives d nll / dz = z, every log-det term
 gets d nll / d logdet = -1, and the closed-form log-dets and LU gradients
 follow Glow (Kingma and Dhariwal 2018, arXiv:1807.03039, Table 1). When no
@@ -133,11 +134,9 @@ class ActNorm:
     def backward(self, cache, g: np.ndarray, gld: np.ndarray) -> np.ndarray:
         x, scale = cache
         n, c, h, w = x.shape
-        if self.logs.requires_grad:
-            glogs = (g * x).sum(axis=(0, 2, 3)) * scale.reshape(c)
-            self.logs._accumulate(glogs + float(h * w) * gld.sum())
-        if self.bias.requires_grad:
-            self.bias._accumulate(g.sum(axis=(0, 2, 3)))
+        glogs = (g * x).sum(axis=(0, 2, 3)) * scale.reshape(c)
+        self.logs._accumulate(glogs + float(h * w) * gld.sum())
+        self.bias._accumulate(g.sum(axis=(0, 2, 3)))
         return g * scale
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -215,19 +214,14 @@ class InvertibleConv1x1:
         cols, wmat, l_full, u_full = cache
         shape = g.shape
         g = g.reshape(cols.shape)
-        lower, upper, log_diag = self.lower, self.upper, self.log_diag
-        if lower.requires_grad or upper.requires_grad or log_diag.requires_grad:
-            # dW summed over samples, then through W = P (L U) to the factors
-            g_lu = self.perm.T @ np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-            if lower.requires_grad:
-                lower._accumulate((g_lu @ u_full.T) * self._mask_low)
-            g_u = l_full.T @ g_lu
-            if upper.requires_grad:
-                upper._accumulate(g_u * self._mask_up)
-            if log_diag.requires_grad:
-                # U's diagonal is sign * exp(log_diag), which also is the log-det
-                gdiag = np.diag(g_u) * np.diag(u_full)
-                log_diag._accumulate(gdiag + float(cols.shape[2]) * gld.sum())
+        # dW summed over samples, then through W = P (L U) to the factors
+        g_lu = self.perm.T @ np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+        self.lower._accumulate((g_lu @ u_full.T) * self._mask_low)
+        g_u = l_full.T @ g_lu
+        self.upper._accumulate(g_u * self._mask_up)
+        # U's diagonal is sign * exp(log_diag), which also is the log-det
+        gdiag = np.diag(g_u) * np.diag(u_full)
+        self.log_diag._accumulate(gdiag + float(cols.shape[2]) * gld.sum())
         return np.matmul(wmat.T, g).reshape(shape)
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -310,26 +304,20 @@ class AffineCoupling:
         cols1, r1, r2 = cache
         w1, b1, w2, b2, w3, b3 = self.w1, self.b1, self.w2, self.b2, self.w3, self.b3
         hidden = w1.shape[0]
-        if b3.requires_grad:
-            b3._accumulate(g.sum(axis=(1, 2, 3)))
+        b3._accumulate(g.sum(axis=(1, 2, 3)))
         cols = _patches(g)
-        if w3.requires_grad:
-            # row (o, a, b) of cols holds g shifted by (a - 1, b - 1), which
-            # meets r2 through tap (2 - a, 2 - b) of w3
-            gw = (cols @ r2.T).reshape(-1, 3, 3, hidden)
-            w3._accumulate(gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+        # row (o, a, b) of cols holds g shifted by (a - 1, b - 1), which
+        # meets r2 through tap (2 - a, 2 - b) of w3
+        gw = (cols @ r2.T).reshape(-1, 3, 3, hidden)
+        w3._accumulate(gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
         gh = _flipped(w3.data.reshape(w3.shape[0], -1)) @ cols
         gh *= r2 > 0.0
-        if b2.requires_grad:
-            b2._accumulate(gh.sum(axis=1))
-        if w2.requires_grad:
-            w2._accumulate((gh @ r1.T).reshape(w2.shape))
+        b2._accumulate(gh.sum(axis=1))
+        w2._accumulate((gh @ r1.T).reshape(w2.shape))
         gh = w2.data.reshape(hidden, hidden).T @ gh
         gh *= r1 > 0.0
-        if b1.requires_grad:
-            b1._accumulate(gh.sum(axis=1))
-        if w1.requires_grad:
-            w1._accumulate((gh @ cols1.T).reshape(w1.shape))
+        b1._accumulate(gh.sum(axis=1))
+        w1._accumulate((gh @ cols1.T).reshape(w1.shape))
         taps = w1.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(-1, hidden) @ gh
         return _tap_sum(taps, g.shape[1:])
 
@@ -387,8 +375,6 @@ class Squeeze:
 
     def forward(self, x: np.ndarray, init: bool = False):
         f = self.factor
-        if f == 1:
-            return x, 0.0, None
         n, c, h, w = x.shape
         if h % f or w % f:
             raise ShapeError(f"spatial dims {(h, w)} not divisible by squeeze factor {f}")
@@ -404,8 +390,6 @@ class Squeeze:
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
         f = self.factor
-        if f == 1:
-            return z, 0.0
         n, c4, h, w = z.shape
         c = c4 // (f * f)
         x = (
@@ -483,8 +467,7 @@ class FlowStack:
                         AffineCoupling(c, config.hidden, rng, clamp=config.scale_clamp),
                     )
                 )
-            # (name, layer) in forward order; the name prefixes its
-            # parameters and labels its log-det in a forward trace
+            # (name, layer) in forward order; the name prefixes its parameters
             layers = []
             if config.squeeze > 1:
                 layers.append((f"level{level}.squeeze", Squeeze(config.squeeze)))
@@ -512,33 +495,31 @@ class FlowStack:
                 f"(squeeze {self.config.squeeze} x {self.config.levels} levels)"
             )
 
-    def forward(
-        self, x, init: bool = False, trace: list | None = None
-    ) -> FlowResult:
+    def forward(self, x, init: bool = False) -> FlowResult:
         """Map input to latents; returns per-sample NLL and the logdet total.
 
         The NLL is one graph node whose parents are ``x`` (when a Tensor
         requiring gradients) and every parameter; its backward is the
-        layers' own, in reverse. ``trace``, when a list, collects
-        (layer_name, per_sample_logdet) pairs so the chain-sum identity can
-        be checked from outside.
+        layers' own, in reverse. The stack trains whole or is frozen whole:
+        the layers give every parameter its gradient, and a stack none of
+        whose parameters requires one keeps none of them.
         """
         x_in = x if isinstance(x, Tensor) else None
         x = np.asarray(x.data if x_in is not None else x, dtype=np.float64)
         self._check_input(x)
         n = x.shape[0]
-        parents = ([x_in] if x_in is not None else []) + self.parameters()
-        record = grad_enabled() and any(p.requires_grad for p in parents)
+        params = self.parameters()
+        frozen = not any(p.requires_grad for p in params)
+        wants_x = x_in is not None and x_in.requires_grad
+        record = grad_enabled() and (wants_x or not frozen)
         h = x
         logdet = np.zeros(n)
         z_parts: list[np.ndarray] = []
         caches = []
         for level in self.levels:
-            for name, layer in level["layers"]:
+            for _, layer in level["layers"]:
                 h, ld, cache = layer.forward(h, init=init)
                 logdet = logdet + ld
-                if trace is not None:
-                    trace.append((name, np.broadcast_to(ld, (n,)).copy()))
                 if record:
                     caches.append((layer, cache))
             if level["keep"] < level["channels"]:
@@ -562,11 +543,14 @@ class FlowStack:
                 for _ in level["layers"]:
                     layer, cache = caches.pop()
                     g = layer.backward(cache, g, gld)
-            if x_in is not None and x_in.requires_grad:
+            if wants_x:
                 x_in._accumulate(g)
+            if frozen:  # only the input's gradient was wanted
+                for p in params:
+                    p.grad = None
 
         if record:
-            nll._record(parents, backward)
+            nll._record(([x_in] if wants_x else []) + params, backward)
         dims = int(np.prod(x.shape[1:]))
         return FlowResult(nll=nll, log_prior=log_prior, logdet=logdet, z_parts=z_parts, dims=dims)
 

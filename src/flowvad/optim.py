@@ -29,12 +29,13 @@ _BLOCK = 2**16
 class Adam:
     """Standard Adam; the learning rate is a schedule, step -> lr.
 
-    A step updates the moments and every parameter in place, over each
-    parameter's flat view in blocks of ``_BLOCK`` values, through two
-    scratch buffers of one block each, in the operation order of
-    ``lr * (m / bias1) / (sqrt(v / bias2) + eps)``. Every operation is
-    elementwise, so the blocks give the same bits as the textbook
-    expression over the whole parameter, without its temporaries.
+    The parameters are a whole model's, which trains whole, so each has a
+    gradient after every backward. A step updates the moments and every
+    parameter in place, over each parameter's flat view in blocks of
+    ``_BLOCK`` values, through two scratch buffers of one block each, in the
+    operation order of ``lr * (m / bias1) / (sqrt(v / bias2) + eps)``.
+    Every operation is elementwise, so the blocks give the same bits as the
+    textbook expression over the whole parameter, without its temporaries.
     """
 
     def __init__(
@@ -44,7 +45,7 @@ class Adam:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
     ):
-        self.params = [p for p in params if p.requires_grad]
+        self.params = list(params)
         self._lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -65,8 +66,6 @@ class Adam:
         bias2 = 1.0 - b2**self.step_count
         update_buf, denom_buf = np.empty(_BLOCK), np.empty(_BLOCK)
         for p, m_all, v_all in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
             # the update writes through this view: copy=False raises rather than copy
             data_all = p.data.reshape(-1, copy=False)
             g_all = p.grad.reshape(-1)

@@ -1,11 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays,
 and the convolution kernels the models differentiate by hand.
 
-A ``Tensor`` wraps an ndarray plus an optional gradient. A model that is
-differentiated records one node on its output with ``_record``: the
-parents are the tensors that want gradients, and the backward closure is a
-hand-written NumPy pass that hands each parent its gradient through
-``_accumulate``. Calling :meth:`Tensor.backward` on a scalar loss walks the
+A ``Tensor`` wraps an ndarray plus an optional gradient. A model trains
+whole or is frozen whole. A model that is differentiated records one node
+on its output with ``_record``: the parents are the tensors that want
+gradients, and the backward closure is a hand-written NumPy pass that
+gives every parameter its gradient through ``_accumulate``, asking no
+parameter whether it wants one; the conv kernels always return the weight
+gradient. Calling :meth:`Tensor.backward` on a scalar loss walks the
 recorded nodes once, parents after children.
 
 The engine keeps only that: ``_record``, ``_accumulate``,
@@ -441,11 +443,11 @@ def _conv_chunks(n: int, col_rows: int, out_dims) -> list[tuple[slice, tuple]]:
 
 def conv3d_backward(
     x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride=(1, 1, 1), padding=(0, 0, 0),
-    grad_weight: bool = True, grad_input: bool = True,
+    grad_input: bool = True,
 ):
     """Weight and input gradients, (gw, gx), of ``conv3d(x, w, stride,
     padding)`` given ``gy``, the gradient of its biased output before any
-    activation; either is None when not asked for. The bias gradient is
+    activation; ``gx`` is None without ``grad_input``. The bias gradient is
     ``gy.sum(axis=(0, 2, 3, 4))``.
 
     The weight gradient adds each sample's term chunk by chunk from zeros
@@ -457,20 +459,18 @@ def conv3d_backward(
     s, p = _triple(stride), _triple(padding)
     cout, k = w.shape[0], tuple(w.shape[2:])
     w2 = w.reshape(cout, -1)
-    gw = gx = None
-    if grad_weight:
-        gw = np.zeros(w2.shape)
-        for g, chunk in _conv_chunks(x.shape[0], w2.shape[1], gy.shape[2:]):
-            cols = _columns(x[g], k, s, p, chunk)
-            gyc = gy[(g, slice(None), *chunk)]
-            for j in range(len(cols)):
-                gw += gyc[j].reshape(cout, -1) @ cols[j].T
-            del cols  # before the next columns exist
-        gw = gw.reshape(w.shape)
+    gw = np.zeros(w2.shape)
+    for g, chunk in _conv_chunks(x.shape[0], w2.shape[1], gy.shape[2:]):
+        cols = _columns(x[g], k, s, p, chunk)
+        gyc = gy[(g, slice(None), *chunk)]
+        for j in range(len(cols)):
+            gw += gyc[j].reshape(cout, -1) @ cols[j].T
+        del cols  # before the next columns exist
+    gx = None
     if grad_input:
         gx = np.empty(x.shape)
         _scatter_taps(gy, w, s, p, gx)
-    return gw, gx
+    return gw.reshape(w.shape), gx
 
 
 def conv_transpose3d(
@@ -534,18 +534,16 @@ def conv_transpose3d(
 
 def conv_transpose3d_backward(
     x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride=(1, 1, 1), padding=(0, 0, 0),
-    grad_weight: bool = True, grad_input: bool = True, input_slope=None,
+    input_slope=None,
 ):
     """Weight gradient of ``conv_transpose3d(x, w, stride, padding, ...)``
-    given ``gy``, the gradient of its biased output before any activation,
-    or None when not asked for. The bias gradient is
-    ``gy.sum(axis=(0, 2, 3, 4))``.
+    given ``gy``, the gradient of its biased output before any activation.
+    The bias gradient is ``gy.sum(axis=(0, 2, 3, 4))``.
 
-    With ``grad_input`` the input gradient is written over ``x`` itself,
-    which must be C-contiguous; with an ``input_slope`` it is also
-    multiplied by the derivative of the leaky ReLU of that slope whose
-    activated output ``x`` is, so ``x`` ends as the gradient of its
-    producer's pre-activation. Each chunk of ``x`` is read, for its sign
+    The input gradient is written over ``x`` itself, which must be
+    C-contiguous; with an ``input_slope`` it is also multiplied by the
+    derivative of the leaky ReLU of that slope whose activated output ``x``
+    is, so ``x`` ends as the gradient of its producer's pre-activation. Each chunk of ``x`` is read, for its sign
     and its weight-gradient term, before its input gradient overwrites it.
 
     This is a strided :func:`conv3d` of the output gradient. It runs per
@@ -570,14 +568,13 @@ def conv_transpose3d_backward(
     k = tuple(w.shape[2:])
     w2 = w.reshape(cin, -1)
     cout = w.shape[1]
-    gw = np.zeros(w2.shape) if grad_weight else None
+    gw = np.zeros(w2.shape)
     # the input gradient takes one GEMM per run of rows in any chunk, as
     # BLAS may round a column differently with the column count
     run, width = _gemm_rows(cin, cout, dims), dims[2]
-    if grad_input:
-        if not x.flags.c_contiguous:
-            raise ValueError("conv_transpose3d_backward writes over x, which must be C-contiguous")
-        x_runs = x.reshape(n, cin, dims[0], dims[1] // run, run * width)
+    if not x.flags.c_contiguous:
+        raise ValueError("conv_transpose3d_backward writes over x, which must be C-contiguous")
+    x_runs = x.reshape(n, cin, dims[0], dims[1] // run, run * width)
     stack = (1, 2, 0, 3)  # (time, run, channel, position in run)
     for chunk in _position_chunks(dims, w2.shape[1] * width * x.itemsize, run):
         runs = slice(chunk[1].start // run, chunk[1].stop // run)
@@ -585,20 +582,18 @@ def conv_transpose3d_backward(
         for i in range(n):
             gcols = _columns(gy[i : i + 1], k, s, p, chunk)[0]
             xc = x[(i, slice(None), *chunk)]
-            if grad_input and input_slope is not None:
+            if input_slope is not None:
                 # where the producer's leaky ReLU scaled its input
                 scaled = xc > 0.0
                 np.logical_not(scaled, out=scaled)
-            if gw is not None:
-                gw += xc.reshape(cin, -1) @ gcols.T
-            if grad_input:
-                np.matmul(
-                    w2,
-                    gcols.reshape(-1, *by_run).transpose(stack),
-                    out=x_runs[i, :, chunk[0], runs].transpose(stack),
-                )
-                if input_slope is not None:
-                    np.multiply(xc, input_slope, out=xc, where=scaled)
-                    del scaled
+            gw += xc.reshape(cin, -1) @ gcols.T
+            np.matmul(
+                w2,
+                gcols.reshape(-1, *by_run).transpose(stack),
+                out=x_runs[i, :, chunk[0], runs].transpose(stack),
+            )
+            if input_slope is not None:
+                np.multiply(xc, input_slope, out=xc, where=scaled)
+                del scaled
             del gcols  # before the next columns exist
-    return None if gw is None else gw.reshape(w.shape)
+    return gw.reshape(w.shape)

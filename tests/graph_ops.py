@@ -461,10 +461,8 @@ def conv3d(x, w, stride=(1, 1, 1), padding=(0, 0, 0), bias=None, slope=None) -> 
         tensor._leaky_grad(out.grad, y, slope)
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)), owned=True)
-        gw, gx = tensor.conv3d_backward(
-            x.data, w.data, out.grad, stride, padding, w.requires_grad, x.requires_grad
-        )
-        if gw is not None:
+        gw, gx = tensor.conv3d_backward(x.data, w.data, out.grad, stride, padding, x.requires_grad)
+        if w.requires_grad:  # the kernel always gives the weight gradient
             w._accumulate(gw, owned=True)
         if gx is not None:
             x._accumulate(gx, owned=True)
@@ -488,13 +486,11 @@ def conv_transpose3d(
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)), owned=True)
         # the kernel writes the input gradient over its input: give it a copy
-        gx = x.data.copy() if x.requires_grad else x.data
-        gw = tensor.conv_transpose3d_backward(
-            gx, w.data, out.grad, stride, padding, w.requires_grad, x.requires_grad
-        )
+        gx = x.data.copy()
+        gw = tensor.conv_transpose3d_backward(gx, w.data, out.grad, stride, padding)
         if x.requires_grad:
             x._accumulate(gx, owned=True)
-        if gw is not None:
+        if w.requires_grad:  # the kernel always gives the weight gradient
             w._accumulate(gw, owned=True)
 
     return out._record((x, w) if bias is None else (x, w, bias), backward)

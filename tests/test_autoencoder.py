@@ -216,21 +216,20 @@ class TestHandWrittenBackward:
         for name, g in got.items():
             assert g is not None and np.array_equal(bits(g), bits(want[name])), name
 
-    def test_frozen_parameters_get_no_gradient(self):
+    def test_model_trains_whole_or_is_frozen_whole(self):
+        # trainable: every parameter gets its gradient; frozen: no node at all
         rng = np.random.default_rng(6)
         model = TwoPathAutoencoder(AutoencoderConfig(tau=2), rng)
-        frozen = {"lateral2.weight", "dynamic1.bias", "decode3.weight", "static1.weight"}
-        params = model.named_parameters()
-        for name in frozen:
-            params[name].requires_grad = False
         x = Tensor(rng.uniform(size=(2, 1, 4, 16, 16)))
         _, want = step_grads(model, x, lambda t: graph_reconstruct(model, t))
         _, got = step_grads(model, x, model.reconstruct)
+        assert set(got) == set(want) == set(model.named_parameters())
         for name, g in got.items():
-            if name in frozen:
-                assert g is None and want[name] is None, name
-            else:
-                assert np.array_equal(bits(g), bits(want[name])), name
+            assert g is not None and np.array_equal(bits(g), bits(want[name])), name
+        model.freeze()
+        out = model.reconstruct(x)
+        assert out._parents == () and out._backward is None and not out.requires_grad
+        assert all(p.grad is None for p in model.parameters())
 
     def test_input_requiring_gradients_rejected(self, small_model):
         _, model = small_model

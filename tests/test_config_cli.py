@@ -105,6 +105,12 @@ class TestConfigFormat:
             parse_config("dynamic_path = false\n")
         parse_config("dynamic_path = false\nuse_dynamic_flow = false\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("name", ["lambda_l", "itae_lr", "nf_lr"])
+    def test_rates_and_weights_must_be_finite(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be a finite number >= 0, got {value}"):
+            parse_config(f"{name} = {value}\n")
+
     def test_presets(self):
         cfg = apply_preset(RunConfig(), "large-scene")
         assert cfg.itae_batch == 8 and cfg.itae_lr == pytest.approx(1e-2)
@@ -181,6 +187,13 @@ class TestGenSynth:
                    "--anomaly", "5-10-speed"])
         assert rc == 2
         assert "anomaly" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_frames", ["-1", "0"])
+    def test_no_frames_exit_2(self, tmp_path, capsys, n_frames):
+        out = tmp_path / "x"
+        assert main(["gen-synth", "--out-dir", str(out), "--n-frames", n_frames]) == 2
+        assert f"config error: --n-frames must be >= 1, got {n_frames}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainCommands:
@@ -572,6 +585,33 @@ class TestInputErrors:
         assert main([command, str(present), str(missing)]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and str(missing) in err
+
+    @pytest.mark.parametrize("flag", ["--lambda-l", "--itae-lr", "--nf-lr"])
+    @pytest.mark.parametrize("command", ["train-itae", "train-nf", "score"])
+    def test_non_finite_rate_or_weight_exit_2(self, tmp_path, capsys, command, flag):
+        video = packed_video(tmp_path / "v.t5", 16)
+        err = refuse(capsys, tmp_path / "out", command, "--data-path", str(video), flag, "nan")
+        assert f"{flag[2:].replace('-', '_')} must be a finite number >= 0, got nan" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid", ["nan", "inf", "-1", "0.3,nan"])
+    def test_sweep_grid_value_not_finite_or_negative_exit_2(self, tmp_path, capsys, grid):
+        path = tmp_path / "s.csv"
+        write_score_csv(path, [0, 1, 0, 1])
+        assert main(["sweep-lambda", str(path), "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert "config error: --grid value must be a finite number >= 0" in captured.err
+        assert "lambda" not in captured.out
+
+    @pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
+    def test_out_in_missing_directory_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "s.csv"
+        write_score_csv(path, [0, 1, 0, 1])
+        out = tmp_path / "no" / "such" / "x.csv"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: --out {out}: directory {out.parent} does not exist" in captured.err
+        assert captured.out == "" and not out.parent.exists()
 
     def test_non_utf8_config_file_exit_2(self, scene, tmp_path, capsys):
         config = tmp_path / "latin.cfg"

@@ -57,13 +57,22 @@ class TestComposedStack:
         stack = FlowStack(FlowConfig(channels=2, levels=2, steps=3, hidden=8), rng)
         perturb(stack, rng)
         x = rng.normal(size=(2, 2, 4, 4))
-        trace = []
-        result = stack.forward(Tensor(x), trace=trace)
-        assert len(trace) == num_transforms(stack) - 1  # splits carry no logdet entry
-        chain = np.zeros(2)
-        for _, ld in trace:
-            chain = chain + ld
-        prior = sum(gaussian_log_density(z) for z in result.z_parts)
+        result = stack.forward(Tensor(x))
+        # call every layer by hand, summing its log-det in forward order
+        h, chain, z_parts, layers = x, np.zeros(2), [], 0
+        for level in stack.levels:
+            for _, layer in level["layers"]:
+                h, ld, _ = layer.forward(h)
+                chain = chain + ld
+                layers += 1
+            if level["keep"] < level["channels"]:
+                z_parts.append(h[:, level["keep"] :])
+                h = h[:, : level["keep"]]
+        z_parts.append(h)
+        assert layers == num_transforms(stack) - 1 == 2 * (1 + 3 * 3)  # the split has no log-det
+        for got, want in zip(result.z_parts, z_parts, strict=True):
+            assert np.array_equal(got, want)
+        prior = sum(gaussian_log_density(z) for z in z_parts)
         assert np.array_equal(result.nll.data, -(prior + chain))
 
     def test_composed_logdet_matches_numerical_jacobian(self, rng):
