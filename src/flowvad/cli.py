@@ -9,9 +9,10 @@ Subcommands drive the two-step pipeline end to end:
   eval          AUC / EER from score CSVs
   sweep-lambda  re-fuse scores over a grid of fusion weights
 
-Every RunConfig key is also a flag (--clip-len, --tau, ...) overriding the
-config file. Exit codes: 0 success, 2 configuration or input error, 3 numeric
-abort.
+Every RunConfig key is also a flag (--clip-len, --tau, ...). A run's settings
+are the config file, overridden by a preset, overridden by the flags, parsed
+and validated once. Exit codes: 0 success, 2 configuration or input error,
+3 numeric abort.
 """
 
 import argparse
@@ -27,15 +28,7 @@ import numpy as np
 from .autoencoder import AutoencoderConfig, TwoPathAutoencoder
 from .checkpoint import checkpoint_hash, load_checkpoint, save_checkpoint
 from .clips import ClipSpec, iter_clips, load_video
-from .config import (
-    PRESETS,
-    RunConfig,
-    apply_preset,
-    nonnegative_problems,
-    parse_config,
-    serialize_config,
-    write_config,
-)
+from .config import PRESETS, RunConfig, bound_problems, parse_config, write_config
 from .errors import ConfigError, NumericError, ShapeError, TrainingAborted
 from .flow import FlowConfig, FlowStack
 from .pipeline import STREAMS, collect_flow_samples, score_video
@@ -127,21 +120,19 @@ def _add_config_flags(parser):
             "--" + field.name.replace("_", "-"),
             dest=f"cfg_{field.name}",
             default=None,
-            metavar=str(field.type).upper() if isinstance(field.type, str) else "V",
+            metavar=field.type.__name__.upper(),
         )
 
 
 def _resolve_config(args):
-    overrides = {}
+    """Parse the config file once, under the preset and then the flags."""
+    overrides = dict(PRESETS.get(args.preset, {}))
     for field in dataclasses.fields(RunConfig):
-        value = getattr(args, f"cfg_{field.name}", None)
+        value = getattr(args, f"cfg_{field.name}")
         if value is not None:
             overrides[field.name] = value
-    config = parse_config(_read_text(args.config, "config file") if args.config else "")
-    if args.preset:
-        config = apply_preset(config, args.preset)
-    if overrides:
-        config = parse_config(serialize_config(config), overrides=overrides)
+    text = _read_text(args.config, "config file") if args.config else ""
+    config = parse_config(text, overrides)
     if not config.data_path:
         raise ConfigError(f"data_path is required for {args.command}")
     return config
@@ -205,15 +196,18 @@ def _write_rows(path, header, rows):
 
 
 def _check_out(path):
-    """Refuse an --out file whose directory does not exist, before any work."""
+    """Refuse an --out path that is a directory or whose directory does not
+    exist, before any work."""
+    if path and os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory")
     parent = os.path.dirname(path or "")
     if parent and not os.path.isdir(parent):
         raise ConfigError(f"--out {path}: directory {parent} does not exist")
 
 
 def cmd_gen_synth(args):
-    if args.n_frames < 1:
-        raise ConfigError(f"--n-frames must be >= 1, got {args.n_frames}")
+    if problems := bound_problems([("--n-frames", args.n_frames, 1)]):
+        raise ConfigError(problems)
     spans = []
     for text in args.anomaly:
         parts = text.split(":")
@@ -492,7 +486,7 @@ def cmd_sweep(args):
         raise ConfigError(f"--grid wants comma-separated numbers, got {args.grid!r}") from None
     if not grid:
         raise ConfigError("--grid is empty")
-    if problems := nonnegative_problems(("--grid value", lam) for lam in grid):
+    if problems := bound_problems(("--grid value", lam, 0) for lam in grid):
         raise ConfigError(problems)
     rows = []
     for lam in grid:

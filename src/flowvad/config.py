@@ -1,12 +1,14 @@
 """Run configuration: one flat key = value file drives every command.
 
 This module is the one place that decides which settings and frame sizes a
-run accepts. `RunConfig.validate` checks the settings, `RunConfig.check_frames`
-checks the frames of each loaded video against the same rules, and both
-report every problem in one `ConfigError`. The models and loaders keep their
-own input checks only as contracts for direct callers. Unknown keys are
-rejected, and each command writes the fully resolved configuration next to
-its outputs so a run can always be reproduced from its artifacts.
+run accepts. `parse_config` reads a file's text and the overrides laid over it
+in one pass. `RunConfig.validate` checks the settings, every number against its
+least value in `LEAST_VALUE`, and `RunConfig.check_frames` checks the frames of
+each loaded video against the same rules; each reports every problem in one
+`ConfigError`. The models and loaders keep their own input checks only as
+contracts for direct callers. Unknown keys are rejected, and each command
+writes the fully resolved configuration next to its outputs so a run can
+always be reproduced from its artifacts.
 """
 
 import dataclasses
@@ -16,14 +18,27 @@ from .errors import ConfigError
 from .losses import SSIM_WINDOW
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "write_config",
-           "apply_preset", "PRESETS", "nonnegative_problems"]
+           "PRESETS", "LEAST_VALUE", "bound_problems"]
 
 
-def nonnegative_problems(named_values):
-    """One problem for each (name, value) pair whose value is not a finite
-    number >= 0, as rates, fusion weights and resize dims must be."""
-    return [f"{name} must be a finite number >= 0, got {value!r}"
-            for name, value in named_values if not (math.isfinite(value) and value >= 0)]
+def bound_problems(named_values):
+    """One problem for each (name, value, least) triple whose value is not a
+    finite number >= least: the one rule for every number a user sets."""
+    problems = []
+    for name, value, least in named_values:
+        if not least <= value < math.inf:
+            rule = "a finite number >=" if isinstance(value, float) else ">="
+            problems.append(f"{name} must be {rule} {least}, got {value!r}")
+    return problems
+
+
+# The least value of every numeric RunConfig field (resize 0 keeps the native size).
+LEAST_VALUE = {
+    "clip_len": 1, "tau": 1, "clip_stride": 1, "resize_h": 0, "resize_w": 0,
+    "flow_levels": 1, "flow_steps": 1, "flow_hidden": 1,
+    "itae_steps": 1, "itae_batch": 1, "itae_lr": 0, "nf_steps": 1, "nf_batch": 1, "nf_lr": 0,
+    "seed": 0, "patch_size": 1, "patch_stride": 1, "lambda_l": 0, "score_stride": 1,
+}
 
 
 @dataclasses.dataclass
@@ -60,10 +75,10 @@ class RunConfig:
     score_stride: int = 1
 
     def validate(self):
-        problems = []
-        if self.tau < 1:
-            problems.append(f"tau must be >= 1, got {self.tau}")
-        elif self.clip_len < 1 or self.clip_len % self.tau:
+        problems = bound_problems(
+            (name, getattr(self, name), least) for name, least in LEAST_VALUE.items()
+        )
+        if self.tau >= 1 and self.clip_len % self.tau:
             problems.append(
                 f"clip_len {self.clip_len} must be a positive multiple of tau {self.tau}"
             )
@@ -77,20 +92,8 @@ class RunConfig:
             problems.extend(self._frame_problems(self.resize_h, self.resize_w, "resized"))
         if self.color not in ("gray", "rgb"):
             problems.append(f"color must be gray or rgb, got {self.color!r}")
-        if self.flow_levels < 1 or self.flow_steps < 1:
-            problems.append(
-                f"flow_levels and flow_steps must be >= 1, got "
-                f"{self.flow_levels} and {self.flow_steps}"
-            )
         if self.use_dynamic_flow and not self.dynamic_path:
             problems.append("use_dynamic_flow requires dynamic_path")
-        for name in ("itae_steps", "itae_batch", "nf_steps", "nf_batch",
-                     "patch_size", "patch_stride", "score_stride", "clip_stride"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        problems += nonnegative_problems(
-            (n, getattr(self, n)) for n in ("itae_lr", "nf_lr", "lambda_l", "resize_h", "resize_w")
-        )
         if problems:
             raise ConfigError(problems)
         return self
@@ -133,7 +136,7 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 def _parse_value(field, raw, problems):
     text = raw.strip()
-    if field.type == "bool" or field.type is bool:
+    if field.type is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
@@ -141,18 +144,15 @@ def _parse_value(field, raw, problems):
         problems.append(f"{field.name}: expected true/false, got {text!r}")
         return None
     try:
-        if field.type in ("int", int):
-            return int(text)
-        if field.type in ("float", float):
-            return float(text)
+        return field.type(text)
     except ValueError:
-        problems.append(f"{field.name}: cannot parse {text!r} as {field.type}")
+        problems.append(f"{field.name}: cannot parse {text!r} as {field.type.__name__}")
         return None
-    return text
 
 
 def parse_config(text, overrides=None):
-    """Parse key = value lines (# comments allowed) into a validated RunConfig."""
+    """Parse key = value lines (# comments allowed), with ``overrides`` winning
+    over the text, into a validated RunConfig."""
     problems = []
     kwargs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -181,10 +181,11 @@ def parse_config(text, overrides=None):
         )
         if value is not None:
             kwargs[key] = value
-    if problems:
-        raise ConfigError(problems)
-    config = RunConfig(**kwargs)
-    return config.validate()
+    if problems:  # the rules that join two settings wait until every value parses
+        raise ConfigError(problems + bound_problems(
+            (key, value, LEAST_VALUE[key]) for key, value in kwargs.items() if key in LEAST_VALUE
+        ))
+    return RunConfig(**kwargs).validate()
 
 
 def serialize_config(config):
@@ -226,12 +227,3 @@ PRESETS = {
         "nf_lr": 5e-4,
     },
 }
-
-
-def apply_preset(config, name):
-    """Return a copy of config with the preset's fields replaced."""
-    if name not in PRESETS:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        )
-    return dataclasses.replace(config, **PRESETS[name]).validate()

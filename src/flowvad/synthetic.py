@@ -20,6 +20,7 @@ import os
 
 import numpy as np
 
+from .config import bound_problems
 from .errors import ConfigError
 from .pnm import write_pnm
 
@@ -39,15 +40,14 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        problems = []
-        if self.canvas < 16:
-            problems.append(f"canvas {self.canvas} too small (min 16)")
-        if self.n_objects < 1:
-            problems.append(f"need at least one object, got {self.n_objects}")
+        problems = bound_problems([
+            ("canvas", self.canvas, 16),
+            ("n_objects", self.n_objects, 1),
+            ("noise_sigma", self.noise_sigma, 0),
+            ("seed", self.seed, 0),
+        ])
         if not (0 < self.size_range[0] <= self.size_range[1] < self.canvas):
             problems.append(f"bad size_range {self.size_range}")
-        if self.noise_sigma < 0:
-            problems.append(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
         if problems:
             raise ConfigError(problems)
 

@@ -16,14 +16,18 @@ import pytest
 import flowvad
 from flowvad.cli import main
 from flowvad.config import (
+    LEAST_VALUE,
+    PRESETS,
     RunConfig,
-    apply_preset,
     parse_config,
     serialize_config,
 )
 from flowvad.errors import ConfigError
 from flowvad.losses import SSIM_WINDOW
 from flowvad.tensor_io import load_tensor, save_tensor
+
+
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 class TestConfigFormat:
@@ -112,10 +116,41 @@ class TestConfigFormat:
             parse_config(f"{name} = {value}\n")
 
     def test_presets(self):
-        cfg = apply_preset(RunConfig(), "large-scene")
+        # a preset is a set of overrides laid over the file; each one is valid alone
+        for name, preset in PRESETS.items():
+            cfg = parse_config("", preset)
+            assert {key: getattr(cfg, key) for key in preset} == preset, name
+        cfg = parse_config("itae_batch = 4\nnf_lr = 0.001\n", PRESETS["large-scene"])
         assert cfg.itae_batch == 8 and cfg.itae_lr == pytest.approx(1e-2)
-        with pytest.raises(ConfigError, match="unknown preset"):
-            apply_preset(RunConfig(), "galactic")
+        assert cfg.nf_lr == pytest.approx(1e-4)
+
+    def test_every_numeric_field_has_a_least_value(self):
+        numeric = {f.name for f in dataclasses.fields(RunConfig) if f.type in (int, float)}
+        assert set(LEAST_VALUE) == numeric
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (name, bad)
+            for name, least in LEAST_VALUE.items()
+            for bad in (
+                [str(least - 1)] if _FIELD_TYPES[name] is int else ["-1.0", "nan", "inf"]
+            )
+        ],
+    )
+    def test_each_number_below_its_least_value_is_refused(self, name, value):
+        rule = ">=" if _FIELD_TYPES[name] is int else "a finite number >="
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"{name} = {value}\n")
+        assert f"{name} must be {rule} {LEAST_VALUE[name]}, got {value}" in exc.value.problems
+
+    def test_parse_problem_names_the_type(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("tau = 2.5\nitae_lr = fast\n")
+        assert exc.value.problems == [
+            "tau: cannot parse '2.5' as int",
+            "itae_lr: cannot parse 'fast' as float",
+        ]
 
     def test_serialize_covers_every_field(self):
         text = serialize_config(RunConfig())
@@ -187,6 +222,20 @@ class TestGenSynth:
                    "--anomaly", "5-10-speed"])
         assert rc == 2
         assert "anomaly" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, problem",
+        [
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+            ("--noise-sigma", "nan", "noise_sigma must be a finite number >= 0, got nan"),
+            ("--noise-sigma", "inf", "noise_sigma must be a finite number >= 0, got inf"),
+        ],
+    )
+    def test_bad_scene_number_exit_2(self, tmp_path, capsys, flag, value, problem):
+        out = tmp_path / "x"
+        assert main(["gen-synth", "--out-dir", str(out), "--n-frames", "2", flag, value]) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_frames", ["-1", "0"])
     def test_no_frames_exit_2(self, tmp_path, capsys, n_frames):
@@ -604,6 +653,34 @@ class TestInputErrors:
         assert "lambda" not in captured.out
 
     @pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
+    def test_out_that_is_a_directory_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "s.csv"
+        write_score_csv(path, [0, 1, 0, 1])
+        out = tmp_path / "adir"
+        out.mkdir()
+        assert main([command, str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: --out {out} is a directory" in captured.err
+        assert captured.out == "" and not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train-nf", "--flow-hidden", "0"),
+            ("train-nf", "--flow-hidden", "-1"),
+            ("train-itae", "--seed", "-1"),
+            ("train-nf", "--seed", "-1"),
+            ("score", "--seed", "-1"),
+        ],
+    )
+    def test_number_below_its_least_value_exit_2(self, tmp_path, capsys, command, flag, value):
+        video = packed_video(tmp_path / "v.t5", 16)
+        err = refuse(capsys, tmp_path / "out", command, "--data-path", str(video), flag, value)
+        name = flag[2:].replace("-", "_")
+        assert err == f"config error: {name} must be >= {LEAST_VALUE[name]}, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
     def test_out_in_missing_directory_exit_2(self, tmp_path, capsys, command):
         path = tmp_path / "s.csv"
         write_score_csv(path, [0, 1, 0, 1])
@@ -857,6 +934,49 @@ def _run_in_subprocess(code, **env):
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True, text=True, timeout=600,
     )
+
+
+class TestSettings:
+    """A run's settings: the config file, then a preset, then the flags, read
+    and validated once."""
+
+    @pytest.mark.filterwarnings("ignore:frame .* supports only")
+    def test_file_then_preset_then_flags(self, tmp_path):
+        video = packed_video(tmp_path / "v.t5", 16)
+        config = tmp_path / "run.cfg"
+        config.write_text("nf_lr = 0.001\nflow_hidden = 8\n")
+        out = tmp_path / "out"
+        assert main(["train-itae", "--config", str(config), "--preset", "large-scene",
+                     "--itae-lr", "0.002", "--itae-steps", "1", "--data-path", str(video),
+                     "--out-dir", str(out)]) == 0
+        cfg = parse_config((out / "config.cfg").read_text())
+        assert (cfg.itae_batch, cfg.itae_lr, cfg.nf_lr, cfg.flow_hidden) == (8, 0.002, 1e-4, 8)
+
+    @pytest.mark.parametrize(
+        "text, problems",
+        [
+            ("nf_lr = -1\n", ["itae_steps must be >= 1, got 0",
+                              "nf_lr must be a finite number >= 0, got -1.0"]),
+            ("nf_lr = -1\ntau = x\n", ["tau: cannot parse 'x' as int",
+                                        "nf_lr must be a finite number >= 0, got -1.0",
+                                        "itae_steps must be >= 1, got 0"]),
+        ],
+    )
+    def test_file_and_flag_problems_reported_together(self, tmp_path, capsys, text, problems):
+        config = tmp_path / "bad.cfg"
+        config.write_text(text)
+        out = tmp_path / "out"
+        err = refuse(capsys, out, "train-itae", "--data-path", str(tmp_path / "v.t5"),
+                     "--config", str(config), "--itae-steps", "0")
+        assert err.splitlines() == [f"config error: {p}" for p in problems]
+        assert not out.exists()
+
+    def test_help_names_each_setting_type(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["score", "--help"])
+        out = capsys.readouterr().out
+        for f in dataclasses.fields(RunConfig):
+            assert f"--{f.name.replace('_', '-')} {f.type.__name__.upper()}" in out
 
 
 def test_cli_loads_no_scipy():
