@@ -12,8 +12,9 @@ All tensors are (batch, channel, time, height, width). Spatial dims shrink
 by 4x in the encoder; the static temporal length is T / tau throughout.
 
 Layer calls, :meth:`~TwoPathAutoencoder.encode` and
-:meth:`~TwoPathAutoencoder.decode` record no autodiff node. The model
-trains whole or is frozen whole. In training,
+:meth:`~TwoPathAutoencoder.decode` never record an autodiff node. The
+model trains whole or is frozen whole, and that alone decides what
+records: unless the model is frozen,
 :meth:`~TwoPathAutoencoder.reconstruct` records one node, the
 reconstruction, whose parents are all the parameters. Its hand-written
 NumPy backward walks the fixed chain in reverse, asks no parameter whether
@@ -24,9 +25,8 @@ that input's leaky-ReLU sign and its weight-gradient term chunk by chunk
 first (the idea of In-Place Activated BatchNorm, Rota Bulo et al.,
 arXiv:1712.02616: recover an activation's backward from its output, so the
 gradient can take the output's place). Each concat is one array, and a
-conv's output is read back as its channel slice. With gradients off
-(:func:`~flowvad.tensor.no_grad`) or a frozen model, nothing is kept for a
-backward.
+conv's output is read back as its channel slice. A frozen model keeps
+nothing for a backward.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .tensor import (
     conv3d_backward,
     conv_transpose3d,
     conv_transpose3d_backward,
-    grad_enabled,
 )
 
 __all__ = ["AutoencoderConfig", "TwoPathAutoencoder", "Conv3dLayer"]
@@ -342,12 +341,11 @@ class TwoPathAutoencoder:
             return Tensor(1.0 / (1.0 + np.exp(-h.data)))
 
     def reconstruct(self, x: Tensor) -> Tensor:
-        """``decode(*encode(x))``. With gradients enabled (see
-        :func:`~flowvad.tensor.no_grad`) on a model that is not frozen, the
+        """``decode(*encode(x))``. Unless the model is frozen, the
         reconstruction records one autodiff node whose parents are all the
-        parameters and whose backward is :meth:`_backward`; otherwise it
+        parameters and whose backward is :meth:`_backward`; a frozen model
         records nothing and keeps nothing for a backward."""
-        tape = {} if grad_enabled() and not self._frozen else None
+        tape = None if self._frozen else {}
         if tape is not None and isinstance(x, Tensor) and x.requires_grad:
             raise ValueError("reconstruct differentiates the parameters only; "
                              "the input must not require gradients")

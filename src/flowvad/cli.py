@@ -135,6 +135,7 @@ def _resolve_config(args):
     config = parse_config(text, overrides)
     if not config.data_path:
         raise ConfigError(f"data_path is required for {args.command}")
+    _check_out(config.out_dir, "out_dir", directory=True)
     return config
 
 
@@ -195,19 +196,34 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
-def _check_out(path):
-    """Refuse an --out path that is a directory or whose directory does not
-    exist, before any work."""
+def _check_out(path, what="--out", directory=False):
+    """Refuse an output path before any work: a file path that is a
+    directory or whose directory does not exist, or a ``directory`` path
+    that is, or lies under, something other than a directory."""
+    if path and directory:
+        blocker = os.path.abspath(path)
+        while not os.path.exists(blocker):
+            blocker = os.path.dirname(blocker)
+        if not os.path.isdir(blocker):
+            where = "" if blocker == os.path.abspath(path) else f": {blocker}"
+            raise ConfigError(f"{what} {path}{where} is not a directory")
+        return
     if path and os.path.isdir(path):
-        raise ConfigError(f"--out {path} is a directory")
+        raise ConfigError(f"{what} {path} is a directory")
     parent = os.path.dirname(path or "")
     if parent and not os.path.isdir(parent):
-        raise ConfigError(f"--out {path}: directory {parent} does not exist")
+        raise ConfigError(f"{what} {path}: directory {parent} does not exist")
 
 
 def cmd_gen_synth(args):
     if problems := bound_problems([("--n-frames", args.n_frames, 1)]):
         raise ConfigError(problems)
+    _check_out(args.out_dir, "--out-dir", directory=True)
+    frame_dir = os.path.join(args.out_dir, "frames")
+    if os.path.isdir(frame_dir) and any(
+        name.lower().endswith((".pgm", ".ppm")) for name in os.listdir(frame_dir)
+    ):
+        raise ConfigError(f"{frame_dir} already holds frames; give a new or empty --out-dir")
     spans = []
     for text in args.anomaly:
         parts = text.split(":")
@@ -219,12 +235,12 @@ def cmd_gen_synth(args):
             raise ConfigError(f"--anomaly has non-integer bounds: {text!r}") from None
     scene = SceneConfig(
         canvas=args.canvas,
-        n_objects=args.objects,
+        objects=args.objects,
         noise_sigma=args.noise_sigma,
         seed=args.seed,
     )
     frames, labels = generate_scene(scene, args.n_frames, spans)
-    frame_dir = write_scene(args.out_dir, frames, labels)
+    write_scene(args.out_dir, frames, labels)
     record = dataclasses.asdict(scene)
     record.update(n_frames=args.n_frames, anomalies=args.anomaly)
     with open(os.path.join(args.out_dir, "gen.json"), "w") as fh:

@@ -14,16 +14,16 @@ holds exactly and the negative log-likelihood is exact, not a bound.
 Every layer runs on plain arrays: ``forward`` returns its output, its
 per-sample log |det| and what its ``backward`` needs, and ``backward`` maps
 the output gradient to the input gradient while accumulating the gradient
-of every parameter, asking none whether it wants one. The stack trains
-whole or is frozen whole: :meth:`FlowStack.forward` records the whole
-stack as one autodiff node, the per-sample NLL, whose backward walks
-the layers in reverse: the prior gives d nll / dz = z, every log-det term
-gets d nll / d logdet = -1, and the closed-form log-dets and LU gradients
-follow Glow (Kingma and Dhariwal 2018, arXiv:1807.03039, Table 1). When no
-gradient is wanted, as under :func:`~flowvad.tensor.no_grad` in
-:meth:`FlowStack.nll_of`, no layer keeps anything for a backward. Inverses
-run on plain arrays since sampling and round-trip checks never need
-gradients.
+of every parameter, asking none whether it wants one. A training call
+records and an inference call never does: :meth:`FlowStack.forward`
+records the whole stack as one autodiff node, the per-sample NLL, whose
+backward walks the layers in reverse: the prior gives d nll / dz = z, every
+log-det term gets d nll / d logdet = -1, and the closed-form log-dets and
+LU gradients follow Glow (Kingma and Dhariwal 2018, arXiv:1807.03039,
+Table 1). :meth:`FlowStack.nll_of` and :meth:`FlowStack.init_actnorm` call
+it with ``record=False``, and then no layer keeps anything for a backward.
+Inverses run on plain arrays since sampling and round-trip checks never
+need gradients.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .checkpoint import assign_state
 from .errors import NumericError, ShapeError
-from .tensor import Tensor, _columns, grad_enabled, no_grad
+from .tensor import Tensor, _columns
 
 __all__ = [
     "FlowConfig",
@@ -495,23 +495,19 @@ class FlowStack:
                 f"(squeeze {self.config.squeeze} x {self.config.levels} levels)"
             )
 
-    def forward(self, x, init: bool = False) -> FlowResult:
+    def forward(self, x, init: bool = False, record: bool = True) -> FlowResult:
         """Map input to latents; returns per-sample NLL and the logdet total.
 
-        The NLL is one graph node whose parents are ``x`` (when a Tensor
-        requiring gradients) and every parameter; its backward is the
-        layers' own, in reverse. The stack trains whole or is frozen whole:
-        the layers give every parameter its gradient, and a stack none of
-        whose parameters requires one keeps none of them.
+        With ``record`` the NLL is one graph node whose parents are ``x``
+        (when a Tensor requiring gradients) and every parameter; its
+        backward is the layers' own, in reverse, and gives every parameter
+        its gradient. Without it nothing is recorded or kept for a backward.
         """
         x_in = x if isinstance(x, Tensor) else None
         x = np.asarray(x.data if x_in is not None else x, dtype=np.float64)
         self._check_input(x)
         n = x.shape[0]
-        params = self.parameters()
-        frozen = not any(p.requires_grad for p in params)
         wants_x = x_in is not None and x_in.requires_grad
-        record = grad_enabled() and (wants_x or not frozen)
         h = x
         logdet = np.zeros(n)
         z_parts: list[np.ndarray] = []
@@ -545,19 +541,15 @@ class FlowStack:
                     g = layer.backward(cache, g, gld)
             if wants_x:
                 x_in._accumulate(g)
-            if frozen:  # only the input's gradient was wanted
-                for p in params:
-                    p.grad = None
 
         if record:
-            nll._record(([x_in] if wants_x else []) + params, backward)
+            nll._record(([x_in] if wants_x else []) + self.parameters(), backward)
         dims = int(np.prod(x.shape[1:]))
         return FlowResult(nll=nll, log_prior=log_prior, logdet=logdet, z_parts=z_parts, dims=dims)
 
     def nll_of(self, x) -> np.ndarray:
         """Per-sample negative log-likelihood; records no graph."""
-        with no_grad():
-            return self.forward(x).nll.data
+        return self.forward(x, record=False).nll.data
 
     # ------------------------------------------------------------ inverse
 
@@ -586,9 +578,9 @@ class FlowStack:
         return (h, total) if return_logdet else h
 
     def init_actnorm(self, x) -> None:
-        """Data-dependent initialization pass over one batch."""
-        with no_grad():
-            self.forward(x, init=True)
+        """Data-dependent initialization pass over one batch; records no
+        graph."""
+        self.forward(x, init=True, record=False)
 
     # --------------------------------------------------------- parameters
 

@@ -6,18 +6,18 @@ the frame is too small for five halvings the scale count is reduced and the
 remaining weights are renormalized to sum to one, with a warning.
 
 :func:`recon_loss` records one autodiff node, the total, whose only parent
-is the reconstruction. Its forward runs on plain arrays; the separable
-Gaussian blur and the 2x2 halving are :func:`~flowvad.tensor.conv3d` calls.
-Its hand-written backward gives d total / d output. The L2 and gradient
-difference terms differentiate in closed form. MS-SSIM runs the chain level
-by level, from the coarsest: each level's factor gradient goes through its
-cs and luminance maps to the blurred statistics (the maps), through the
-blur's adjoint to the frames, and the next coarser level's frame gradient
-joins through the halving's adjoint; both adjoints are
-:func:`~flowvad.tensor.conv_transpose3d` calls with the forward kernels.
-Last, the channel mean's adjoint spreads the frame gradient over the
-channels. When no gradient is wanted, the forward keeps nothing for a
-backward.
+is the reconstruction, exactly when the reconstruction requires a gradient;
+otherwise it keeps nothing for a backward. Its forward runs on plain
+arrays; the separable Gaussian blur and the 2x2 halving are
+:func:`~flowvad.tensor.conv3d` calls. Its hand-written backward gives
+d total / d output. The L2 and gradient difference terms differentiate in
+closed form. MS-SSIM runs the chain level by level, from the coarsest:
+each level's factor gradient goes through its cs and luminance maps to the
+blurred statistics (the maps), through the blur's adjoint to the frames,
+and the next coarser level's frame gradient joins through the halving's
+adjoint; both adjoints are :func:`~flowvad.tensor.conv_transpose3d` calls
+with the forward kernels. Last, the channel mean's adjoint spreads the
+frame gradient over the channels.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, conv3d, conv_transpose3d, grad_enabled
+from .tensor import Tensor, conv3d, conv_transpose3d
 
 __all__ = ["ReconLoss", "recon_loss", "usable_scales", "MS_SSIM_WEIGHTS", "SSIM_WINDOW"]
 
@@ -166,7 +166,7 @@ def recon_loss(target: Tensor, output: Tensor) -> ReconLoss:
         )
     weights = np.array(MS_SSIM_WEIGHTS[:scales])
     weights = weights / weights.sum()
-    record = grad_enabled() and output.requires_grad
+    record = output.requires_grad
     x, y = target.data, output.data
 
     diff = x - y

@@ -32,7 +32,7 @@ MODES = ("speed", "shape", "reverse")
 @dataclasses.dataclass
 class SceneConfig:
     canvas: int = 64
-    n_objects: int = 3
+    objects: int = 3
     size_range: tuple = (6, 12)
     speed_range: tuple = (1.0, 2.5)
     intensity_range: tuple = (0.45, 0.95)
@@ -42,7 +42,7 @@ class SceneConfig:
     def __post_init__(self):
         problems = bound_problems([
             ("canvas", self.canvas, 16),
-            ("n_objects", self.n_objects, 1),
+            ("objects", self.objects, 1),
             ("noise_sigma", self.noise_sigma, 0),
             ("seed", self.seed, 0),
         ])
@@ -90,7 +90,7 @@ def generate_scene(config, n_frames, spans=()):
     rng = np.random.default_rng(config.seed)
     side = config.canvas
 
-    n = config.n_objects
+    n = config.objects
     sizes = rng.integers(config.size_range[0], config.size_range[1] + 1, size=n)
     intens = rng.uniform(*config.intensity_range, size=n)
     pos = rng.uniform(0, side, size=(n, 2))

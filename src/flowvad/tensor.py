@@ -11,15 +11,18 @@ gradient. Calling :meth:`Tensor.backward` on a scalar loss walks the
 recorded nodes once, parents after children.
 
 The engine keeps only that: ``_record``, ``_accumulate``,
-:meth:`Tensor.backward`, the whole-array ``mean`` and :func:`no_grad`.
-Three models record a node. The autoencoder of :mod:`flowvad.autoencoder`
-records the reconstruction, whose parents are its parameters; the
-reconstruction loss of :mod:`flowvad.losses` records the total, whose only
-parent is the reconstruction; the flow stack of :mod:`flowvad.flow` records
-its per-sample negative log-likelihood, which ``mean`` reduces. A training
-step's graph is therefore two nodes over the parameters. Inside a
-:func:`no_grad` block no node records parents or a backward closure, so
-inference builds no graph.
+:meth:`Tensor.backward` and the whole-array ``mean``. Three models record a
+node. The autoencoder of :mod:`flowvad.autoencoder` records the
+reconstruction, whose parents are its parameters; the reconstruction loss
+of :mod:`flowvad.losses` records the total, whose only parent is the
+reconstruction; the flow stack of :mod:`flowvad.flow` records its
+per-sample negative log-likelihood, which ``mean`` reduces. A training
+step's graph is therefore two nodes over the parameters. One rule decides
+what records: a training call records and an inference call never does.
+The autoencoder's ``reconstruct`` records unless the model is frozen, the
+flow stack's ``forward`` records unless called with ``record=False``, as
+its ``nll_of`` and ``init_actnorm`` do, and the loss records exactly when
+the reconstruction requires a gradient. So inference builds no graph.
 
 The convolutions are array kernels. :func:`conv3d` and
 :func:`conv_transpose3d` run forward on ndarrays and record nothing;
@@ -54,8 +57,6 @@ Design constraints, fixed on purpose:
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 from typing import Sequence
 
@@ -69,28 +70,7 @@ __all__ = [
     "conv3d_backward",
     "conv_transpose3d",
     "conv_transpose3d_backward",
-    "grad_enabled",
-    "no_grad",
 ]
-
-_GRAD_ENABLED = contextvars.ContextVar("flowvad_grad_enabled", default=True)
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Record no graph inside the block: results carry no parents, no
-    backward closure and ``requires_grad=False``. Restored on exit, also
-    when the block raises."""
-    token = _GRAD_ENABLED.set(False)
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED.reset(token)
-
-
-def grad_enabled() -> bool:
-    """False inside a :func:`no_grad` block."""
-    return _GRAD_ENABLED.get()
 
 
 class Tensor:
@@ -130,10 +110,7 @@ class Tensor:
     # ------------------------------------------------------------- the graph
 
     def _record(self, parents: Sequence["Tensor"], backward) -> "Tensor":
-        """Attach graph metadata to ``self`` if any parent wants gradients
-        and gradients are enabled (see :func:`no_grad`)."""
-        if not _GRAD_ENABLED.get():
-            return self
+        """Attach graph metadata to ``self`` if any parent wants gradients."""
         tracked = tuple(p for p in parents if p.requires_grad)
         if tracked:
             self.requires_grad = True

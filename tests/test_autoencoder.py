@@ -1,6 +1,5 @@
 """Topology and behavior of the two-path autoencoder."""
 
-import contextlib
 import functools
 import tracemalloc
 import warnings
@@ -13,7 +12,7 @@ from flowvad.config import RunConfig
 from flowvad.errors import ShapeError
 from flowvad.losses import recon_loss
 from flowvad.pipeline import score_video
-from flowvad.tensor import Tensor, no_grad
+from flowvad.tensor import Tensor
 from flowvad.train import TrainConfig, train_autoencoder
 
 from model_oracles import graph_reconstruct, layer_shapes
@@ -242,7 +241,7 @@ class TestNoGraph:
     """Inference records no node and keeps no layer's arrays for a backward."""
 
     @staticmethod
-    def held_after(model, mode, monkeypatch):
+    def held_after(model, monkeypatch):
         """Outputs of encode, decode and reconstruct on a 32x32 window, the
         tapes reconstruct hands encode and decode, and the bytes still
         allocated once they return, the outputs included."""
@@ -258,21 +257,18 @@ class TestNoGraph:
         x = Tensor(rng.uniform(size=(1, 1, 8, 32, 32)))
         tracemalloc.start()
         try:
-            with no_grad() if mode == "no_grad" else contextlib.nullcontext():
-                xs, xd = model.encode(x)
-                recon = model.decode(xs, xd)
-                out = model.reconstruct(x)
+            xs, xd = model.encode(x)
+            recon = model.decode(xs, xd)
+            out = model.reconstruct(x)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         return (xs, xd, recon, out), tapes, held
 
-    @pytest.mark.parametrize("mode", ["no_grad", "frozen"])
-    def test_inference_records_nothing_and_keeps_nothing(self, mode, monkeypatch):
+    def test_inference_records_nothing_and_keeps_nothing(self, monkeypatch):
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4), np.random.default_rng(8))
-        if mode == "frozen":
-            model.freeze()
-        outs, tapes, held = self.held_after(model, mode, monkeypatch)
+        model.freeze()
+        outs, tapes, held = self.held_after(model, monkeypatch)
         for t in outs:
             assert t._parents == () and t._backward is None and not t.requires_grad
         assert tapes == [None] * 4  # nothing is saved for a backward, even briefly
@@ -283,7 +279,7 @@ class TestNoGraph:
         # the contrast: encode and decode alone record nothing, but a
         # recording reconstruct holds the arrays its backward reads
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4), np.random.default_rng(8))
-        (xs, xd, recon, out), tapes, held = self.held_after(model, "training", monkeypatch)
+        (xs, xd, recon, out), tapes, held = self.held_after(model, monkeypatch)
         assert all(t._parents == () for t in (xs, xd, recon))
         assert len(out._parents) == len(model.parameters())
         assert tapes[:2] == [None, None] and tapes[2] is tapes[3] is not None

@@ -229,6 +229,7 @@ class TestGenSynth:
             ("--seed", "-1", "seed must be >= 0, got -1"),
             ("--noise-sigma", "nan", "noise_sigma must be a finite number >= 0, got nan"),
             ("--noise-sigma", "inf", "noise_sigma must be a finite number >= 0, got inf"),
+            ("--objects", "0", "objects must be >= 1, got 0"),
         ],
     )
     def test_bad_scene_number_exit_2(self, tmp_path, capsys, flag, value, problem):
@@ -243,6 +244,27 @@ class TestGenSynth:
         assert main(["gen-synth", "--out-dir", str(out), "--n-frames", n_frames]) == 2
         assert f"config error: --n-frames must be >= 1, got {n_frames}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_dir_with_frames_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["gen-synth", "--out-dir", str(out), "--n-frames", "16"]) == 0
+        before = {str(p): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["gen-synth", "--out-dir", str(out), "--n-frames", "8", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {out / 'frames'} already holds frames; give a new or empty --out-dir\n"
+        )
+        assert {str(p): p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_dir_that_is_a_file_exit_2(self, tmp_path, capsys, under):
+        blocker = tmp_path / "x"
+        blocker.write_text("keep\n")
+        out, where = (blocker / "sub", f": {blocker}") if under else (blocker, "")
+        assert main(["gen-synth", "--out-dir", str(out), "--n-frames", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --out-dir {out}{where} is not a directory\n"
+        assert blocker.read_text() == "keep\n"
 
 
 class TestTrainCommands:
@@ -679,6 +701,15 @@ class TestInputErrors:
         name = flag[2:].replace("-", "_")
         assert err == f"config error: {name} must be >= {LEAST_VALUE[name]}, got {value}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train-itae", "train-nf", "score"])
+    def test_out_dir_that_is_a_file_exit_2(self, tmp_path, capsys, command):
+        video = packed_video(tmp_path / "v.t5", 16)
+        out = tmp_path / "out"
+        out.write_text("keep\n")
+        err = refuse(capsys, out, command, "--data-path", str(video))
+        assert err == f"config error: out_dir {out} is not a directory\n"
+        assert out.read_text() == "keep\n"
 
     @pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
     def test_out_in_missing_directory_exit_2(self, tmp_path, capsys, command):

@@ -197,14 +197,14 @@ class TestSynthetic:
         assert np.array_equal(labels, want)
 
     def test_speed_anomaly_keeps_frame_histograms(self):
-        cfg = SceneConfig(seed=5, n_objects=1, noise_sigma=0.0)
+        cfg = SceneConfig(seed=5, objects=1, noise_sigma=0.0)
         frames, labels = generate_scene(cfg, 40, [(20, 30, "speed")])
         base = np.bincount(frames[0].ravel(), minlength=256)
         for t in range(40):
             assert np.array_equal(np.bincount(frames[t].ravel(), minlength=256), base)
 
     def test_speed_anomaly_changes_motion(self):
-        cfg = SceneConfig(seed=5, n_objects=1, noise_sigma=0.0, speed_range=(2.0, 2.0))
+        cfg = SceneConfig(seed=5, objects=1, noise_sigma=0.0, speed_range=(2.0, 2.0))
         frames, _ = generate_scene(cfg, 40, [(20, 30, "speed")])
         diff = np.abs(np.diff(frames.astype(float), axis=0)).mean(axis=(1, 2))
         normal = diff[:19].mean()
@@ -212,7 +212,7 @@ class TestSynthetic:
         assert anomalous > 1.2 * normal
 
     def test_shape_anomaly_changes_appearance_not_motion(self):
-        cfg = SceneConfig(seed=9, n_objects=2, noise_sigma=0.0)
+        cfg = SceneConfig(seed=9, objects=2, noise_sigma=0.0)
         normal, _ = generate_scene(cfg, 40)
         swapped, _ = generate_scene(cfg, 40, [(10, 30, "shape")])
         assert not np.array_equal(normal[15], swapped[15])
@@ -222,7 +222,7 @@ class TestSynthetic:
         assert 0.3 * d_norm < d_swap < 3.0 * d_norm
 
     def test_reverse_anomaly_negates_velocity(self):
-        cfg = SceneConfig(seed=4, n_objects=1, noise_sigma=0.0)
+        cfg = SceneConfig(seed=4, objects=1, noise_sigma=0.0)
         frames, _ = generate_scene(cfg, 21, [(10, 21, "reverse")])
         # reversing for as long as the forward run retraces the trajectory
         assert np.array_equal(frames[20], frames[0])

@@ -7,7 +7,7 @@ import pytest
 
 from flowvad.errors import ShapeError
 from flowvad.flow import FlowConfig, FlowStack, gaussian_log_density
-from flowvad.tensor import Tensor, no_grad
+from flowvad.tensor import Tensor
 
 from model_oracles import bits_per_dim, num_transforms
 from numeric import numerical_jacobian
@@ -169,26 +169,42 @@ class TestGraphFreeNll:
         x = rng.normal(size=(4, 3, 8, 8))
         assert np.array_equal(stack.nll_of(x), stack.forward(Tensor(x)).nll.data)
 
-    def test_no_graph_and_no_parameter_gradients(self, rng, monkeypatch):
-        stack = FlowStack(FlowConfig(channels=2, levels=2, steps=2, hidden=8), rng)
-        perturb(stack, rng)
-        x = rng.normal(size=(3, 2, 4, 4))
+    @staticmethod
+    def forward_results(monkeypatch, call):
+        """The results of every FlowStack.forward that ``call()`` makes."""
         results = []
         forward = FlowStack.forward
         monkeypatch.setattr(
             FlowStack, "forward", lambda *a, **k: results.append(forward(*a, **k)) or results[-1]
         )
-        stack.nll_of(Tensor(x, requires_grad=True))
+        call()
         monkeypatch.undo()
-        (result,) = results
+        return results
+
+    def test_no_graph_and_no_parameter_gradients(self, rng, monkeypatch):
+        stack = FlowStack(FlowConfig(channels=2, levels=2, steps=2, hidden=8), rng)
+        perturb(stack, rng)
+        x = rng.normal(size=(3, 2, 4, 4))
+        (result,) = self.forward_results(
+            monkeypatch, lambda: stack.nll_of(Tensor(x, requires_grad=True))
+        )
         t = result.nll
         assert t._parents == () and t._backward is None and not t.requires_grad
         result.nll.sum().backward()
         for name, p in stack.named_parameters().items():
             assert p.grad is None, name
-        # gradients come back once the block is left
+        # a training forward on the same stack records
         stack.forward(Tensor(x)).nll.mean().backward()
         assert all(p.grad is not None for p in stack.parameters())
+
+    def test_init_actnorm_records_nothing(self, rng, monkeypatch):
+        stack = FlowStack(FlowConfig(channels=2, levels=2, steps=2, hidden=8), rng)
+        x = rng.normal(size=(3, 2, 4, 4))
+        (result,) = self.forward_results(monkeypatch, lambda: stack.init_actnorm(x))
+        t = result.nll
+        assert t._parents == () and t._backward is None and not t.requires_grad
+        for name, p in stack.named_parameters().items():
+            assert p.requires_grad and p.grad is None, name
 
     def test_forward_records_one_node_and_none_without_grad(self, rng):
         stack = FlowStack(FlowConfig(channels=2, levels=2, steps=2, hidden=8), rng)
@@ -199,6 +215,5 @@ class TestGraphFreeNll:
         assert nll._backward is not None and nll.shape == (3,)
         assert {id(p) for p in nll._parents} == {id(x), *map(id, stack.parameters())}
         assert all(p._backward is None and p._parents == () for p in nll._parents)
-        with no_grad():
-            nll = stack.forward(x).nll
+        nll = stack.forward(x, record=False).nll
         assert nll._backward is None and nll._parents == () and not nll.requires_grad

@@ -6,7 +6,7 @@ import pytest
 
 from flowvad.errors import ShapeError
 from flowvad.losses import MS_SSIM_WEIGHTS, SSIM_WINDOW, recon_loss, usable_scales
-from flowvad.tensor import Tensor, no_grad
+from flowvad.tensor import Tensor
 
 from graph_ops import conv3d, mean_axis
 from numeric import max_relative_error, numerical_gradient
@@ -150,12 +150,11 @@ class TestNode:
         rng = np.random.default_rng(10)
         target = Tensor(rng.random((1, 1, 1, 11, 11)))
         output = Tensor(rng.random((1, 1, 1, 11, 11)), requires_grad=True)
-        with no_grad():
-            inside = recon_loss(target, output).total
+        recorded = recon_loss(target, output).total
         plain = recon_loss(target, Tensor(output.data)).total
-        for total in (inside, plain):
-            assert not total.requires_grad and total._parents == ()
-        assert inside.item() == plain.item()
+        assert recorded.requires_grad and recorded._parents == (output,)
+        assert not plain.requires_grad and plain._parents == () and plain._backward is None
+        assert recorded.item() == plain.item()
 
 
 # ------------------------------------------------------------ loop references

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flowvad.errors import NumericError, ShapeError
-from flowvad.tensor import Tensor, no_grad
+from flowvad.tensor import Tensor
 
 from graph_ops import (
     amax,
@@ -156,25 +156,6 @@ class TestGraph:
         x = Tensor([1.0])
         y = x * 2.0
         assert not y.requires_grad and y._backward is None
-
-    def test_no_grad_records_nothing(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        with no_grad():
-            y = (x * x).sum()
-        assert not y.requires_grad and y._parents == () and y._backward is None
-        y.backward()
-        assert x.grad is None
-
-    def test_no_grad_restored_after_exception(self):
-        x = Tensor([1.0], requires_grad=True)
-        with pytest.raises(ZeroDivisionError):
-            with no_grad():
-                with no_grad():
-                    pass
-                assert not (x * 2.0).requires_grad
-                raise ZeroDivisionError
-        y = x * 2.0
-        assert y.requires_grad and y._parents == (x,)
 
     def test_leaf_grad_only_after_backward(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
