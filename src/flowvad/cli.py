@@ -252,6 +252,7 @@ def cmd_gen_synth(args):
 
 def cmd_train_itae(args):
     config = _resolve_config(args)
+    _check_out(os.path.join(config.out_dir, "itae"), "checkpoint directory", directory=True)
     clips = []
     for source, _ in _video_sources(config.data_path):
         clips.extend(iter_clips(_clip_spec(config, source), _load_checked(config, source)))
@@ -270,6 +271,9 @@ def cmd_train_nf(args):
     streams = [name for name in STREAMS if getattr(config, f"use_{name}_flow")]
     if not streams:
         raise ConfigError("train-nf needs use_static_flow or use_dynamic_flow")
+    for name in streams:
+        _check_out(os.path.join(config.out_dir, f"nf_{name}"), "checkpoint directory",
+                   directory=True)
     sources = _video_sources(config.data_path)
     itae_dir = args.itae_dir or os.path.join(config.out_dir, "itae")
     model = _load(config, itae_dir)
@@ -350,6 +354,8 @@ def cmd_score(args):
     ]
     if unused:
         raise ConfigError(unused)
+    score_dir = os.path.join(config.out_dir, "scores")
+    _check_out(score_dir, "score directory", directory=True)
     sources = _video_sources(config.data_path)
     if config.label_path and len(sources) > 1:
         raise ConfigError(
@@ -380,7 +386,6 @@ def cmd_score(args):
             flow_dir = getattr(args, f"{name}_dir") or os.path.join(config.out_dir, f"nf_{name}")
             flows[name] = _load(config, flow_dir, channels)
 
-    score_dir = os.path.join(config.out_dir, "scores")
     os.makedirs(score_dir, exist_ok=True)
     for (source, _), video_labels in zip(sources, labels):
         video = _load_checked(config, source)

@@ -13,10 +13,16 @@ holds exactly and the negative log-likelihood is exact, not a bound.
 
 Every layer runs on plain arrays: ``forward`` returns its output, its
 per-sample log |det| and what its ``backward`` needs, and ``backward`` maps
-the output gradient to the input gradient while accumulating the gradient
-of every parameter, asking none whether it wants one. A training call
-records and an inference call never does: :meth:`FlowStack.forward`
-records the whole stack as one autodiff node, the per-sample NLL, whose
+the output gradient to the input gradient while writing the gradient of
+every parameter over that parameter's gradient view, asking none whether it
+wants one. The stack packs every layer's parameters into one flat vector
+(:func:`flowvad.tensor.pack`), so each named parameter is a
+:class:`~flowvad.tensor.ParamView` into it and into one flat gradient
+vector, and training sees one trainable array: per step, one Adam update
+and, in ``train._fit``, one snapshot copy and one finiteness sum. A
+training call records and an inference call never does:
+:meth:`FlowStack.forward` records the whole stack as one autodiff node, the
+per-sample NLL, whose one parameter parent is the flat vector and whose
 backward walks the layers in reverse: the prior gives d nll / dz = z, every
 log-det term gets d nll / d logdet = -1, and the closed-form log-dets and
 LU gradients follow Glow (Kingma and Dhariwal 2018, arXiv:1807.03039,
@@ -28,6 +34,7 @@ need gradients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +42,7 @@ import numpy as np
 
 from .checkpoint import assign_state
 from .errors import NumericError, ShapeError
-from .tensor import Tensor, _columns
+from .tensor import ParamView, Tensor, pack
 
 __all__ = [
     "FlowConfig",
@@ -59,10 +66,29 @@ def _window(k: int, size: int) -> tuple[slice, slice]:
 
 def _patches(x: np.ndarray) -> np.ndarray:
     """Columns of the zero-padded 3x3 neighbourhoods of channel-major
-    (c, h, w, n) input, shape (c*9, h*w*n), rows in (c, kh, kw) order: the
-    conv column builder on x as (1, c, h, w, n) with kernel (3, 3, 1)."""
-    whole = tuple(slice(0, d) for d in x.shape[1:])
-    return _columns(x[None], (3, 3, 1), (1, 1, 1), (1, 1, 0), whole)[0]
+    (c, h, w, n) input, shape (c*9, h*w*n), rows in (c, kh, kw) order: row
+    (ch, a, b) of column (i, j, m) is x[ch, i + a - 1, j + b - 1, m], or 0
+    off the grid. One copy into a padded halo, one out of a strided view."""
+    c, h, w, n = x.shape
+    halo = np.zeros((c, h + 2, w + 2, n))
+    halo[:, 1 : h + 1, 1 : w + 1] = x
+    sc, sh, sw, sn = halo.strides
+    view = np.ndarray((c, 3, 3, h, w, n), halo.dtype, halo, 0, (sc, sh, sw, sh, sw, sn))
+    return view.reshape(c * 9, h * w * n)
+
+
+@functools.cache
+def _tap_windows(h: int, w: int) -> tuple[tuple[tuple, tuple], ...]:
+    """(output index, tap index) of the eight off-centre taps of a 3x3
+    window over an (h, w) grid, for :func:`_tap_sum`, in its summation
+    order: column offset outer, row offset inner."""
+    rows = [_window(k, h) for k in range(3)]
+    pairs = []
+    for b, (out_w, in_w) in enumerate(_window(k, w) for k in range(3)):
+        for a, (out_h, in_h) in enumerate(rows):
+            if a != 1 or b != 1:
+                pairs.append(((slice(None), out_h, out_w), (a, b, slice(None), in_h, in_w)))
+    return tuple(pairs)
 
 
 def _tap_sum(taps: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
@@ -77,11 +103,9 @@ def _tap_sum(taps: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
     h, w, n = dims
     t = taps.reshape(3, 3, -1, h, w, n)
     out = t[1, 1]
-    rows = [_window(k, h) for k in range(3)]
-    for b, (out_w, in_w) in enumerate(_window(k, w) for k in range(3)):
-        for a, (out_h, in_h) in enumerate(rows):
-            if a != 1 or b != 1:
-                out[:, out_h, out_w] += t[a, b, :, in_h, in_w]
+    for dst, src in _tap_windows(h, w):
+        part = out[dst]
+        part += t[src]
     return out
 
 
@@ -96,7 +120,7 @@ def _flipped(m: np.ndarray) -> np.ndarray:
 def gaussian_log_density(z: np.ndarray) -> np.ndarray:
     """Per-sample log density under an isotropic unit Gaussian, shape (batch,)."""
     axes = tuple(range(1, z.ndim))
-    d = int(np.prod(z.shape[1:]))
+    d = math.prod(z.shape[1:])
     return (z * z).sum(axis=axes) * (-0.5) - 0.5 * d * _LOG_2PI
 
 
@@ -110,15 +134,15 @@ class ActNorm:
 
     def __init__(self, channels: int):
         self.channels = channels
-        self.logs = Tensor(np.zeros(channels), requires_grad=True)
-        self.bias = Tensor(np.zeros(channels), requires_grad=True)
+        self.logs = ParamView(np.zeros(channels))
+        self.bias = ParamView(np.zeros(channels))
         self.initialized = False
 
     def initialize(self, x: np.ndarray) -> None:
         mean = x.mean(axis=(0, 2, 3))
         std = x.std(axis=(0, 2, 3)) + 1e-6
-        self.logs.data = -np.log(std)
-        self.bias.data = -mean / std
+        self.logs.data[...] = -np.log(std)
+        self.bias.data[...] = -mean / std
         self.initialized = True
 
     def forward(self, x: np.ndarray, init: bool = False):
@@ -135,8 +159,8 @@ class ActNorm:
         x, scale = cache
         n, c, h, w = x.shape
         glogs = (g * x).sum(axis=(0, 2, 3)) * scale.reshape(c)
-        self.logs._accumulate(glogs + float(h * w) * gld.sum())
-        self.bias._accumulate(g.sum(axis=(0, 2, 3)))
+        np.add(glogs, float(h * w) * gld.sum(), out=self.logs.grad_view)
+        g.sum(axis=(0, 2, 3), out=self.bias.grad_view)
         return g * scale
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -145,7 +169,7 @@ class ActNorm:
         x = (z - self.bias.data.reshape(1, c, 1, 1)) / scale
         return x, -float(h * w * self.logs.data.sum())
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
+    def named_parameters(self, prefix: str) -> dict[str, ParamView]:
         return {f"{prefix}.logs": self.logs, f"{prefix}.bias": self.bias}
 
 
@@ -186,9 +210,9 @@ class InvertibleConv1x1:
         self.channels = channels
         self.perm = p  # constant
         self.sign = np.sign(diag)  # constant
-        self.lower = Tensor(np.tril(l, -1), requires_grad=True)
-        self.upper = Tensor(np.triu(u, 1), requires_grad=True)
-        self.log_diag = Tensor(np.log(np.abs(diag)), requires_grad=True)
+        self.lower = ParamView(np.tril(l, -1))
+        self.upper = ParamView(np.triu(u, 1))
+        self.log_diag = ParamView(np.log(np.abs(diag)))
         self._mask_low = np.tril(np.ones((channels, channels)), -1)
         self._mask_up = np.triu(np.ones((channels, channels)), 1)
         self._eye = np.eye(channels)
@@ -216,12 +240,12 @@ class InvertibleConv1x1:
         g = g.reshape(cols.shape)
         # dW summed over samples, then through W = P (L U) to the factors
         g_lu = self.perm.T @ np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-        self.lower._accumulate((g_lu @ u_full.T) * self._mask_low)
+        np.multiply(g_lu @ u_full.T, self._mask_low, out=self.lower.grad_view)
         g_u = l_full.T @ g_lu
-        self.upper._accumulate(g_u * self._mask_up)
+        np.multiply(g_u, self._mask_up, out=self.upper.grad_view)
         # U's diagonal is sign * exp(log_diag), which also is the log-det
-        gdiag = np.diag(g_u) * np.diag(u_full)
-        self.log_diag._accumulate(gdiag + float(cols.shape[2]) * gld.sum())
+        gdiag = g_u.diagonal() * u_full.diagonal()
+        np.add(gdiag, float(cols.shape[2]) * gld.sum(), out=self.log_diag.grad_view)
         return np.matmul(wmat.T, g).reshape(shape)
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -234,7 +258,7 @@ class InvertibleConv1x1:
         x = tmp.reshape(c, n, h, w).transpose(1, 0, 2, 3)
         return np.ascontiguousarray(x), -float(h * w * self.log_diag.data.sum())
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
+    def named_parameters(self, prefix: str) -> dict[str, ParamView]:
         return {
             f"{prefix}.lower": self.lower,
             f"{prefix}.upper": self.upper,
@@ -260,12 +284,12 @@ class AffineCoupling:
         self.cb = channels - self.ca
         self.clamp = float(clamp)
         std = 0.05
-        self.w1 = Tensor(rng.normal(0, std, (hidden, self.ca, 3, 3)), requires_grad=True)
-        self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w2 = Tensor(rng.normal(0, std, (hidden, hidden, 1, 1)), requires_grad=True)
-        self.b2 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w3 = Tensor(np.zeros((2 * self.cb, hidden, 3, 3)), requires_grad=True)
-        self.b3 = Tensor(np.zeros(2 * self.cb), requires_grad=True)
+        self.w1 = ParamView(rng.normal(0, std, (hidden, self.ca, 3, 3)))
+        self.b1 = ParamView(np.zeros(hidden))
+        self.w2 = ParamView(rng.normal(0, std, (hidden, hidden, 1, 1)))
+        self.b2 = ParamView(np.zeros(hidden))
+        self.w3 = ParamView(np.zeros((2 * self.cb, hidden, 3, 3)))
+        self.b3 = ParamView(np.zeros(2 * self.cb))
 
     def _net(self, xa: np.ndarray):
         """The conditioner on (n, ca, h, w) input.
@@ -302,23 +326,23 @@ class AffineCoupling:
         of its output gradient, summed per tap.
         """
         cols1, r1, r2 = cache
-        w1, b1, w2, b2, w3, b3 = self.w1, self.b1, self.w2, self.b2, self.w3, self.b3
+        w1, w2, w3 = self.w1.data, self.w2.data, self.w3.data
         hidden = w1.shape[0]
-        b3._accumulate(g.sum(axis=(1, 2, 3)))
+        g.sum(axis=(1, 2, 3), out=self.b3.grad_view)
         cols = _patches(g)
         # row (o, a, b) of cols holds g shifted by (a - 1, b - 1), which
         # meets r2 through tap (2 - a, 2 - b) of w3
         gw = (cols @ r2.T).reshape(-1, 3, 3, hidden)
-        w3._accumulate(gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
-        gh = _flipped(w3.data.reshape(w3.shape[0], -1)) @ cols
+        self.w3.grad_view[...] = gw[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        gh = _flipped(w3.reshape(w3.shape[0], -1)) @ cols
         gh *= r2 > 0.0
-        b2._accumulate(gh.sum(axis=1))
-        w2._accumulate((gh @ r1.T).reshape(w2.shape))
-        gh = w2.data.reshape(hidden, hidden).T @ gh
+        gh.sum(axis=1, out=self.b2.grad_view)
+        np.matmul(gh, r1.T, out=self.w2.grad_view.reshape(hidden, hidden))
+        gh = w2.reshape(hidden, hidden).T @ gh
         gh *= r1 > 0.0
-        b1._accumulate(gh.sum(axis=1))
-        w1._accumulate((gh @ cols1.T).reshape(w1.shape))
-        taps = w1.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(-1, hidden) @ gh
+        gh.sum(axis=1, out=self.b1.grad_view)
+        np.matmul(gh, cols1.T, out=self.w1.grad_view.reshape(hidden, -1))
+        taps = w1[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(-1, hidden) @ gh
         return _tap_sum(taps, g.shape[1:])
 
     def forward(self, x: np.ndarray, init: bool = False):
@@ -329,7 +353,10 @@ class AffineCoupling:
         t = np.tanh(h[: self.cb].transpose(3, 0, 1, 2))
         log_s = t * self.clamp
         s = np.exp(log_s)
-        y = np.concatenate([xa, xb * s + h[self.cb :].transpose(3, 0, 1, 2)], axis=1)
+        y = np.empty(x.shape)
+        y[:, : self.ca] = xa
+        yb = np.multiply(xb, s, out=y[:, self.ca :])
+        yb += h[self.cb :].transpose(3, 0, 1, 2)
         return y, log_s.sum(axis=(1, 2, 3)), (xb, t, s, net)
 
     def backward(self, cache, g: np.ndarray, gld: np.ndarray) -> np.ndarray:
@@ -343,8 +370,10 @@ class AffineCoupling:
         gh = np.empty((2 * cb, hh, ww, n))
         gh[:cb] = ((1.0 - t * t) * (glog * self.clamp)).transpose(1, 2, 3, 0)
         gh[cb:] = gyb.transpose(1, 2, 3, 0)
-        gxa = g[:, :ca] + self._net_backward(net, gh).transpose(3, 0, 1, 2)
-        return np.concatenate([gxa, gyb * s], axis=1)
+        gx = np.empty(g.shape)
+        np.add(g[:, :ca], self._net_backward(net, gh).transpose(3, 0, 1, 2), out=gx[:, :ca])
+        np.multiply(gyb, s, out=gx[:, ca:])
+        return gx
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         za, zb = z[:, : self.ca], z[:, self.ca :]
@@ -354,7 +383,7 @@ class AffineCoupling:
         logdet_inv = -log_s.sum(axis=(1, 2, 3))
         return np.concatenate([za, xb], axis=1), logdet_inv
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
+    def named_parameters(self, prefix: str) -> dict[str, ParamView]:
         return {
             f"{prefix}.w1": self.w1,
             f"{prefix}.b1": self.b1,
@@ -399,7 +428,7 @@ class Squeeze:
         )
         return np.ascontiguousarray(x), 0.0
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
+    def named_parameters(self, prefix: str) -> dict[str, ParamView]:
         return {}
 
 
@@ -477,6 +506,8 @@ class FlowStack:
             keep = c // 2 if level < config.levels - 1 else c
             self.levels.append({"steps": steps, "layers": layers, "channels": c, "keep": keep})
             c = keep
+        # the one trainable array; every named parameter is a view into it
+        self.params, self._grads = pack(list(self.named_parameters().values()))
 
     # ------------------------------------------------------------ forward
 
@@ -499,9 +530,10 @@ class FlowStack:
         """Map input to latents; returns per-sample NLL and the logdet total.
 
         With ``record`` the NLL is one graph node whose parents are ``x``
-        (when a Tensor requiring gradients) and every parameter; its
-        backward is the layers' own, in reverse, and gives every parameter
-        its gradient. Without it nothing is recorded or kept for a backward.
+        (when a Tensor requiring gradients) and the flat parameter vector
+        ``params``; its backward is the layers' own, in reverse, and fills
+        the vector's gradient through the parameters' gradient views.
+        Without it nothing is recorded or kept for a backward.
         """
         x_in = x if isinstance(x, Tensor) else None
         x = np.asarray(x.data if x_in is not None else x, dtype=np.float64)
@@ -529,6 +561,9 @@ class FlowStack:
         nll = Tensor((log_prior + logdet) * (-1.0))
 
         def backward():
+            # the layers write the parameters' gradient views over whatever
+            # they held, so a gradient of an earlier backward is added back
+            earlier = None if self.params.grad is None else self.params.grad.copy()
             go = nll.grad
             gld = -go  # nll = -(log prior + logdet)
             g_parts = [z * go.reshape(n, 1, 1, 1) for z in z_parts]
@@ -539,12 +574,15 @@ class FlowStack:
                 for _ in level["layers"]:
                     layer, cache = caches.pop()
                     g = layer.backward(cache, g, gld)
+            self.params.grad = self._grads
+            if earlier is not None:
+                self._grads += earlier
             if wants_x:
                 x_in._accumulate(g)
 
         if record:
-            nll._record(([x_in] if wants_x else []) + self.parameters(), backward)
-        dims = int(np.prod(x.shape[1:]))
+            nll._record(([x_in] if wants_x else []) + [self.params], backward)
+        dims = math.prod(x.shape[1:])
         return FlowResult(nll=nll, log_prior=log_prior, logdet=logdet, z_parts=z_parts, dims=dims)
 
     def nll_of(self, x) -> np.ndarray:
@@ -584,15 +622,17 @@ class FlowStack:
 
     # --------------------------------------------------------- parameters
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
+    def named_parameters(self) -> dict[str, ParamView]:
+        out: dict[str, ParamView] = {}
         for level in self.levels:
             for name, layer in level["layers"]:
                 out.update(layer.named_parameters(name))
         return out
 
     def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
+        """The trainable arrays: the one flat vector the named parameters
+        are views into."""
+        return [self.params]
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         assign_state(self.named_parameters(), state)

@@ -22,16 +22,20 @@ def cosine_schedule(base_lr: float, total_steps: int):
     return lr_at
 
 
-# Values of a parameter that one in-place Adam pass updates at a time.
-_BLOCK = 2**16
+# Values of a parameter that one in-place Adam pass updates at a time:
+# 128 KiB, so a block's six arrays stay within a core's L2 cache. On a
+# 2-vCPU Xeon (2 MiB L2 a core) 2**16 took the flow stack's 77,248-value
+# update from about 0.5 ms to 0.8 ms, and the autoencoder's is the same.
+_BLOCK = 2**14
 
 
 class Adam:
     """Standard Adam; the learning rate is a schedule, step -> lr.
 
-    The parameters are a whole model's, which trains whole, so each has a
-    gradient after every backward. A step updates the moments and every
-    parameter in place, over each parameter's flat view in blocks of
+    The parameters are a whole model's trainable arrays (the flow stack's
+    is one flat vector), and the model trains whole, so each has a gradient
+    after every backward. A step updates the moments and every parameter in
+    place, over each parameter's flat view in blocks of
     ``_BLOCK`` values, through two scratch buffers of one block each, in the
     operation order of ``lr * (m / bias1) / (sqrt(v / bias2) + eps)``.
     Every operation is elementwise, so the blocks give the same bits as the

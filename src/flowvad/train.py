@@ -5,17 +5,21 @@ is two nodes, the reconstruction and the loss, each with a hand-written
 backward, and the autoencoder's backward writes each decoder layer's input
 gradient over its input. Step two freezes it and fits one density model per
 feature stream on the bridged features.
-Both run ``_fit``: Adam with a cosine-annealed step size; each step calls the
+Both run ``_fit``: Adam with a cosine-annealed step size over the model's
+trainable arrays, the autoencoder's 34 parameters or the flow's one flat
+vector, which its named parameters are views into. Each step calls the
 stage's ``loss_at(step)``, which draws a batch from a seeded generator and
 returns (loss, curve row), then runs backward, the update and a finiteness
-check of the parameters. A NumericError anywhere in a step (a non-finite
-loss, a diverging density model, a non-finite parameter) leaves the
-parameters as they were when the step began and raises TrainingAborted.
-Only the optimizer update writes a parameter (backward overwrites
-activations, never parameters), so the copy that restores them is taken
-after backward and dropped before the next forward: it is never alive
-during a forward or backward pass. The gradients are dropped before each
-forward and when training ends, so they are never alive during a forward.
+check of the parameters, one sum per trainable array. A NumericError
+anywhere in a step (a non-finite loss, a diverging density model, a
+non-finite parameter) leaves the parameters as they were when the step
+began and raises TrainingAborted. Only the optimizer update writes a
+parameter (backward overwrites activations, never parameters), so the copy
+that restores them is taken after backward and dropped before the next
+forward: it is never alive during a forward or backward pass. It is one
+copy per trainable array, so the flow takes one snapshot copy and one
+finiteness sum a step. The gradients are dropped before each forward and
+when training ends, so they are never alive during a forward.
 """
 
 import dataclasses
@@ -44,21 +48,26 @@ class TrainConfig:
     seed: int = 0
 
 
-def _check_params_finite(params, step):
-    """One sum per parameter, copying nothing; only a non-finite total runs
-    the exact pass, which names the offender (or finds none on overflow)."""
+def _check_params_finite(named, step, params=None):
+    """One sum per trainable array of ``params`` (by default each of the
+    ``named`` parameters), copying nothing; only a non-finite total runs the
+    exact pass over ``named``, which names the offender (or finds none on
+    overflow)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(float(p.data.sum()) for p in params.values())
+        arrays = named.values() if params is None else params
+        total = sum(float(p.data.sum()) for p in arrays)
     if np.isfinite(total):
         return
-    for name, p in params.items():
+    for name, p in named.items():
         if not np.isfinite(p.data).all():
             raise NumericError(f"parameter {name} became non-finite at step {step}")
 
 
-def _fit(params, config, what, loss_at):
-    """Run ``config.steps`` Adam steps on ``loss_at(step) -> (loss, row)``;
-    returns the rows. TrainingAborted names ``what`` and the failing step.
+def _fit(params, named, config, what, loss_at):
+    """Run ``config.steps`` Adam steps over the trainable arrays ``params``
+    on ``loss_at(step) -> (loss, row)``; returns the rows. TrainingAborted
+    names ``what``, the failing step and, for a non-finite parameter, its
+    name in ``named``.
 
     The rollback snapshot is taken after ``loss.backward()``, right before
     ``opt.step()``, and dropped before the next step's forward. That is enough:
@@ -69,7 +78,7 @@ def _fit(params, config, what, loss_at):
     ``loss_at`` and when the loop returns or aborts, so no parameter carries
     a ``.grad`` into a forward or out of training.
     """
-    opt = Adam(params.values(), cosine_schedule(config.lr, config.steps))
+    opt = Adam(params, cosine_schedule(config.lr, config.steps))
     curve = []
     try:
         for step in range(config.steps):
@@ -78,13 +87,13 @@ def _fit(params, config, what, loss_at):
             try:
                 loss, row = loss_at(step)
                 loss.backward()
-                good = {name: p.data.copy() for name, p in params.items()}
+                good = [p.data.copy() for p in params]
                 opt.step()
-                _check_params_finite(params, step)
+                _check_params_finite(named, step, params)
             except NumericError as exc:
                 if good is not None:
-                    for name, p in params.items():
-                        p.data[...] = good[name]
+                    for p, values in zip(params, good):
+                        p.data[...] = values
                 raise TrainingAborted(f"{what} training aborted at step {step}: {exc}") from exc
             curve.append(row)
             if step % LOG_EVERY == 0:
@@ -122,7 +131,7 @@ def train_autoencoder(model, clips, config):
             "total": total,
         }
 
-    return _fit(model.named_parameters(), config, "reconstruction", loss_at)
+    return _fit(model.parameters(), model.named_parameters(), config, "reconstruction", loss_at)
 
 
 def train_flow(stack, samples, config):
@@ -158,4 +167,4 @@ def train_flow(stack, samples, config):
             )
         return nll, {"step": step, "nll": value}
 
-    return _fit(stack.named_parameters(), config, "density", loss_at)
+    return _fit(stack.parameters(), stack.named_parameters(), config, "density", loss_at)

@@ -711,6 +711,27 @@ class TestInputErrors:
         assert err == f"config error: out_dir {out} is not a directory\n"
         assert out.read_text() == "keep\n"
 
+    @pytest.mark.parametrize(
+        "command, blocked, what",
+        [
+            ("train-itae", "itae", "checkpoint directory"),
+            ("train-nf", "nf_dynamic", "checkpoint directory"),
+            ("score", "scores", "score directory"),
+        ],
+    )
+    def test_output_directory_that_is_a_file_exit_2(
+        self, scene, tmp_path, capsys, command, blocked, what
+    ):
+        # refused before any video or checkpoint is read: out_dir holds no
+        # checkpoint, which would otherwise be the first error
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / blocked).write_text("keep\n")
+        err = refuse(capsys, out, command, "--data-path", str(scene / "train"))
+        assert err == f"config error: {what} {out / blocked} is not a directory\n"
+        assert [p.name for p in out.iterdir()] == [blocked]
+        assert (out / blocked).read_text() == "keep\n"
+
     @pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
     def test_out_in_missing_directory_exit_2(self, tmp_path, capsys, command):
         path = tmp_path / "s.csv"

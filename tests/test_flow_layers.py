@@ -259,8 +259,8 @@ def perturbed_step(rng, channels=2, hidden=4, squeeze=2):
     """One-level, one-step stack with every parameter moved off its init."""
     config = FlowConfig(channels=channels, levels=1, steps=1, hidden=hidden, squeeze=squeeze)
     stack = FlowStack(config, rng)
-    for p in stack.parameters():
-        p.data = p.data + rng.normal(0, 0.2, p.shape)
+    for p in stack.named_parameters().values():
+        p.data += rng.normal(0, 0.2, p.shape)  # in place: each is a view of the flat vector
     return stack
 
 
@@ -335,8 +335,8 @@ def assert_matches_autodiff(rng, **config):
     """The stack's NLL node against :func:`autodiff_nll`: values, the input
     gradient and every parameter gradient within 1e-12."""
     stack = FlowStack(FlowConfig(**config), rng)
-    for p in stack.parameters():
-        p.data = p.data + rng.normal(0, 0.2, p.shape)
+    for p in stack.named_parameters().values():
+        p.data += rng.normal(0, 0.2, p.shape)
     x0 = rng.normal(size=(3, config["channels"], 4, 8))
     weights = Tensor(rng.normal(size=3))
     results = []
@@ -367,7 +367,7 @@ class TestHandWrittenBackward:
         got = param.grad.copy()
 
         def nll(values):
-            param.data = values
+            param.data[...] = values
             return float(stack.forward(x).nll.data.mean())
 
         want = numerical_gradient(nll, param.data.copy())
@@ -377,7 +377,7 @@ class TestHandWrittenBackward:
     def test_conditioner_forward_matches_loop_convolutions(self, rng):
         layer = AffineCoupling(5, hidden=4, rng=rng)  # 2 conditioning, 3 coupled channels
         for p in layer.named_parameters("c").values():
-            p.data = p.data + rng.normal(0, 0.3, p.shape)
+            p.data += rng.normal(0, 0.3, p.shape)
         xa = rng.normal(size=(3, 2, 5, 4))
         hid = np.maximum(conv2d_loop(xa, layer.w1.data, layer.b1.data, 1), 0.0)
         hid = np.maximum(conv2d_loop(hid, layer.w2.data, layer.b2.data, 0), 0.0)

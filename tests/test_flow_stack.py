@@ -211,9 +211,10 @@ class TestGraphFreeNll:
         perturb(stack, rng)
         x = Tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=True)
         nll = stack.forward(x).nll
-        # the NLL is the only node: its parents are the leaves themselves
+        # the NLL is the only node: its parents are the input and the flat
+        # parameter vector, both leaves
         assert nll._backward is not None and nll.shape == (3,)
-        assert {id(p) for p in nll._parents} == {id(x), *map(id, stack.parameters())}
+        assert {id(p) for p in nll._parents} == {id(x), id(stack.params)}
         assert all(p._backward is None and p._parents == () for p in nll._parents)
         nll = stack.forward(x, record=False).nll
         assert nll._backward is None and nll._parents == () and not nll.requires_grad

@@ -275,3 +275,103 @@ class TestAdam:
             v = b2 * v + (1.0 - b2) * g * g
             data = data - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
             assert np.array_equal(p.data.view(np.uint64), data.view(np.uint64)), step
+
+
+def assert_views_of_one_vector(stack):
+    """Every named parameter is a view into the flat vector, which is the
+    concatenation of the named parameters in order."""
+    named = stack.named_parameters()
+    flat = stack.params.data
+    for name, p in named.items():
+        assert np.shares_memory(p.data, flat), name
+    assert np.array_equal(flat, np.concatenate([p.data.reshape(-1) for p in named.values()]))
+
+
+class TestFlatParameters:
+    """The flow stack trains one flat vector; its named parameters stay
+    views into it through every way the values change."""
+
+    def test_views_survive_init_load_training_and_rollback(self, rng, monkeypatch):
+        stack = tiny_flow()
+        assert_views_of_one_vector(stack)
+        samples = flow_samples(rng)
+        stack.init_actnorm(samples[:8])
+        assert np.any(stack.named_parameters()["level0.step0.actnorm.logs"].data != 0.0)
+        assert_views_of_one_vector(stack)
+
+        trained = tiny_flow(seed=1)
+        train_flow(trained, samples, TrainConfig(steps=3, batch_size=8, lr=1e-2))
+        stack.load_state({k: p.data for k, p in trained.named_parameters().items()})
+        assert np.array_equal(stack.params.data, trained.params.data)
+        assert_views_of_one_vector(stack)
+
+        before = stack.params.data.copy()
+        train_flow(stack, samples, TrainConfig(steps=3, batch_size=8, lr=1e-2))
+        assert not np.array_equal(stack.params.data, before)
+        assert_views_of_one_vector(stack)
+
+        params = stack.named_parameters()
+
+        def poison(calls):
+            if calls == 2:
+                params["level0.step1.coupling.b3"].data[...] = np.nan
+
+        starts = copies_at_each_call(monkeypatch, Adam, "step", params, then=poison)
+        with pytest.raises(TrainingAborted, match="aborted at step 1"):
+            train_flow(stack, samples, TrainConfig(steps=5, batch_size=8, lr=1e-2))
+        assert_params_equal(params, starts[-1])
+        assert_views_of_one_vector(stack)
+
+    def test_gradient_views_are_the_flat_gradient(self, rng):
+        stack = tiny_flow()
+        stack.forward(Tensor(flow_samples(rng, n=8))).nll.mean().backward()
+        named = stack.named_parameters()
+        for name, p in named.items():
+            assert np.shares_memory(p.grad, stack.params.grad), name
+        assert np.array_equal(
+            stack.params.grad, np.concatenate([p.grad.reshape(-1) for p in named.values()])
+        )
+
+    def test_training_is_textbook_adam_per_parameter_bitwise(self, rng, monkeypatch):
+        """Five steps of train_flow give the bits of a whole-array textbook
+        Adam run on each named parameter alone, fed the gradients read from
+        that parameter's gradient view at each step."""
+        stack = tiny_flow()
+        named = stack.named_parameters()
+        config = TrainConfig(steps=5, batch_size=8, lr=5e-3, seed=2)
+        seen = []  # (values before the update, gradients) per step
+        step = Adam.step
+
+        def recording(opt):
+            seen.append((
+                {k: p.data.copy() for k, p in named.items()},
+                {k: p.grad.copy() for k, p in named.items()},
+            ))
+            step(opt)
+
+        monkeypatch.setattr(Adam, "step", recording)
+        train_flow(stack, flow_samples(rng), config)
+        assert len(seen) == config.steps
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        lr_at = optim.cosine_schedule(config.lr, config.steps)
+        for name, p in named.items():
+            data = seen[0][0][name]
+            m, v = np.zeros(p.shape), np.zeros(p.shape)
+            for i, (_, grads) in enumerate(seen):
+                g, t, lr = grads[name], i + 1, lr_at(i)
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                data = data - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            assert np.any(data != seen[0][0][name]), name
+            assert np.array_equal(p.data.view(np.uint64), data.view(np.uint64)), name
+
+    def test_two_backwards_add_their_gradients(self, rng):
+        stack = tiny_flow()
+        x1, x2 = Tensor(flow_samples(rng, n=8)), Tensor(flow_samples(rng, n=8))
+        grads = []
+        for x in (x1, x2):
+            stack.forward(x).nll.mean().backward()
+            grads.append(stack.params.grad.copy())
+            stack.params.grad = None
+        (stack.forward(x1).nll.mean() + stack.forward(x2).nll.mean()).backward()
+        assert np.array_equal(stack.params.grad, grads[0] + grads[1])
