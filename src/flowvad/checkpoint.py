@@ -1,11 +1,11 @@
-"""Checkpoint directories: one packed-tensor file per parameter plus a manifest.
+"""Checkpoint directories: ``params.t5`` and ``manifest.json``, nothing else.
 
-A checkpoint is a directory containing ``<name>.t5`` files (dots in parameter
-names become directory-safe underscores via a recorded mapping) and a
-``manifest.json`` recording parameter names, true shapes, and a fingerprint of
-the model configuration. The fingerprint lets a consumer refuse weights built
-under a different architecture, and the content hash lets the two-step
-training contract verify that frozen weights were not touched.
+``params.t5`` is one (1, 1, 1, 1, N) packed tensor holding every parameter
+back to back in sorted name order; the manifest records each name's true shape
+(offsets follow from the shapes) and a fingerprint of the model configuration.
+The fingerprint lets a consumer refuse weights built under a different
+architecture, and the content hash lets the two-step training contract verify
+that frozen weights were not touched.
 """
 
 import dataclasses
@@ -17,17 +17,18 @@ import os
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor_io import load_tensor, save_tensor
+from .tensor_io import read_tensor, write_tensor
 
 __all__ = [
     "config_fingerprint",
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_hash",
-    "read_manifest",
     "assign_state",
 ]
 
+_FORMAT = "flowvad-checkpoint-v2"
+_PARAMS = "params.t5"
 _MANIFEST = "manifest.json"
 
 
@@ -43,75 +44,65 @@ def config_fingerprint(config):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _file_name(param_name):
-    return param_name.replace(".", "_") + ".t5"
-
-
 def save_checkpoint(directory, params, config, extra=None):
-    """Write one file per parameter and a manifest.
+    """Write ``params.t5`` and a manifest under temporary names, then move
+    each over its old file, the manifest last.
 
     params: mapping name -> Tensor (or array). config: dataclass or dict whose
     fingerprint guards later loads. extra: optional JSON-serializable metadata
     stored verbatim in the manifest.
     """
-    os.makedirs(directory, exist_ok=True)
-    entries = {}
-    for name, p in params.items():
-        data = np.asarray(getattr(p, "data", p), dtype=np.float64)
-        fname = _file_name(name)
-        if fname in {e["file"] for e in entries.values()}:
-            raise ValueError(f"parameter file name collision for {name!r}")
-        save_tensor(os.path.join(directory, fname), data)
-        entries[name] = {"file": fname, "shape": list(data.shape)}
+    arrays = {name: np.asarray(getattr(p, "data", p), dtype=np.float64)
+              for name, p in sorted(params.items())}
     manifest = {
-        "format": "flowvad-checkpoint-v1",
+        "format": _FORMAT,
         "fingerprint": config_fingerprint(config),
-        "parameters": entries,
+        "parameters": {name: list(arr.shape) for name, arr in arrays.items()},
     }
     if extra:
         manifest["extra"] = extra
-    path = os.path.join(directory, _MANIFEST)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    os.makedirs(directory, exist_ok=True)
+    temps = {name: os.path.join(directory, name + ".tmp") for name in (_PARAMS, _MANIFEST)}
+    try:
+        with open(temps[_PARAMS], "wb") as fh:
+            write_tensor(fh, (1, 1, 1, 1, sum(a.size for a in arrays.values())), arrays.values())
+        with open(temps[_MANIFEST], "w") as fh:
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        for name, temp in temps.items():
+            os.replace(temp, os.path.join(directory, name))
+    finally:
+        for temp in temps.values():
+            if os.path.exists(temp):
+                os.remove(temp)
 
 
-def read_manifest(directory):
+def _read_manifest(directory):
     path = os.path.join(directory, _MANIFEST)
-    if not os.path.exists(path):
-        raise ConfigError(f"no checkpoint manifest found in {directory}")
     try:
         with open(path, "rb") as fh:
             manifest = json.loads(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"no checkpoint manifest readable at {path}: {exc.strerror}") from None
     except ValueError as exc:  # not UTF-8 or not JSON
         raise ConfigError(f"{path}: not a checkpoint manifest ({exc})") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != "flowvad-checkpoint-v1":
-        raise ConfigError(f"{path}: unrecognized checkpoint format")
-    problem = _manifest_problem(manifest)
-    if problem:
+    if problem := _manifest_problem(manifest):
         raise ConfigError(f"{path}: {problem}")
     return manifest
 
 
 def _manifest_problem(manifest):
-    """What makes a parsed manifest unusable, or None. Every file must be a
-    plain name, so that no entry reads outside the checkpoint directory."""
+    """What makes a parsed manifest unusable, or None."""
+    form = manifest.get("format") if isinstance(manifest, dict) else None
+    if form == "flowvad-checkpoint-v1":
+        return f"the per-parameter layout {form} is no longer read"
+    if form != _FORMAT:
+        return "unrecognized checkpoint format"
     if not isinstance(manifest.get("fingerprint"), str):
         return "fingerprint missing or not a string"
-    entries = manifest.get("parameters")
-    if not isinstance(entries, dict):
+    shapes = manifest.get("parameters")
+    if not isinstance(shapes, dict):
         return "parameters missing or not an object"
-    for name, entry in entries.items():
-        if not isinstance(entry, dict):
-            return f"parameter {name!r}: entry is not an object"
-        fname = entry.get("file")
-        if (
-            not isinstance(fname, str)
-            or fname in ("", ".", "..")
-            or any(sep and sep in fname for sep in (os.sep, os.altsep, "\0"))
-        ):
-            return f"parameter {name!r}: file {fname!r} is not a plain file name"
-        shape = entry.get("shape")
+    for name, shape in shapes.items():
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             return f"parameter {name!r}: shape {shape!r} is not a list of non-negative ints"
     return None
@@ -122,41 +113,32 @@ def load_checkpoint(directory, config=None):
 
     When config is given its fingerprint must match the stored one.
     """
-    manifest = read_manifest(directory)
-    if config is not None:
-        want = config_fingerprint(config)
-        have = manifest["fingerprint"]
-        if want != have:
-            raise ConfigError(
-                f"checkpoint {directory} was written for a different "
-                f"configuration (fingerprint {have}, expected {want})"
-            )
+    manifest = _read_manifest(directory)
+    have = manifest["fingerprint"]
+    if config is not None and have != (want := config_fingerprint(config)):
+        raise ConfigError(f"checkpoint {directory} was written for a different "
+                          f"configuration (fingerprint {have}, expected {want})")
+    shapes = dict(sorted(manifest["parameters"].items()))
+    path = os.path.join(directory, _PARAMS)
+    try:
+        parts = read_tensor(path, [math.prod(shape) for shape in shapes.values()])
+    except ShapeError as exc:
+        raise ConfigError(str(exc)) from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint file {path}: {exc.strerror}") from None
     params = {}
-    for name, entry in manifest["parameters"].items():
-        path = os.path.join(directory, entry["file"])
-        try:
-            arr = load_tensor(path)
-        except (ShapeError, NumericError) as exc:
-            raise ConfigError(str(exc)) from None
-        want_shape = tuple(entry["shape"])
-        if arr.size != math.prod(want_shape):
-            raise ConfigError(
-                f"{path}: payload size {arr.size} does not match "
-                f"manifest shape {want_shape}"
-            )
-        params[name] = arr.reshape(want_shape)
+    for (name, shape), part in zip(shapes.items(), parts):
+        if not np.isfinite(part).all():
+            raise ConfigError(f"{path}: parameter {name} holds a non-finite value")
+        params[name] = part.reshape(shape)
     return params
 
 
 def checkpoint_hash(directory):
-    """sha256 over the manifest and every parameter file, in sorted order."""
-    manifest = read_manifest(directory)
+    """sha256 over the manifest and ``params.t5``, in that order."""
     digest = hashlib.sha256()
-    names = sorted(manifest["parameters"])
-    with open(os.path.join(directory, _MANIFEST), "rb") as fh:
-        digest.update(fh.read())
-    for name in names:
-        with open(os.path.join(directory, manifest["parameters"][name]["file"]), "rb") as fh:
+    for name in (_MANIFEST, _PARAMS):
+        with open(os.path.join(directory, name), "rb") as fh:
             digest.update(fh.read())
     return digest.hexdigest()
 

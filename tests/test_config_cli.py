@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import flowvad
+from flowvad.checkpoint import load_checkpoint
 from flowvad.cli import main
 from flowvad.config import (
     LEAST_VALUE,
@@ -24,7 +26,7 @@ from flowvad.config import (
 )
 from flowvad.errors import ConfigError
 from flowvad.losses import SSIM_WINDOW
-from flowvad.tensor_io import load_tensor, save_tensor
+from flowvad.tensor_io import save_tensor
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -766,11 +768,11 @@ class TestInputErrors:
         itae = tmp_path / "itae"
         shutil.copytree(trained_run / "itae", itae)
         if damage == "truncated-tensor":
-            broken = itae / "decode1_bias.t5"
+            broken = itae / "params.t5"
             broken.write_bytes(broken.read_bytes()[:10])
         else:
             broken = itae / "manifest.json"
-            broken.write_text('{"format": "flowvad-checkpoint-v1", "parameters": ')
+            broken.write_text('{"format": "flowvad-checkpoint-v2", "parameters": ')
         flags = checkpoint_flags(trained_run)
         flags[1] = str(itae)
         if command == "train-nf":
@@ -793,8 +795,8 @@ class TestInputErrors:
         manifest = json.loads(manifest_path.read_text())
         command, data, named = "score", scene / "test", itae
         if damage == "permuted-shape":
-            entry = manifest["parameters"]["decode4.weight"]
-            entry["shape"] = entry["shape"][::-1]
+            shapes = manifest["parameters"]
+            shapes["decode4.weight"] = shapes["decode4.weight"][::-1]
         elif damage == "missing-entry":
             del manifest["parameters"]["decode4.bias"]
         elif damage == "nan-video":
@@ -804,8 +806,8 @@ class TestInputErrors:
             save_tensor(data, arr)
             named = data
         else:
-            named = itae / "decode4_bias.t5"
-            save_tensor(named, np.full(manifest["parameters"]["decode4.bias"]["shape"], np.inf))
+            named = itae / "params.t5"
+            overwrite_slot(itae, "decode4.bias", np.inf)
         manifest_path.write_text(json.dumps(manifest))
         out = tmp_path / "out"
         flags = checkpoint_flags(trained_run) if command == "score" else []
@@ -813,26 +815,23 @@ class TestInputErrors:
             flags[1] = str(itae)
         err = refuse(capsys, out, command, "--data-path", str(data), *flags)
         assert str(named) in err
+        if damage == "inf-weight":
+            assert "decode4.bias" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "damage",
         [
-            ("no-file", lambda m, e, d: e.pop("file")),
-            ("file-not-str", lambda m, e, d: e.update(file=7)),
-            ("absolute-file", lambda m, e, d: e.update(file=str(d / "decode4_bias.t5"))),
-            ("file-in-subdir", lambda m, e, d: e.update(file="../itae/decode4_bias.t5")),
-            ("file-dot-dot", lambda m, e, d: e.update(file="..")),
-            ("file-nul", lambda m, e, d: e.update(file="decode4_bias.t5\0")),
-            ("shape-not-int", lambda m, e, d: e.update(shape=["x"])),
-            ("shape-bool", lambda m, e, d: e.update(shape=[True])),
-            ("shape-negative", lambda m, e, d: e.update(shape=[-1])),
-            ("shape-not-list", lambda m, e, d: e.update(shape="1")),
-            ("entry-not-object", lambda m, e, d: m["parameters"].update({"decode4.bias": []})),
-            ("no-parameters", lambda m, e, d: m.pop("parameters")),
-            ("parameters-not-object", lambda m, e, d: m.update(parameters=[])),
-            ("no-fingerprint", lambda m, e, d: m.pop("fingerprint")),
-            ("fingerprint-not-str", lambda m, e, d: m.update(fingerprint=1)),
+            ("shape-not-int", lambda m: m["parameters"].update({"decode4.bias": ["x"]})),
+            ("shape-bool", lambda m: m["parameters"].update({"decode4.bias": [True]})),
+            ("shape-negative", lambda m: m["parameters"].update({"decode4.bias": [-1]})),
+            ("shape-not-list", lambda m: m["parameters"].update({"decode4.bias": "1"})),
+            ("entry-is-object",
+             lambda m: m["parameters"].update({"decode4.bias": {"shape": [16]}})),
+            ("no-parameters", lambda m: m.pop("parameters")),
+            ("parameters-not-object", lambda m: m.update(parameters=[])),
+            ("no-fingerprint", lambda m: m.pop("fingerprint")),
+            ("fingerprint-not-str", lambda m: m.update(fingerprint=1)),
         ],
         ids=lambda case: case[0],
     )
@@ -841,7 +840,7 @@ class TestInputErrors:
         shutil.copytree(trained_run / "itae", itae)
         manifest_path = itae / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        damage[1](manifest, manifest["parameters"]["decode4.bias"], trained_run / "itae")
+        damage[1](manifest)
         manifest_path.write_text(json.dumps(manifest))
         flags = checkpoint_flags(trained_run)
         flags[1] = str(itae)
@@ -849,6 +848,69 @@ class TestInputErrors:
         err = refuse(capsys, out, "score", "--data-path", str(scene / "test"), *flags)
         assert str(manifest_path) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "trailing-bytes", "size-mismatch", "nan-in-slot", "params-missing",
+         "params-is-directory", "manifest-is-directory", "v1-manifest"],
+    )
+    def test_damaged_checkpoint_file_exit_2(self, scene, trained_run, tmp_path, capsys, damage):
+        """Each damage to a checkpoint's two files ends in exactly one
+        `config error:` line that names the file, and nothing is written."""
+        itae = tmp_path / "itae"
+        shutil.copytree(trained_run / "itae", itae)
+        params, manifest_path = itae / "params.t5", itae / "manifest.json"
+        named, why = params, ""
+        if damage == "truncated":
+            params.write_bytes(params.read_bytes()[:-8])
+        elif damage == "trailing-bytes":
+            params.write_bytes(params.read_bytes() + bytes(8))
+        elif damage == "size-mismatch":  # a well-formed tensor one value longer
+            save_tensor(params, np.zeros((params.stat().st_size - 24) // 8 + 1))
+        elif damage == "nan-in-slot":
+            overwrite_slot(itae, "static1.weight", np.nan, where=-1)
+            why = "static1.weight"
+        elif damage in ("params-missing", "params-is-directory"):
+            params.unlink()
+            if damage == "params-is-directory":
+                params.mkdir()
+        elif damage == "manifest-is-directory":
+            manifest_path.unlink()
+            manifest_path.mkdir()
+            named = manifest_path
+        else:  # the per-parameter layout: one file per entry, named in the manifest
+            manifest = json.loads(manifest_path.read_text())
+            manifest["format"] = "flowvad-checkpoint-v1"
+            manifest["parameters"] = {
+                name: {"file": name.replace(".", "_") + ".t5", "shape": shape}
+                for name, shape in manifest["parameters"].items()
+            }
+            manifest_path.write_text(json.dumps(manifest))
+            named, why = manifest_path, "per-parameter layout"
+        flags = checkpoint_flags(trained_run)
+        flags[1] = str(itae)
+        out = tmp_path / "out"
+        assert main(["score", "--out-dir", str(out), "--data-path", str(scene / "test"),
+                     *BASE_FLAGS, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("config error:") and str(named) in line and why in line
+        assert not out.exists()
+
+
+def overwrite_slot(ckpt, name, value, where=slice(None)):
+    """Set ``where`` of parameter ``name``'s values in ``ckpt/params.t5`` to
+    ``value``; the slot follows from the manifest's shapes in sorted name order."""
+    shapes = json.loads((ckpt / "manifest.json").read_text())["parameters"]
+    names = sorted(shapes)
+    start = 24 + 8 * sum(math.prod(shapes[n]) for n in names[: names.index(name)])
+    with open(ckpt / "params.t5", "r+b") as fh:
+        fh.seek(start)
+        slot = np.frombuffer(fh.read(8 * math.prod(shapes[name])), "<f8").copy()
+        slot[where] = value
+        fh.seek(start)
+        fh.write(slot.tobytes())
 
 
 FLOWS_OFF = ["--use-static-flow", "false", "--use-dynamic-flow", "false"]
@@ -975,6 +1037,9 @@ def test_same_seed_reproduces_artifacts_byte_for_byte(scene, tmp_path):
             "scores/test.csv"} <= set(runs[0])
     assert sum(key.endswith(".t5") for key in runs[0]) > 0
     assert runs[0] == runs[1]
+    for kind in ("itae", "nf_static", "nf_dynamic"):
+        assert {p.name for p in (tmp_path / "first" / kind).iterdir()} == {
+            "manifest.json", "params.t5"}, kind
 
 
 def _run_in_subprocess(code, **env):
@@ -1063,8 +1128,8 @@ def test_cli_tensor_has_no_elementwise_layer():
 
 def test_blas_thread_count_moves_artifacts_by_rounding_only(scene, tmp_path):
     """The same seeded round trip at 1 and 2 OpenBLAS threads: byte identity
-    holds only at one thread count, so across them every checkpoint file
-    agrees within 1e-9 of its largest value and every score column within
+    holds only at one thread count, so across them every checkpoint parameter
+    agrees within 1e-9 of its own largest value and every score column within
     1e-12 of its largest value."""
     outs = []
     for threads in ("1", "2"):
@@ -1077,13 +1142,13 @@ def test_blas_thread_count_moves_artifacts_by_rounding_only(scene, tmp_path):
         proc = _run_in_subprocess(code, OPENBLAS_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
-    tensors = sorted(p.relative_to(outs[0]) for p in outs[0].glob("**/*.t5"))
-    assert len(tensors) > 0
-    assert tensors == sorted(p.relative_to(outs[1]) for p in outs[1].glob("**/*.t5"))
-    for name in tensors:
-        a, b = (load_tensor(out / name) for out in outs)
-        assert a.shape == b.shape, name
-        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a)), name
+    for kind in ("itae", "nf_static", "nf_dynamic"):
+        first, second = (load_checkpoint(out / kind) for out in outs)
+        assert len(first) > 0 and first.keys() == second.keys(), kind
+        for name, a in first.items():
+            b = second[name]
+            assert a.shape == b.shape, name
+            assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a)), name
     a, b = (np.loadtxt(out / "scores" / "test.csv", delimiter=",", skiprows=1) for out in outs)
     assert a.shape == b.shape and a.shape[0] == 32
     scale = np.max(np.abs(a), axis=0)
