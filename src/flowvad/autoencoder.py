@@ -51,24 +51,23 @@ __all__ = ["AutoencoderConfig", "TwoPathAutoencoder", "Conv3dLayer"]
 
 @dataclass(frozen=True)
 class AutoencoderConfig:
-    """Topology knobs; channel widths are fixed by the architecture."""
+    """Topology knobs; channel widths and the slope are fixed by the architecture."""
 
     in_channels: int = 1
     tau: int = 4
     dynamic_path: bool = True
-    leaky_slope: float = 0.2
-    static_channels: tuple[int, int, int, int] = (96, 128, 256, 256)
-    dynamic_channels: tuple[int, int, int, int] = (12, 16, 32, 32)
 
     def __post_init__(self):
         if self.tau < 1:
             raise ShapeError(f"tau must be >= 1, got {self.tau}")
         if self.in_channels not in (1, 3):
             raise ShapeError(f"in_channels must be 1 or 3, got {self.in_channels}")
-        if not 0.0 <= self.leaky_slope <= 1.0:
-            raise ShapeError(f"leaky_slope must be in [0, 1], got {self.leaky_slope}")
 
 
+# negative slope of every leaky ReLU, and output channels per encoder stage
+_LEAKY_SLOPE = 0.2
+_STATIC_CHANNELS = (96, 128, 256, 256)
+_DYNAMIC_CHANNELS = (12, 16, 32, 32)
 # kernel, stride, padding per encoder stage; temporal extent differs between paths
 _STATIC_GEOM = [
     ((1, 3, 3), (1, 2, 2), (0, 1, 1)),
@@ -98,14 +97,14 @@ def _decoder_geom(tau: int) -> list[tuple]:
 
 class Conv3dLayer:
     """One convolution (optionally transposed) with bias and, when built with
-    ``leaky=True``, a leaky ReLU of ``slope``.
+    ``leaky=True``, a leaky ReLU of ``_LEAKY_SLOPE``.
 
     A call runs the layer's forward: the conv kernel adds the bias and
     applies the activation to each block of its output in place (see
     :func:`flowvad.tensor.conv3d`), so it allocates one output array, and it
     records no autodiff node. :meth:`backward` is the layer's part of the
-    model's hand-written backward pass. ``slope`` also sets the He-style
-    initial weight scale, with or without the activation.
+    model's hand-written backward pass. ``_LEAKY_SLOPE`` also sets the
+    He-style initial weight scale, with or without the activation.
     """
 
     def __init__(
@@ -118,16 +117,15 @@ class Conv3dLayer:
         padding,
         output_padding=(0, 0, 0),
         transpose: bool = False,
-        slope: float = 0.2,
         leaky: bool = False,
     ):
         self.stride = tuple(stride)
         self.padding = tuple(padding)
         self.output_padding = tuple(output_padding)
         self.transpose = transpose
-        self.activation = slope if leaky else None
+        self.activation = _LEAKY_SLOPE if leaky else None
         fan_in = cin * int(np.prod(kernel))
-        std = np.sqrt(2.0 / ((1.0 + slope**2) * fan_in))
+        std = np.sqrt(2.0 / ((1.0 + _LEAKY_SLOPE**2) * fan_in))
         shape = (cin, cout, *kernel) if transpose else (cout, cin, *kernel)
         self.weight = Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
         self.bias = Tensor(np.zeros(cout), requires_grad=True)
@@ -170,14 +168,12 @@ class TwoPathAutoencoder:
     def __init__(self, config: AutoencoderConfig, rng: np.random.Generator):
         self.config = config
         c = config.in_channels
-        sc = config.static_channels
-        dc = config.dynamic_channels
-        slope = config.leaky_slope
+        sc, dc = _STATIC_CHANNELS, _DYNAMIC_CHANNELS
         two_path = config.dynamic_path
 
         def conv(cin, cout, geom):
             k, s, p = geom
-            return Conv3dLayer(rng, cin, cout, k, s, p, slope=slope, leaky=True)
+            return Conv3dLayer(rng, cin, cout, k, s, p, leaky=True)
 
         # static encoder input channels grow by the lateral width when fused
         static_in = [c, sc[0], sc[1], sc[2]]
@@ -197,20 +193,11 @@ class TwoPathAutoencoder:
             ]
             tau = config.tau
             self.laterals = [
-                Conv3dLayer(
-                    rng, dc[i], dc[i], (5, 1, 1), (tau, 1, 1), (2, 0, 0), slope=slope
-                )
+                Conv3dLayer(rng, dc[i], dc[i], (5, 1, 1), (tau, 1, 1), (2, 0, 0))
                 for i in range(4)
             ]
             self.fuse_proj = Conv3dLayer(
-                rng,
-                sc[3] + dc[3],
-                sc[3],
-                (1, 1, 1),
-                (1, 1, 1),
-                (0, 0, 0),
-                slope=slope,
-                leaky=True,
+                rng, sc[3] + dc[3], sc[3], (1, 1, 1), (1, 1, 1), (0, 0, 0), leaky=True
             )
 
         dec_channels = [sc[3], sc[3], sc[1], sc[0], c]
@@ -223,7 +210,6 @@ class TwoPathAutoencoder:
                 *dec_geom[i][:3],
                 output_padding=dec_geom[i][3],
                 transpose=True,
-                slope=slope,
                 leaky=i < 3,
             )
             for i in range(4)
@@ -379,13 +365,12 @@ class TwoPathAutoencoder:
         reaching a dynamic feature, through the next dynamic conv and
         through its lateral, are added before its own activation is undone.
         """
-        slope = self.config.leaky_slope
         two_path = self.config.dynamic_path
         g = recon * (1.0 - recon) * grad  # through the sigmoid
         dec_in = tape["dec_in"]
         for layer in reversed(self.decoder):
             h = dec_in.pop()
-            layer.backward(h, g, input_slope=slope)
+            layer.backward(h, g, input_slope=_LEAKY_SLOPE)
             g = h  # now the gradient of h's producer before its activation
             del h
         # g: the gradient of fuse's pre-activation, or of static4's in one-path
@@ -394,7 +379,7 @@ class TwoPathAutoencoder:
             cat = tape.pop("fuse_in")
             g = self.fuse_proj.backward(cat, g)
         static_in = tape["static_in"]
-        channels = self.config.static_channels
+        channels = _STATIC_CHANNELS
         for i in reversed(range(4)):
             # g: the gradient of static i's output, next to lateral i's in
             # cat when two-path; in one-path at i = 3 already of its
@@ -402,9 +387,9 @@ class TwoPathAutoencoder:
             if two_path:
                 lat_grads[i] = g[:, channels[i] :].copy()
                 g = g[:, : channels[i]].copy()
-                _leaky_grad(g, cat[:, : channels[i]], slope)
+                _leaky_grad(g, cat[:, : channels[i]], _LEAKY_SLOPE)
             elif i < 3:
-                _leaky_grad(g, cat, slope)
+                _leaky_grad(g, cat, _LEAKY_SLOPE)
             cat = static_in.pop()
             g = self.static_convs[i].backward(cat, g, grad_input=i > 0)
         del cat, g
@@ -419,6 +404,6 @@ class TwoPathAutoencoder:
             lat_grads[i] = None
             g = g_lat if g is None else g + g_lat
             del g_lat
-            _leaky_grad(g, d_out, slope)
+            _leaky_grad(g, d_out, _LEAKY_SLOPE)
             d_out = dyn.pop()  # dynamic i's input
             g = self.dynamic_convs[i].backward(d_out, g, grad_input=i > 0)

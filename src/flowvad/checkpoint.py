@@ -21,6 +21,7 @@ from .tensor_io import read_tensor, write_tensor
 
 __all__ = [
     "config_fingerprint",
+    "checkpoint_files",
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_hash",
@@ -42,6 +43,12 @@ def config_fingerprint(config):
         raise TypeError(f"cannot fingerprint {type(config).__name__}")
     blob = json.dumps(items, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def checkpoint_files(directory):
+    """Every path a save writes in ``directory``, its temporary names included."""
+    return [os.path.join(directory, name + end)
+            for name in (_PARAMS, _MANIFEST) for end in ("", ".tmp")]
 
 
 def save_checkpoint(directory, params, config, extra=None):

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .autoencoder import AutoencoderConfig, TwoPathAutoencoder
-from .checkpoint import checkpoint_hash, load_checkpoint, save_checkpoint
+from .checkpoint import checkpoint_files, checkpoint_hash, load_checkpoint, save_checkpoint
 from .clips import ClipSpec, iter_clips, load_video
 from .config import PRESETS, RunConfig, bound_problems, parse_config, write_config
 from .errors import ConfigError, NumericError, ShapeError, TrainingAborted
@@ -43,6 +43,7 @@ from .synthetic import (
 from .train import TrainConfig, train_autoencoder, train_flow
 
 SCORE_HEADER = ["frame_index", "recon", "nll_static", "nll_dynamic", "fused", "label"]
+CONFIG_FILE = "config.cfg"  # the resolved settings, written into out_dir
 LAMBDA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 
 
@@ -136,6 +137,7 @@ def _resolve_config(args):
     if not config.data_path:
         raise ConfigError(f"data_path is required for {args.command}")
     _check_out(config.out_dir, "out_dir", directory=True)
+    _refuse_directories([os.path.join(config.out_dir, CONFIG_FILE)])
     return config
 
 
@@ -169,6 +171,13 @@ def _load(config, directory, channels=None):
     return model
 
 
+def _check_save(config, kind):
+    """Refuse, before any work, a path that would stop `_save` of ``kind``."""
+    ckpt = os.path.join(config.out_dir, kind)
+    _check_out(ckpt, "checkpoint directory", directory=True)
+    _refuse_directories([*checkpoint_files(ckpt), os.path.join(config.out_dir, f"{kind}_loss.csv")])
+
+
 def _save(config, kind, model, model_config, curve):
     """Write checkpoint <out_dir>/<kind> and its loss curve <kind>_loss.csv."""
     ckpt = os.path.join(config.out_dir, kind)
@@ -194,6 +203,12 @@ def _write_rows(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _refuse_directories(paths):
+    """Refuse, before any work, each output file whose path is a directory."""
+    if problems := [f"output file {path} is a directory" for path in paths if os.path.isdir(path)]:
+        raise ConfigError(problems)
 
 
 def _check_out(path, what="--out", directory=False):
@@ -252,7 +267,7 @@ def cmd_gen_synth(args):
 
 def cmd_train_itae(args):
     config = _resolve_config(args)
-    _check_out(os.path.join(config.out_dir, "itae"), "checkpoint directory", directory=True)
+    _check_save(config, "itae")
     clips = []
     for source, _ in _video_sources(config.data_path):
         clips.extend(iter_clips(_clip_spec(config, source), _load_checked(config, source)))
@@ -260,7 +275,7 @@ def cmd_train_itae(args):
     train_cfg = TrainConfig(config.itae_steps, config.itae_batch, config.itae_lr, config.seed)
     curve = train_autoencoder(model, clips, train_cfg)
     ckpt = _save(config, "itae", model, model_config, curve)
-    write_config(os.path.join(config.out_dir, "config.cfg"), config)
+    write_config(os.path.join(config.out_dir, CONFIG_FILE), config)
     print(f"trained {config.itae_steps} steps; checkpoint at {ckpt}")
     print(f"final loss {curve[-1]['total']:.6f} (from {curve[0]['total']:.6f})")
     return 0
@@ -272,8 +287,7 @@ def cmd_train_nf(args):
     if not streams:
         raise ConfigError("train-nf needs use_static_flow or use_dynamic_flow")
     for name in streams:
-        _check_out(os.path.join(config.out_dir, f"nf_{name}"), "checkpoint directory",
-                   directory=True)
+        _check_save(config, f"nf_{name}")
     sources = _video_sources(config.data_path)
     itae_dir = args.itae_dir or os.path.join(config.out_dir, "itae")
     model = _load(config, itae_dir)
@@ -302,7 +316,7 @@ def cmd_train_nf(args):
 
     if checkpoint_hash(itae_dir) != hash_before:
         raise RuntimeError(f"frozen checkpoint {itae_dir} changed during step two")
-    write_config(os.path.join(config.out_dir, "config.cfg"), config)
+    write_config(os.path.join(config.out_dir, CONFIG_FILE), config)
     return 0
 
 
@@ -372,6 +386,7 @@ def cmd_score(args):
     ]
     if clashes:
         raise ConfigError(clashes)
+    _refuse_directories(os.path.join(score_dir, f"{name}.csv") for name in names)
     labels = []  # refuse an unfit video or label file before any checkpoint or output
     for source, label_path in sources:
         total = _load_checked(config, source).shape[2]
@@ -408,7 +423,7 @@ def cmd_score(args):
         ]
         _write_rows(path, SCORE_HEADER, rows)
         print(f"scored {name}: {total} frames -> {path}")
-    write_config(os.path.join(config.out_dir, "config.cfg"), config)
+    write_config(os.path.join(config.out_dir, CONFIG_FILE), config)
     return 0
 
 

@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# a coupling's log-scales lie in (-_CLAMP, _CLAMP)
+_CLAMP = 2.0
 
 
 def _window(k: int, size: int) -> tuple[slice, slice]:
@@ -272,17 +274,16 @@ class AffineCoupling:
 
     The conditioner is conv3x3 -> relu -> conv1x1 -> relu -> conv3x3 with a
     zero-initialized final layer, so the coupling starts as the identity.
-    The scale is exp(clamp * tanh(raw)), keeping log-scales in
-    (-clamp, clamp) for stability while staying smooth.
+    The scale is exp(_CLAMP * tanh(raw)), keeping log-scales in
+    (-_CLAMP, _CLAMP) for stability while staying smooth.
     """
 
-    def __init__(self, channels: int, hidden: int, rng: np.random.Generator, clamp: float = 2.0):
+    def __init__(self, channels: int, hidden: int, rng: np.random.Generator):
         if channels < 2:
             raise ShapeError(f"coupling requires >= 2 channels, got {channels}")
         self.channels = channels
         self.ca = channels // 2
         self.cb = channels - self.ca
-        self.clamp = float(clamp)
         std = 0.05
         self.w1 = ParamView(rng.normal(0, std, (hidden, self.ca, 3, 3)))
         self.b1 = ParamView(np.zeros(hidden))
@@ -351,7 +352,7 @@ class AffineCoupling:
         xa, xb = x[:, : self.ca], x[:, self.ca :]
         h, net = self._net(xa)
         t = np.tanh(h[: self.cb].transpose(3, 0, 1, 2))
-        log_s = t * self.clamp
+        log_s = t * _CLAMP
         s = np.exp(log_s)
         y = np.empty(x.shape)
         y[:, : self.ca] = xa
@@ -364,11 +365,11 @@ class AffineCoupling:
         ca, cb = self.ca, self.cb
         n, _, hh, ww = g.shape
         gyb = g[:, ca:]
-        # yb = xb * exp(log_s) + shift and log_s = clamp * tanh(raw) also
+        # yb = xb * exp(log_s) + shift and log_s = _CLAMP * tanh(raw) also
         # sums into the log-det
         glog = s * (gyb * xb) + gld.reshape(n, 1, 1, 1)
         gh = np.empty((2 * cb, hh, ww, n))
-        gh[:cb] = ((1.0 - t * t) * (glog * self.clamp)).transpose(1, 2, 3, 0)
+        gh[:cb] = ((1.0 - t * t) * (glog * _CLAMP)).transpose(1, 2, 3, 0)
         gh[cb:] = gyb.transpose(1, 2, 3, 0)
         gx = np.empty(g.shape)
         np.add(g[:, :ca], self._net_backward(net, gh).transpose(3, 0, 1, 2), out=gx[:, :ca])
@@ -378,7 +379,7 @@ class AffineCoupling:
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         za, zb = z[:, : self.ca], z[:, self.ca :]
         h, _ = self._net(za)
-        log_s = np.tanh(h[: self.cb].transpose(3, 0, 1, 2)) * self.clamp
+        log_s = np.tanh(h[: self.cb].transpose(3, 0, 1, 2)) * _CLAMP
         xb = (zb - h[self.cb :].transpose(3, 0, 1, 2)) / np.exp(log_s)
         logdet_inv = -log_s.sum(axis=(1, 2, 3))
         return np.concatenate([za, xb], axis=1), logdet_inv
@@ -397,20 +398,14 @@ class AffineCoupling:
 class Squeeze:
     """Trade 2x2 spatial blocks for channels; a pure permutation, log |det| 0."""
 
-    def __init__(self, factor: int = 2):
-        if factor < 1:
-            raise ShapeError(f"squeeze factor must be >= 1, got {factor}")
-        self.factor = factor
-
     def forward(self, x: np.ndarray, init: bool = False):
-        f = self.factor
         n, c, h, w = x.shape
-        if h % f or w % f:
-            raise ShapeError(f"spatial dims {(h, w)} not divisible by squeeze factor {f}")
+        if h % 2 or w % 2:
+            raise ShapeError(f"spatial dims {(h, w)} not divisible by the 2x2 squeeze")
         out = (
-            x.reshape(n, c, h // f, f, w // f, f)
+            x.reshape(n, c, h // 2, 2, w // 2, 2)
             .transpose((0, 1, 3, 5, 2, 4))
-            .reshape(n, c * f * f, h // f, w // f)
+            .reshape(n, c * 4, h // 2, w // 2)
         )
         return out, 0.0, None
 
@@ -418,13 +413,12 @@ class Squeeze:
         return self.inverse(g)[0]
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
-        f = self.factor
         n, c4, h, w = z.shape
-        c = c4 // (f * f)
+        c = c4 // 4
         x = (
-            z.reshape(n, c, f, f, h, w)
+            z.reshape(n, c, 2, 2, h, w)
             .transpose(0, 1, 4, 2, 5, 3)
-            .reshape(n, c, h * f, w * f)
+            .reshape(n, c, h * 2, w * 2)
         )
         return np.ascontiguousarray(x), 0.0
 
@@ -441,7 +435,6 @@ class FlowConfig:
     steps: int = 4
     hidden: int = 64
     squeeze: int = 2
-    scale_clamp: float = 2.0
 
     def __post_init__(self):
         problems = []
@@ -472,7 +465,6 @@ class FlowResult:
     """Everything the forward pass knows about a batch."""
 
     nll: Tensor  # (batch,), the one graph node of the stack
-    log_prior: np.ndarray  # (batch,)
     logdet: np.ndarray  # (batch,)
     z_parts: list[np.ndarray]
     dims: int
@@ -487,19 +479,14 @@ class FlowStack:
         c = config.channels
         for level in range(config.levels):
             c *= config.squeeze**2
-            steps = []
-            for _ in range(config.steps):
-                steps.append(
-                    (
-                        ActNorm(c),
-                        InvertibleConv1x1(c, rng),
-                        AffineCoupling(c, config.hidden, rng, clamp=config.scale_clamp),
-                    )
-                )
+            steps = [
+                (ActNorm(c), InvertibleConv1x1(c, rng), AffineCoupling(c, config.hidden, rng))
+                for _ in range(config.steps)
+            ]
             # (name, layer) in forward order; the name prefixes its parameters
             layers = []
             if config.squeeze > 1:
-                layers.append((f"level{level}.squeeze", Squeeze(config.squeeze)))
+                layers.append((f"level{level}.squeeze", Squeeze()))
             for si, step in enumerate(steps):
                 kinds = ("actnorm", "mix", "coupling")
                 layers += [(f"level{level}.step{si}.{k}", t) for k, t in zip(kinds, step)]
@@ -583,7 +570,7 @@ class FlowStack:
         if record:
             nll._record(([x_in] if wants_x else []) + [self.params], backward)
         dims = math.prod(x.shape[1:])
-        return FlowResult(nll=nll, log_prior=log_prior, logdet=logdet, z_parts=z_parts, dims=dims)
+        return FlowResult(nll=nll, logdet=logdet, z_parts=z_parts, dims=dims)
 
     def nll_of(self, x) -> np.ndarray:
         """Per-sample negative log-likelihood; records no graph."""

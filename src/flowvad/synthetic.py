@@ -27,15 +27,17 @@ from .pnm import write_pnm
 __all__ = ["SceneConfig", "AnomalySpan", "generate_scene", "write_scene", "parse_labels"]
 
 MODES = ("speed", "shape", "reverse")
+# each object's side in pixels (inclusive; below 16, the least canvas), its
+# speed in pixels a frame, and its intensity
+_SIZE_RANGE = (6, 12)
+_SPEED_RANGE = (1.0, 2.5)
+_INTENSITY_RANGE = (0.45, 0.95)
 
 
 @dataclasses.dataclass
 class SceneConfig:
     canvas: int = 64
     objects: int = 3
-    size_range: tuple = (6, 12)
-    speed_range: tuple = (1.0, 2.5)
-    intensity_range: tuple = (0.45, 0.95)
     noise_sigma: float = 0.01
     seed: int = 0
 
@@ -46,8 +48,6 @@ class SceneConfig:
             ("noise_sigma", self.noise_sigma, 0),
             ("seed", self.seed, 0),
         ])
-        if not (0 < self.size_range[0] <= self.size_range[1] < self.canvas):
-            problems.append(f"bad size_range {self.size_range}")
         if problems:
             raise ConfigError(problems)
 
@@ -91,11 +91,11 @@ def generate_scene(config, n_frames, spans=()):
     side = config.canvas
 
     n = config.objects
-    sizes = rng.integers(config.size_range[0], config.size_range[1] + 1, size=n)
-    intens = rng.uniform(*config.intensity_range, size=n)
+    sizes = rng.integers(_SIZE_RANGE[0], _SIZE_RANGE[1] + 1, size=n)
+    intens = rng.uniform(*_INTENSITY_RANGE, size=n)
     pos = rng.uniform(0, side, size=(n, 2))
     angles = rng.uniform(0, 2 * np.pi, size=n)
-    speed = rng.uniform(*config.speed_range, size=n)
+    speed = rng.uniform(*_SPEED_RANGE, size=n)
     vel = np.stack([np.sin(angles), np.cos(angles)], axis=1) * speed[:, None]
 
     frames = np.zeros((n_frames, side, side), dtype=np.uint8)

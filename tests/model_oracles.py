@@ -14,7 +14,14 @@ import math
 
 import numpy as np
 
-from flowvad.autoencoder import _DYNAMIC_GEOM, _STATIC_GEOM, AutoencoderConfig, _decoder_geom
+from flowvad.autoencoder import (
+    _DYNAMIC_CHANNELS,
+    _DYNAMIC_GEOM,
+    _STATIC_CHANNELS,
+    _STATIC_GEOM,
+    AutoencoderConfig,
+    _decoder_geom,
+)
 from flowvad.errors import ShapeError
 from flowvad.tensor import Tensor
 
@@ -86,16 +93,11 @@ def layer_shapes(
     ddims = (time, height, width)
     for i in range(4):
         sdims = down(sdims, _STATIC_GEOM[i])
-        shapes[f"static{i + 1}"] = (config.static_channels[i], *sdims)
+        shapes[f"static{i + 1}"] = (_STATIC_CHANNELS[i], *sdims)
         if config.dynamic_path:
             ddims = down(ddims, _DYNAMIC_GEOM[i])
-            shapes[f"dynamic{i + 1}"] = (config.dynamic_channels[i], *ddims)
-    out_ch = [
-        config.static_channels[3],
-        config.static_channels[1],
-        config.static_channels[0],
-        config.in_channels,
-    ]
+            shapes[f"dynamic{i + 1}"] = (_DYNAMIC_CHANNELS[i], *ddims)
+    out_ch = [_STATIC_CHANNELS[3], _STATIC_CHANNELS[1], _STATIC_CHANNELS[0], config.in_channels]
     udims = sdims
     dec_geom = _decoder_geom(config.tau)
     for i in range(4):

@@ -116,7 +116,7 @@ class TestFlowExactness:
             coupling = AffineCoupling(2, 8, rng)
             coupling.w3.data += rng.normal(0, 0.3, coupling.w3.shape)
             coupling.b3.data += rng.normal(0, 0.3, coupling.b3.shape)
-            squeeze = Squeeze(2)
+            squeeze = Squeeze()
 
             for name, layer in [
                 ("actnorm", actnorm),

@@ -734,6 +734,38 @@ class TestInputErrors:
         assert [p.name for p in out.iterdir()] == [blocked]
         assert (out / blocked).read_text() == "keep\n"
 
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [
+            ("train-itae", "config.cfg"),
+            ("train-itae", "itae_loss.csv"),
+            ("train-itae", "itae/params.t5"),
+            ("train-itae", "itae/manifest.json"),
+            ("train-itae", "itae/params.t5.tmp"),
+            ("train-nf", "config.cfg"),
+            ("train-nf", "nf_static_loss.csv"),
+            ("train-nf", "nf_dynamic/params.t5"),
+            ("train-nf", "nf_static/manifest.json"),
+            ("train-nf", "nf_static/manifest.json.tmp"),
+            ("score", "config.cfg"),
+            ("score", "scores/test.csv"),
+        ],
+    )
+    def test_output_file_that_is_a_directory_exit_2(
+        self, scene, trained_run, tmp_path, capsys, command, blocked
+    ):
+        # the checkpoints each command reads are in place, so without the
+        # refusal it would run to the write of the blocked file
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        reads = {"train-itae": [], "train-nf": checkpoint_flags(trained_run)[:2],
+                 "score": checkpoint_flags(trained_run)}[command]
+        data = scene / ("test" if command == "score" else "train")
+        err = refuse(capsys, out, command, "--data-path", str(data), *reads)
+        assert err == f"config error: output file {out / blocked} is a directory\n"
+        made = {Path(blocked), *Path(blocked).parents} - {Path(".")}
+        assert {p.relative_to(out) for p in out.rglob("*")} == made
+
     @pytest.mark.parametrize("command", ["eval", "sweep-lambda"])
     def test_out_in_missing_directory_exit_2(self, tmp_path, capsys, command):
         path = tmp_path / "s.csv"

@@ -7,6 +7,7 @@ import pytest
 
 from flowvad.errors import ShapeError
 from flowvad.flow import (
+    _CLAMP,
     ActNorm,
     AffineCoupling,
     FlowConfig,
@@ -208,7 +209,7 @@ class TestAffineCoupling:
         )
 
     def test_scale_stays_inside_clamp(self, rng):
-        layer = AffineCoupling(2, hidden=8, rng=rng, clamp=2.0)
+        layer = AffineCoupling(2, hidden=8, rng=rng)
         layer.w3.data[:] = rng.normal(0, 50.0, layer.w3.shape)  # huge conditioner output
         x = rng.normal(size=(4, 2, 4, 4))
         _, ld, _ = layer.forward(x)
@@ -223,7 +224,7 @@ class TestAffineCoupling:
 class TestSqueeze:
     def test_rearranges_2x2_blocks(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out, ld, _ = Squeeze(2).forward(x)
+        out, ld, _ = Squeeze().forward(x)
         assert out.shape == (1, 4, 2, 2)
         assert ld == 0.0
         # every input value appears exactly once
@@ -231,12 +232,12 @@ class TestSqueeze:
 
     def test_inverse_roundtrip(self, rng):
         x = rng.normal(size=(2, 3, 6, 4))
-        out, _, _ = Squeeze(2).forward(x)
-        back, _ = Squeeze(2).inverse(out)
+        out, _, _ = Squeeze().forward(x)
+        back, _ = Squeeze().inverse(out)
         assert np.array_equal(back, x)
 
     def test_jacobian_is_permutation(self, rng, x8):
-        layer = Squeeze(2)
+        layer = Squeeze()
         j = numerical_jacobian(
             lambda a: layer.forward(a.reshape(1, 2, 2, 2))[0].reshape(-1),
             x8.reshape(-1).copy(),
@@ -246,7 +247,7 @@ class TestSqueeze:
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
-            Squeeze(2).forward(np.zeros((1, 1, 3, 4)))
+            Squeeze().forward(np.zeros((1, 1, 3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +300,7 @@ def autodiff_step(an, mix, cpl, x):
     hid = relu(autodiff_conv2d(xa, cpl.w1, cpl.b1, 1))
     hid = relu(autodiff_conv2d(hid, cpl.w2, cpl.b2, 0))
     hid = autodiff_conv2d(hid, cpl.w3, cpl.b3, 1)
-    log_s = tanh(hid[:, : cpl.cb]) * cpl.clamp
+    log_s = tanh(hid[:, : cpl.cb]) * _CLAMP
     out = concat([xa, xb * exp(log_s) + hid[:, cpl.cb :]], axis=1)
     per_sample = Tensor(np.ones(n))
     logdet = (an.logs.sum() + mix.log_diag.sum()) * float(h * w) * per_sample
