@@ -38,6 +38,7 @@ import numpy as np
 from .checkpoint import assign_state
 from .errors import ShapeError
 from .tensor import (
+    LEAKY_SLOPE,
     Tensor,
     _leaky_grad,
     conv3d,
@@ -51,7 +52,7 @@ __all__ = ["AutoencoderConfig", "TwoPathAutoencoder", "Conv3dLayer"]
 
 @dataclass(frozen=True)
 class AutoencoderConfig:
-    """Topology knobs; channel widths and the slope are fixed by the architecture."""
+    """Topology knobs; channel widths are fixed by the architecture."""
 
     in_channels: int = 1
     tau: int = 4
@@ -64,8 +65,7 @@ class AutoencoderConfig:
             raise ShapeError(f"in_channels must be 1 or 3, got {self.in_channels}")
 
 
-# negative slope of every leaky ReLU, and output channels per encoder stage
-_LEAKY_SLOPE = 0.2
+# output channels per encoder stage
 _STATIC_CHANNELS = (96, 128, 256, 256)
 _DYNAMIC_CHANNELS = (12, 16, 32, 32)
 # kernel, stride, padding per encoder stage; temporal extent differs between paths
@@ -97,13 +97,13 @@ def _decoder_geom(tau: int) -> list[tuple]:
 
 class Conv3dLayer:
     """One convolution (optionally transposed) with bias and, when built with
-    ``leaky=True``, a leaky ReLU of ``_LEAKY_SLOPE``.
+    ``leaky=True``, a leaky ReLU of the fixed slope ``tensor.LEAKY_SLOPE``.
 
     A call runs the layer's forward: the conv kernel adds the bias and
     applies the activation to each block of its output in place (see
     :func:`flowvad.tensor.conv3d`), so it allocates one output array, and it
     records no autodiff node. :meth:`backward` is the layer's part of the
-    model's hand-written backward pass. ``_LEAKY_SLOPE`` also sets the
+    model's hand-written backward pass. ``LEAKY_SLOPE`` also sets the
     He-style initial weight scale, with or without the activation.
     """
 
@@ -123,9 +123,9 @@ class Conv3dLayer:
         self.padding = tuple(padding)
         self.output_padding = tuple(output_padding)
         self.transpose = transpose
-        self.activation = _LEAKY_SLOPE if leaky else None
+        self.leaky = leaky
         fan_in = cin * int(np.prod(kernel))
-        std = np.sqrt(2.0 / ((1.0 + _LEAKY_SLOPE**2) * fan_in))
+        std = np.sqrt(2.0 / ((1.0 + LEAKY_SLOPE**2) * fan_in))
         shape = (cin, cout, *kernel) if transpose else (cout, cin, *kernel)
         self.weight = Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
         self.bias = Tensor(np.zeros(cout), requires_grad=True)
@@ -134,29 +134,29 @@ class Conv3dLayer:
         w, b = self.weight.data, self.bias.data
         if self.transpose:
             y = conv_transpose3d(
-                x.data, w, self.stride, self.padding, self.output_padding, b, self.activation
+                x.data, w, self.stride, self.padding, self.output_padding, b, self.leaky
             )
         else:
-            y = conv3d(x.data, w, self.stride, self.padding, b, self.activation)
+            y = conv3d(x.data, w, self.stride, self.padding, b, self.leaky)
         return Tensor(y)
 
-    def backward(self, x: np.ndarray, gy: np.ndarray, grad_input: bool = True, input_slope=None):
+    def backward(self, x: np.ndarray, gy: np.ndarray, grad_input: bool = True):
         """Add the gradients of this layer's call on ``x`` to both its weight
         and its bias, given ``gy``, the gradient of the call's output with
         the layer's own activation already undone (a C-contiguous array),
         and return the input gradient, or None without ``grad_input``.
 
-        A transposed layer always writes the input gradient over ``x`` itself
-        and multiplies it by the derivative of the leaky ReLU of
-        ``input_slope`` whose output ``x`` is, so it returns the gradient of
-        its producer's pre-activation in ``x``'s memory, and ignores
-        ``grad_input``. A conv returns a new array and ignores
-        ``input_slope``.
+        A conv returns a new array. A transposed layer ignores
+        ``grad_input``: its input in the model is always a leaky ReLU's
+        output (``fuse``'s or ``static4``'s, then ``decode1``'s to
+        ``decode3``'s), so it writes the input gradient over ``x`` itself,
+        multiplied by that activation's derivative, and returns the gradient
+        of its producer's pre-activation in ``x``'s memory.
         """
         self.bias._accumulate(gy.sum(axis=(0, 2, 3, 4)), owned=True)
         w = self.weight.data
         if self.transpose:
-            gw = conv_transpose3d_backward(x, w, gy, self.stride, self.padding, input_slope)
+            gw = conv_transpose3d_backward(x, w, gy, self.stride, self.padding, leaky_input=True)
             gx = x
         else:
             gw, gx = conv3d_backward(x, w, gy, self.stride, self.padding, grad_input)
@@ -370,7 +370,7 @@ class TwoPathAutoencoder:
         dec_in = tape["dec_in"]
         for layer in reversed(self.decoder):
             h = dec_in.pop()
-            layer.backward(h, g, input_slope=_LEAKY_SLOPE)
+            layer.backward(h, g)
             g = h  # now the gradient of h's producer before its activation
             del h
         # g: the gradient of fuse's pre-activation, or of static4's in one-path
@@ -387,9 +387,9 @@ class TwoPathAutoencoder:
             if two_path:
                 lat_grads[i] = g[:, channels[i] :].copy()
                 g = g[:, : channels[i]].copy()
-                _leaky_grad(g, cat[:, : channels[i]], _LEAKY_SLOPE)
+                _leaky_grad(g, cat[:, : channels[i]])
             elif i < 3:
-                _leaky_grad(g, cat, _LEAKY_SLOPE)
+                _leaky_grad(g, cat)
             cat = static_in.pop()
             g = self.static_convs[i].backward(cat, g, grad_input=i > 0)
         del cat, g
@@ -404,6 +404,6 @@ class TwoPathAutoencoder:
             lat_grads[i] = None
             g = g_lat if g is None else g + g_lat
             del g_lat
-            _leaky_grad(g, d_out, _LEAKY_SLOPE)
+            _leaky_grad(g, d_out)
             d_out = dyn.pop()  # dynamic i's input
             g = self.dynamic_convs[i].backward(d_out, g, grad_input=i > 0)

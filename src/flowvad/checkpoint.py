@@ -35,13 +35,7 @@ _MANIFEST = "manifest.json"
 
 def config_fingerprint(config):
     """Stable hash of a dataclass config: sha256 of its sorted field repr."""
-    if dataclasses.is_dataclass(config):
-        items = dataclasses.asdict(config)
-    elif isinstance(config, dict):
-        items = config
-    else:
-        raise TypeError(f"cannot fingerprint {type(config).__name__}")
-    blob = json.dumps(items, sort_keys=True, default=str).encode()
+    blob = json.dumps(dataclasses.asdict(config), sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -55,9 +49,9 @@ def save_checkpoint(directory, params, config, extra=None):
     """Write ``params.t5`` and a manifest under temporary names, then move
     each over its old file, the manifest last.
 
-    params: mapping name -> Tensor (or array). config: dataclass or dict whose
-    fingerprint guards later loads. extra: optional JSON-serializable metadata
-    stored verbatim in the manifest.
+    params: mapping name -> Tensor (or array). config: the model's dataclass
+    config, whose fingerprint guards later loads. extra: optional
+    JSON-serializable metadata stored verbatim in the manifest.
     """
     arrays = {name: np.asarray(getattr(p, "data", p), dtype=np.float64)
               for name, p in sorted(params.items())}
@@ -115,14 +109,13 @@ def _manifest_problem(manifest):
     return None
 
 
-def load_checkpoint(directory, config=None):
-    """Read all parameters back as a name -> ndarray mapping.
-
-    When config is given its fingerprint must match the stored one.
-    """
+def load_checkpoint(directory, config):
+    """Read all parameters back as a name -> ndarray mapping. The
+    fingerprint of ``config``, the model's dataclass config, must match the
+    stored one."""
     manifest = _read_manifest(directory)
     have = manifest["fingerprint"]
-    if config is not None and have != (want := config_fingerprint(config)):
+    if have != (want := config_fingerprint(config)):
         raise ConfigError(f"checkpoint {directory} was written for a different "
                           f"configuration (fingerprint {have}, expected {want})")
     shapes = dict(sorted(manifest["parameters"].items()))

@@ -467,7 +467,6 @@ class FlowResult:
     nll: Tensor  # (batch,), the one graph node of the stack
     logdet: np.ndarray  # (batch,)
     z_parts: list[np.ndarray]
-    dims: int
 
 
 class FlowStack:
@@ -569,8 +568,7 @@ class FlowStack:
 
         if record:
             nll._record(([x_in] if wants_x else []) + [self.params], backward)
-        dims = math.prod(x.shape[1:])
-        return FlowResult(nll=nll, logdet=logdet, z_parts=z_parts, dims=dims)
+        return FlowResult(nll=nll, logdet=logdet, z_parts=z_parts)
 
     def nll_of(self, x) -> np.ndarray:
         """Per-sample negative log-likelihood; records no graph."""

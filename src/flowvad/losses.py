@@ -3,7 +3,9 @@
 The three terms are combined with equal weight. MS-SSIM runs per frame on
 the channel-mean (luminance) image with the standard 5-scale weights; when
 the frame is too small for five halvings the scale count is reduced and the
-remaining weights are renormalized to sum to one, with a warning.
+remaining weights are renormalized to sum to one: a side of 176 pixels or
+more takes all 5 scales, 88 takes 4, 44 takes 3 (so 64x64 takes 3), 22
+takes 2 and 11 takes 1 (:func:`usable_scales`).
 
 :func:`recon_loss` records one autodiff node, the total, whose only parent
 is the reconstruction, exactly when the reconstruction requires a gradient;
@@ -22,7 +24,6 @@ frame gradient over the channels.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,12 +159,6 @@ def recon_loss(target: Tensor, output: Tensor) -> ReconLoss:
     scales = usable_scales(h, w)
     if scales == 0:
         raise ShapeError(f"frame ({h}, {w}) is smaller than the SSIM window {SSIM_WINDOW}")
-    if scales < len(MS_SSIM_WEIGHTS):
-        warnings.warn(
-            f"frame ({h}, {w}) supports only {scales} of {len(MS_SSIM_WEIGHTS)} "
-            "MS-SSIM scales; weights renormalized",
-            stacklevel=2,
-        )
     weights = np.array(MS_SSIM_WEIGHTS[:scales])
     weights = weights / weights.sum()
     record = output.requires_grad

@@ -95,19 +95,17 @@ def minmax_normalize(series):
     return (vals - lo) / (hi - lo)
 
 
-def nll_score(nll_static, nll_dynamic=None):
+def nll_score(nll_static, nll_dynamic):
     """Combine per-frame NLL series into the normalized likelihood evidence.
 
-    Both series are per-frame (expand sampled static series first). The sum is
-    minmax-normalized within the clip.
+    Both series are per-frame (expand sampled static series first; a stream
+    without a flow is all zeros). The sum is minmax-normalized within the clip.
     """
     total = np.asarray(nll_static, dtype=np.float64)
-    if nll_dynamic is not None:
-        dyn = np.asarray(nll_dynamic, dtype=np.float64)
-        if dyn.shape != total.shape:
-            raise ShapeError(f"series lengths differ: {total.shape} vs {dyn.shape}")
-        total = total + dyn
-    return minmax_normalize(total)
+    dyn = np.asarray(nll_dynamic, dtype=np.float64)
+    if dyn.shape != total.shape:
+        raise ShapeError(f"series lengths differ: {total.shape} vs {dyn.shape}")
+    return minmax_normalize(total + dyn)
 
 
 def fuse(recon, nll, lambda_l):

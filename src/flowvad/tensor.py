@@ -56,7 +56,8 @@ Design constraints, fixed on purpose:
   (:func:`_scatter_taps`) forms per-tap products one sample and one
   bounded block of channels at a time and sums them onto the output grid;
   the transposed conv's forward and conv3d's input gradient use it. A conv
-  adds its bias and applies its leaky ReLU to each block of its output as
+  adds its bias and applies its leaky ReLU, whose slope ``LEAKY_SLOPE`` is
+  defined here and nowhere else, to each block of its output as
   soon as the block is written, so the pre-activation is never a second
   array, and the activated output is all its backward needs.
   :meth:`Tensor.backward` drops each node once it has passed its gradient
@@ -74,6 +75,7 @@ import numpy as np
 from .errors import ShapeError
 
 __all__ = [
+    "LEAKY_SLOPE",
     "Tensor",
     "ParamView",
     "pack",
@@ -110,9 +112,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_err(self)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -269,15 +268,13 @@ def pack(params: Sequence[ParamView]) -> tuple[Tensor, np.ndarray]:
     return flat, buffer
 
 
-# -------------------------------------------------------------------- helpers
-
-
-def _scalar_err(t: Tensor):
-    raise ShapeError(f"item() requires a single-element tensor, got shape {t.shape}")
-
-
 # ------------------------------------------------------------ 3d convolution
 
+
+# The negative slope of every leaky ReLU a conv applies. The paper's
+# architecture fixes it; it lies in [0, 1], so the leaky ReLU is
+# max(x, LEAKY_SLOPE * x) and its output is > 0 exactly where its input is.
+LEAKY_SLOPE = 0.2
 
 # Most bytes of im2col columns, or of one sample's per-tap products, a conv
 # holds at once. A sample whose columns exceed it forms them in chunks of
@@ -286,8 +283,6 @@ _COLS_BUDGET = 16 * 2**20
 
 
 def _triple(v) -> tuple[int, int, int]:
-    if isinstance(v, int):
-        return (v, v, v)
     t = tuple(int(x) for x in v)
     if len(t) != 3:
         raise ShapeError(f"expected 3 values for a (time, height, width) triple, got {v!r}")
@@ -377,33 +372,25 @@ def _gemm_rows(cin: int, cout: int, dims) -> int:
     return max(r for r in range(1, height + 1) if height % r == 0 and r * width * cout <= cap)
 
 
-def _check_slope(slope) -> None:
-    # max(x, slope * x) is the leaky ReLU only for 0 <= slope <= 1
-    if slope is not None and not 0.0 <= slope <= 1.0:
-        raise ValueError(f"leaky ReLU slope must be in [0, 1], got {slope}")
-
-
-def _finish_block(blk: np.ndarray, bias, slope) -> None:
-    """Add the per-channel ``bias`` (channel axis -4 of ``blk``), then apply
-    leaky ReLU as max(x, slope * x), in place; the only temporary is
-    ``slope * blk``, one block in size."""
+def _finish_block(blk: np.ndarray, bias, leaky: bool) -> None:
+    """Add the per-channel ``bias`` (channel axis -4 of ``blk``), then, when
+    ``leaky``, apply the leaky ReLU as max(x, LEAKY_SLOPE * x), in place;
+    the only temporary is ``LEAKY_SLOPE * blk``, one block in size."""
     if bias is not None:
         blk += bias.reshape(-1, 1, 1, 1)
-    if slope is not None:
-        np.maximum(blk, slope * blk, out=blk)
+    if leaky:
+        np.maximum(blk, LEAKY_SLOPE * blk, out=blk)
 
 
-def _leaky_grad(grad: np.ndarray, y: np.ndarray, slope) -> None:
+def _leaky_grad(grad: np.ndarray, y: np.ndarray) -> None:
     """Turn the gradient of a leaky ReLU's output ``y`` into that of its
-    input, in place: scale it by ``slope`` where y is not > 0, one sample
-    (index of the first axis) at a time, so the only temporaries are a
-    sample's boolean masks. For 0 <= slope <= 1, y > 0 exactly where the
-    input is > 0, so the activated output is all a backward needs."""
-    if slope is None:
-        return
+    input, in place: scale it by ``LEAKY_SLOPE`` where y is not > 0, one
+    sample (index of the first axis) at a time, so the only temporaries are
+    a sample's boolean masks. As y > 0 exactly where the input is > 0, the
+    activated output is all a backward needs."""
     for i in range(len(grad)):
         blk = grad[i : i + 1]
-        np.multiply(blk, slope, out=blk, where=~(y[i : i + 1] > 0.0))
+        np.multiply(blk, LEAKY_SLOPE, out=blk, where=~(y[i : i + 1] > 0.0))
 
 
 def _columns(x: np.ndarray, k, s, p, chunk) -> np.ndarray:
@@ -429,10 +416,11 @@ def _columns(x: np.ndarray, k, s, p, chunk) -> np.ndarray:
     return view.reshape(halo.shape[0], -1, dims[0] * dims[1] * dims[2])
 
 
-def _scatter_taps(x: np.ndarray, w: np.ndarray, s, p, out: np.ndarray, bias=None, slope=None):
+def _scatter_taps(x: np.ndarray, w: np.ndarray, s, p, out: np.ndarray, bias=None, leaky=False):
     """The tap scatter: the transposed conv of ``x`` (n, cx, *dims) with
     ``w`` (cx, cy, kt, kh, kw), written over ``out`` (n, cy, *out_dims) and
-    finished in place with the per-channel ``bias`` and leaky ReLU ``slope``.
+    finished in place with the per-channel ``bias`` and, when ``leaky``, the
+    leaky ReLU.
     Per sample, the output channels run in blocks whose per-tap products fit
     in ``_COLS_BUDGET`` bytes: one GEMM puts a block's products in one buffer
     reused across blocks and samples, and :func:`_tap_sum` sums them onto
@@ -448,18 +436,18 @@ def _scatter_taps(x: np.ndarray, w: np.ndarray, s, p, out: np.ndarray, bias=None
             rows = taps[: wb.shape[1]]
             np.matmul(wb.T, x[i].reshape(cx, positions), out=rows)
             _tap_sum(rows.reshape(1, -1, *k, *x.shape[2:]), s, p, out[i : i + 1, cb])
-            _finish_block(out[i, cb], None if bias is None else bias[cb], slope)
+            _finish_block(out[i, cb], None if bias is None else bias[cb], leaky)
 
 
 def conv3d(
-    x: np.ndarray, w: np.ndarray, stride=(1, 1, 1), padding=(0, 0, 0), bias=None, slope=None
+    x: np.ndarray, w: np.ndarray, stride=(1, 1, 1), padding=(0, 0, 0), bias=None, leaky=False
 ):
     """3-D convolution (cross-correlation) over (batch, channel, time, h, w).
 
     ``w`` has shape (out_channels, in_channels, kt, kh, kw) and the optional
     ``bias`` shape (out_channels,). Output spatial dims follow
-    floor((d + 2p - k) / s) + 1 per axis. With a ``slope`` in [0, 1] the
-    output is the leaky ReLU, max(y, slope * y), of the biased convolution.
+    floor((d + 2p - k) / s) + 1 per axis. When ``leaky`` the output is the
+    leaky ReLU, max(y, LEAKY_SLOPE * y), of the biased convolution.
     Returns a new array; records nothing.
 
     The batch runs in groups whose im2col columns fit in ``_COLS_BUDGET``
@@ -470,7 +458,6 @@ def conv3d(
     activation finish it in place.
     """
     s, p = _triple(stride), _triple(padding)
-    _check_slope(slope)
     if x.ndim != 5 or w.ndim != 5:
         raise ShapeError(f"conv3d expects 5-d input and weight, got {x.shape} and {w.shape}")
     n, cin, *dims = x.shape
@@ -487,7 +474,7 @@ def conv3d(
         cols = _columns(x[g], k, s, p, chunk)
         np.matmul(w2, cols, out=yc.reshape(-1, cout, yc[0, 0].size))
         del cols  # before the next columns exist
-        _finish_block(yc, bias, slope)
+        _finish_block(yc, bias, leaky)
     return y
 
 
@@ -541,15 +528,15 @@ def conv_transpose3d(
     padding=(0, 0, 0),
     output_padding=(0, 0, 0),
     bias=None,
-    slope=None,
+    leaky=False,
 ):
     """Transposed 3-D convolution, the adjoint of :func:`conv3d`.
 
     ``w`` has shape (in_channels, out_channels, kt, kh, kw) and the optional
     ``bias`` shape (out_channels,); with matching stride and padding,
     <conv3d(x, w), y> == <x, conv_transpose3d(y, w)>. Output dims follow
-    (d - 1) * s - 2p + k + output_padding per axis. With a ``slope`` in
-    [0, 1] the output is the leaky ReLU of the biased transposed convolution.
+    (d - 1) * s - 2p + k + output_padding per axis. When ``leaky`` the output
+    is the leaky ReLU of the biased transposed convolution.
     Returns a new array; records nothing.
 
     The forward is the tap scatter (:func:`_scatter_taps`), which forms the
@@ -567,7 +554,6 @@ def conv_transpose3d(
     soon as its taps are summed.
     """
     s, p, op = _triple(stride), _triple(padding), _triple(output_padding)
-    _check_slope(slope)
     if x.ndim != 5 or w.ndim != 5:
         raise ShapeError(
             f"conv_transpose3d expects 5-d input and weight, got {x.shape} and {w.shape}"
@@ -589,23 +575,24 @@ def conv_transpose3d(
             f"conv_transpose3d produces non-positive dims {out_dims} from input {x.shape}"
         )
     y = np.empty((n, cout, *out_dims))
-    _scatter_taps(x, w, s, p, y, bias, slope)
+    _scatter_taps(x, w, s, p, y, bias, leaky)
     return y
 
 
 def conv_transpose3d_backward(
     x: np.ndarray, w: np.ndarray, gy: np.ndarray, stride=(1, 1, 1), padding=(0, 0, 0),
-    input_slope=None,
+    leaky_input: bool = False,
 ):
     """Weight gradient of ``conv_transpose3d(x, w, stride, padding, ...)``
     given ``gy``, the gradient of its biased output before any activation.
     The bias gradient is ``gy.sum(axis=(0, 2, 3, 4))``.
 
     The input gradient is written over ``x`` itself, which must be
-    C-contiguous; with an ``input_slope`` it is also multiplied by the
-    derivative of the leaky ReLU of that slope whose activated output ``x``
-    is, so ``x`` ends as the gradient of its producer's pre-activation. Each chunk of ``x`` is read, for its sign
-    and its weight-gradient term, before its input gradient overwrites it.
+    C-contiguous. With ``leaky_input``, ``x`` is a leaky ReLU's activated
+    output and its gradient is also multiplied by that activation's
+    derivative, so ``x`` ends as the gradient of its producer's
+    pre-activation. Each chunk of ``x`` is read, for its sign and its
+    weight-gradient term, before its input gradient overwrites it.
 
     This is a strided :func:`conv3d` of the output gradient. It runs per
     sample over chunks of the input position grid whose im2col columns fit in
@@ -624,7 +611,6 @@ def conv_transpose3d_backward(
     im2col backward.
     """
     s, p = _triple(stride), _triple(padding)
-    _check_slope(input_slope)
     n, cin, *dims = x.shape
     k = tuple(w.shape[2:])
     w2 = w.reshape(cin, -1)
@@ -643,7 +629,7 @@ def conv_transpose3d_backward(
         for i in range(n):
             gcols = _columns(gy[i : i + 1], k, s, p, chunk)[0]
             xc = x[(i, slice(None), *chunk)]
-            if input_slope is not None:
+            if leaky_input:
                 # where the producer's leaky ReLU scaled its input
                 scaled = xc > 0.0
                 np.logical_not(scaled, out=scaled)
@@ -653,8 +639,8 @@ def conv_transpose3d_backward(
                 gcols.reshape(-1, *by_run).transpose(stack),
                 out=x_runs[i, :, chunk[0], runs].transpose(stack),
             )
-            if input_slope is not None:
-                np.multiply(xc, input_slope, out=xc, where=scaled)
+            if leaky_input:
+                np.multiply(xc, LEAKY_SLOPE, out=xc, where=scaled)
                 del scaled
             del gcols  # before the next columns exist
     return gw.reshape(w.shape)

@@ -451,14 +451,15 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
     return out._record(ts, backward)
 
 
-def conv3d(x, w, stride=(1, 1, 1), padding=(0, 0, 0), bias=None, slope=None) -> Tensor:
+def conv3d(x, w, stride=(1, 1, 1), padding=(0, 0, 0), bias=None, leaky=False) -> Tensor:
     """`flowvad.tensor.conv3d` as one node over ``x``, ``w`` and ``bias``."""
     x, w = _wrap(x), _wrap(w)
-    y = tensor.conv3d(x.data, w.data, stride, padding, None if bias is None else bias.data, slope)
+    y = tensor.conv3d(x.data, w.data, stride, padding, None if bias is None else bias.data, leaky)
     out = Tensor(y)
 
     def backward():
-        tensor._leaky_grad(out.grad, y, slope)
+        if leaky:
+            tensor._leaky_grad(out.grad, y)
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)), owned=True)
         gw, gx = tensor.conv3d_backward(x.data, w.data, out.grad, stride, padding, x.requires_grad)
@@ -471,18 +472,19 @@ def conv3d(x, w, stride=(1, 1, 1), padding=(0, 0, 0), bias=None, slope=None) -> 
 
 
 def conv_transpose3d(
-    x, w, stride=(1, 1, 1), padding=(0, 0, 0), output_padding=(0, 0, 0), bias=None, slope=None
+    x, w, stride=(1, 1, 1), padding=(0, 0, 0), output_padding=(0, 0, 0), bias=None, leaky=False
 ) -> Tensor:
     """`flowvad.tensor.conv_transpose3d` as one node over ``x``, ``w`` and
     ``bias``."""
     x, w = _wrap(x), _wrap(w)
     y = tensor.conv_transpose3d(
-        x.data, w.data, stride, padding, output_padding, None if bias is None else bias.data, slope
+        x.data, w.data, stride, padding, output_padding, None if bias is None else bias.data, leaky
     )
     out = Tensor(y)
 
     def backward():
-        tensor._leaky_grad(out.grad, y, slope)
+        if leaky:
+            tensor._leaky_grad(out.grad, y)
         if bias is not None and bias.requires_grad:
             bias._accumulate(out.grad.sum(axis=(0, 2, 3, 4)), owned=True)
         # the kernel writes the input gradient over its input: give it a copy

@@ -35,9 +35,9 @@ def _layer_node(layer, h: Tensor) -> Tensor:
     if layer.transpose:
         return conv_transpose3d(
             h, layer.weight, layer.stride, layer.padding, layer.output_padding,
-            layer.bias, layer.activation,
+            layer.bias, layer.leaky,
         )
-    return conv3d(h, layer.weight, layer.stride, layer.padding, layer.bias, layer.activation)
+    return conv3d(h, layer.weight, layer.stride, layer.padding, layer.bias, layer.leaky)
 
 
 def graph_reconstruct(model, x: Tensor) -> Tensor:
@@ -107,8 +107,10 @@ def layer_shapes(
 
 
 def bits_per_dim(result) -> np.ndarray:
-    """Per-sample NLL of a `FlowResult` in bits per input dimension."""
-    return result.nll.data / (result.dims * math.log(2.0))
+    """Per-sample NLL of a `FlowResult` in bits per input dimension; the
+    factored-out parts together hold every input dimension."""
+    dims = sum(math.prod(z.shape[1:]) for z in result.z_parts)
+    return result.nll.data / (dims * math.log(2.0))
 
 
 def num_transforms(stack) -> int:

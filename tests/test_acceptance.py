@@ -254,7 +254,6 @@ def _op_registry(rng):
 
 
 class TestGradientIntegrity:
-    @pytest.mark.filterwarnings("ignore:frame .* supports only")
     def test_all_ops_and_losses(self):
         start = time.perf_counter()
         with verdict("finite-difference gradients for every op and both losses"):
@@ -492,7 +491,6 @@ def pipeline(tmp_path_factory):
 
 
 @pytest.mark.slow
-@pytest.mark.filterwarnings("ignore:frame .* supports only")
 class TestEndToEnd:
     def test_detects_both_anomaly_types(self, pipeline):
         with verdict("synthetic end-to-end anomaly separation"):

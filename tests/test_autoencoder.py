@@ -2,7 +2,6 @@
 
 import functools
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -156,7 +155,6 @@ def graph_nodes(t):
     return len(seen)
 
 
-@pytest.mark.filterwarnings("ignore:frame .* supports only")
 def test_step_graph_is_the_autoencoder_plus_one_loss_node():
     """The reconstruction is one node whose parents are the parameters, and
     the loss adds one more: a step's graph is 2 nodes over the 34
@@ -181,10 +179,8 @@ def step_grads(model, x, reconstruct):
     """Parameter gradients of one recon_loss step through ``reconstruct``,
     and the reconstruction; leaves no gradient on the model."""
     params = model.named_parameters()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # 3 of 5 MS-SSIM scales
-        out = reconstruct(x)
-        recon_loss(x, out).total.backward()
+    out = reconstruct(x)
+    recon_loss(x, out).total.backward()
     grads = {name: p.grad for name, p in params.items()}
     for p in params.values():
         p.grad = None
@@ -224,6 +220,26 @@ class TestHandWrittenBackward:
         out = model.reconstruct(x)
         assert out._parents == () and out._backward is None and not out.requires_grad
         assert all(p.grad is None for p in model.parameters())
+
+    @pytest.mark.parametrize("two_path", [True, False], ids=["two-path", "one-path"])
+    def test_every_transposed_layer_reads_a_leaky_output(self, two_path):
+        # a transposed layer's backward always multiplies its input gradient
+        # by the leaky-ReLU derivative, so the layer producing its input must
+        # apply that activation: fuse (static4 in one-path), then decode1-3
+        rng = np.random.default_rng(7)
+        model = TwoPathAutoencoder(AutoencoderConfig(tau=4, dynamic_path=two_path), rng)
+        layers = [*model.static_convs, *model.dynamic_convs, *model.laterals, *model.decoder]
+        if two_path:
+            layers.append(model.fuse_proj)
+        assert [layer for layer in layers if layer.transpose] == model.decoder
+        tape = {}
+        model.decode(*model.encode(Tensor(rng.uniform(size=(1, 1, 8, 16, 16))), tape), tape)
+        first = model.fuse_proj if two_path else model.static_convs[3]
+        first_in = tape["fuse_in"] if two_path else tape["static_in"][3]
+        producers = [(first, first_in), *zip(model.decoder[:3], tape["dec_in"][:3])]
+        for (layer, x), fed in zip(producers, tape["dec_in"]):
+            assert layer.leaky
+            assert np.array_equal(layer(Tensor(x)).data, fed)
 
     def test_input_requiring_gradients_rejected(self, small_model):
         _, model = small_model
@@ -294,9 +310,7 @@ class TestTrainingMemory:
         x = Tensor(rng.uniform(size=(2, 1, 8, side, side)))
         tracemalloc.start()
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # 3 of 5 MS-SSIM scales
-                recon_loss(x, model.reconstruct(x)).total.backward()
+            recon_loss(x, model.reconstruct(x)).total.backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -314,9 +328,7 @@ class TestTrainingMemory:
         clips = [rng.uniform(size=(1, 1, 8, 64, 64)) for _ in range(2)]
         tracemalloc.start()
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                train_autoencoder(model, clips, TrainConfig(steps=2, batch_size=2, lr=1e-4))
+            train_autoencoder(model, clips, TrainConfig(steps=2, batch_size=2, lr=1e-4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

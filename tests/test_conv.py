@@ -13,7 +13,7 @@ import pytest
 from flowvad import tensor
 from flowvad.autoencoder import _DYNAMIC_GEOM, _STATIC_GEOM, Conv3dLayer, _decoder_geom
 from flowvad.errors import ShapeError
-from flowvad.tensor import Tensor
+from flowvad.tensor import LEAKY_SLOPE, Tensor
 
 from graph_ops import conv3d, conv_transpose3d, leaky_relu
 from numeric import max_relative_error, numerical_gradient
@@ -403,16 +403,16 @@ def fused_case(transpose):
         x0 = rng.normal(size=(2, 2, 2, 2, 2))
         w0 = rng.normal(size=(2, 3, *kernel))
 
-        def op(x, w, b, slope=None):
-            return conv_transpose3d(x, w, stride, padding, outpad, b, slope)
+        def op(x, w, b, leaky=False):
+            return conv_transpose3d(x, w, stride, padding, outpad, b, leaky)
 
     else:
         kernel, stride, padding = _STATIC_GEOM[3]
         x0 = rng.normal(size=(2, 2, 2, 4, 4))
         w0 = rng.normal(size=(3, 2, *kernel))
 
-        def op(x, w, b, slope=None):
-            return conv3d(x, w, stride, padding, b, slope)
+        def op(x, w, b, leaky=False):
+            return conv3d(x, w, stride, padding, b, leaky)
 
     x0[0] = 0.0
     b0 = rng.normal(size=3)
@@ -420,13 +420,13 @@ def fused_case(transpose):
     return x0, w0, b0, op
 
 
-def fused_run(transpose, slope, reference):
+def fused_run(transpose, reference):
     """Output and input, weight and bias gradients of the conv with its
     leaky ReLU fused, or (``reference``) of the plain conv followed by the
-    separate leaky ReLU node."""
+    separate leaky ReLU node of the same slope."""
     x0, w0, b0, op = fused_case(transpose)
     x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
-    out = leaky_relu(op(x, w, b), slope) if reference else op(x, w, b, slope)
+    out = leaky_relu(op(x, w, b), LEAKY_SLOPE) if reference else op(x, w, b, True)
     probe = np.random.default_rng(19).normal(size=out.shape)
     data = out.data.copy()
     (out * Tensor(probe)).sum().backward()
@@ -434,30 +434,29 @@ def fused_run(transpose, slope, reference):
 
 
 class TestFusedActivation:
-    """A conv with ``slope`` is bitwise the plain conv followed by leaky ReLU."""
+    """A conv with its leaky ReLU is bitwise the plain conv followed by the
+    leaky ReLU."""
 
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
     @pytest.mark.parametrize("transpose", [False, True], ids=["static4", "decode3"])
-    def test_bitwise_plain_conv_then_leaky_relu(self, transpose, slope):
-        got = fused_run(transpose, slope, reference=False)
-        want = fused_run(transpose, slope, reference=True)
+    def test_bitwise_plain_conv_then_leaky_relu(self, transpose):
+        got = fused_run(transpose, reference=False)
+        want = fused_run(transpose, reference=True)
         assert np.any(got[0][0, 0] == 0.0)  # exact-zero pre-activations are in the case
         for g, h in zip(got, want):
             assert np.array_equal(bits(g), bits(h))
 
-    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
-    def test_in_place_activation_at_signed_zeros(self, slope):
+    def test_in_place_activation_at_signed_zeros(self):
         # GEMM and tap sums never give -0.0, so the in-place forward and
         # backward are checked on their own against the separate node
         pre = np.array([-0.0, 0.0, -1.5, 2.0, -5e-324, 5e-324, -0.0, 0.0])
         probe = np.array([1.0, -2.0, 3.0, -4.0, 0.5, -0.5, -0.0, 0.0])
         t = Tensor(pre.copy(), requires_grad=True)
-        want = leaky_relu(t, slope)
+        want = leaky_relu(t, LEAKY_SLOPE)
         (want * Tensor(probe)).sum().backward()
         y = pre.copy()
-        tensor._finish_block(y, None, slope)
+        tensor._finish_block(y, None, True)
         grad = probe.copy()
-        tensor._leaky_grad(grad, y, slope)
+        tensor._leaky_grad(grad, y)
         assert np.array_equal(bits(y), bits(want.data))
         assert np.array_equal(bits(grad), bits(t.grad))
 
@@ -468,18 +467,13 @@ class TestFusedActivation:
         # The smaller budget also splits the backward into position chunks
         # (rows or slabs): the weight gradient then sums over positions chunk
         # by chunk and moves by rounding only.
-        want = fused_run(True, 0.2, reference=False)
+        want = fused_run(True, reference=False)
         positions = fused_case(True)[0][0, 0].size
         monkeypatch.setattr(tensor, "_COLS_BUDGET", channels * 27 * positions * 8)
-        y, gx, gw, gb = fused_run(True, 0.2, reference=False)
+        y, gx, gw, gb = fused_run(True, reference=False)
         for g, h in zip((y, gx, gb), (want[0], want[1], want[3])):
             assert np.array_equal(bits(g), bits(h))
         assert scaled_error(gw, want[2]) < 1e-12
-
-    def test_slope_outside_unit_interval_rejected(self):
-        x0, w0, b0, op = fused_case(False)
-        with pytest.raises(ValueError, match="slope"):
-            op(Tensor(x0), Tensor(w0), Tensor(b0), 1.5)
 
 
 class TestLayerBias:
@@ -567,7 +561,7 @@ class TestChunkedTransposeBackward:
         b0 = rng.normal(size=cout)
         x_default = Tensor(x0, requires_grad=True)
         y_default = conv_transpose3d(
-            x_default, Tensor(w0), stride, padding, outpad, Tensor(b0), 0.2
+            x_default, Tensor(w0), stride, padding, outpad, Tensor(b0), True
         )
         probe = np.random.default_rng(21).normal(size=y_default.shape)
         (y_default * Tensor(probe)).sum().backward()
@@ -584,8 +578,8 @@ class TestChunkedTransposeBackward:
             split = any(c[1].stop - c[1].start < dims[1] for c in chunks)
             assert split == (budget == "rows" and run < dims[1])
         x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
-        out = conv_transpose3d(x, w, stride, padding, outpad, b, 0.2)
-        gy = probe * np.where(out.data > 0.0, 1.0, 0.2)
+        out = conv_transpose3d(x, w, stride, padding, outpad, b, True)
+        gy = probe * np.where(out.data > 0.0, 1.0, LEAKY_SLOPE)
         (out * Tensor(probe)).sum().backward()
         gx, gw = conv_transpose3d_backward_full(x0, w0, gy, stride, padding)
         assert np.array_equal(bits(out.data), bits(y_default.data))
@@ -624,7 +618,7 @@ class TestChunkedConvForward:
         b0 = rng.normal(size=4)
 
         def forward():
-            return conv3d(Tensor(x0), Tensor(w0), stride, padding, Tensor(b0), 0.2).data
+            return conv3d(Tensor(x0), Tensor(w0), stride, padding, Tensor(b0), True).data
 
         want = forward()  # the default budget holds a sample's columns at once
         out_dims = want.shape[2:]
@@ -638,7 +632,7 @@ class TestChunkedConvForward:
         assert np.any(got < 0.0) and np.any(got > 0.0)  # both sides of the leaky ReLU
         assert np.array_equal(bits(got), bits(want)) or scaled_error(got, want) < 1e-15
         loops = conv3d_loops(x0, w0, stride, padding) + b0.reshape(1, -1, 1, 1, 1)
-        assert np.allclose(got, leaky_relu(Tensor(loops), 0.2).data, atol=1e-12)
+        assert np.allclose(got, leaky_relu(Tensor(loops), LEAKY_SLOPE).data, atol=1e-12)
 
 
 def conv3d_backward_full(x, w, gy, stride, padding):
@@ -716,7 +710,7 @@ class TestConvBackwardMemory:
         x = Tensor(rng.normal(size=(2, 288, 2, 32, 32)), requires_grad=True)
         w = Tensor(rng.normal(size=(256, 288, *kernel)) / 100.0, requires_grad=True)
         b = Tensor(np.zeros(256), requires_grad=True)
-        out = conv3d(x, w, stride, padding, b, 0.2)
+        out = conv3d(x, w, stride, padding, b, True)
         loss = (out * Tensor(rng.normal(size=out.shape))).sum()
         del out
         tracemalloc.start()

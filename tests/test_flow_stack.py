@@ -121,7 +121,7 @@ class TestComposedStack:
         x = rng.normal(size=(2, 3, 8, 8))
         result = stack.forward(Tensor(x))
         total = sum(int(np.prod(z.shape[1:])) for z in result.z_parts)
-        assert total == 3 * 8 * 8 == result.dims
+        assert total == 3 * 8 * 8
 
 
 class TestValidation:

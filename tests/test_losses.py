@@ -92,7 +92,6 @@ ORACLE_SHAPES = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore:frame .* supports only")
 class TestAgainstAutodiffOracle:
     @pytest.mark.parametrize(
         "shape", ORACLE_SHAPES, ids=["32", "64", "128", "rgb", "176-five-scales", "odd-45x38"]
@@ -111,8 +110,8 @@ class TestAgainstAutodiffOracle:
         oracle = autodiff_recon_loss(Tensor(target), oracle_out)
         oracle[3].backward()
 
-        got = (loss.l2, loss.ms_ssim, loss.gradient, loss.total.item())
-        assert got == tuple(term.item() for term in oracle)
+        got = (loss.l2, loss.ms_ssim, loss.gradient, float(loss.total.data))
+        assert got == tuple(float(term.data) for term in oracle)
         want = oracle_out.grad
         assert np.max(np.abs(output.grad - want)) / np.max(np.abs(want)) < 1e-12
 
@@ -132,7 +131,6 @@ class TestAgainstAutodiffOracle:
         assert np.max(np.abs(output.grad - want)) / np.max(np.abs(want)) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:frame .* supports only")
 class TestNode:
     def test_one_node_whose_only_parent_is_the_output(self):
         rng = np.random.default_rng(8)
@@ -154,7 +152,7 @@ class TestNode:
         plain = recon_loss(target, Tensor(output.data)).total
         assert recorded.requires_grad and recorded._parents == (output,)
         assert not plain.requires_grad and plain._parents == () and plain._backward is None
-        assert recorded.item() == plain.item()
+        assert float(recorded.data) == float(plain.data)
 
 
 # ------------------------------------------------------------ loop references
@@ -217,15 +215,13 @@ def ssim_term(x, y):
 class TestMsSsim:
     def test_identical_clips_score_one(self):
         x = np.random.default_rng(0).random((1, 1, 2, 32, 32))
-        with pytest.warns(UserWarning):
-            assert ssim_term(x, x) == pytest.approx(0.0, abs=1e-12)
+        assert ssim_term(x, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_noisy_pair_scores_below_one(self):
         rng = np.random.default_rng(1)
         x = rng.random((1, 1, 1, 32, 32))
         y = np.clip(x + rng.normal(0, 0.1, x.shape), 0, 1)
-        with pytest.warns(UserWarning):
-            assert ssim_term(x, y) > 1e-4
+        assert ssim_term(x, y) > 1e-4
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_windowed_loop_reference(self, seed):
@@ -235,18 +231,28 @@ class TestMsSsim:
         scales = usable_scales(26, 26)
         assert scales == 2
         want = np.mean([ms_ssim_loops(frames[t], noisy[t], scales) for t in range(2)])
-        with pytest.warns(UserWarning):
-            got = 1.0 - ssim_term(frames.reshape(1, 1, 2, 26, 26), noisy.reshape(1, 1, 2, 26, 26))
+        got = 1.0 - ssim_term(frames.reshape(1, 1, 2, 26, 26), noisy.reshape(1, 1, 2, 26, 26))
         assert got == pytest.approx(want, abs=1e-10)
 
-    def test_scale_count_shrinks_with_warning(self):
-        assert usable_scales(256, 256) == 5
-        assert usable_scales(64, 64) == 3
-        assert usable_scales(11, 11) == 1
-        assert usable_scales(10, 64) == 0
-        x = np.random.default_rng(2).random((1, 1, 1, 16, 16))
-        with pytest.warns(UserWarning, match="scales"):
-            ssim_term(x, x)
+    def test_scale_count_by_frame_side(self):
+        # 5 scales from 176 pixels a side, 4 from 88, 3 from 44, 2 from 22,
+        # 1 from 11; the shorter side decides
+        sides = {256: 5, 176: 5, 175: 4, 88: 4, 87: 3, 64: 3, 44: 3, 43: 2, 22: 2, 21: 1,
+                 11: 1, 10: 0}
+        assert {side: usable_scales(side, side) for side in sides} == sides
+        assert usable_scales(10, 64) == usable_scales(64, 10) == 0
+        assert usable_scales(64, 300) == 3
+
+    def test_one_scale_takes_the_whole_weight(self):
+        # a 16x16 frame takes one scale, whose renormalized weight is 1, so
+        # the term is 1 - SSIM; the unrenormalized 0.0448 would give
+        # 1 - SSIM**0.0448
+        rng = np.random.default_rng(2)
+        x = rng.random((1, 1, 1, 16, 16))
+        y = np.clip(x + rng.normal(0, 0.1, x.shape), 0, 1)
+        assert usable_scales(16, 16) == 1
+        ssim, _ = ssim_cs_loops(x[0, 0, 0], y[0, 0, 0])
+        assert ssim_term(x, y) == pytest.approx(1.0 - ssim, abs=1e-12)
 
     def test_channel_mean_luminance(self):
         # an rgb clip whose channel mean equals a gray clip scores identically
@@ -254,15 +260,13 @@ class TestMsSsim:
         rgb = rng.random((1, 3, 1, 24, 24))
         gray = rgb.mean(axis=1, keepdims=True)
         other = rng.random((1, 1, 1, 24, 24))
-        with pytest.warns(UserWarning):
-            a = ssim_term(rgb, np.repeat(other, 3, axis=1))
-            b = ssim_term(gray, other)
+        a = ssim_term(rgb, np.repeat(other, 3, axis=1))
+        b = ssim_term(gray, other)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def gradient_term(x, y):
-    with pytest.warns(UserWarning, match="scales"):
-        return recon_loss(Tensor(x), Tensor(y)).gradient
+    return recon_loss(Tensor(x), Tensor(y)).gradient
 
 
 class TestGradientTerm:
@@ -296,15 +300,13 @@ class TestGradientTerm:
 class TestReconLoss:
     def test_identical_pair_is_zero(self):
         x = Tensor(np.random.default_rng(6).random((1, 1, 2, 32, 32)))
-        with pytest.warns(UserWarning):
-            loss = recon_loss(x, x)
-        assert loss.total.item() == pytest.approx(0.0, abs=1e-12)
+        loss = recon_loss(x, x)
+        assert float(loss.total.data) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_half_vs_zero_l2(self):
         x = Tensor(np.full((1, 1, 2, 16, 16), 0.5))
         y = Tensor(np.zeros((1, 1, 2, 16, 16)))
-        with pytest.warns(UserWarning):
-            loss = recon_loss(x, y)
+        loss = recon_loss(x, y)
         assert loss.l2 == pytest.approx(0.25, abs=1e-15)
         assert loss.gradient == 0.0
         assert loss.ms_ssim > 0.0
@@ -313,9 +315,8 @@ class TestReconLoss:
         rng = np.random.default_rng(7)
         x = Tensor(rng.random((1, 1, 1, 24, 24)))
         y = Tensor(rng.random((1, 1, 1, 24, 24)))
-        with pytest.warns(UserWarning):
-            loss = recon_loss(x, y)
-        assert loss.total.item() == loss.l2 + loss.ms_ssim + loss.gradient
+        loss = recon_loss(x, y)
+        assert float(loss.total.data) == loss.l2 + loss.ms_ssim + loss.gradient
 
     def test_frame_below_the_window_raises(self):
         x = Tensor(np.zeros((1, 1, 1, SSIM_WINDOW - 1, 16)))
@@ -329,12 +330,10 @@ class TestReconLoss:
         y0 = np.clip(target + rng.normal(0, 0.1, target.shape), 0.05, 0.95)
 
         out = Tensor(y0, requires_grad=True)
-        with pytest.warns(UserWarning):
-            recon_loss(Tensor(target), out).total.backward()
+        recon_loss(Tensor(target), out).total.backward()
 
         def f(arr):
-            with pytest.warns(UserWarning):
-                return recon_loss(Tensor(target), Tensor(arr)).total.item()
+            return float(recon_loss(Tensor(target), Tensor(arr)).total.data)
 
         numeric = numerical_gradient(f, y0.copy())
         assert max_relative_error(out.grad, numeric) < 1e-4

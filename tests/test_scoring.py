@@ -132,7 +132,8 @@ class TestNllSeries:
         assert np.allclose(got, [0, 1 / 3, 2 / 3, 1])
 
     def test_nll_score_static_only(self):
-        got = nll_score([2.0, 4.0, 6.0])
+        # a stream without a flow scores all zeros
+        got = nll_score([2.0, 4.0, 6.0], np.zeros(3))
         assert np.allclose(got, [0, 0.5, 1])
 
     def test_nll_length_mismatch(self):

@@ -122,6 +122,10 @@ class TestTensorFiles:
             save_tensor(tmp_path / "x.t5", np.zeros((1,) * 6))
 
 
+# the configuration of the checkpoints that hold hand-made parameters
+CFG = AutoencoderConfig()
+
+
 def small_model(kind):
     if kind == "autoencoder":
         return TwoPathAutoencoder(AutoencoderConfig(in_channels=1, tau=2), np.random.default_rng(0))
@@ -178,8 +182,8 @@ class TestCheckpoints:
 
     def test_true_shapes_restored(self, rng, tmp_path):
         params = {"w.bias": rng.normal(size=(7,)), "w.kernel": rng.normal(size=(2, 3, 4))}
-        save_checkpoint(tmp_path / "c", params, {"k": 1})
-        back = load_checkpoint(tmp_path / "c")
+        save_checkpoint(tmp_path / "c", params, CFG)
+        back = load_checkpoint(tmp_path / "c", CFG)
         assert back["w.bias"].shape == (7,)
         assert back["w.kernel"].shape == (2, 3, 4)
 
@@ -201,27 +205,27 @@ class TestCheckpoints:
 
     def test_hash_changes_with_content(self, rng, tmp_path):
         params = {"w": rng.normal(size=(3, 3))}
-        save_checkpoint(tmp_path / "c", params, {"k": 1})
+        save_checkpoint(tmp_path / "c", params, CFG)
         h1 = checkpoint_hash(tmp_path / "c")
         assert h1 == checkpoint_hash(tmp_path / "c")
         params["w"][0, 0] += 1.0
-        save_checkpoint(tmp_path / "c2", params, {"k": 1})
+        save_checkpoint(tmp_path / "c2", params, CFG)
         assert h1 != checkpoint_hash(tmp_path / "c2")
 
     def test_missing_manifest(self, tmp_path):
         os.makedirs(tmp_path / "empty")
         with pytest.raises(ConfigError, match="no checkpoint manifest"):
-            load_checkpoint(tmp_path / "empty")
+            load_checkpoint(tmp_path / "empty", CFG)
 
     def test_manifest_is_sorted_json(self, rng, tmp_path):
-        save_checkpoint(tmp_path / "c", {"b": rng.normal(size=2), "a": rng.normal(size=2)}, {})
+        save_checkpoint(tmp_path / "c", {"b": rng.normal(size=2), "a": rng.normal(size=2)}, CFG)
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert list(manifest["parameters"]) == ["a", "b"]
 
     def test_one_payload_in_sorted_name_order(self, rng, tmp_path):
         params = {"b.w": rng.normal(size=(2, 3)), "a.bias": rng.normal(size=4),
                   "a.w": rng.normal(size=(1, 2, 1))}
-        save_checkpoint(tmp_path / "c", params, {"k": 1})
+        save_checkpoint(tmp_path / "c", params, CFG)
         assert sorted(os.listdir(tmp_path / "c")) == ["manifest.json", "params.t5"]
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert manifest["format"] == "flowvad-checkpoint-v2"
@@ -237,7 +241,7 @@ class TestCheckpoints:
         previous checkpoint bit for bit and no temporary file."""
         ckpt = tmp_path / "c"
         old = {"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3)}
-        save_checkpoint(ckpt, old, {"k": 1})
+        save_checkpoint(ckpt, old, CFG)
         before = {name: (ckpt / name).read_bytes() for name in os.listdir(ckpt)}
         opened = []
 
@@ -252,10 +256,10 @@ class TestCheckpoints:
 
         monkeypatch.setattr(checkpoint, "open", open_then_fail, raising=False)
         with pytest.raises(OSError, match="No space"):
-            save_checkpoint(ckpt, {name: v + 1.0 for name, v in old.items()}, {"k": 1})
+            save_checkpoint(ckpt, {name: v + 1.0 for name, v in old.items()}, CFG)
         assert opened == ["params.t5.tmp", "manifest.json.tmp"][:failing]
         assert {name: (ckpt / name).read_bytes() for name in os.listdir(ckpt)} == before
-        back = load_checkpoint(ckpt, {"k": 1})
+        back = load_checkpoint(ckpt, CFG)
         assert all(np.array_equal(back[name], v) for name, v in old.items())
 
 

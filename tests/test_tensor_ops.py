@@ -39,7 +39,7 @@ def check_grad(build, x0, seeds=(0, 1, 2, 3, 4), eps=1e-4, tol=1e-4):
         loss = build(t)
         loss.backward()
         analytic = t.grad
-        numeric = numerical_gradient(lambda a: build(Tensor(a)).item(), x, eps=eps)
+        numeric = numerical_gradient(lambda a: float(build(Tensor(a)).data), x, eps=eps)
         assert max_relative_error(analytic, numeric) < tol
 
 
