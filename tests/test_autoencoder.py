@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowvad.autoencoder import AutoencoderConfig, TwoPathAutoencoder
+from flowvad.autoencoder import AutoencoderConfig, Conv3dLayer, TwoPathAutoencoder
 from flowvad.config import RunConfig
 from flowvad.errors import ShapeError
 from flowvad.losses import recon_loss
 from flowvad.pipeline import score_video
-from flowvad.tensor import Tensor
+from flowvad.tensor import LEAKY_SLOPE, Tensor
 from flowvad.train import TrainConfig, train_autoencoder
 
 from model_oracles import graph_reconstruct, layer_shapes
@@ -142,6 +142,19 @@ class TestParameters:
         ((model.reconstruct(x) - x) ** 2).mean().backward()
         for name, p in model.named_parameters().items():
             assert p.grad is not None, name
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["conv", "transpose"])
+    def test_initial_weight_scale_follows_the_slope(self, transpose):
+        # He-style: std sqrt(2 / ((1 + slope^2) fan_in)), fan_in over the
+        # input channels for both kinds of layer; the bias starts at zero
+        cin, cout, kernel = 3, 5, (3, 3, 3)
+        rng = np.random.default_rng(13)
+        layer = Conv3dLayer(rng, cin, cout, kernel, (1, 1, 1), (1, 1, 1), transpose=transpose)
+        std = np.sqrt(2.0 / ((1.0 + LEAKY_SLOPE**2) * cin * 27))
+        shape = (cin, cout, *kernel) if transpose else (cout, cin, *kernel)
+        want = np.random.default_rng(13).normal(0.0, std, size=shape)
+        assert np.array_equal(layer.weight.data, want)
+        assert np.array_equal(layer.bias.data, np.zeros(cout))
 
 
 def graph_nodes(t):

@@ -460,6 +460,17 @@ class TestFusedActivation:
         assert np.array_equal(bits(y), bits(want.data))
         assert np.array_equal(bits(grad), bits(t.grad))
 
+    def test_slope_keeps_the_sign_of_the_input(self):
+        # the paper's slope lies in [0, 1]: max(x, slope * x) is then the
+        # leaky ReLU, and _leaky_grad and the transposed backward may read
+        # the input's sign off the activated output
+        assert LEAKY_SLOPE == 0.2 and 0.0 <= LEAKY_SLOPE <= 1.0
+        pre = np.array([-3.0, -1e-300, -0.0, 0.0, 1e-300, 3.0])
+        y = pre.copy()
+        tensor._finish_block(y, None, True)
+        assert np.array_equal(y, np.where(pre > 0.0, pre, LEAKY_SLOPE * pre))
+        assert np.array_equal(y > 0.0, pre > 0.0)
+
     @pytest.mark.parametrize("channels", [1, 2])
     def test_channel_blocks_are_bitwise_one_block(self, monkeypatch, channels):
         # the default budget forms all three channels' taps in one block;
