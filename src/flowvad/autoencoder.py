@@ -8,13 +8,15 @@ A single decoder reconstructs the full clip from the fused latents; there
 are no encoder-to-decoder skip connections, so everything the decoder uses
 must pass through the bottleneck.
 
-All tensors are (batch, channel, time, height, width). Spatial dims shrink
-by 4x in the encoder; the static temporal length is T / tau throughout.
+All activations are float64 arrays (batch, channel, time, height, width).
+Spatial dims shrink by 4x in the encoder; the static temporal length is
+T / tau throughout.
 
-Layer calls, :meth:`~TwoPathAutoencoder.encode` and
-:meth:`~TwoPathAutoencoder.decode` never record an autodiff node. The
-model trains whole or is frozen whole, and that alone decides what
-records: unless the model is frozen,
+The forward runs on plain arrays: :meth:`~TwoPathAutoencoder.encode` and
+:meth:`~TwoPathAutoencoder.decode` take and return them, and a layer call
+records no autodiff node. A ``Tensor`` here is a parameter or the
+reconstruction. The model trains whole or is frozen whole, and that alone
+decides what records: unless the model is frozen,
 :meth:`~TwoPathAutoencoder.reconstruct` records one node, the
 reconstruction, whose parents are all the parameters. Its hand-written
 NumPy backward walks the fixed chain in reverse, asks no parameter whether
@@ -99,12 +101,13 @@ class Conv3dLayer:
     """One convolution (optionally transposed) with bias and, when built with
     ``leaky=True``, a leaky ReLU of the fixed slope ``tensor.LEAKY_SLOPE``.
 
-    A call runs the layer's forward: the conv kernel adds the bias and
-    applies the activation to each block of its output in place (see
-    :func:`flowvad.tensor.conv3d`), so it allocates one output array, and it
-    records no autodiff node. :meth:`backward` is the layer's part of the
-    model's hand-written backward pass. ``LEAKY_SLOPE`` also sets the
-    He-style initial weight scale, with or without the activation.
+    A call runs the layer's forward on an array: the conv kernel adds the
+    bias and applies the activation to each block of its output in place
+    (see :func:`flowvad.tensor.conv3d`), so it allocates one output array,
+    which it returns as an unrecorded ``Tensor``. :meth:`backward` is the
+    layer's part of the model's hand-written backward pass. ``LEAKY_SLOPE``
+    also sets the He-style initial weight scale, with or without the
+    activation.
     """
 
     def __init__(
@@ -130,14 +133,12 @@ class Conv3dLayer:
         self.weight = Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
         self.bias = Tensor(np.zeros(cout), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: np.ndarray) -> Tensor:
         w, b = self.weight.data, self.bias.data
         if self.transpose:
-            y = conv_transpose3d(
-                x.data, w, self.stride, self.padding, self.output_padding, b, self.leaky
-            )
+            y = conv_transpose3d(x, w, self.stride, self.padding, self.output_padding, b, self.leaky)
         else:
-            y = conv3d(x.data, w, self.stride, self.padding, b, self.leaky)
+            y = conv3d(x, w, self.stride, self.padding, b, self.leaky)
         return Tensor(y)
 
     def backward(self, x: np.ndarray, gy: np.ndarray, grad_input: bool = True):
@@ -254,7 +255,7 @@ class TwoPathAutoencoder:
 
     # -------------------------------------------------------------- forward
 
-    def _check_input(self, x: Tensor) -> None:
+    def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 5:
             raise ShapeError(f"expected (batch, channel, time, h, w), got {x.shape}")
         _, c, t, h, w = x.shape
@@ -266,33 +267,31 @@ class TwoPathAutoencoder:
         if h % 4 != 0 or w % 4 != 0:
             raise ShapeError(f"frame dims ({h}, {w}) must be divisible by 4")
 
-    def encode(self, x: Tensor, tape: dict | None = None) -> tuple[Tensor, Tensor | None]:
+    def encode(
+        self, x: np.ndarray, tape: dict | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Return (static latent, dynamic latent); dynamic is None for one-path.
 
-        Records no autodiff node. With a ``tape`` (from :meth:`reconstruct`)
-        it saves the arrays the backward pass reads: each static conv's
-        input, and the input of each dynamic conv plus the last one's output.
+        With a ``tape`` (from :meth:`reconstruct`) it saves the arrays the
+        backward pass reads: each static conv's input, and the input of each
+        dynamic conv plus the last one's output.
         """
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
         self._check_input(x)
-        s = Tensor(x.data[:, :, :: self.config.tau])
+        s = x[:, :, :: self.config.tau]
         static_in = []
         d, dyn = x, []
         if self.config.dynamic_path:
-            dyn.append(x.data)
+            dyn.append(x)
             for layer in self.dynamic_convs:
-                d = layer(d)
-                dyn.append(d.data)
+                d = layer(d).data
+                dyn.append(d)
         for i, layer in enumerate(self.static_convs):
             if tape is not None:
-                static_in.append(s.data)
-            s = layer(s)
+                static_in.append(s)
+            s = layer(s).data
             if self.config.dynamic_path and i < 3:
                 # one array; the backward reads the conv's output as its channel slice
-                lat = self.laterals[i](Tensor(dyn[i + 1]))
-                s = Tensor(np.concatenate([s.data, lat.data], axis=1))
-                del lat
+                s = np.concatenate([s, self.laterals[i](dyn[i + 1]).data], axis=1)
         if tape is not None:
             tape.update(static_in=static_in, dyn=dyn)
         if not self.config.dynamic_path:
@@ -300,46 +299,42 @@ class TwoPathAutoencoder:
         return s, d
 
     def decode(
-        self, static_latent: Tensor, dynamic_latent: Tensor | None, tape: dict | None = None
-    ) -> Tensor:
-        """Reconstruct the clip from the latents. Records no autodiff node;
-        with a ``tape`` it saves ``fuse``'s input and each decoder layer's."""
+        self,
+        static_latent: np.ndarray,
+        dynamic_latent: np.ndarray | None,
+        tape: dict | None = None,
+    ) -> np.ndarray:
+        """Reconstruct the clip from the latents; with a ``tape`` it saves
+        ``fuse``'s input and each decoder layer's."""
         h = static_latent
         if self.config.dynamic_path:
             if dynamic_latent is None:
                 raise ShapeError("two-path decode requires the dynamic latent")
-            lat = self.laterals[3](dynamic_latent)
-            h = Tensor(np.concatenate([h.data, lat.data], axis=1))
-            del lat
+            h = np.concatenate([h, self.laterals[3](dynamic_latent).data], axis=1)
             if tape is not None:
-                tape["fuse_in"] = h.data
-            h = self.fuse_proj(h)
+                tape["fuse_in"] = h
+            h = self.fuse_proj(h).data
         dec_in = []
         for layer in self.decoder:
             if tape is not None:
-                dec_in.append(h.data)
-            h = layer(h)
+                dec_in.append(h)
+            h = layer(h).data
         if tape is not None:
             tape["dec_in"] = dec_in
         # 1 / (1 + exp(-x)): exp overflows to inf only where the result is
         # below the smallest normal float, and underflows where it rounds to 1
         with np.errstate(over="ignore", under="ignore"):
-            return Tensor(1.0 / (1.0 + np.exp(-h.data)))
+            return 1.0 / (1.0 + np.exp(-h))
 
-    def reconstruct(self, x: Tensor) -> Tensor:
-        """``decode(*encode(x))``. Unless the model is frozen, the
-        reconstruction records one autodiff node whose parents are all the
+    def reconstruct(self, x: np.ndarray) -> Tensor:
+        """``decode(*encode(x))`` as a ``Tensor``. Unless the model is frozen,
+        it is the one recorded autodiff node, whose parents are all the
         parameters and whose backward is :meth:`_backward`; a frozen model
         records nothing and keeps nothing for a backward."""
         tape = None if self._frozen else {}
-        if tape is not None and isinstance(x, Tensor) and x.requires_grad:
-            raise ValueError("reconstruct differentiates the parameters only; "
-                             "the input must not require gradients")
-        xs, xd = self.encode(x, tape=tape)
-        out = self.decode(xs, xd, tape=tape)
+        out = Tensor(self.decode(*self.encode(x, tape=tape), tape=tape))
         if tape is None:
             return out
-        del xs, xd
 
         def backward():
             self._backward(tape, out.data, out.grad)

@@ -49,12 +49,11 @@ def save_checkpoint(directory, params, config, extra=None):
     """Write ``params.t5`` and a manifest under temporary names, then move
     each over its old file, the manifest last.
 
-    params: mapping name -> Tensor (or array). config: the model's dataclass
-    config, whose fingerprint guards later loads. extra: optional
-    JSON-serializable metadata stored verbatim in the manifest.
+    params: a model's ``named_parameters()``, name -> Tensor. config: the
+    model's dataclass config, whose fingerprint guards later loads. extra:
+    optional JSON-serializable metadata stored verbatim in the manifest.
     """
-    arrays = {name: np.asarray(getattr(p, "data", p), dtype=np.float64)
-              for name, p in sorted(params.items())}
+    arrays = {name: p.data for name, p in sorted(params.items())}
     manifest = {
         "format": _FORMAT,
         "fingerprint": config_fingerprint(config),

@@ -235,6 +235,8 @@ def cmd_gen_synth(args):
         raise ConfigError(problems)
     _check_out(args.out_dir, "--out-dir", directory=True)
     frame_dir = os.path.join(args.out_dir, "frames")
+    _check_out(frame_dir, "frame directory", directory=True)
+    _refuse_directories(os.path.join(args.out_dir, name) for name in ("labels.txt", "gen.json"))
     if os.path.isdir(frame_dir) and any(
         name.lower().endswith((".pgm", ".ppm")) for name in os.listdir(frame_dir)
     ):

@@ -142,7 +142,7 @@ class ReconLoss:
     total: Tensor
 
 
-def recon_loss(target: Tensor, output: Tensor) -> ReconLoss:
+def recon_loss(target: np.ndarray, output: Tensor) -> ReconLoss:
     """Reconstruction loss between a clip and its reconstruction, both
     (batch, channel, time, h, w); differentiable with respect to ``output``
     only. ``ms_ssim`` is the term 1 - MS-SSIM, and ``gradient`` the mean
@@ -151,10 +151,6 @@ def recon_loss(target: Tensor, output: Tensor) -> ReconLoss:
         raise ShapeError(f"loss shape mismatch: {target.shape} vs {output.shape}")
     if output.ndim != 5:
         raise ShapeError(f"recon_loss expects (batch, channel, time, h, w), got {output.shape}")
-    if target.requires_grad:
-        raise ValueError(
-            "recon_loss differentiates the output only; the target must not require gradients"
-        )
     b, c, t, h, w = output.shape
     scales = usable_scales(h, w)
     if scales == 0:
@@ -162,7 +158,7 @@ def recon_loss(target: Tensor, output: Tensor) -> ReconLoss:
     weights = np.array(MS_SSIM_WEIGHTS[:scales])
     weights = weights / weights.sum()
     record = output.requires_grad
-    x, y = target.data, output.data
+    x, y = target, output.data
 
     diff = x - y
     l2 = (diff**2.0).mean()

@@ -29,7 +29,6 @@ from .scoring import (
     nll_score,
     patch_max_error,
 )
-from .tensor import Tensor
 
 __all__ = [
     "STREAMS",
@@ -80,9 +79,9 @@ def encode_windows(model, video, starts, clip_len):
     tau = model.config.tau
     for start in starts:
         window = video[:, :, start : start + clip_len]
-        xs, xd = model.encode(Tensor(window))
-        static = append_intensity(pool_features(xs.data), window, tau)
-        dynamic = None if xd is None else pool_features(xd.data)
+        xs, xd = model.encode(window)
+        static = append_intensity(pool_features(xs), window, tau)
+        dynamic = None if xd is None else pool_features(xd)
         yield window, (xs, xd), static, dynamic
 
 
@@ -132,7 +131,7 @@ def score_video(model, video, config, static_flow=None, dynamic_flow=None):
     for window, (xs, xd), static, dynamic in encode_windows(
         model, video, starts, config.clip_len
     ):
-        out = model.decode(xs, xd).data
+        out = model.decode(xs, xd)
         recon_rows.append(
             patch_max_error(window, out, patch=config.patch_size, stride=config.patch_stride)
         )
@@ -154,9 +153,6 @@ def score_video(model, video, config, static_flow=None, dynamic_flow=None):
         ]
         series[f"nll_{name}"] = aggregate_windows(rows, starts, total)
 
-    if static_flow is None and dynamic_flow is None:
-        series["nll_norm"] = np.zeros(total)
-    else:
-        series["nll_norm"] = nll_score(series["nll_static"], series["nll_dynamic"])
+    series["nll_norm"] = nll_score(series["nll_static"], series["nll_dynamic"])
     series["fused"] = fuse(series["recon"], series["nll_norm"], config.lambda_l)
     return series

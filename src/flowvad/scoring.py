@@ -9,8 +9,6 @@ distinct thresholds to build a ROC curve, integrates it for AUC, and finds the
 equal-error point by linear interpolation.
 """
 
-import warnings
-
 import numpy as np
 
 from .errors import ShapeError
@@ -86,9 +84,6 @@ def expand_static(values, num_frames, tau):
 def minmax_normalize(series):
     """Affine map of a series onto [0, 1]; a constant series maps to zeros."""
     vals = np.asarray(series, dtype=np.float64)
-    if vals.size == 1:
-        warnings.warn("single-frame series: normalization degenerates to 0")
-        return np.zeros(1)
     lo, hi = vals.min(), vals.max()
     if hi == lo:
         return np.zeros(vals.shape)

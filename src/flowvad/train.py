@@ -30,7 +30,6 @@ import numpy as np
 from .errors import NumericError, TrainingAborted
 from .losses import recon_loss
 from .optim import Adam, cosine_schedule
-from .tensor import Tensor
 
 __all__ = ["TrainConfig", "train_autoencoder", "train_flow"]
 
@@ -118,7 +117,7 @@ def train_autoencoder(model, clips, config):
 
     def loss_at(step):
         idx = rng.integers(0, len(arrays), size=config.batch_size)
-        batch = Tensor(np.concatenate([arrays[i] for i in idx], axis=0))
+        batch = np.concatenate([arrays[i] for i in idx], axis=0)
         loss = recon_loss(batch, model.reconstruct(batch))
         total = float(loss.total.data)
         if not np.isfinite(total):

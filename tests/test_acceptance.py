@@ -262,7 +262,7 @@ class TestGradientIntegrity:
                 for name, arrays, build in _op_registry(rng):
                     self._check(name, seed, arrays, build)
 
-                target = Tensor(rng.random((1, 1, 2, 16, 16)))
+                target = rng.random((1, 1, 2, 16, 16))
                 out0 = rng.random((1, 1, 2, 16, 16)) * 0.8 + 0.1
                 self._check(
                     "recon_loss", seed, [out0],
@@ -346,23 +346,23 @@ class TestArchitectureGeometry:
 
             rng = np.random.default_rng(3)
             model = TwoPathAutoencoder(desk, rng)
-            x = Tensor(rng.random((1, 1, 8, 64, 64)))
+            x = rng.random((1, 1, 8, 64, 64))
             seen = {}
             d = x
             dyn = []
             for i, layer in enumerate(model.dynamic_convs):
-                d = layer(d)  # each layer applies its own leaky ReLU
+                d = layer(d).data  # each layer applies its own leaky ReLU
                 seen[f"dynamic{i + 1}"] = d.shape[1:]
                 dyn.append(d)
             s = x[:, :, :: desk.tau]
             for i, layer in enumerate(model.static_convs):
-                s = layer(s)
+                s = layer(s).data
                 seen[f"static{i + 1}"] = s.shape[1:]
                 if i < 3:
-                    s = concat([s, model.laterals[i](dyn[i])], axis=1)
-            h = model.fuse_proj(concat([s, model.laterals[3](dyn[3])], axis=1))
+                    s = np.concatenate([s, model.laterals[i](dyn[i]).data], axis=1)
+            h = model.fuse_proj(np.concatenate([s, model.laterals[3](dyn[3]).data], axis=1)).data
             for i, layer in enumerate(model.decoder):
-                h = layer(h)
+                h = layer(h).data
                 seen[f"decode{i + 1}"] = h.shape[1:]
             assert seen == DESK_ROWS
             assert model.reconstruct(x).shape == x.shape

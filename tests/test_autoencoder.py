@@ -50,7 +50,7 @@ class TestShapeArithmetic:
 
     def test_arithmetic_matches_real_forward(self, small_model):
         cfg, model = small_model
-        x = Tensor(np.random.default_rng(1).random((1, 1, 4, 16, 16)))
+        x = np.random.default_rng(1).random((1, 1, 4, 16, 16))
         xs, xd = model.encode(x)
         shapes = layer_shapes(cfg, 4, 16, 16)
         assert xs.shape[1:] == shapes["static4"]
@@ -62,13 +62,13 @@ class TestShapeArithmetic:
 class TestForward:
     def test_roundtrip_preserves_clip_shape(self, small_model):
         _, model = small_model
-        x = Tensor(np.random.default_rng(2).random((2, 1, 4, 16, 16)))
+        x = np.random.default_rng(2).random((2, 1, 4, 16, 16))
         out = model.reconstruct(x)
         assert out.shape == x.shape
 
     def test_output_in_unit_interval(self, small_model):
         _, model = small_model
-        x = Tensor(np.random.default_rng(3).random((1, 1, 4, 16, 16)))
+        x = np.random.default_rng(3).random((1, 1, 4, 16, 16))
         out = model.reconstruct(x)
         assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
@@ -83,9 +83,9 @@ class TestForward:
         y = x.copy()
         y[:, :, 1] = rng.random((1, 1, 16, 16))  # only a frame the static path skips
         y[:, :, 3] = rng.random((1, 1, 16, 16))
-        xs_a, _ = model.encode(Tensor(x))
-        xs_b, _ = model.encode(Tensor(y))
-        assert np.array_equal(xs_a.data, xs_b.data)
+        xs_a, _ = model.encode(x)
+        xs_b, _ = model.encode(y)
+        assert np.array_equal(xs_a, xs_b)
 
     def test_dynamic_latent_sees_every_frame(self, small_model):
         _, model = small_model
@@ -93,19 +93,19 @@ class TestForward:
         x = rng.random((1, 1, 4, 16, 16))
         y = x.copy()
         y[:, :, 1] += 0.1
-        _, xd_a = model.encode(Tensor(x))
-        _, xd_b = model.encode(Tensor(y))
-        assert not np.allclose(xd_a.data, xd_b.data)
+        _, xd_a = model.encode(x)
+        _, xd_b = model.encode(y)
+        assert not np.allclose(xd_a, xd_b)
 
     def test_indivisible_clip_length_rejected(self, small_model):
         _, model = small_model
         with pytest.raises(ShapeError):
-            model.encode(Tensor(np.zeros((1, 1, 5, 16, 16))))
+            model.encode(np.zeros((1, 1, 5, 16, 16)))
 
     def test_frame_dims_must_divide_by_four(self, small_model):
         _, model = small_model
         with pytest.raises(ShapeError):
-            model.encode(Tensor(np.zeros((1, 1, 4, 18, 18))))
+            model.encode(np.zeros((1, 1, 4, 18, 18)))
 
 
 class TestOnePathMode:
@@ -114,17 +114,40 @@ class TestOnePathMode:
         model = TwoPathAutoencoder(cfg, np.random.default_rng(7))
         names = set(model.named_parameters())
         assert not any(n.startswith(("dynamic", "lateral", "fuse")) for n in names)
-        x = Tensor(np.random.default_rng(8).random((1, 1, 4, 16, 16)))
+        x = np.random.default_rng(8).random((1, 1, 4, 16, 16))
         xs, xd = model.encode(x)
         assert xd is None
         assert model.decode(xs, None).shape == x.shape
 
     def test_two_path_decode_requires_dynamic_latent(self, small_model):
         _, model = small_model
-        x = Tensor(np.random.default_rng(9).random((1, 1, 4, 16, 16)))
+        x = np.random.default_rng(9).random((1, 1, 4, 16, 16))
         xs, _ = model.encode(x)
         with pytest.raises(ShapeError):
             model.decode(xs, None)
+
+
+class TestArrayForward:
+    """The forward runs on plain arrays; the one ``Tensor`` it makes is the
+    reconstruction that a trainable model records."""
+
+    @pytest.mark.parametrize("two_path", [True, False], ids=["two-path", "one-path"])
+    def test_encode_and_decode_return_arrays(self, two_path):
+        rng = np.random.default_rng(14)
+        model = TwoPathAutoencoder(AutoencoderConfig(tau=2, dynamic_path=two_path), rng)
+        x = rng.random((2, 1, 4, 16, 16))
+        xs, xd = model.encode(x)
+        assert type(xs) is np.ndarray
+        if two_path:
+            assert type(xd) is np.ndarray
+        else:
+            assert xd is None
+        recon = model.decode(xs, xd)
+        assert type(recon) is np.ndarray and recon.shape == x.shape
+        out = model.reconstruct(x)
+        assert type(out) is Tensor and out.requires_grad
+        assert [id(p) for p in out._parents] == [id(p) for p in model.parameters()]
+        assert np.array_equal(out.data, recon)
 
 
 class TestParameters:
@@ -138,7 +161,7 @@ class TestParameters:
     def test_gradients_reach_every_parameter(self):
         cfg = AutoencoderConfig(in_channels=1, tau=2)
         model = TwoPathAutoencoder(cfg, np.random.default_rng(11))
-        x = Tensor(np.random.default_rng(12).random((1, 1, 4, 16, 16)))
+        x = np.random.default_rng(12).random((1, 1, 4, 16, 16))
         ((model.reconstruct(x) - x) ** 2).mean().backward()
         for name, p in model.named_parameters().items():
             assert p.grad is not None, name
@@ -174,7 +197,7 @@ def test_step_graph_is_the_autoencoder_plus_one_loss_node():
     parameters, where the per-layer graph had 56 plus the loss's one."""
     rng = np.random.default_rng(4)
     model = TwoPathAutoencoder(AutoencoderConfig(tau=4), rng)
-    x = Tensor(rng.uniform(size=(2, 1, 8, 32, 32)))
+    x = rng.uniform(size=(2, 1, 8, 32, 32))
     recon = model.reconstruct(x)
     params = model.parameters()
     assert [id(p) for p in recon._parents] == [id(p) for p in params]
@@ -211,8 +234,8 @@ class TestHandWrittenBackward:
         # the two gradients reaching a dynamic feature add commutatively
         rng = np.random.default_rng(5)
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4, dynamic_path=two_path), rng)
-        x = Tensor(rng.uniform(size=(batch, 1, 8, 64, 64)))
-        want_out, want = step_grads(model, x, lambda t: graph_reconstruct(model, t))
+        x = rng.uniform(size=(batch, 1, 8, 64, 64))
+        want_out, want = step_grads(model, x, lambda t: graph_reconstruct(model, Tensor(t)))
         out, got = step_grads(model, x, model.reconstruct)
         assert np.array_equal(bits(out), bits(want_out))
         assert set(got) == set(want)
@@ -223,8 +246,8 @@ class TestHandWrittenBackward:
         # trainable: every parameter gets its gradient; frozen: no node at all
         rng = np.random.default_rng(6)
         model = TwoPathAutoencoder(AutoencoderConfig(tau=2), rng)
-        x = Tensor(rng.uniform(size=(2, 1, 4, 16, 16)))
-        _, want = step_grads(model, x, lambda t: graph_reconstruct(model, t))
+        x = rng.uniform(size=(2, 1, 4, 16, 16))
+        _, want = step_grads(model, x, lambda t: graph_reconstruct(model, Tensor(t)))
         _, got = step_grads(model, x, model.reconstruct)
         assert set(got) == set(want) == set(model.named_parameters())
         for name, g in got.items():
@@ -246,19 +269,13 @@ class TestHandWrittenBackward:
             layers.append(model.fuse_proj)
         assert [layer for layer in layers if layer.transpose] == model.decoder
         tape = {}
-        model.decode(*model.encode(Tensor(rng.uniform(size=(1, 1, 8, 16, 16))), tape), tape)
+        model.decode(*model.encode(rng.uniform(size=(1, 1, 8, 16, 16)), tape), tape)
         first = model.fuse_proj if two_path else model.static_convs[3]
         first_in = tape["fuse_in"] if two_path else tape["static_in"][3]
         producers = [(first, first_in), *zip(model.decoder[:3], tape["dec_in"][:3])]
         for (layer, x), fed in zip(producers, tape["dec_in"]):
             assert layer.leaky
-            assert np.array_equal(layer(Tensor(x)).data, fed)
-
-    def test_input_requiring_gradients_rejected(self, small_model):
-        _, model = small_model
-        x = Tensor(np.zeros((1, 1, 4, 16, 16)), requires_grad=True)
-        with pytest.raises(ValueError, match="parameters only"):
-            model.reconstruct(x)
+            assert np.array_equal(layer(x).data, fed)
 
 
 class TestNoGraph:
@@ -278,7 +295,7 @@ class TestNoGraph:
 
             monkeypatch.setattr(TwoPathAutoencoder, name, spy)
         rng = np.random.default_rng(7)
-        x = Tensor(rng.uniform(size=(1, 1, 8, 32, 32)))
+        x = rng.uniform(size=(1, 1, 8, 32, 32))
         tracemalloc.start()
         try:
             xs, xd = model.encode(x)
@@ -292,19 +309,17 @@ class TestNoGraph:
     def test_inference_records_nothing_and_keeps_nothing(self, monkeypatch):
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4), np.random.default_rng(8))
         model.freeze()
-        outs, tapes, held = self.held_after(model, monkeypatch)
-        for t in outs:
-            assert t._parents == () and t._backward is None and not t.requires_grad
+        (xs, xd, recon, out), tapes, held = self.held_after(model, monkeypatch)
+        assert out._parents == () and out._backward is None and not out.requires_grad
         assert tapes == [None] * 4  # nothing is saved for a backward, even briefly
         # the four outputs (about 0.6 MB); decode3's output alone is 6.3 MB
-        assert held < sum(t.data.nbytes for t in outs) + 2**18
+        assert held < sum(a.nbytes for a in (xs, xd, recon, out.data)) + 2**18
 
     def test_training_reconstruct_keeps_its_layers_for_backward(self, monkeypatch):
-        # the contrast: encode and decode alone record nothing, but a
+        # the contrast: encode and decode alone keep nothing, but a
         # recording reconstruct holds the arrays its backward reads
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4), np.random.default_rng(8))
         (xs, xd, recon, out), tapes, held = self.held_after(model, monkeypatch)
-        assert all(t._parents == () for t in (xs, xd, recon))
         assert len(out._parents) == len(model.parameters())
         assert tapes[:2] == [None, None] and tapes[2] is tapes[3] is not None
         assert held > 96 * 8 * 32 * 32 * 8  # decode3's output at least
@@ -320,7 +335,7 @@ class TestTrainingMemory:
         and the batch exist."""
         rng = np.random.default_rng(3)
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4), rng)
-        x = Tensor(rng.uniform(size=(2, 1, 8, side, side)))
+        x = rng.uniform(size=(2, 1, 8, side, side))
         tracemalloc.start()
         try:
             recon_loss(x, model.reconstruct(x)).total.backward()
@@ -401,7 +416,7 @@ class TestEncodeMemory:
         rng = np.random.default_rng(3)
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4), rng)
         model.freeze()
-        window = Tensor(rng.uniform(size=(1, 1, 8, side, side)))
+        window = rng.uniform(size=(1, 1, 8, side, side))
         tracemalloc.start()
         try:
             static, dynamic = model.encode(window)

@@ -456,6 +456,19 @@ class TestScoreEval:
             "auc_nll_static": 0.75, "auc_nll_dynamic": 0.375,
         }
 
+    def test_eval_of_one_frame_videos_writes_nothing_to_stderr(self, tmp_path):
+        # each video's one-frame NLL sum normalizes to zero; in a fresh
+        # interpreter, where any Python or NumPy warning would reach stderr
+        paths = [tmp_path / "normal.csv", tmp_path / "abnormal.csv"]
+        for path, label in zip(paths, [0, 1]):
+            write_score_csv(path, [label])
+        argv = ["eval", *map(str, paths)]
+        code = f"import sys; from flowvad.cli import main; sys.exit(main({argv!r}))"
+        proc = _run_in_subprocess(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["auc_nll"] == 0.5
+
 
 def write_score_csv(path, labels):
     rows = ["frame_index,recon,nll_static,nll_dynamic,fused,label"]
@@ -729,6 +742,7 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "command, blocked, what",
         [
+            ("gen-synth", "frames", "frame directory"),
             ("train-itae", "itae", "checkpoint directory"),
             ("train-nf", "nf_dynamic", "checkpoint directory"),
             ("score", "scores", "score directory"),
@@ -738,11 +752,13 @@ class TestInputErrors:
         self, scene, tmp_path, capsys, command, blocked, what
     ):
         # refused before any video or checkpoint is read: out_dir holds no
-        # checkpoint, which would otherwise be the first error
+        # checkpoint, which would otherwise be the first error; gen-synth
+        # writes no frame
         out = tmp_path / "out"
         out.mkdir()
         (out / blocked).write_text("keep\n")
-        err = refuse(capsys, out, command, "--data-path", str(scene / "train"))
+        data = [] if command == "gen-synth" else ["--data-path", str(scene / "train")]
+        err = refuse(capsys, out, command, *data)
         assert err == f"config error: {what} {out / blocked} is not a directory\n"
         assert [p.name for p in out.iterdir()] == [blocked]
         assert (out / blocked).read_text() == "keep\n"
@@ -750,6 +766,8 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "command, blocked",
         [
+            ("gen-synth", "labels.txt"),
+            ("gen-synth", "gen.json"),
             ("train-itae", "config.cfg"),
             ("train-itae", "itae_loss.csv"),
             ("train-itae", "itae/params.t5"),
@@ -768,13 +786,15 @@ class TestInputErrors:
         self, scene, trained_run, tmp_path, capsys, command, blocked
     ):
         # the checkpoints each command reads are in place, so without the
-        # refusal it would run to the write of the blocked file
+        # refusal it would run to the write of the blocked file (gen-synth
+        # to it after every frame)
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
-        reads = {"train-itae": [], "train-nf": checkpoint_flags(trained_run)[:2],
-                 "score": checkpoint_flags(trained_run)}[command]
-        data = scene / ("test" if command == "score" else "train")
-        err = refuse(capsys, out, command, "--data-path", str(data), *reads)
+        data = ["--data-path", str(scene / ("test" if command == "score" else "train"))]
+        flags = {"gen-synth": [], "train-itae": data,
+                 "train-nf": [*data, *checkpoint_flags(trained_run)[:2]],
+                 "score": [*data, *checkpoint_flags(trained_run)]}[command]
+        err = refuse(capsys, out, command, *flags)
         assert err == f"config error: output file {out / blocked} is a directory\n"
         made = {Path(blocked), *Path(blocked).parents} - {Path(".")}
         assert {p.relative_to(out) for p in out.rglob("*")} == made
@@ -968,8 +988,10 @@ def packed_video(path, side, frames=16, seed=0):
 
 
 def refuse(capsys, out, command, *flags):
-    """Run a command that must exit 2 on `config error:` lines; returns stderr."""
-    assert main([command, "--out-dir", str(out), *BASE_FLAGS, *flags]) == 2
+    """Run a command that must exit 2 on `config error:` lines; returns stderr.
+    A command other than gen-synth also takes BASE_FLAGS."""
+    base = ["--n-frames", "2"] if command == "gen-synth" else BASE_FLAGS
+    assert main([command, "--out-dir", str(out), *base, *flags]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err
     return err

@@ -506,7 +506,7 @@ class TestLayerBias:
         else:
             y0 = conv3d_loops(x0, w0, stride, padding)
 
-        out = layer(Tensor(x0))
+        out = layer(x0)
         assert np.allclose(out.data, y0 + layer.bias.data.reshape(1, 3, 1, 1, 1), atol=1e-12)
         assert out._parents == () and not out.requires_grad
         # d sum(out^2) / d out; a transposed layer writes over its input, so it gets a copy

@@ -10,7 +10,6 @@ from flowvad.errors import ShapeError
 from flowvad.features import append_intensity, box_resample, pool_features
 from flowvad.pipeline import collect_flow_samples, encode_windows, score_video, window_starts
 from flowvad.scoring import aggregate_windows, patch_max_error
-from flowvad.tensor import Tensor
 
 
 def box_resample_loops(frame, out_h, out_w):
@@ -144,11 +143,11 @@ class TestFullBridge:
 
     def test_matches_manual_composition(self, model, rng):
         clip = rng.uniform(size=(1, 1, 8, 32, 32))
-        xs, xd = model.encode(Tensor(clip))
+        xs, xd = model.encode(clip)
         s, d = bridge(model, clip)
-        assert np.array_equal(s[:, :2], pool_features(xs.data))
-        assert np.array_equal(s, append_intensity(pool_features(xs.data), clip, 4))
-        assert np.array_equal(d, pool_features(xd.data))
+        assert np.array_equal(s[:, :2], pool_features(xs))
+        assert np.array_equal(s, append_intensity(pool_features(xs), clip, 4))
+        assert np.array_equal(d, pool_features(xd))
 
     def test_batched_windows_match_single_windows(self, model, rng):
         # One window per item, each a view into the video; its samples are
@@ -158,14 +157,14 @@ class TestFullBridge:
         items = list(encode_windows(model, video, starts, 8))
         assert len(items) == len(starts)
         windows = np.concatenate([video[:, :, s : s + 8] for s in starts], axis=0)
-        xs, xd = model.encode(Tensor(windows))
+        xs, xd = model.encode(windows)
         for k, (start, (window, _, s, d)) in enumerate(zip(starts, items)):
             assert window.shape == (1, 1, 8, 32, 32)
             assert np.shares_memory(window, video)
             assert np.array_equal(window, video[:, :, start : start + 8])
-            want = append_intensity(pool_features(xs.data[k : k + 1]), windows[k : k + 1], 4)
+            want = append_intensity(pool_features(xs[k : k + 1]), windows[k : k + 1], 4)
             assert np.array_equal(s, want)
-            assert np.array_equal(d, pool_features(xd.data[k : k + 1]))
+            assert np.array_equal(d, pool_features(xd[k : k + 1]))
 
     def test_requires_frozen_model(self, rng):
         m = TwoPathAutoencoder(
@@ -226,7 +225,7 @@ class TestTrainScoreParity:
         ).validate()
         starts = window_starts(21, 8, 3)
         windows = np.concatenate([video[:, :, s : s + 8] for s in starts], axis=0)
-        out = m.reconstruct(Tensor(windows)).data
+        out = m.reconstruct(windows).data
         rows = [
             patch_max_error(windows[k : k + 1], out[k : k + 1], patch=8, stride=4)
             for k in range(len(starts))

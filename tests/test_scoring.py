@@ -1,5 +1,7 @@
 """Scoring statistics checked against brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,8 +122,10 @@ class TestNllSeries:
     def test_minmax_constant_is_zero(self):
         assert np.array_equal(minmax_normalize([7, 7, 7]), [0, 0, 0])
 
-    def test_minmax_single_frame_warns(self):
-        with pytest.warns(UserWarning):
+    def test_minmax_single_frame_is_zero_without_warning(self):
+        # a one-frame series is constant
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = minmax_normalize([3.0])
         assert np.array_equal(out, [0.0])
 

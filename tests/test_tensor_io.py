@@ -19,6 +19,7 @@ from flowvad.checkpoint import (
 )
 from flowvad.errors import ConfigError, NumericError, ShapeError
 from flowvad.flow import FlowConfig, FlowStack
+from flowvad.tensor import Tensor
 from flowvad.tensor_io import MAGIC, load_tensor, read_tensor, save_tensor
 
 
@@ -126,6 +127,12 @@ class TestTensorFiles:
 CFG = AutoencoderConfig()
 
 
+def parameters(arrays):
+    """Hand-made parameters named as in ``arrays``, each a trainable Tensor
+    over its array, as a model's ``named_parameters()`` gives them."""
+    return {name: Tensor(v, requires_grad=True) for name, v in arrays.items()}
+
+
 def small_model(kind):
     if kind == "autoencoder":
         return TwoPathAutoencoder(AutoencoderConfig(in_channels=1, tau=2), np.random.default_rng(0))
@@ -181,7 +188,9 @@ class TestCheckpoints:
             assert np.array_equal(p.data, want[name]), name
 
     def test_true_shapes_restored(self, rng, tmp_path):
-        params = {"w.bias": rng.normal(size=(7,)), "w.kernel": rng.normal(size=(2, 3, 4))}
+        params = parameters(
+            {"w.bias": rng.normal(size=(7,)), "w.kernel": rng.normal(size=(2, 3, 4))}
+        )
         save_checkpoint(tmp_path / "c", params, CFG)
         back = load_checkpoint(tmp_path / "c", CFG)
         assert back["w.bias"].shape == (7,)
@@ -204,11 +213,11 @@ class TestCheckpoints:
         )
 
     def test_hash_changes_with_content(self, rng, tmp_path):
-        params = {"w": rng.normal(size=(3, 3))}
+        params = parameters({"w": rng.normal(size=(3, 3))})
         save_checkpoint(tmp_path / "c", params, CFG)
         h1 = checkpoint_hash(tmp_path / "c")
         assert h1 == checkpoint_hash(tmp_path / "c")
-        params["w"][0, 0] += 1.0
+        params["w"].data[0, 0] += 1.0
         save_checkpoint(tmp_path / "c2", params, CFG)
         assert h1 != checkpoint_hash(tmp_path / "c2")
 
@@ -218,13 +227,14 @@ class TestCheckpoints:
             load_checkpoint(tmp_path / "empty", CFG)
 
     def test_manifest_is_sorted_json(self, rng, tmp_path):
-        save_checkpoint(tmp_path / "c", {"b": rng.normal(size=2), "a": rng.normal(size=2)}, CFG)
+        params = parameters({"b": rng.normal(size=2), "a": rng.normal(size=2)})
+        save_checkpoint(tmp_path / "c", params, CFG)
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert list(manifest["parameters"]) == ["a", "b"]
 
     def test_one_payload_in_sorted_name_order(self, rng, tmp_path):
-        params = {"b.w": rng.normal(size=(2, 3)), "a.bias": rng.normal(size=4),
-                  "a.w": rng.normal(size=(1, 2, 1))}
+        params = parameters({"b.w": rng.normal(size=(2, 3)), "a.bias": rng.normal(size=4),
+                             "a.w": rng.normal(size=(1, 2, 1))})
         save_checkpoint(tmp_path / "c", params, CFG)
         assert sorted(os.listdir(tmp_path / "c")) == ["manifest.json", "params.t5"]
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
@@ -232,7 +242,7 @@ class TestCheckpoints:
         assert manifest["parameters"] == {"a.bias": [4], "a.w": [1, 2, 1], "b.w": [2, 3]}
         raw = (tmp_path / "c" / "params.t5").read_bytes()
         assert raw[:24] == struct.pack("<4s5I", MAGIC, 1, 1, 1, 1, 12)
-        want = b"".join(params[n].astype("<f8").tobytes() for n in ("a.bias", "a.w", "b.w"))
+        want = b"".join(params[n].data.astype("<f8").tobytes() for n in ("a.bias", "a.w", "b.w"))
         assert raw[24:] == want
 
     @pytest.mark.parametrize("failing", [1, 2])
@@ -240,7 +250,7 @@ class TestCheckpoints:
         """A save whose first or second file write fails part way leaves the
         previous checkpoint bit for bit and no temporary file."""
         ckpt = tmp_path / "c"
-        old = {"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3)}
+        old = parameters({"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3)})
         save_checkpoint(ckpt, old, CFG)
         before = {name: (ckpt / name).read_bytes() for name in os.listdir(ckpt)}
         opened = []
@@ -256,11 +266,11 @@ class TestCheckpoints:
 
         monkeypatch.setattr(checkpoint, "open", open_then_fail, raising=False)
         with pytest.raises(OSError, match="No space"):
-            save_checkpoint(ckpt, {name: v + 1.0 for name, v in old.items()}, CFG)
+            save_checkpoint(ckpt, parameters({name: p.data + 1.0 for name, p in old.items()}), CFG)
         assert opened == ["params.t5.tmp", "manifest.json.tmp"][:failing]
         assert {name: (ckpt / name).read_bytes() for name in os.listdir(ckpt)} == before
         back = load_checkpoint(ckpt, CFG)
-        assert all(np.array_equal(back[name], v) for name, v in old.items())
+        assert all(np.array_equal(back[name], p.data) for name, p in old.items())
 
 
 class TestCheckpointMemory:
