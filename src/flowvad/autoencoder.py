@@ -219,7 +219,7 @@ class TwoPathAutoencoder:
 
     # ----------------------------------------------------------- parameters
 
-    def named_parameters(self) -> dict[str, Tensor]:
+    def _named_tensors(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
 
         def add(prefix, layers):
@@ -236,8 +236,13 @@ class TwoPathAutoencoder:
         add("decode", self.decoder)
         return out
 
+    def named_parameters(self) -> dict[str, np.ndarray]:
+        """Name -> parameter array, what a checkpoint stores."""
+        return {name: p.data for name, p in self._named_tensors().items()}
+
     def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
+        """The trainable arrays: one Tensor per named parameter."""
+        return list(self._named_tensors().values())
 
     def freeze(self) -> None:
         """Disable gradient tracking on every parameter; used after step one."""

@@ -49,11 +49,11 @@ def save_checkpoint(directory, params, config, extra=None):
     """Write ``params.t5`` and a manifest under temporary names, then move
     each over its old file, the manifest last.
 
-    params: a model's ``named_parameters()``, name -> Tensor. config: the
+    params: a model's ``named_parameters()``, name -> array. config: the
     model's dataclass config, whose fingerprint guards later loads. extra:
     optional JSON-serializable metadata stored verbatim in the manifest.
     """
-    arrays = {name: p.data for name, p in sorted(params.items())}
+    arrays = dict(sorted(params.items()))
     manifest = {
         "format": _FORMAT,
         "fingerprint": config_fingerprint(config),
@@ -143,11 +143,11 @@ def checkpoint_hash(directory):
 
 
 def assign_state(params, state):
-    """Copy ``state`` (name -> array) into ``params`` (name -> Tensor) in place.
+    """Copy ``state`` (name -> array) into ``params`` (name -> array) in place.
 
     The names must match, then every shape, then every value must be finite;
     nothing is copied unless all of them hold. Each parameter keeps its own
-    ``.data`` array and receives the values with ``np.copyto``, so loading
+    array and receives the values with ``np.copyto``, so loading
     allocates no second set of parameters and shares no memory with ``state``.
     """
     missing = sorted(set(params) - set(state))
@@ -164,4 +164,4 @@ def assign_state(params, state):
         if not np.isfinite(arr).all():
             raise NumericError(f"{name}: stored parameters contain non-finite values")
     for name, arr in arrays.items():
-        np.copyto(params[name].data, arr)
+        np.copyto(params[name], arr)

@@ -82,6 +82,8 @@ def load_video(spec):
             raise ShapeError(f"{src}: packed video must have batch dim 1, got {arr.shape}")
         if arr.size == 0:
             raise ShapeError(f"{src}: packed video has a zero-length dim: {arr.shape}")
+        if arr.shape[1] not in (1, 3):
+            raise ShapeError(f"{src}: packed video must have 1 or 3 channels, got {arr.shape}")
         lo, hi = arr.min(), arr.max()
         if lo < 0.0 or hi > 1.0:
             raise ShapeError(f"{src}: pixel values outside [0, 1]: min {lo}, max {hi}")

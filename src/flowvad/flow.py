@@ -14,12 +14,15 @@ holds exactly and the negative log-likelihood is exact, not a bound.
 Every layer runs on plain arrays: ``forward`` returns its output, its
 per-sample log |det| and what its ``backward`` needs, and ``backward`` maps
 the output gradient to the input gradient while writing the gradient of
-every parameter over that parameter's gradient view, asking none whether it
-wants one. The stack packs every layer's parameters into one flat vector
-(:func:`flowvad.tensor.pack`), so each named parameter is a
-:class:`~flowvad.tensor.ParamView` into it and into one flat gradient
-vector, and training sees one trainable array: per step, one Adam update
-and, in ``train._fit``, one snapshot copy and one finiteness sum. A
+every parameter, asking none whether it wants one. A layer keeps two plain
+dicts under the same keys: ``params``, its parameter arrays, and ``grads``,
+the gradient array each backward writes in place; a layer built alone holds
+zero gradients. The stack concatenates every layer's parameters into one
+flat trainable vector, ``params``, and one flat gradient buffer, and
+rebinds each layer's entries to views of both, so ``named_parameters()``
+maps names to arrays and training sees one trainable array: per step, one
+Adam update and, in ``train._fit``, one snapshot copy and one finiteness
+sum. Rebinding a parameter detaches it from the vector: write in place. A
 training call records and an inference call never does:
 :meth:`FlowStack.forward` records the whole stack as one autodiff node, the
 per-sample NLL, whose one parameter parent is the flat vector and whose
@@ -42,7 +45,7 @@ import numpy as np
 
 from .checkpoint import assign_state
 from .errors import NumericError, ShapeError
-from .tensor import ParamView, Tensor, pack
+from .tensor import Tensor
 
 __all__ = [
     "FlowConfig",
@@ -119,6 +122,11 @@ def _flipped(m: np.ndarray) -> np.ndarray:
     return flip.transpose(1, 0, 2, 3).reshape(cin, cout * 9)
 
 
+def _zeros_like(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A zero gradient array for each parameter, under the same key."""
+    return {key: np.zeros_like(p) for key, p in params.items()}
+
+
 def gaussian_log_density(z: np.ndarray) -> np.ndarray:
     """Per-sample log density under an isotropic unit Gaussian, shape (batch,)."""
     axes = tuple(range(1, z.ndim))
@@ -136,15 +144,15 @@ class ActNorm:
 
     def __init__(self, channels: int):
         self.channels = channels
-        self.logs = ParamView(np.zeros(channels))
-        self.bias = ParamView(np.zeros(channels))
+        self.params = {"logs": np.zeros(channels), "bias": np.zeros(channels)}
+        self.grads = _zeros_like(self.params)
         self.initialized = False
 
     def initialize(self, x: np.ndarray) -> None:
         mean = x.mean(axis=(0, 2, 3))
         std = x.std(axis=(0, 2, 3)) + 1e-6
-        self.logs.data[...] = -np.log(std)
-        self.bias.data[...] = -mean / std
+        self.params["logs"][...] = -np.log(std)
+        self.params["bias"][...] = -mean / std
         self.initialized = True
 
     def forward(self, x: np.ndarray, init: bool = False):
@@ -153,26 +161,24 @@ class ActNorm:
         n, c, h, w = x.shape
         if c != self.channels:
             raise ShapeError(f"actnorm built for {self.channels} channels, got {x.shape}")
-        scale = np.exp(self.logs.data).reshape(1, c, 1, 1)
-        y = x * scale + self.bias.data.reshape(1, c, 1, 1)
-        return y, self.logs.data.sum() * float(h * w), (x, scale)
+        logs, bias = self.params["logs"], self.params["bias"]
+        scale = np.exp(logs).reshape(1, c, 1, 1)
+        y = x * scale + bias.reshape(1, c, 1, 1)
+        return y, logs.sum() * float(h * w), (x, scale)
 
     def backward(self, cache, g: np.ndarray, gld: np.ndarray) -> np.ndarray:
         x, scale = cache
         n, c, h, w = x.shape
         glogs = (g * x).sum(axis=(0, 2, 3)) * scale.reshape(c)
-        np.add(glogs, float(h * w) * gld.sum(), out=self.logs.grad_view)
-        g.sum(axis=(0, 2, 3), out=self.bias.grad_view)
+        np.add(glogs, float(h * w) * gld.sum(), out=self.grads["logs"])
+        g.sum(axis=(0, 2, 3), out=self.grads["bias"])
         return g * scale
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
         n, c, h, w = z.shape
-        scale = np.exp(self.logs.data).reshape(1, c, 1, 1)
-        x = (z - self.bias.data.reshape(1, c, 1, 1)) / scale
-        return x, -float(h * w * self.logs.data.sum())
-
-    def named_parameters(self, prefix: str) -> dict[str, ParamView]:
-        return {f"{prefix}.logs": self.logs, f"{prefix}.bias": self.bias}
+        logs, bias = self.params["logs"], self.params["bias"]
+        x = (z - bias.reshape(1, c, 1, 1)) / np.exp(logs).reshape(1, c, 1, 1)
+        return x, -float(h * w * logs.sum())
 
 
 def _lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,18 +218,20 @@ class InvertibleConv1x1:
         self.channels = channels
         self.perm = p  # constant
         self.sign = np.sign(diag)  # constant
-        self.lower = ParamView(np.tril(l, -1))
-        self.upper = ParamView(np.triu(u, 1))
-        self.log_diag = ParamView(np.log(np.abs(diag)))
+        self.params = {
+            "lower": np.tril(l, -1),
+            "upper": np.triu(u, 1),
+            "log_diag": np.log(np.abs(diag)),
+        }
+        self.grads = _zeros_like(self.params)
         self._mask_low = np.tril(np.ones((channels, channels)), -1)
         self._mask_up = np.triu(np.ones((channels, channels)), 1)
         self._eye = np.eye(channels)
 
     def _weight_np(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        l_full = self.lower.data * self._mask_low + self._eye
-        u_full = self.upper.data * self._mask_up + np.diag(
-            self.sign * np.exp(self.log_diag.data)
-        )
+        p = self.params
+        l_full = p["lower"] * self._mask_low + self._eye
+        u_full = p["upper"] * self._mask_up + np.diag(self.sign * np.exp(p["log_diag"]))
         return self.perm, l_full, u_full
 
     def forward(self, x: np.ndarray, init: bool = False):
@@ -234,7 +242,7 @@ class InvertibleConv1x1:
         wmat = perm @ (l_full @ u_full)
         cols = x.reshape(n, c, h * w)
         y = np.matmul(wmat, cols).reshape(n, c, h, w)
-        return y, self.log_diag.data.sum() * float(h * w), (cols, wmat, l_full, u_full)
+        return y, self.params["log_diag"].sum() * float(h * w), (cols, wmat, l_full, u_full)
 
     def backward(self, cache, g: np.ndarray, gld: np.ndarray) -> np.ndarray:
         cols, wmat, l_full, u_full = cache
@@ -242,12 +250,12 @@ class InvertibleConv1x1:
         g = g.reshape(cols.shape)
         # dW summed over samples, then through W = P (L U) to the factors
         g_lu = self.perm.T @ np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-        np.multiply(g_lu @ u_full.T, self._mask_low, out=self.lower.grad_view)
+        np.multiply(g_lu @ u_full.T, self._mask_low, out=self.grads["lower"])
         g_u = l_full.T @ g_lu
-        np.multiply(g_u, self._mask_up, out=self.upper.grad_view)
+        np.multiply(g_u, self._mask_up, out=self.grads["upper"])
         # U's diagonal is sign * exp(log_diag), which also is the log-det
         gdiag = g_u.diagonal() * u_full.diagonal()
-        np.add(gdiag, float(cols.shape[2]) * gld.sum(), out=self.log_diag.grad_view)
+        np.add(gdiag, float(cols.shape[2]) * gld.sum(), out=self.grads["log_diag"])
         return np.matmul(wmat.T, g).reshape(shape)
 
     def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -258,14 +266,7 @@ class InvertibleConv1x1:
         tmp = perm.T @ cols
         tmp = np.linalg.solve(u_full, np.linalg.solve(l_full, tmp))
         x = tmp.reshape(c, n, h, w).transpose(1, 0, 2, 3)
-        return np.ascontiguousarray(x), -float(h * w * self.log_diag.data.sum())
-
-    def named_parameters(self, prefix: str) -> dict[str, ParamView]:
-        return {
-            f"{prefix}.lower": self.lower,
-            f"{prefix}.upper": self.upper,
-            f"{prefix}.log_diag": self.log_diag,
-        }
+        return np.ascontiguousarray(x), -float(h * w * self.params["log_diag"].sum())
 
 
 class AffineCoupling:
@@ -285,12 +286,15 @@ class AffineCoupling:
         self.ca = channels // 2
         self.cb = channels - self.ca
         std = 0.05
-        self.w1 = ParamView(rng.normal(0, std, (hidden, self.ca, 3, 3)))
-        self.b1 = ParamView(np.zeros(hidden))
-        self.w2 = ParamView(rng.normal(0, std, (hidden, hidden, 1, 1)))
-        self.b2 = ParamView(np.zeros(hidden))
-        self.w3 = ParamView(np.zeros((2 * self.cb, hidden, 3, 3)))
-        self.b3 = ParamView(np.zeros(2 * self.cb))
+        self.params = {
+            "w1": rng.normal(0, std, (hidden, self.ca, 3, 3)),
+            "b1": np.zeros(hidden),
+            "w2": rng.normal(0, std, (hidden, hidden, 1, 1)),
+            "b2": np.zeros(hidden),
+            "w3": np.zeros((2 * self.cb, hidden, 3, 3)),
+            "b3": np.zeros(2 * self.cb),
+        }
+        self.grads = _zeros_like(self.params)
 
     def _net(self, xa: np.ndarray):
         """The conditioner on (n, ca, h, w) input.
@@ -304,17 +308,18 @@ class AffineCoupling:
         activations once, through :func:`_tap_sum`.
         """
         n, _, hh, ww = xa.shape
-        w1, w3 = self.w1.data, self.w3.data
+        p = self.params
+        w1, w3 = p["w1"], p["w3"]
         hidden = w1.shape[0]
         cols1 = _patches(xa.transpose(1, 2, 3, 0))
         r1 = w1.reshape(hidden, -1) @ cols1
-        r1 += self.b1.data[:, None]
+        r1 += p["b1"][:, None]
         np.maximum(r1, 0.0, out=r1)
-        r2 = self.w2.data.reshape(hidden, hidden) @ r1
-        r2 += self.b2.data[:, None]
+        r2 = p["w2"].reshape(hidden, hidden) @ r1
+        r2 += p["b2"][:, None]
         np.maximum(r2, 0.0, out=r2)
         out = _tap_sum(w3.transpose(2, 3, 0, 1).reshape(-1, hidden) @ r2, (hh, ww, n))
-        out += self.b3.data[:, None, None, None]
+        out += p["b3"][:, None, None, None]
         return out, (cols1, r1, r2)
 
     def _net_backward(self, cache, g: np.ndarray) -> np.ndarray:
@@ -327,22 +332,23 @@ class AffineCoupling:
         of its output gradient, summed per tap.
         """
         cols1, r1, r2 = cache
-        w1, w2, w3 = self.w1.data, self.w2.data, self.w3.data
+        w1, w2, w3 = self.params["w1"], self.params["w2"], self.params["w3"]
+        grads = self.grads
         hidden = w1.shape[0]
-        g.sum(axis=(1, 2, 3), out=self.b3.grad_view)
+        g.sum(axis=(1, 2, 3), out=grads["b3"])
         cols = _patches(g)
         # row (o, a, b) of cols holds g shifted by (a - 1, b - 1), which
         # meets r2 through tap (2 - a, 2 - b) of w3
         gw = (cols @ r2.T).reshape(-1, 3, 3, hidden)
-        self.w3.grad_view[...] = gw[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        grads["w3"][...] = gw[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         gh = _flipped(w3.reshape(w3.shape[0], -1)) @ cols
         gh *= r2 > 0.0
-        gh.sum(axis=1, out=self.b2.grad_view)
-        np.matmul(gh, r1.T, out=self.w2.grad_view.reshape(hidden, hidden))
+        gh.sum(axis=1, out=grads["b2"])
+        np.matmul(gh, r1.T, out=grads["w2"].reshape(hidden, hidden))
         gh = w2.reshape(hidden, hidden).T @ gh
         gh *= r1 > 0.0
-        gh.sum(axis=1, out=self.b1.grad_view)
-        np.matmul(gh, cols1.T, out=self.w1.grad_view.reshape(hidden, -1))
+        gh.sum(axis=1, out=grads["b1"])
+        np.matmul(gh, cols1.T, out=grads["w1"].reshape(hidden, -1))
         taps = w1[:, :, ::-1, ::-1].transpose(2, 3, 1, 0).reshape(-1, hidden) @ gh
         return _tap_sum(taps, g.shape[1:])
 
@@ -384,19 +390,12 @@ class AffineCoupling:
         logdet_inv = -log_s.sum(axis=(1, 2, 3))
         return np.concatenate([za, xb], axis=1), logdet_inv
 
-    def named_parameters(self, prefix: str) -> dict[str, ParamView]:
-        return {
-            f"{prefix}.w1": self.w1,
-            f"{prefix}.b1": self.b1,
-            f"{prefix}.w2": self.w2,
-            f"{prefix}.b2": self.b2,
-            f"{prefix}.w3": self.w3,
-            f"{prefix}.b3": self.b3,
-        }
-
 
 class Squeeze:
     """Trade 2x2 spatial blocks for channels; a pure permutation, log |det| 0."""
+
+    def __init__(self):
+        self.params, self.grads = {}, {}
 
     def forward(self, x: np.ndarray, init: bool = False):
         n, c, h, w = x.shape
@@ -421,9 +420,6 @@ class Squeeze:
             .reshape(n, c, h * 2, w * 2)
         )
         return np.ascontiguousarray(x), 0.0
-
-    def named_parameters(self, prefix: str) -> dict[str, ParamView]:
-        return {}
 
 
 @dataclass
@@ -492,8 +488,19 @@ class FlowStack:
             keep = c // 2 if level < config.levels - 1 else c
             self.levels.append({"steps": steps, "layers": layers, "channels": c, "keep": keep})
             c = keep
-        # the one trainable array; every named parameter is a view into it
-        self.params, self._grads = pack(list(self.named_parameters().values()))
+        # the one trainable array and its gradient buffer; every layer's
+        # parameters and gradients become views into them, so write in place
+        flat = np.concatenate([p.reshape(-1) for p in self.named_parameters().values()])
+        self.params = Tensor(flat, requires_grad=True)
+        self._grads = np.zeros(flat.size)
+        start = 0
+        for level in self.levels:
+            for _, layer in level["layers"]:
+                for key, p in layer.params.items():
+                    part = slice(start, start + p.size)
+                    layer.params[key] = flat[part].reshape(p.shape)
+                    layer.grads[key] = self._grads[part].reshape(p.shape)
+                    start += p.size
 
     # ------------------------------------------------------------ forward
 
@@ -517,8 +524,9 @@ class FlowStack:
 
         With ``record`` the NLL is one graph node whose parents are ``x``
         (when a Tensor requiring gradients) and the flat parameter vector
-        ``params``; its backward is the layers' own, in reverse, and fills
-        the vector's gradient through the parameters' gradient views.
+        ``params``; its backward is the layers' own, in reverse, which write
+        their gradient views of the flat buffer, and then hands the buffer
+        to ``params.grad``. A backward overwrites the one before it.
         Without it nothing is recorded or kept for a backward.
         """
         x_in = x if isinstance(x, Tensor) else None
@@ -547,9 +555,6 @@ class FlowStack:
         nll = Tensor((log_prior + logdet) * (-1.0))
 
         def backward():
-            # the layers write the parameters' gradient views over whatever
-            # they held, so a gradient of an earlier backward is added back
-            earlier = None if self.params.grad is None else self.params.grad.copy()
             go = nll.grad
             gld = -go  # nll = -(log prior + logdet)
             g_parts = [z * go.reshape(n, 1, 1, 1) for z in z_parts]
@@ -561,8 +566,6 @@ class FlowStack:
                     layer, cache = caches.pop()
                     g = layer.backward(cache, g, gld)
             self.params.grad = self._grads
-            if earlier is not None:
-                self._grads += earlier
             if wants_x:
                 x_in._accumulate(g)
 
@@ -607,12 +610,14 @@ class FlowStack:
 
     # --------------------------------------------------------- parameters
 
-    def named_parameters(self) -> dict[str, ParamView]:
-        out: dict[str, ParamView] = {}
-        for level in self.levels:
-            for name, layer in level["layers"]:
-                out.update(layer.named_parameters(name))
-        return out
+    def named_parameters(self) -> dict[str, np.ndarray]:
+        """Every layer's parameter arrays, in the order of ``params``."""
+        return {
+            f"{name}.{key}": p
+            for level in self.levels
+            for name, layer in level["layers"]
+            for key, p in layer.params.items()
+        }
 
     def parameters(self) -> list[Tensor]:
         """The trainable arrays: the one flat vector the named parameters

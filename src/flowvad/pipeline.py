@@ -1,11 +1,12 @@
 """Windows over a video, the latent-to-flow bridge, and per-video scoring.
 
-Every consumer of clip windows takes its starts from `clip_starts`: full
-windows of clip_len frames, one every `stride` frames. Training uses them as
-they are; scoring (`window_starts`) adds one clamped tail window so that every
-frame is covered. `encode_windows` is the one bridge from frozen autoencoder
-latents to density-model samples, shared by `collect_flow_samples` (step two)
-and `score_video`, so both feed the flows identical features. It always pools
+Training takes its clip windows from `clip_starts`: full windows of clip_len
+frames, one every `stride` frames. Scoring (`window_starts`) adds one clamped
+tail window so that every frame is covered, by `scoring.covering_starts`,
+the rule that also places patch_max_error's patches. `encode_windows` is
+the one bridge from frozen autoencoder latents to density-model samples,
+shared by `collect_flow_samples` (step two) and `score_video`, so both feed
+the flows identical features. It always pools
 both density streams listed in `STREAMS`; only a one-path model has no
 dynamic samples. Windows go through the autoencoder one at a time: every
 conv already runs one GEMM per sample, so a batch of windows would give the
@@ -22,13 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .features import append_intensity, pool_features
-from .scoring import (
-    aggregate_windows,
-    expand_static,
-    fuse,
-    nll_score,
-    patch_max_error,
-)
+from .scoring import aggregate_windows, covering_starts, fuse, nll_score, patch_max_error
 
 __all__ = [
     "STREAMS",
@@ -57,10 +52,7 @@ def window_starts(total, clip_len, stride):
     """Window origins covering every frame for stride <= clip_len; the last is clamped."""
     if total < clip_len:
         raise ConfigError(f"video has {total} frames, need at least {clip_len}")
-    starts = clip_starts(total, clip_len, stride)
-    if starts[-1] != total - clip_len:
-        starts.append(total - clip_len)
-    return starts
+    return covering_starts(total, clip_len, stride)
 
 
 def encode_windows(model, video, starts, clip_len):
@@ -147,10 +139,7 @@ def score_video(model, video, config, static_flow=None, dynamic_flow=None):
         nll = _batched_nll(flow, np.concatenate(samples[name], axis=0), FLOW_BATCH)
         # A window's samples split its clip_len frames evenly: each holds
         # for tau frames (static) or one frame (dynamic).
-        rows = [
-            expand_static(row, config.clip_len, config.clip_len // row.size)
-            for row in np.split(nll, len(starts))
-        ]
+        rows = [np.repeat(r, config.clip_len // r.size) for r in np.split(nll, len(starts))]
         series[f"nll_{name}"] = aggregate_windows(rows, starts, total)
 
     series["nll_norm"] = nll_score(series["nll_static"], series["nll_dynamic"])

@@ -15,7 +15,7 @@ from .errors import ShapeError
 
 __all__ = [
     "patch_max_error",
-    "expand_static",
+    "covering_starts",
     "minmax_normalize",
     "nll_score",
     "fuse",
@@ -42,8 +42,8 @@ def patch_max_error(target, output, patch=16, stride=4):
     if patch > h or patch > w:
         raise ShapeError(f"patch {patch} exceeds frame dims ({h}, {w})")
     err = np.abs(a - b)[0].mean(axis=0)  # (t, h, w) channel-mean error
-    rows = _patch_positions(h, patch, stride)
-    cols = _patch_positions(w, patch, stride)
+    rows = covering_starts(h, patch, stride)
+    cols = covering_starts(w, patch, stride)
     # integral image turns each patch mean into four lookups
     pad = np.zeros((t, h + 1, w + 1))
     np.cumsum(np.cumsum(err, axis=1), axis=2, out=pad[:, 1:, 1:])
@@ -61,24 +61,15 @@ def patch_max_error(target, output, patch=16, stride=4):
     return best
 
 
-def _patch_positions(size, patch, stride):
-    pos = list(range(0, size - patch + 1, stride))
-    if pos[-1] != size - patch:
-        pos.append(size - patch)
-    return pos
-
-
-def expand_static(values, num_frames, tau):
-    """Hold each per-sample value constant across its tau-frame span.
-
-    Sample s covers frames [s*tau, (s+1)*tau); frames beyond the last sampled
-    span keep the final value.
-    """
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ShapeError(f"expected non-empty 1-d series, got shape {vals.shape}")
-    idx = np.minimum(np.arange(num_frames) // tau, vals.size - 1)
-    return vals[idx]
+def covering_starts(size, width, stride):
+    """Starts of width-wide windows over size >= width positions: one every
+    stride, plus a last one clamped to size - width, so every position lies
+    in some window. Places patch_max_error's patches and the scored clip
+    windows."""
+    starts = list(range(0, size - width + 1, stride))
+    if starts[-1] != size - width:
+        starts.append(size - width)
+    return starts
 
 
 def minmax_normalize(series):
@@ -93,7 +84,7 @@ def minmax_normalize(series):
 def nll_score(nll_static, nll_dynamic):
     """Combine per-frame NLL series into the normalized likelihood evidence.
 
-    Both series are per-frame (expand sampled static series first; a stream
+    Both series are per-frame (repeat sampled static series first; a stream
     without a flow is all zeros). The sum is minmax-normalized within the clip.
     """
     total = np.asarray(nll_static, dtype=np.float64)

@@ -6,24 +6,23 @@ whole or is frozen whole. A model that is differentiated records one node
 on its output with ``_record``: the parents are the tensors that want
 gradients, and the backward closure is a hand-written NumPy pass that
 gives every parameter its gradient, through ``_accumulate`` or, for the
-flow stack, by writing it into the parameter's gradient view, asking no
-parameter whether it wants one; the conv kernels always return the weight
+flow stack, by writing its flat gradient buffer, asking no parameter
+whether it wants one; the conv kernels always return the weight
 gradient. Calling :meth:`Tensor.backward` on a scalar loss walks the
 recorded nodes once, parents after children.
 
 The engine keeps only that: ``_record``, ``_accumulate``,
-:meth:`Tensor.backward`, the whole-array ``mean``, and the packed parameter
-views (:class:`ParamView`, :func:`pack`). Three models record a
+:meth:`Tensor.backward` and the whole-array ``mean``. Three models record a
 node. The autoencoder of :mod:`flowvad.autoencoder` records the
 reconstruction, whose parents are its parameters; the reconstruction loss
 of :mod:`flowvad.losses` records the total, whose only parent is the
 reconstruction; the flow stack of :mod:`flowvad.flow` records its
 per-sample negative log-likelihood, which ``mean`` reduces. A training
 step's graph is therefore two nodes over the parameters. The flow stack
-keeps its parameters in one flat vector (:func:`pack`): its node's one
-parameter parent is that vector, and each named parameter is a
-:class:`ParamView` into it. One rule decides what records: a training
-call records and an inference call never does.
+keeps its parameters in one flat vector: its node's one parameter parent
+is that vector, and each named parameter is a plain array viewing it. One
+rule decides what records: a training call records and an inference call
+never does.
 The autoencoder's ``reconstruct`` records unless the model is frozen, the
 flow stack's ``forward`` records unless called with ``record=False``, as
 its ``nll_of`` and ``init_actnorm`` do, and the loss records exactly when
@@ -41,10 +40,10 @@ Design constraints, fixed on purpose:
 * ``_accumulate`` copies a first gradient unless the caller says it owns
   it, so no view aliasing survives into a gradient. Sharing a buffer is a
   backward pass's own, stated decision: the transposed conv's backward
-  writes its input gradient over its input. The one exception is
-  :class:`ParamView`: a packed parameter and its gradient are views into
-  the flat vector and its gradient buffer, and a backward writes the
-  gradient into that view in place.
+  writes its input gradient over its input. The one exception is the flow
+  stack's parameters and gradients: each is a view into the flat vector
+  or into its gradient buffer, and a layer's backward writes its
+  gradients into those views in place.
 * memory is bounded by recompute and by finishing arrays in place. Every
   convolution pass is built from two helpers. The column builder
   (:func:`_columns`) forms the im2col columns of one chunk of positions
@@ -67,7 +66,6 @@ Design constraints, fixed on purpose:
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -77,8 +75,6 @@ from .errors import ShapeError
 __all__ = [
     "LEAKY_SLOPE",
     "Tensor",
-    "ParamView",
-    "pack",
     "conv3d",
     "conv3d_backward",
     "conv_transpose3d",
@@ -193,79 +189,6 @@ class Tensor:
             self._accumulate(np.full(self.shape, out.grad / self.size), owned=True)
 
         return out._record((self,), backward)
-
-
-class ParamView(Tensor):
-    """A named parameter stored in a flat trainable vector, ``flat``.
-
-    ``data`` is a reshaped view of ``flat.data``, and ``grad_view`` is the
-    view at the same place of the vector's gradient buffer: a model's
-    backward writes the parameter's gradient there. ``grad`` is
-    ``grad_view`` while ``flat`` holds a gradient (the buffer) and None
-    otherwise, so the parameters of one vector have a gradient together or
-    not at all; setting it to None drops ``flat``'s. ``_accumulate``, the
-    path of generic autodiff, adds into ``grad_view``, first zeroing the
-    buffer and handing it to ``flat`` when ``flat`` has none.
-
-    A view made alone owns a vector whose gradient is present from the
-    start, zero until written, so a layer run on its own shows what its
-    backward wrote. :func:`pack` moves views into one shared vector, which
-    has no gradient until its model's backward gives it one. Rebinding
-    ``data`` detaches a parameter from its vector: write values in place.
-    """
-
-    __slots__ = ("flat", "grad_view", "_buffer")
-
-    def __init__(self, data):
-        values = np.array(data, dtype=np.float64)
-        self.requires_grad = True
-        self._backward = None
-        self._parents = ()
-        self._cleared = False
-        flat = Tensor(values.reshape(-1), requires_grad=True)
-        flat.grad = np.zeros(values.size)
-        self._bind(flat, flat.grad, 0, values.shape)
-
-    def _bind(self, flat: Tensor, buffer: np.ndarray, start: int, shape) -> None:
-        stop = start + math.prod(shape)
-        self.flat = flat
-        self._buffer = buffer
-        self.data = flat.data[start:stop].reshape(shape)
-        self.grad_view = buffer[start:stop].reshape(shape)
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return None if self.flat.grad is None else self.grad_view
-
-    @grad.setter
-    def grad(self, value) -> None:
-        if value is not None:
-            raise ValueError("a parameter view's gradient is written through grad_view")
-        self.flat.grad = None
-
-    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        if g.shape != self.data.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} does not match tensor shape {self.data.shape}"
-            )
-        if self.flat.grad is None:
-            self._buffer.fill(0.0)
-            self.flat.grad = self._buffer
-        self.grad_view += g
-
-
-def pack(params: Sequence[ParamView]) -> tuple[Tensor, np.ndarray]:
-    """Move ``params`` into one new flat vector, in order. Returns the
-    vector as one trainable Tensor, without a gradient, and its gradient
-    buffer. Each parameter keeps its values; its ``data`` and ``grad_view``
-    become views into the vector and the buffer."""
-    flat = Tensor(np.concatenate([p.data.reshape(-1) for p in params]), requires_grad=True)
-    buffer = np.empty(flat.size)
-    start = 0
-    for p in params:
-        p._bind(flat, buffer, start, p.shape)
-        start += p.size
-    return flat, buffer
 
 
 # ------------------------------------------------------------ 3d convolution

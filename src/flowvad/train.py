@@ -47,18 +47,16 @@ class TrainConfig:
     seed: int = 0
 
 
-def _check_params_finite(named, step, params=None):
-    """One sum per trainable array of ``params`` (by default each of the
-    ``named`` parameters), copying nothing; only a non-finite total runs the
-    exact pass over ``named``, which names the offender (or finds none on
-    overflow)."""
+def _check_params_finite(named, step, params):
+    """One sum per trainable array of ``params``, copying nothing; only a
+    non-finite total runs the exact pass over the ``named`` arrays, which
+    names the offender (or finds none on overflow)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        arrays = named.values() if params is None else params
-        total = sum(float(p.data.sum()) for p in arrays)
+        total = sum(float(p.data.sum()) for p in params)
     if np.isfinite(total):
         return
     for name, p in named.items():
-        if not np.isfinite(p.data).all():
+        if not np.isfinite(p).all():
             raise NumericError(f"parameter {name} became non-finite at step {step}")
 
 

@@ -5,7 +5,8 @@ of `graph_ops` nodes, so `Tensor.backward` gives the gradients that
 `TwoPathAutoencoder.reconstruct`'s hand-written backward must match.
 `layer_shapes` states the paper's per-stage layer table from the stride
 arithmetic alone, so one real forward pass can check every row at once.
-`bits_per_dim` and `num_transforms` read a flow result and a flow stack.
+`bits_per_dim` and `num_transforms` read a flow result and a flow stack, and
+`named_grads` names the slices of a flow stack's flat gradient.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from flowvad.tensor import Tensor
 
 from graph_ops import concat, conv3d, conv_transpose3d
 
-__all__ = ["bits_per_dim", "graph_reconstruct", "layer_shapes", "num_transforms"]
+__all__ = ["bits_per_dim", "graph_reconstruct", "layer_shapes", "named_grads", "num_transforms"]
 
 
 def _layer_node(layer, h: Tensor) -> Tensor:
@@ -116,3 +117,12 @@ def bits_per_dim(result) -> np.ndarray:
 def num_transforms(stack) -> int:
     """Layers of a `FlowStack`, counting each level's split as one."""
     return sum(len(lv["layers"]) + (lv["keep"] < lv["channels"]) for lv in stack.levels)
+
+
+def named_grads(stack) -> dict[str, np.ndarray]:
+    """Each named parameter's gradient after a backward: ``stack.params.grad``
+    cut into the parameters' shapes in ``named_parameters()`` order."""
+    named = stack.named_parameters()
+    stops = np.cumsum([p.size for p in named.values()])[:-1]
+    parts = np.split(stack.params.grad, stops)
+    return {name: g.reshape(p.shape) for (name, p), g in zip(named.items(), parts)}

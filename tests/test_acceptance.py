@@ -47,7 +47,7 @@ from graph_ops import (
     relu,
     tanh,
 )
-from model_oracles import layer_shapes
+from model_oracles import layer_shapes, named_grads
 from numeric import max_relative_error, numerical_gradient, numerical_jacobian
 
 
@@ -86,9 +86,9 @@ def verdict(name):
 def perturb(stack, rng, scale=0.3):
     for name, p in stack.named_parameters().items():
         if name.endswith(("w3", "b3")):
-            p.data += rng.normal(0, scale, p.shape)
+            p += rng.normal(0, scale, p.shape)
         elif name.endswith(("logs", "bias", "log_diag")):
-            p.data += rng.normal(0, 0.1 * scale, p.shape)
+            p += rng.normal(0, 0.1 * scale, p.shape)
 
 
 def layer_jacobian_logdet(forward, x):
@@ -114,8 +114,8 @@ class TestFlowExactness:
             actnorm.initialize(rng.normal(1.5, 2.0, size=(4, 2, 3, 3)))
             conv = InvertibleConv1x1(2, rng)
             coupling = AffineCoupling(2, 8, rng)
-            coupling.w3.data += rng.normal(0, 0.3, coupling.w3.shape)
-            coupling.b3.data += rng.normal(0, 0.3, coupling.b3.shape)
+            coupling.params["w3"] += rng.normal(0, 0.3, coupling.params["w3"].shape)
+            coupling.params["b3"] += rng.normal(0, 0.3, coupling.params["b3"].shape)
             squeeze = Squeeze()
 
             for name, layer in [
@@ -302,13 +302,14 @@ class TestGradientIntegrity:
         for p in stack.parameters():
             p.grad = None
         stack.forward(x).nll.mean().backward()
-        got = param.grad.copy()
-        base = param.data.copy()
+        grads = named_grads(stack)
+        got = next(grads[n] for n, p in stack.named_parameters().items() if p is param).copy()
+        base = param.copy()
 
         def scalar(values):
-            param.data = values.reshape(base.shape)
+            param[...] = values.reshape(base.shape)
             out = float(stack.forward(x).nll.mean().data)
-            param.data = base
+            param[...] = base
             return out
 
         want = numerical_gradient(scalar, base.copy().reshape(-1)).reshape(base.shape)

@@ -163,7 +163,7 @@ class TestParameters:
         model = TwoPathAutoencoder(cfg, np.random.default_rng(11))
         x = np.random.default_rng(12).random((1, 1, 4, 16, 16))
         ((model.reconstruct(x) - x) ** 2).mean().backward()
-        for name, p in model.named_parameters().items():
+        for name, p in zip(model.named_parameters(), model.parameters()):
             assert p.grad is not None, name
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["conv", "transpose"])
@@ -214,7 +214,7 @@ def bits(a):
 def step_grads(model, x, reconstruct):
     """Parameter gradients of one recon_loss step through ``reconstruct``,
     and the reconstruction; leaves no gradient on the model."""
-    params = model.named_parameters()
+    params = dict(zip(model.named_parameters(), model.parameters()))
     out = reconstruct(x)
     recon_loss(x, out).total.backward()
     grads = {name: p.grad for name, p in params.items()}

@@ -647,6 +647,18 @@ class TestInputErrors:
         assert f"{video}: packed video has a zero-length dim" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-itae", "train-nf", "score"])
+    @pytest.mark.parametrize("channels", [2, 4])
+    def test_packed_video_channel_count_exit_2(self, small_run, tmp_path, capsys, command,
+                                               channels):
+        video = tmp_path / f"c{channels}.t5"
+        save_tensor(video, np.random.default_rng(0).uniform(size=(1, channels, 16, 20, 20)))
+        out = tmp_path / "out"
+        ckpt = [] if command == "train-itae" else ["--itae-dir", str(small_run / "itae")]
+        err = refuse(capsys, out, command, "--data-path", str(video), *ckpt)
+        assert f"{video}: packed video must have 1 or 3 channels" in err
+        assert not out.exists()
+
     def test_resize_by_non_integer_factor_exit_2(self, tmp_path, capsys):
         video = packed_video(tmp_path / "v48.t5", 48)
         err = refuse(capsys, tmp_path / "out", "train-itae", "--data-path", str(video),

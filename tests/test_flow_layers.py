@@ -20,6 +20,7 @@ from flowvad.flow import (
 from flowvad.tensor import Tensor
 
 from graph_ops import broadcast_to, concat, conv3d, exp, matmul, relu, tanh
+from model_oracles import named_grads
 from numeric import max_relative_error, numerical_gradient, numerical_jacobian
 
 
@@ -52,7 +53,7 @@ def x8(rng):
 class TestActNorm:
     def test_known_scale_logdet(self):
         layer = ActNorm(3)
-        layer.logs.data[:] = np.log(2.0)
+        layer.params["logs"][:] = np.log(2.0)
         x = np.random.default_rng(0).normal(size=(1, 3, 4, 5))
         _, ld, _ = layer.forward(x)
         assert ld == pytest.approx(4 * 5 * 3 * np.log(2.0), abs=1e-12)
@@ -77,9 +78,9 @@ class TestActNorm:
         layer = ActNorm(2)
         first = rng.normal(5.0, 2.0, size=(8, 2, 2, 2))
         layer.forward(first, init=True)
-        logs_before = layer.logs.data.copy()
+        logs_before = layer.params["logs"].copy()
         layer.forward(rng.normal(size=(8, 2, 2, 2)), init=True)
-        assert np.array_equal(layer.logs.data, logs_before)
+        assert np.array_equal(layer.params["logs"], logs_before)
 
     def test_inverse_roundtrip_and_logdet(self, rng, x8):
         layer = ActNorm(2)
@@ -146,7 +147,7 @@ class TestInvertibleConv1x1:
 
     def test_inverse_roundtrip_and_logdet(self, rng, x8):
         layer = InvertibleConv1x1(2, rng)
-        layer.log_diag.data += rng.normal(0, 0.3, size=2)  # move off the rotation
+        layer.params["log_diag"] += rng.normal(0, 0.3, size=2)  # move off the rotation
         out, ld, _ = layer.forward(x8)
         back, ld_inv = layer.inverse(out)
         assert np.max(np.abs(back - x8)) < 1e-6
@@ -154,8 +155,8 @@ class TestInvertibleConv1x1:
 
     def test_jacobian_matches_analytic(self, rng, x8):
         layer = InvertibleConv1x1(2, rng)
-        layer.lower.data += rng.normal(0, 0.2, size=(2, 2)) * np.tril(np.ones((2, 2)), -1)
-        layer.log_diag.data += 0.25
+        layer.params["lower"] += rng.normal(0, 0.2, size=(2, 2)) * np.tril(np.ones((2, 2)), -1)
+        layer.params["log_diag"] += 0.25
         assert jacobian_logdet(layer, x8) == pytest.approx(
             analytic_logdet(layer, x8), abs=1e-6
         )
@@ -165,17 +166,16 @@ class TestInvertibleConv1x1:
         layer = InvertibleConv1x1(2, rng)
         out, _, cache = layer.forward(x8)
         layer.backward(cache, 2.0 * out, np.ones(1))
-        assert layer.log_diag.grad is not None
-        assert layer.lower.grad is not None
-        assert layer.upper.grad is not None
+        assert all(g.any() for g in layer.grads.values())
+        log_diag = layer.params["log_diag"]
 
         def objective(values):
-            layer.log_diag.data = values
+            log_diag[...] = values
             y, ld, _ = layer.forward(x8)
             return float((y * y).sum() + ld)
 
-        want = numerical_gradient(objective, layer.log_diag.data.copy())
-        assert max_relative_error(layer.log_diag.grad, want) < 1e-6
+        want = numerical_gradient(objective, log_diag.copy())
+        assert max_relative_error(layer.grads["log_diag"], want) < 1e-6
 
 
 class TestAffineCoupling:
@@ -187,15 +187,15 @@ class TestAffineCoupling:
 
     def test_first_half_passes_through(self, rng, x8):
         layer = AffineCoupling(2, hidden=8, rng=rng)
-        layer.w3.data[:] = rng.normal(0, 0.5, layer.w3.shape)
+        layer.params["w3"][:] = rng.normal(0, 0.5, layer.params["w3"].shape)
         out, _, _ = layer.forward(x8)
         assert np.array_equal(out[:, :1], x8[:, :1])
         assert not np.allclose(out[:, 1:], x8[:, 1:])
 
     def test_inverse_roundtrip_and_logdet(self, rng, x8):
         layer = AffineCoupling(2, hidden=8, rng=rng)
-        layer.w3.data[:] = rng.normal(0, 0.5, layer.w3.shape)
-        layer.b3.data[:] = rng.normal(0, 0.1, layer.b3.shape)
+        layer.params["w3"][:] = rng.normal(0, 0.5, layer.params["w3"].shape)
+        layer.params["b3"][:] = rng.normal(0, 0.1, layer.params["b3"].shape)
         out, ld, _ = layer.forward(x8)
         back, ld_inv = layer.inverse(out)
         assert np.max(np.abs(back - x8)) < 1e-6
@@ -203,14 +203,14 @@ class TestAffineCoupling:
 
     def test_jacobian_matches_analytic(self, rng, x8):
         layer = AffineCoupling(2, hidden=8, rng=rng)
-        layer.w3.data[:] = rng.normal(0, 0.4, layer.w3.shape)
+        layer.params["w3"][:] = rng.normal(0, 0.4, layer.params["w3"].shape)
         assert jacobian_logdet(layer, x8) == pytest.approx(
             analytic_logdet(layer, x8), abs=1e-6
         )
 
     def test_scale_stays_inside_clamp(self, rng):
         layer = AffineCoupling(2, hidden=8, rng=rng)
-        layer.w3.data[:] = rng.normal(0, 50.0, layer.w3.shape)  # huge conditioner output
+        layer.params["w3"][:] = rng.normal(0, 50.0, layer.params["w3"].shape)  # huge output
         x = rng.normal(size=(4, 2, 4, 4))
         _, ld, _ = layer.forward(x)
         # per-element log-scale bounded by the clamp
@@ -261,7 +261,7 @@ def perturbed_step(rng, channels=2, hidden=4, squeeze=2):
     config = FlowConfig(channels=channels, levels=1, steps=1, hidden=hidden, squeeze=squeeze)
     stack = FlowStack(config, rng)
     for p in stack.named_parameters().values():
-        p.data += rng.normal(0, 0.2, p.shape)  # in place: each is a view of the flat vector
+        p += rng.normal(0, 0.2, p.shape)  # in place: each is a view of the flat vector
     return stack
 
 
@@ -284,42 +284,47 @@ def autodiff_conv2d(x, w, b, pad):
     return out.reshape(n, co, out.shape[3], out.shape[4])
 
 
-def autodiff_step(an, mix, cpl, x):
+def autodiff_step(p, mix, cpl, x):
     """actnorm -> LU 1x1 mix -> coupling from generic tensor ops; returns the
-    output and the step's per-sample log-det."""
+    output and the step's per-sample log-det. ``p`` maps the step's
+    parameter names, "actnorm.logs" and the like, to leaf Tensors."""
     n, c, h, w = x.shape
-    scale = broadcast_to(exp(an.logs).reshape(1, c, 1, 1), x.shape)
-    y = x * scale + broadcast_to(an.bias.reshape(1, c, 1, 1), x.shape)
+    scale = broadcast_to(exp(p["actnorm.logs"]).reshape(1, c, 1, 1), x.shape)
+    y = x * scale + broadcast_to(p["actnorm.bias"].reshape(1, c, 1, 1), x.shape)
     eye = Tensor(np.eye(c))
-    l_full = mix.lower * Tensor(np.tril(np.ones((c, c)), -1)) + eye
-    diag = Tensor(mix.sign.reshape(c, 1)) * exp(mix.log_diag).reshape(c, 1)
-    u_full = mix.upper * Tensor(np.triu(np.ones((c, c)), 1)) + broadcast_to(diag, (c, c)) * eye
+    l_full = p["mix.lower"] * Tensor(np.tril(np.ones((c, c)), -1)) + eye
+    diag = Tensor(mix.sign.reshape(c, 1)) * exp(p["mix.log_diag"]).reshape(c, 1)
+    u_full = p["mix.upper"] * Tensor(np.triu(np.ones((c, c)), 1))
+    u_full = u_full + broadcast_to(diag, (c, c)) * eye
     wmat = matmul(Tensor(mix.perm), matmul(l_full, u_full))
     y = matmul(wmat, y.reshape(n, c, h * w)).reshape(n, c, h, w)
     xa, xb = y[:, : cpl.ca], y[:, cpl.ca :]
-    hid = relu(autodiff_conv2d(xa, cpl.w1, cpl.b1, 1))
-    hid = relu(autodiff_conv2d(hid, cpl.w2, cpl.b2, 0))
-    hid = autodiff_conv2d(hid, cpl.w3, cpl.b3, 1)
+    hid = relu(autodiff_conv2d(xa, p["coupling.w1"], p["coupling.b1"], 1))
+    hid = relu(autodiff_conv2d(hid, p["coupling.w2"], p["coupling.b2"], 0))
+    hid = autodiff_conv2d(hid, p["coupling.w3"], p["coupling.b3"], 1)
     log_s = tanh(hid[:, : cpl.cb]) * _CLAMP
     out = concat([xa, xb * exp(log_s) + hid[:, cpl.cb :]], axis=1)
     per_sample = Tensor(np.ones(n))
-    logdet = (an.logs.sum() + mix.log_diag.sum()) * float(h * w) * per_sample
+    logdet = (p["actnorm.logs"].sum() + p["mix.log_diag"].sum()) * float(h * w) * per_sample
     return out, logdet + log_s.sum(axis=(1, 2, 3))
 
 
-def autodiff_nll(stack, x):
+def autodiff_nll(stack, x, leaves):
     """The whole stack's per-sample NLL from generic tensor ops: squeeze and
-    split by reshape, transpose and slicing, a unit Gaussian prior."""
+    split by reshape, transpose and slicing, a unit Gaussian prior.
+    ``leaves`` maps each of the stack's parameter names to a leaf Tensor."""
     f = stack.config.squeeze
     logdet = Tensor(np.zeros(x.shape[0]))
     z_parts = []
-    for level in stack.levels:
+    for li, level in enumerate(stack.levels):
         n, c, h, w = x.shape
         if f > 1:
             x = x.reshape(n, c, h // f, f, w // f, f).transpose((0, 1, 3, 5, 2, 4))
             x = x.reshape(n, c * f * f, h // f, w // f)
-        for an, mix, cpl in level["steps"]:
-            x, ld = autodiff_step(an, mix, cpl, x)
+        for si, (_, mix, cpl) in enumerate(level["steps"]):
+            prefix = f"level{li}.step{si}."
+            p = {k[len(prefix):]: t for k, t in leaves.items() if k.startswith(prefix)}
+            x, ld = autodiff_step(p, mix, cpl, x)
             logdet = logdet + ld
         if level["keep"] < level["channels"]:
             z_parts.append(x[:, level["keep"] :])
@@ -337,19 +342,22 @@ def assert_matches_autodiff(rng, **config):
     gradient and every parameter gradient within 1e-12."""
     stack = FlowStack(FlowConfig(**config), rng)
     for p in stack.named_parameters().values():
-        p.data += rng.normal(0, 0.2, p.shape)
+        p += rng.normal(0, 0.2, p.shape)
     x0 = rng.normal(size=(3, config["channels"], 4, 8))
     weights = Tensor(rng.normal(size=3))
-    results = []
-    for nll_of in (lambda x: stack.forward(x).nll, lambda x: autodiff_nll(stack, x)):
-        for p in stack.parameters():
-            p.grad = None
-        x = Tensor(x0, requires_grad=True)
-        nll = nll_of(x)
-        (nll * weights).sum().backward()
-        results.append([nll.data, x.grad] + [p.grad.copy() for p in stack.parameters()])
-    for got, want in zip(*results):
-        assert max_relative_error(got, want) < 1e-12
+
+    x = Tensor(x0, requires_grad=True)
+    nll = stack.forward(x).nll
+    (nll * weights).sum().backward()
+    got = [nll.data, x.grad, stack.params.grad]
+
+    leaves = {k: Tensor(p.copy(), requires_grad=True) for k, p in stack.named_parameters().items()}
+    x = Tensor(x0, requires_grad=True)
+    nll = autodiff_nll(stack, x, leaves)
+    (nll * weights).sum().backward()
+    want = [nll.data, x.grad, np.concatenate([t.grad.reshape(-1) for t in leaves.values()])]
+    for g, w in zip(got, want):
+        assert max_relative_error(g, w) < 1e-12
 
 
 PARAM_KINDS = [
@@ -363,26 +371,28 @@ class TestHandWrittenBackward:
     def test_parameter_gradient_matches_finite_differences(self, rng, kind):
         stack = perturbed_step(rng)
         x = Tensor(rng.normal(size=(2, 2, 6, 4)))
-        param = stack.named_parameters()[f"level0.step0.{kind}"]
+        name = f"level0.step0.{kind}"
+        param = stack.named_parameters()[name]
         stack.forward(x).nll.mean().backward()
-        got = param.grad.copy()
+        got = named_grads(stack)[name].copy()
 
         def nll(values):
-            param.data[...] = values
+            param[...] = values
             return float(stack.forward(x).nll.data.mean())
 
-        want = numerical_gradient(nll, param.data.copy())
+        want = numerical_gradient(nll, param.copy())
         assert np.any(got != 0.0)
         assert max_relative_error(got, want) < 1e-6
 
     def test_conditioner_forward_matches_loop_convolutions(self, rng):
         layer = AffineCoupling(5, hidden=4, rng=rng)  # 2 conditioning, 3 coupled channels
-        for p in layer.named_parameters("c").values():
-            p.data += rng.normal(0, 0.3, p.shape)
+        p = layer.params
+        for v in p.values():
+            v += rng.normal(0, 0.3, v.shape)
         xa = rng.normal(size=(3, 2, 5, 4))
-        hid = np.maximum(conv2d_loop(xa, layer.w1.data, layer.b1.data, 1), 0.0)
-        hid = np.maximum(conv2d_loop(hid, layer.w2.data, layer.b2.data, 0), 0.0)
-        want = conv2d_loop(hid, layer.w3.data, layer.b3.data, 1)
+        hid = np.maximum(conv2d_loop(xa, p["w1"], p["b1"], 1), 0.0)
+        hid = np.maximum(conv2d_loop(hid, p["w2"], p["b2"], 0), 0.0)
+        want = conv2d_loop(hid, p["w3"], p["b3"], 1)
         out, _ = layer._net(xa)
         assert out.shape == (6, 5, 4, 3)  # raw scale and shift, channel-major
         assert np.allclose(out.transpose(3, 0, 1, 2), want, rtol=0.0, atol=1e-12)
@@ -402,13 +412,12 @@ class TestHandWrittenBackward:
         weights = Tensor(rng.normal(size=2))
         full = Tensor(x0, requires_grad=True)
         (stack.forward(full).nll * weights).sum().backward()
-        want = {name: p.grad.copy() for name, p in stack.named_parameters().items()}
-        for p in stack.parameters():
-            p.grad = None
+        want = {name: g.copy() for name, g in named_grads(stack).items()}
+        stack.params.grad = None
         xin = Tensor(x0, requires_grad=input_grad)
         (stack.forward(xin).nll * weights).sum().backward()
-        for name, p in stack.named_parameters().items():
-            assert np.allclose(p.grad, want[name], rtol=1e-12, atol=1e-14), name
+        for name, g in named_grads(stack).items():
+            assert np.allclose(g, want[name], rtol=1e-12, atol=1e-14), name
         if input_grad:
             assert np.allclose(xin.grad, full.grad, rtol=1e-12, atol=1e-14)
         else:

@@ -9,7 +9,7 @@ from flowvad.errors import ShapeError
 from flowvad.flow import FlowConfig, FlowStack, gaussian_log_density
 from flowvad.tensor import Tensor
 
-from model_oracles import bits_per_dim, num_transforms
+from model_oracles import bits_per_dim, named_grads, num_transforms
 from numeric import numerical_jacobian
 
 
@@ -17,9 +17,9 @@ def perturb(stack, rng, scale=0.3):
     """Move a freshly built stack off its identity-like init."""
     for name, p in stack.named_parameters().items():
         if name.endswith(("w3", "b3")):
-            p.data += rng.normal(0, scale, p.shape)
+            p += rng.normal(0, scale, p.shape)
         elif name.endswith(("logs", "bias", "log_diag")):
-            p.data += rng.normal(0, 0.1 * scale, p.shape)
+            p += rng.normal(0, 0.1 * scale, p.shape)
 
 
 def flatten_latents(z_parts):
@@ -144,8 +144,8 @@ class TestValidation:
         perturb(stack, rng)
         x = rng.normal(size=(4, 2, 4, 4))
         stack.forward(Tensor(x)).nll.mean().backward()
-        for name, p in stack.named_parameters().items():
-            assert p.grad is not None, name
+        for name, g in named_grads(stack).items():
+            assert g.any(), name
 
     def test_nll_gradient_check_against_finite_differences(self, rng):
         from numeric import max_relative_error, numerical_gradient
@@ -191,11 +191,10 @@ class TestGraphFreeNll:
         t = result.nll
         assert t._parents == () and t._backward is None and not t.requires_grad
         result.nll.sum().backward()
-        for name, p in stack.named_parameters().items():
-            assert p.grad is None, name
+        assert stack.params.grad is None
         # a training forward on the same stack records
         stack.forward(Tensor(x)).nll.mean().backward()
-        assert all(p.grad is not None for p in stack.parameters())
+        assert stack.params.grad is not None
 
     def test_init_actnorm_records_nothing(self, rng, monkeypatch):
         stack = FlowStack(FlowConfig(channels=2, levels=2, steps=2, hidden=8), rng)
@@ -203,8 +202,7 @@ class TestGraphFreeNll:
         (result,) = self.forward_results(monkeypatch, lambda: stack.init_actnorm(x))
         t = result.nll
         assert t._parents == () and t._backward is None and not t.requires_grad
-        for name, p in stack.named_parameters().items():
-            assert p.requires_grad and p.grad is None, name
+        assert stack.params.requires_grad and stack.params.grad is None
 
     def test_forward_records_one_node_and_none_without_grad(self, rng):
         stack = FlowStack(FlowConfig(channels=2, levels=2, steps=2, hidden=8), rng)

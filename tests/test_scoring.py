@@ -8,7 +8,6 @@ import pytest
 from flowvad.errors import ShapeError
 from flowvad.scoring import (
     aggregate_windows,
-    expand_static,
     fuse,
     minmax_normalize,
     nll_score,
@@ -108,14 +107,6 @@ class TestPatchMax:
 
 
 class TestNllSeries:
-    def test_expand_static_spans(self):
-        got = expand_static([1.0, 2.0], num_frames=8, tau=4)
-        assert np.array_equal(got, [1, 1, 1, 1, 2, 2, 2, 2])
-
-    def test_expand_static_tail_forward_fill(self):
-        got = expand_static([3.0, 5.0], num_frames=11, tau=4)
-        assert np.array_equal(got, [3, 3, 3, 3, 5, 5, 5, 5, 5, 5, 5])
-
     def test_minmax_basic(self):
         assert np.allclose(minmax_normalize([2, 4, 6]), [0, 0.5, 1])
 
@@ -130,7 +121,7 @@ class TestNllSeries:
         assert np.array_equal(out, [0.0])
 
     def test_nll_score_hand_example(self):
-        static = expand_static([1.0], num_frames=4, tau=4)
+        static = np.ones(4)  # one static sample held across its tau = 4 frames
         dynamic = np.array([0.0, 1.0, 2.0, 3.0])
         got = nll_score(static, dynamic)
         assert np.allclose(got, [0, 1 / 3, 2 / 3, 1])

@@ -19,7 +19,6 @@ from flowvad.checkpoint import (
 )
 from flowvad.errors import ConfigError, NumericError, ShapeError
 from flowvad.flow import FlowConfig, FlowStack
-from flowvad.tensor import Tensor
 from flowvad.tensor_io import MAGIC, load_tensor, read_tensor, save_tensor
 
 
@@ -127,12 +126,6 @@ class TestTensorFiles:
 CFG = AutoencoderConfig()
 
 
-def parameters(arrays):
-    """Hand-made parameters named as in ``arrays``, each a trainable Tensor
-    over its array, as a model's ``named_parameters()`` gives them."""
-    return {name: Tensor(v, requires_grad=True) for name, v in arrays.items()}
-
-
 def small_model(kind):
     if kind == "autoencoder":
         return TwoPathAutoencoder(AutoencoderConfig(in_channels=1, tau=2), np.random.default_rng(0))
@@ -149,14 +142,14 @@ class TestCheckpoints:
         fresh = TwoPathAutoencoder(cfg, np.random.default_rng(99))
         fresh.load_state(load_checkpoint(ckpt, cfg))
         for name, p in model.named_parameters().items():
-            assert np.array_equal(p.data, fresh.named_parameters()[name].data), name
+            assert np.array_equal(p, fresh.named_parameters()[name]), name
 
     @pytest.mark.parametrize("damage", ["wrong-shape", "missing-name", "extra-name", "nan-value"])
     @pytest.mark.parametrize("kind", ["autoencoder", "flow"])
     def test_load_state_rejects(self, kind, damage):
         model = small_model(kind)
         params = model.named_parameters()
-        before = {name: p.data.copy() for name, p in params.items()}
+        before = {name: p.copy() for name, p in params.items()}
         state = {name: -v for name, v in before.items()}
         last = list(state)[-1]
         if damage == "wrong-shape":
@@ -170,27 +163,25 @@ class TestCheckpoints:
         with pytest.raises(NumericError if damage == "nan-value" else ShapeError):
             model.load_state(state)
         for name, p in model.named_parameters().items():  # nothing copied, not even the first
-            assert np.array_equal(p.data, before[name]), name
+            assert np.array_equal(p, before[name]), name
 
     @pytest.mark.parametrize("kind", ["autoencoder", "flow"])
     def test_load_state_copies_in_place(self, kind):
         model = small_model(kind)
-        arrays = {name: p.data for name, p in model.named_parameters().items()}
+        arrays = model.named_parameters()
         state = {name: -v.copy() - 1.0 for name, v in arrays.items()}
         want = {name: v.copy() for name, v in state.items()}
         model.load_state(state)
         for name, p in model.named_parameters().items():
-            assert p.data is arrays[name], name
-            assert np.array_equal(p.data, want[name]), name
+            assert p is arrays[name], name
+            assert np.array_equal(p, want[name]), name
         for v in state.values():
             v += 5.0
         for name, p in model.named_parameters().items():  # no memory shared with the state
-            assert np.array_equal(p.data, want[name]), name
+            assert np.array_equal(p, want[name]), name
 
     def test_true_shapes_restored(self, rng, tmp_path):
-        params = parameters(
-            {"w.bias": rng.normal(size=(7,)), "w.kernel": rng.normal(size=(2, 3, 4))}
-        )
+        params = {"w.bias": rng.normal(size=(7,)), "w.kernel": rng.normal(size=(2, 3, 4))}
         save_checkpoint(tmp_path / "c", params, CFG)
         back = load_checkpoint(tmp_path / "c", CFG)
         assert back["w.bias"].shape == (7,)
@@ -213,11 +204,11 @@ class TestCheckpoints:
         )
 
     def test_hash_changes_with_content(self, rng, tmp_path):
-        params = parameters({"w": rng.normal(size=(3, 3))})
+        params = {"w": rng.normal(size=(3, 3))}
         save_checkpoint(tmp_path / "c", params, CFG)
         h1 = checkpoint_hash(tmp_path / "c")
         assert h1 == checkpoint_hash(tmp_path / "c")
-        params["w"].data[0, 0] += 1.0
+        params["w"][0, 0] += 1.0
         save_checkpoint(tmp_path / "c2", params, CFG)
         assert h1 != checkpoint_hash(tmp_path / "c2")
 
@@ -227,14 +218,14 @@ class TestCheckpoints:
             load_checkpoint(tmp_path / "empty", CFG)
 
     def test_manifest_is_sorted_json(self, rng, tmp_path):
-        params = parameters({"b": rng.normal(size=2), "a": rng.normal(size=2)})
+        params = {"b": rng.normal(size=2), "a": rng.normal(size=2)}
         save_checkpoint(tmp_path / "c", params, CFG)
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert list(manifest["parameters"]) == ["a", "b"]
 
     def test_one_payload_in_sorted_name_order(self, rng, tmp_path):
-        params = parameters({"b.w": rng.normal(size=(2, 3)), "a.bias": rng.normal(size=4),
-                             "a.w": rng.normal(size=(1, 2, 1))})
+        params = {"b.w": rng.normal(size=(2, 3)), "a.bias": rng.normal(size=4),
+                             "a.w": rng.normal(size=(1, 2, 1))}
         save_checkpoint(tmp_path / "c", params, CFG)
         assert sorted(os.listdir(tmp_path / "c")) == ["manifest.json", "params.t5"]
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
@@ -242,7 +233,7 @@ class TestCheckpoints:
         assert manifest["parameters"] == {"a.bias": [4], "a.w": [1, 2, 1], "b.w": [2, 3]}
         raw = (tmp_path / "c" / "params.t5").read_bytes()
         assert raw[:24] == struct.pack("<4s5I", MAGIC, 1, 1, 1, 1, 12)
-        want = b"".join(params[n].data.astype("<f8").tobytes() for n in ("a.bias", "a.w", "b.w"))
+        want = b"".join(params[n].astype("<f8").tobytes() for n in ("a.bias", "a.w", "b.w"))
         assert raw[24:] == want
 
     @pytest.mark.parametrize("failing", [1, 2])
@@ -250,7 +241,7 @@ class TestCheckpoints:
         """A save whose first or second file write fails part way leaves the
         previous checkpoint bit for bit and no temporary file."""
         ckpt = tmp_path / "c"
-        old = parameters({"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3)})
+        old = {"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3)}
         save_checkpoint(ckpt, old, CFG)
         before = {name: (ckpt / name).read_bytes() for name in os.listdir(ckpt)}
         opened = []
@@ -266,11 +257,11 @@ class TestCheckpoints:
 
         monkeypatch.setattr(checkpoint, "open", open_then_fail, raising=False)
         with pytest.raises(OSError, match="No space"):
-            save_checkpoint(ckpt, parameters({name: p.data + 1.0 for name, p in old.items()}), CFG)
+            save_checkpoint(ckpt, {name: p + 1.0 for name, p in old.items()}, CFG)
         assert opened == ["params.t5.tmp", "manifest.json.tmp"][:failing]
         assert {name: (ckpt / name).read_bytes() for name in os.listdir(ckpt)} == before
         back = load_checkpoint(ckpt, CFG)
-        assert all(np.array_equal(back[name], p.data) for name, p in old.items())
+        assert all(np.array_equal(back[name], p) for name, p in old.items())
 
 
 class TestCheckpointMemory:

@@ -5,11 +5,14 @@ import pytest
 
 from flowvad.autoencoder import AutoencoderConfig, TwoPathAutoencoder
 from flowvad.errors import NumericError, TrainingAborted
-from flowvad.flow import FlowConfig, FlowStack
+from flowvad.checkpoint import load_checkpoint, save_checkpoint
+from flowvad.flow import ActNorm, AffineCoupling, FlowConfig, FlowStack, InvertibleConv1x1
 from flowvad import optim
 from flowvad.optim import Adam
 from flowvad.tensor import Tensor
 from flowvad.train import TrainConfig, _check_params_finite, train_autoencoder, train_flow
+
+from model_oracles import named_grads
 
 
 def copies_at_each_call(monkeypatch, owner, attr, params, then=None):
@@ -19,7 +22,7 @@ def copies_at_each_call(monkeypatch, owner, attr, params, then=None):
     original = getattr(owner, attr)
 
     def wrapper(*args, **kwargs):
-        copies.append({name: p.data.copy() for name, p in params.items()})
+        copies.append({name: p.copy() for name, p in params.items()})
         out = original(*args, **kwargs)
         if then is not None:
             then(len(copies))
@@ -31,7 +34,7 @@ def copies_at_each_call(monkeypatch, owner, attr, params, then=None):
 
 def assert_params_equal(params, values):
     for name, p in params.items():
-        assert np.array_equal(p.data, values[name]), name
+        assert np.array_equal(p, values[name]), name
 
 
 def tiny_model(seed=0):
@@ -47,12 +50,12 @@ def tiny_clips(rng, n=4):
 class TestAutoencoderLoop:
     def test_zero_lr_leaves_params_bit_identical(self, rng):
         model = tiny_model()
-        before = {k: v.data.copy() for k, v in model.named_parameters().items()}
+        before = {k: v.copy() for k, v in model.named_parameters().items()}
         train_autoencoder(
             model, tiny_clips(rng), TrainConfig(steps=3, batch_size=1, lr=0.0)
         )
         for name, p in model.named_parameters().items():
-            assert np.array_equal(p.data, before[name]), name
+            assert np.array_equal(p, before[name]), name
 
     def test_loss_decreases(self, rng):
         model = tiny_model()
@@ -92,7 +95,7 @@ class TestAutoencoderLoop:
                 model, clips, TrainConfig(steps=40, batch_size=1, lr=1e-3, seed=5)
             )
         for name, p in params.items():
-            assert np.all(np.isfinite(p.data)), name
+            assert np.all(np.isfinite(p)), name
         assert len(starts) > 1  # the bad clip was not drawn first
         assert_params_equal(params, starts[-1])
 
@@ -102,7 +105,7 @@ class TestAutoencoderLoop:
 
         def poison(calls):
             if calls == 3:
-                params["decode4.bias"].data[...] = np.nan
+                params["decode4.bias"][...] = np.nan
 
         starts = copies_at_each_call(monkeypatch, Adam, "step", params, then=poison)
         with pytest.raises(
@@ -112,7 +115,7 @@ class TestAutoencoderLoop:
                 model, tiny_clips(rng, n=2), TrainConfig(steps=5, batch_size=1, lr=1e-3)
             )
         assert_params_equal(params, starts[-1])
-        assert all(p.grad is None for p in params.values())  # released on abort too
+        assert all(p.grad is None for p in model.parameters())  # released on abort too
 
     def test_no_clips_rejected(self):
         with pytest.raises(ValueError, match="no training clips"):
@@ -165,7 +168,7 @@ class TestFlowLoop:
         with pytest.raises(TrainingAborted, match="aborted"):
             train_flow(stack, samples, TrainConfig(steps=200, batch_size=8, lr=3e2))
         for name, p in params.items():
-            assert np.all(np.isfinite(p.data)), name
+            assert np.all(np.isfinite(p)), name
         assert_params_equal(params, starts[-1])
 
     def test_abort_after_update_restores_pre_step_params(self, rng, monkeypatch):
@@ -174,7 +177,7 @@ class TestFlowLoop:
 
         def poison(calls):
             if calls == 3:
-                params["level0.step1.coupling.b3"].data[...] = np.nan
+                params["level0.step1.coupling.b3"][...] = np.nan
 
         starts = copies_at_each_call(monkeypatch, Adam, "step", params, then=poison)
         with pytest.raises(
@@ -184,7 +187,7 @@ class TestFlowLoop:
         ):
             train_flow(stack, flow_samples(rng), TrainConfig(steps=5, batch_size=8, lr=1e-3))
         assert_params_equal(params, starts[-1])
-        assert all(p.grad is None for p in params.values())  # released on abort too
+        assert stack.params.grad is None  # released on abort too
 
     def test_one_forward_per_step(self, rng, monkeypatch):
         calls = []
@@ -204,13 +207,13 @@ class TestFlowLoop:
 
 
 def grads_at_each_call(monkeypatch, owner, attr, params):
-    """Patch owner.attr to record, before each call, the names of the
-    parameters that carry a gradient; returns the list of records."""
+    """Patch owner.attr to record, before each call, how many of the
+    trainable arrays ``params`` carry a gradient; returns the counts."""
     seen = []
     original = getattr(owner, attr)
 
     def wrapper(*args, **kwargs):
-        seen.append([name for name, p in params.items() if p.grad is not None])
+        seen.append(sum(p.grad is not None for p in params))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, attr, wrapper)
@@ -224,34 +227,33 @@ class TestGradientLifetime:
 
     def test_autoencoder(self, rng, monkeypatch):
         model = tiny_model()
-        params = model.named_parameters()
+        params = model.parameters()
         seen = grads_at_each_call(monkeypatch, TwoPathAutoencoder, "reconstruct", params)
         train_autoencoder(model, tiny_clips(rng, n=2), TrainConfig(steps=3, batch_size=1, lr=1e-3))
-        assert seen == [[], [], []]
-        assert all(p.grad is None for p in params.values())
+        assert seen == [0, 0, 0]
+        assert all(p.grad is None for p in params)
 
     def test_flow(self, rng, monkeypatch):
         stack = tiny_flow()
-        params = stack.named_parameters()
-        seen = grads_at_each_call(monkeypatch, FlowStack, "forward", params)
+        seen = grads_at_each_call(monkeypatch, FlowStack, "forward", stack.parameters())
         train_flow(stack, flow_samples(rng), TrainConfig(steps=3, batch_size=8, lr=1e-3))
-        assert seen == [[], [], [], []]  # actnorm init, then one per step
-        assert all(p.grad is None for p in params.values())
+        assert seen == [0, 0, 0, 0]  # actnorm init, then one per step
+        assert stack.params.grad is None
 
 
 class TestParameterCheck:
     def test_overflowing_total_is_not_an_abort(self):
         # every value finite, but their sum overflows to inf
-        params = {"a": Tensor(np.full(4, 1e308)), "b": Tensor(np.array([-1e308, 1e308]))}
-        _check_params_finite(params, 0)
+        named = {"a": np.full(4, 1e308), "b": np.array([-1e308, 1e308])}
+        _check_params_finite(named, 0, [Tensor(p) for p in named.values()])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_names_the_non_finite_parameter(self, bad):
         values = np.ones(3)
         values[1] = bad
-        params = {"a": Tensor(np.full(4, 1e308)), "b": Tensor(values)}
+        named = {"a": np.full(4, 1e308), "b": values}
         with pytest.raises(NumericError, match="parameter b became non-finite at step 7"):
-            _check_params_finite(params, 7)
+            _check_params_finite(named, 7, [Tensor(p) for p in named.values()])
 
 
 class TestAdam:
@@ -283,8 +285,8 @@ def assert_views_of_one_vector(stack):
     named = stack.named_parameters()
     flat = stack.params.data
     for name, p in named.items():
-        assert np.shares_memory(p.data, flat), name
-    assert np.array_equal(flat, np.concatenate([p.data.reshape(-1) for p in named.values()]))
+        assert np.shares_memory(p, flat), name
+    assert np.array_equal(flat, np.concatenate([p.reshape(-1) for p in named.values()]))
 
 
 class TestFlatParameters:
@@ -296,12 +298,12 @@ class TestFlatParameters:
         assert_views_of_one_vector(stack)
         samples = flow_samples(rng)
         stack.init_actnorm(samples[:8])
-        assert np.any(stack.named_parameters()["level0.step0.actnorm.logs"].data != 0.0)
+        assert np.any(stack.named_parameters()["level0.step0.actnorm.logs"] != 0.0)
         assert_views_of_one_vector(stack)
 
         trained = tiny_flow(seed=1)
         train_flow(trained, samples, TrainConfig(steps=3, batch_size=8, lr=1e-2))
-        stack.load_state({k: p.data for k, p in trained.named_parameters().items()})
+        stack.load_state(trained.named_parameters())
         assert np.array_equal(stack.params.data, trained.params.data)
         assert_views_of_one_vector(stack)
 
@@ -314,7 +316,7 @@ class TestFlatParameters:
 
         def poison(calls):
             if calls == 2:
-                params["level0.step1.coupling.b3"].data[...] = np.nan
+                params["level0.step1.coupling.b3"][...] = np.nan
 
         starts = copies_at_each_call(monkeypatch, Adam, "step", params, then=poison)
         with pytest.raises(TrainingAborted, match="aborted at step 1"):
@@ -325,17 +327,51 @@ class TestFlatParameters:
     def test_gradient_views_are_the_flat_gradient(self, rng):
         stack = tiny_flow()
         stack.forward(Tensor(flow_samples(rng, n=8))).nll.mean().backward()
-        named = stack.named_parameters()
-        for name, p in named.items():
-            assert np.shares_memory(p.grad, stack.params.grad), name
-        assert np.array_equal(
-            stack.params.grad, np.concatenate([p.grad.reshape(-1) for p in named.values()])
-        )
+        layers = [layer for level in stack.levels for _, layer in level["layers"]]
+        grads = [g for layer in layers for g in layer.grads.values()]
+        for g in grads:
+            assert np.shares_memory(g, stack.params.grad)
+        assert np.array_equal(stack.params.grad, np.concatenate([g.reshape(-1) for g in grads]))
+
+    def test_named_parameters_are_arrays(self, rng, tmp_path):
+        """Both models name plain arrays, which a checkpoint round-trips.
+        The flow's are views of ``params.data`` in order, and after a
+        backward each layer's gradient array is the view of ``params.grad``
+        at the same offset; a layer built alone holds zero gradients."""
+        model, stack = tiny_model(), tiny_flow()
+        for named in (model.named_parameters(), stack.named_parameters()):
+            assert all(type(p) is np.ndarray for p in named.values())
+        stack.forward(Tensor(flow_samples(rng, n=8))).nll.mean().backward()
+        flat, flat_grad = stack.params.data, stack.params.grad
+        start = 0
+        for level in stack.levels:
+            for name, layer in level["layers"]:
+                assert layer.grads.keys() == layer.params.keys(), name
+                for key, p in layer.params.items():
+                    stop = start + p.size
+                    assert stack.named_parameters()[f"{name}.{key}"] is p
+                    for view, whole in ((p, flat), (layer.grads[key], flat_grad)):
+                        assert view.shape == p.shape
+                        assert view.ctypes.data == whole[start:].ctypes.data, (name, key)
+                    start = stop
+        assert start == flat.size and flat_grad.any()
+
+        for layer in (ActNorm(3), InvertibleConv1x1(3, rng), AffineCoupling(4, 5, rng)):
+            assert layer.grads.keys() == layer.params.keys()
+            for key, p in layer.params.items():
+                g = layer.grads[key]
+                assert g.shape == p.shape and not g.any() and not np.shares_memory(g, p), key
+
+        arrays = {"b": rng.normal(size=(2, 3)), "a": rng.normal(size=4)}
+        save_checkpoint(tmp_path / "c", arrays, stack.config)
+        back = load_checkpoint(tmp_path / "c", stack.config)
+        assert back.keys() == arrays.keys()
+        assert all(np.array_equal(back[k], v) for k, v in arrays.items())
 
     def test_training_is_textbook_adam_per_parameter_bitwise(self, rng, monkeypatch):
         """Five steps of train_flow give the bits of a whole-array textbook
         Adam run on each named parameter alone, fed the gradients read from
-        that parameter's gradient view at each step."""
+        that parameter's slice of the flat gradient at each step."""
         stack = tiny_flow()
         named = stack.named_parameters()
         config = TrainConfig(steps=5, batch_size=8, lr=5e-3, seed=2)
@@ -344,8 +380,8 @@ class TestFlatParameters:
 
         def recording(opt):
             seen.append((
-                {k: p.data.copy() for k, p in named.items()},
-                {k: p.grad.copy() for k, p in named.items()},
+                {k: p.copy() for k, p in named.items()},
+                {k: g.copy() for k, g in named_grads(stack).items()},
             ))
             step(opt)
 
@@ -363,15 +399,4 @@ class TestFlatParameters:
                 v = b2 * v + (1.0 - b2) * g * g
                 data = data - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
             assert np.any(data != seen[0][0][name]), name
-            assert np.array_equal(p.data.view(np.uint64), data.view(np.uint64)), name
-
-    def test_two_backwards_add_their_gradients(self, rng):
-        stack = tiny_flow()
-        x1, x2 = Tensor(flow_samples(rng, n=8)), Tensor(flow_samples(rng, n=8))
-        grads = []
-        for x in (x1, x2):
-            stack.forward(x).nll.mean().backward()
-            grads.append(stack.params.grad.copy())
-            stack.params.grad = None
-        (stack.forward(x1).nll.mean() + stack.forward(x2).nll.mean()).backward()
-        assert np.array_equal(stack.params.grad, grads[0] + grads[1])
+            assert np.array_equal(p.view(np.uint64), data.view(np.uint64)), name
