@@ -328,6 +328,8 @@ def _load_checked(config, source):
         video = load_video(_clip_spec(config, source))
     except (ShapeError, NumericError) as exc:
         raise ConfigError(str(exc)) from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read video file {exc.filename}: {exc.strerror}") from None
     config.check_frames(source, video)
     return video
 

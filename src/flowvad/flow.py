@@ -31,8 +31,9 @@ log-det term gets d nll / d logdet = -1, and the closed-form log-dets and
 LU gradients follow Glow (Kingma and Dhariwal 2018, arXiv:1807.03039,
 Table 1). :meth:`FlowStack.nll_of` and :meth:`FlowStack.init_actnorm` call
 it with ``record=False``, and then no layer keeps anything for a backward.
-Inverses run on plain arrays since sampling and round-trip checks never
-need gradients.
+A layer is its forward and backward only: training needs the log-likelihood
+and its gradient, scoring the log-likelihood alone, and nothing samples, so
+no layer computes its inverse.
 """
 
 from __future__ import annotations
@@ -174,12 +175,6 @@ class ActNorm:
         g.sum(axis=(0, 2, 3), out=self.grads["bias"])
         return g * scale
 
-    def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
-        n, c, h, w = z.shape
-        logs, bias = self.params["logs"], self.params["bias"]
-        x = (z - bias.reshape(1, c, 1, 1)) / np.exp(logs).reshape(1, c, 1, 1)
-        return x, -float(h * w * logs.sum())
-
 
 def _lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """LU with partial pivoting: (p, l, u) with a = p @ l @ u, p a
@@ -257,16 +252,6 @@ class InvertibleConv1x1:
         gdiag = g_u.diagonal() * u_full.diagonal()
         np.add(gdiag, float(cols.shape[2]) * gld.sum(), out=self.grads["log_diag"])
         return np.matmul(wmat.T, g).reshape(shape)
-
-    def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
-        n, c, h, w = z.shape
-        perm, l_full, u_full = self._weight_np()
-        # solve P L U x = z one factor at a time, all positions as columns
-        cols = z.transpose(1, 0, 2, 3).reshape(c, -1)
-        tmp = perm.T @ cols
-        tmp = np.linalg.solve(u_full, np.linalg.solve(l_full, tmp))
-        x = tmp.reshape(c, n, h, w).transpose(1, 0, 2, 3)
-        return np.ascontiguousarray(x), -float(h * w * self.params["log_diag"].sum())
 
 
 class AffineCoupling:
@@ -382,14 +367,6 @@ class AffineCoupling:
         np.multiply(gyb, s, out=gx[:, ca:])
         return gx
 
-    def inverse(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        za, zb = z[:, : self.ca], z[:, self.ca :]
-        h, _ = self._net(za)
-        log_s = np.tanh(h[: self.cb].transpose(3, 0, 1, 2)) * _CLAMP
-        xb = (zb - h[self.cb :].transpose(3, 0, 1, 2)) / np.exp(log_s)
-        logdet_inv = -log_s.sum(axis=(1, 2, 3))
-        return np.concatenate([za, xb], axis=1), logdet_inv
-
 
 class Squeeze:
     """Trade 2x2 spatial blocks for channels; a pure permutation, log |det| 0."""
@@ -409,17 +386,14 @@ class Squeeze:
         return out, 0.0, None
 
     def backward(self, cache, g: np.ndarray, gld: np.ndarray) -> np.ndarray:
-        return self.inverse(g)[0]
-
-    def inverse(self, z: np.ndarray) -> tuple[np.ndarray, float]:
-        n, c4, h, w = z.shape
+        # a permutation's adjoint is its inverse: unsqueeze
+        n, c4, h, w = g.shape
         c = c4 // 4
-        x = (
-            z.reshape(n, c, 2, 2, h, w)
-            .transpose(0, 1, 4, 2, 5, 3)
+        return (
+            g.reshape(n, c, 2, 2, h, w)
+            .transpose((0, 1, 4, 2, 5, 3))
             .reshape(n, c, h * 2, w * 2)
         )
-        return np.ascontiguousarray(x), 0.0
 
 
 @dataclass
@@ -444,16 +418,6 @@ class FlowConfig:
             problems.append(f"squeeze factor must be 1 or 2, got {self.squeeze}")
         if problems:
             raise ShapeError("; ".join(problems))
-        c = self.channels
-        for level in range(self.levels):
-            c *= self.squeeze**2
-            if c < 2:
-                raise ShapeError(
-                    f"level {level} would run couplings on {c} channel(s); "
-                    "need at least 2 after squeezing"
-                )
-            if level < self.levels - 1:
-                c //= 2
 
 
 @dataclass
@@ -474,19 +438,17 @@ class FlowStack:
         c = config.channels
         for level in range(config.levels):
             c *= config.squeeze**2
-            steps = [
-                (ActNorm(c), InvertibleConv1x1(c, rng), AffineCoupling(c, config.hidden, rng))
-                for _ in range(config.steps)
-            ]
             # (name, layer) in forward order; the name prefixes its parameters
-            layers = []
-            if config.squeeze > 1:
-                layers.append((f"level{level}.squeeze", Squeeze()))
-            for si, step in enumerate(steps):
-                kinds = ("actnorm", "mix", "coupling")
-                layers += [(f"level{level}.step{si}.{k}", t) for k, t in zip(kinds, step)]
+            layers = [(f"level{level}.squeeze", Squeeze())] if config.squeeze > 1 else []
+            for si in range(config.steps):
+                name = f"level{level}.step{si}"
+                layers += [
+                    (f"{name}.actnorm", ActNorm(c)),
+                    (f"{name}.mix", InvertibleConv1x1(c, rng)),
+                    (f"{name}.coupling", AffineCoupling(c, config.hidden, rng)),
+                ]
             keep = c // 2 if level < config.levels - 1 else c
-            self.levels.append({"steps": steps, "layers": layers, "channels": c, "keep": keep})
+            self.levels.append({"layers": layers, "channels": c, "keep": keep})
             c = keep
         # the one trainable array and its gradient buffer; every layer's
         # parameters and gradients become views into them, so write in place
@@ -577,32 +539,6 @@ class FlowStack:
         """Per-sample negative log-likelihood; records no graph."""
         return self.forward(x, record=False).nll.data
 
-    # ------------------------------------------------------------ inverse
-
-    def inverse(self, z_parts: list[np.ndarray], return_logdet: bool = False):
-        """Rebuild the input from latent parts emitted by :meth:`forward`."""
-        if len(z_parts) != self.config.levels:
-            raise ShapeError(
-                f"expected {self.config.levels} latent parts, got {len(z_parts)}"
-            )
-        parts = [np.asarray(z, dtype=np.float64) for z in z_parts]
-        n = parts[-1].shape[0]
-        total = np.zeros(n)
-        h = parts[-1]
-        for li in range(self.config.levels - 1, -1, -1):
-            level = self.levels[li]
-            if level["keep"] < level["channels"]:
-                h = np.concatenate([h, parts[li]], axis=1)
-            if h.shape[1] != level["channels"]:
-                raise ShapeError(
-                    f"latent part channel mismatch at level {li}: "
-                    f"{h.shape} vs expected {level['channels']} channels"
-                )
-            for _, layer in reversed(level["layers"]):
-                h, ld = layer.inverse(h)
-                total = total + ld
-        return (h, total) if return_logdet else h
-
     def init_actnorm(self, x) -> None:
         """Data-dependent initialization pass over one batch; records no
         graph."""
@@ -627,5 +563,6 @@ class FlowStack:
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         assign_state(self.named_parameters(), state)
         for level in self.levels:
-            for an, _, _ in level["steps"]:
-                an.initialized = True
+            for _, layer in level["layers"]:
+                if isinstance(layer, ActNorm):
+                    layer.initialized = True

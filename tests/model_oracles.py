@@ -6,7 +6,9 @@ of `graph_ops` nodes, so `Tensor.backward` gives the gradients that
 `layer_shapes` states the paper's per-stage layer table from the stride
 arithmetic alone, so one real forward pass can check every row at once.
 `bits_per_dim` and `num_transforms` read a flow result and a flow stack, and
-`named_grads` names the slices of a flow stack's flat gradient.
+`named_grads` names the slices of a flow stack's flat gradient. `invert`
+and `invert_stack` undo a flow layer and a whole stack, written from the
+layer equations, since no layer computes its own inverse.
 """
 
 from __future__ import annotations
@@ -24,11 +26,15 @@ from flowvad.autoencoder import (
     _decoder_geom,
 )
 from flowvad.errors import ShapeError
+from flowvad.flow import _CLAMP, ActNorm, AffineCoupling, InvertibleConv1x1, Squeeze
 from flowvad.tensor import Tensor
 
 from graph_ops import concat, conv3d, conv_transpose3d
 
-__all__ = ["bits_per_dim", "graph_reconstruct", "layer_shapes", "named_grads", "num_transforms"]
+__all__ = [
+    "bits_per_dim", "graph_reconstruct", "invert", "invert_stack", "layer_shapes",
+    "named_grads", "num_transforms",
+]
 
 
 def _layer_node(layer, h: Tensor) -> Tensor:
@@ -126,3 +132,37 @@ def named_grads(stack) -> dict[str, np.ndarray]:
     stops = np.cumsum([p.size for p in named.values()])[:-1]
     parts = np.split(stack.params.grad, stops)
     return {name: g.reshape(p.shape) for (name, p), g in zip(named.items(), parts)}
+
+
+def invert(layer, z: np.ndarray) -> np.ndarray:
+    """The input that ``layer.forward`` maps to ``z``."""
+    n, c, h, w = z.shape
+    if isinstance(layer, ActNorm):
+        logs, bias = layer.params["logs"], layer.params["bias"]
+        return (z - bias.reshape(1, c, 1, 1)) / np.exp(logs).reshape(1, c, 1, 1)
+    if isinstance(layer, InvertibleConv1x1):
+        perm, l_full, u_full = layer._weight_np()
+        cols = np.linalg.solve(perm @ l_full @ u_full, z.transpose(1, 0, 2, 3).reshape(c, -1))
+        return cols.reshape(c, n, h, w).transpose(1, 0, 2, 3)
+    if isinstance(layer, AffineCoupling):
+        za, zb = z[:, : layer.ca], z[:, layer.ca :]
+        out, _ = layer._net(za)  # the conditioner reads the half the layer passed through
+        log_s = np.tanh(out[: layer.cb].transpose(3, 0, 1, 2)) * _CLAMP
+        xb = (zb - out[layer.cb :].transpose(3, 0, 1, 2)) / np.exp(log_s)
+        return np.concatenate([za, xb], axis=1)
+    if isinstance(layer, Squeeze):  # a permutation: its adjoint is its inverse
+        return layer.backward(None, z, None)
+    raise TypeError(f"no inverse for {type(layer).__name__}")
+
+
+def invert_stack(stack, z_parts: list[np.ndarray]) -> np.ndarray:
+    """The input that ``stack.forward`` maps to the latent parts ``z_parts``:
+    levels in reverse, each factored-out part joined back before its level."""
+    parts = list(z_parts)
+    h = parts.pop()
+    for level in reversed(stack.levels):
+        if level["keep"] < level["channels"]:
+            h = np.concatenate([h, parts.pop()], axis=1)
+        for _, layer in reversed(level["layers"]):
+            h = invert(layer, h)
+    return h

@@ -28,6 +28,7 @@ from flowvad.config import (
 from flowvad.errors import ConfigError
 from flowvad.flow import FlowConfig
 from flowvad.losses import SSIM_WINDOW
+from flowvad.pnm import write_pnm
 from flowvad.tensor_io import save_tensor
 
 
@@ -346,6 +347,27 @@ class TestTrainCommands:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
 
+    def test_pipeline_runs_without_the_test_graph_ops(self, scene, tmp_path):
+        # the tests' graph_ops adds methods to Tensor for the whole pytest
+        # process; a fresh interpreter shows the commands need none of them
+        out = str(tmp_path / "out")
+        commands = [
+            [command, "--data-path", str(scene / data), "--out-dir", out, *BASE_FLAGS]
+            for command, data in [("train-itae", "train"), ("train-nf", "train"),
+                                  ("score", "test")]
+        ]
+        commands.append(["eval", f"{out}/scores/test.csv"])
+        code = (
+            "import sys; from flowvad.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    rc = main(argv)\n"
+            "    if rc:\n"
+            "        sys.exit(rc)\n"
+        )
+        proc = _run_in_subprocess(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
     def test_missing_data_path(self, capsys):
         rc = main(["train-itae", *BASE_FLAGS])
         assert rc == 2
@@ -657,6 +679,25 @@ class TestInputErrors:
         ckpt = [] if command == "train-itae" else ["--itae-dir", str(small_run / "itae")]
         err = refuse(capsys, out, command, "--data-path", str(video), *ckpt)
         assert f"{video}: packed video must have 1 or 3 channels" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-itae", "train-nf", "score"])
+    @pytest.mark.parametrize("case", ["directory-frame", "dangling-link"])
+    def test_unreadable_video_file_exit_2(self, small_run, tmp_path, capsys, command, case):
+        data = tmp_path / "data"
+        data.mkdir()
+        if case == "directory-frame":
+            write_pnm(data / "frame_00000.pgm", np.zeros((20, 20), dtype=np.uint8))
+            unreadable = data / "frame_99999.pgm"
+            unreadable.mkdir()
+        else:
+            unreadable = data / "v.t5"
+            unreadable.symlink_to(tmp_path / "missing.t5")
+        out = tmp_path / "out"
+        ckpt = [] if command == "train-itae" else ["--itae-dir", str(small_run / "itae")]
+        err = refuse(capsys, out, command, "--data-path", str(data), *ckpt)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"config error: cannot read video file {unreadable}: " in err
         assert not out.exists()
 
     def test_resize_by_non_integer_factor_exit_2(self, tmp_path, capsys):
