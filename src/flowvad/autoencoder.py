@@ -12,23 +12,23 @@ All activations are float64 arrays (batch, channel, time, height, width).
 Spatial dims shrink by 4x in the encoder; the static temporal length is
 T / tau throughout.
 
-The forward runs on plain arrays: :meth:`~TwoPathAutoencoder.encode` and
-:meth:`~TwoPathAutoencoder.decode` take and return them, and a layer call
-records no autodiff node. A ``Tensor`` here is a parameter or the
-reconstruction. The model trains whole or is frozen whole, and that alone
-decides what records: unless the model is frozen,
+The parameters and the forward are plain arrays:
+:meth:`~TwoPathAutoencoder.encode` and :meth:`~TwoPathAutoencoder.decode`
+take and return them, a layer call records no autodiff node, and the one
+``Tensor`` is the reconstruction. The model trains whole or is frozen
+whole, and that alone decides what records: unless the model is frozen,
 :meth:`~TwoPathAutoencoder.reconstruct` records one node, the
-reconstruction, whose parents are all the parameters. Its hand-written
-NumPy backward walks the fixed chain in reverse, asks no parameter whether
-it wants a gradient, and holds each layer's input and output only until
-that layer's backward has used them. Every decoder layer writes its input
-gradient over its input, the previous layer's activated output, reading
-that input's leaky-ReLU sign and its weight-gradient term chunk by chunk
-first (the idea of In-Place Activated BatchNorm, Rota Bulo et al.,
-arXiv:1712.02616: recover an activation's backward from its output, so the
-gradient can take the output's place). Each concat is one array, and a
-conv's output is read back as its channel slice. A frozen model keeps
-nothing for a backward.
+reconstruction, with no parents. Its hand-written NumPy backward walks the
+fixed chain in reverse, leaves every layer the new gradient arrays the conv
+kernels return until ``take_gradients`` takes them, and holds each layer's
+input and output only until that layer's backward has used them. Every
+decoder layer writes its input gradient over its input, the previous
+layer's activated output, reading that input's leaky-ReLU sign and its
+weight-gradient term chunk by chunk first (the idea of In-Place Activated
+BatchNorm, Rota Bulo et al., arXiv:1712.02616: recover an activation's
+backward from its output, so the gradient can take the output's place).
+Each concat is one array, and a conv's output is read back as its channel
+slice. A frozen model keeps nothing for a backward.
 """
 
 from __future__ import annotations
@@ -101,13 +101,14 @@ class Conv3dLayer:
     """One convolution (optionally transposed) with bias and, when built with
     ``leaky=True``, a leaky ReLU of the fixed slope ``tensor.LEAKY_SLOPE``.
 
-    A call runs the layer's forward on an array: the conv kernel adds the
-    bias and applies the activation to each block of its output in place
-    (see :func:`flowvad.tensor.conv3d`), so it allocates one output array,
-    which it returns as an unrecorded ``Tensor``. :meth:`backward` is the
-    layer's part of the model's hand-written backward pass. ``LEAKY_SLOPE``
-    also sets the He-style initial weight scale, with or without the
-    activation.
+    ``params`` holds the ``weight`` and ``bias`` arrays, and ``grads`` their
+    gradients from :meth:`backward`, the layer's part of the model's
+    hand-written backward pass. A call runs the forward on an array: the
+    conv kernel adds the bias and applies the activation to each block of
+    its output in place (see :func:`flowvad.tensor.conv3d`), so it allocates
+    one output array, which it returns as an unrecorded ``Tensor``.
+    ``LEAKY_SLOPE`` also sets the He-style initial weight scale, with or
+    without the activation.
     """
 
     def __init__(
@@ -130,11 +131,11 @@ class Conv3dLayer:
         fan_in = cin * int(np.prod(kernel))
         std = np.sqrt(2.0 / ((1.0 + LEAKY_SLOPE**2) * fan_in))
         shape = (cin, cout, *kernel) if transpose else (cout, cin, *kernel)
-        self.weight = Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
-        self.bias = Tensor(np.zeros(cout), requires_grad=True)
+        self.params = {"weight": rng.normal(0.0, std, size=shape), "bias": np.zeros(cout)}
+        self.grads: dict[str, np.ndarray] = {}
 
     def __call__(self, x: np.ndarray) -> Tensor:
-        w, b = self.weight.data, self.bias.data
+        w, b = self.params["weight"], self.params["bias"]
         if self.transpose:
             y = conv_transpose3d(x, w, self.stride, self.padding, self.output_padding, b, self.leaky)
         else:
@@ -142,10 +143,10 @@ class Conv3dLayer:
         return Tensor(y)
 
     def backward(self, x: np.ndarray, gy: np.ndarray, grad_input: bool = True):
-        """Add the gradients of this layer's call on ``x`` to both its weight
-        and its bias, given ``gy``, the gradient of the call's output with
-        the layer's own activation already undone (a C-contiguous array),
-        and return the input gradient, or None without ``grad_input``.
+        """Set ``grads`` to the gradients of this layer's call on ``x``,
+        given ``gy``, the gradient of the call's output with the layer's own
+        activation already undone (a C-contiguous array), and return the
+        input gradient, or None without ``grad_input``.
 
         A conv returns a new array. A transposed layer ignores
         ``grad_input``: its input in the model is always a leaky ReLU's
@@ -154,14 +155,13 @@ class Conv3dLayer:
         multiplied by that activation's derivative, and returns the gradient
         of its producer's pre-activation in ``x``'s memory.
         """
-        self.bias._accumulate(gy.sum(axis=(0, 2, 3, 4)), owned=True)
-        w = self.weight.data
+        w = self.params["weight"]
         if self.transpose:
             gw = conv_transpose3d_backward(x, w, gy, self.stride, self.padding, leaky_input=True)
             gx = x
         else:
             gw, gx = conv3d_backward(x, w, gy, self.stride, self.padding, grad_input)
-        self.weight._accumulate(gw, owned=True)
+        self.grads = {"weight": gw, "bias": gy.sum(axis=(0, 2, 3, 4))}
         return gx
 
 
@@ -215,45 +215,39 @@ class TwoPathAutoencoder:
             )
             for i in range(4)
         ]
-        self._frozen = False
+        self.frozen = False
 
     # ----------------------------------------------------------- parameters
 
-    def _named_tensors(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-
-        def add(prefix, layers):
-            for i, layer in enumerate(layers):
-                out[f"{prefix}{i + 1}.weight"] = layer.weight
-                out[f"{prefix}{i + 1}.bias"] = layer.bias
-
-        add("static", self.static_convs)
-        add("dynamic", self.dynamic_convs)
-        add("lateral", self.laterals)
-        if self.fuse_proj is not None:
-            out["fuse.weight"] = self.fuse_proj.weight
-            out["fuse.bias"] = self.fuse_proj.bias
-        add("decode", self.decoder)
-        return out
+    def _layers(self) -> list[tuple[str, Conv3dLayer]]:
+        """(name, layer) of every layer; the name prefixes its parameters."""
+        fuse = [] if self.fuse_proj is None else [self.fuse_proj]
+        groups = [("static", self.static_convs), ("dynamic", self.dynamic_convs),
+                  ("lateral", self.laterals), ("fuse", fuse), ("decode", self.decoder)]
+        return [
+            (prefix if prefix == "fuse" else f"{prefix}{i + 1}", layer)
+            for prefix, layers in groups
+            for i, layer in enumerate(layers)
+        ]
 
     def named_parameters(self) -> dict[str, np.ndarray]:
         """Name -> parameter array, what a checkpoint stores."""
-        return {name: p.data for name, p in self._named_tensors().items()}
+        return {
+            f"{name}.{key}": p for name, layer in self._layers() for key, p in layer.params.items()
+        }
 
-    def parameters(self) -> list[Tensor]:
-        """The trainable arrays: one Tensor per named parameter."""
-        return list(self._named_tensors().values())
+    def parameters(self) -> list[np.ndarray]:
+        """The trainable arrays, in ``named_parameters()`` order."""
+        return list(self.named_parameters().values())
+
+    def take_gradients(self) -> list[np.ndarray]:
+        """The last backward's gradients, in ``parameters()`` order; no
+        layer keeps them after the call."""
+        return [layer.grads.pop(key) for _, layer in self._layers() for key in layer.params]
 
     def freeze(self) -> None:
-        """Disable gradient tracking on every parameter; used after step one."""
-        for p in self.parameters():
-            p.requires_grad = False
-            p.grad = None
-        self._frozen = True
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
+        """Stop recording for good; used after step one."""
+        self.frozen = True
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         assign_state(self.named_parameters(), state)
@@ -333,10 +327,10 @@ class TwoPathAutoencoder:
 
     def reconstruct(self, x: np.ndarray) -> Tensor:
         """``decode(*encode(x))`` as a ``Tensor``. Unless the model is frozen,
-        it is the one recorded autodiff node, whose parents are all the
-        parameters and whose backward is :meth:`_backward`; a frozen model
-        records nothing and keeps nothing for a backward."""
-        tape = None if self._frozen else {}
+        it is the one recorded autodiff node, with no parents, whose
+        backward is :meth:`_backward`; a frozen model records nothing and
+        keeps nothing for a backward."""
+        tape = None if self.frozen else {}
         out = Tensor(self.decode(*self.encode(x, tape=tape), tape=tape))
         if tape is None:
             return out
@@ -344,10 +338,10 @@ class TwoPathAutoencoder:
         def backward():
             self._backward(tape, out.data, out.grad)
 
-        return out._record(self.parameters(), backward)
+        return out._record((), backward)
 
     def _backward(self, tape: dict, recon: np.ndarray, grad: np.ndarray) -> None:
-        """Give every parameter its gradient, from ``grad``, the gradient of
+        """Give every layer its gradients, from ``grad``, the gradient of
         the reconstruction ``recon``, walking the fixed chain in reverse: the
         sigmoid, ``decode4`` to ``decode1``, ``fuse``, the static path with
         the laterals, and the dynamic path. Each array of the ``tape`` is

@@ -334,13 +334,16 @@ def _load_checked(config, source):
     return video
 
 
-def _video_sources(data_path):
+def _video_sources(data_path, seen=None):
     """Resolve a data path to a list of (frames source, labels path or None).
 
     Accepts: a packed tensor file; a directory of frames; a directory with a
     frames/ subdirectory (labels.txt beside it); or a directory of such video
-    directories, one video each.
+    directories, one video each. A path the walk reaches twice (``seen``,
+    real path -> path), through a symlink alias or loop, is refused.
     """
+    seen = {} if seen is None else seen
+    _claim(seen, data_path)
     if os.path.isfile(data_path):
         return [(data_path, None)]
     if not os.path.isdir(data_path):
@@ -350,17 +353,28 @@ def _video_sources(data_path):
         return [(data_path, None)]
     if "frames" in entries:
         labels = os.path.join(data_path, "labels.txt")
-        return [(os.path.join(data_path, "frames"), labels if os.path.exists(labels) else None)]
+        frames = _claim(seen, os.path.join(data_path, "frames"))
+        return [(frames, labels if os.path.exists(labels) else None)]
     videos = []
     for entry in entries:
         sub = os.path.join(data_path, entry)
-        if os.path.isdir(sub):
-            videos.extend(_video_sources(sub))
-        elif entry.lower().endswith(".t5"):
+        packed = entry.lower().endswith(".t5")
+        if os.path.isdir(sub) or packed and os.path.isfile(sub):
+            videos.extend(_video_sources(sub, seen))
+        elif packed:  # unreadable: refused, named, when it is loaded
             videos.append((sub, None))
     if not videos:
         raise ConfigError(f"no videos found under {data_path}")
     return videos
+
+
+def _claim(seen, path):
+    """Note ``path`` in ``seen`` and return it, refusing a real path seen before."""
+    real = os.path.realpath(path)
+    if real in seen:
+        raise ConfigError(f"data_path reaches {real} twice, as {seen[real]} and as {path}")
+    seen[real] = path
+    return path
 
 
 def cmd_score(args):

@@ -86,6 +86,10 @@ class RunConfig:
             problems.append(
                 f"score_stride {self.score_stride} above clip_len {self.clip_len} leaves gaps"
             )
+        if self.patch_stride > self.patch_size:
+            problems.append(
+                f"patch_stride {self.patch_stride} above patch_size {self.patch_size} leaves gaps"
+            )
         if (self.resize_h == 0) != (self.resize_w == 0):
             problems.append("resize_h and resize_w must be set together")
         elif self.resize_h > 0 and self.resize_w > 0:

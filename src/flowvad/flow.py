@@ -18,18 +18,18 @@ every parameter, asking none whether it wants one. A layer keeps two plain
 dicts under the same keys: ``params``, its parameter arrays, and ``grads``,
 the gradient array each backward writes in place; a layer built alone holds
 zero gradients. The stack concatenates every layer's parameters into one
-flat trainable vector, ``params``, and one flat gradient buffer, and
+flat trainable array, ``params``, and one flat gradient buffer, and
 rebinds each layer's entries to views of both, so ``named_parameters()``
 maps names to arrays and training sees one trainable array: per step, one
 Adam update and, in ``train._fit``, one snapshot copy and one finiteness
 sum. Rebinding a parameter detaches it from the vector: write in place. A
 training call records and an inference call never does:
 :meth:`FlowStack.forward` records the whole stack as one autodiff node, the
-per-sample NLL, whose one parameter parent is the flat vector and whose
-backward walks the layers in reverse: the prior gives d nll / dz = z, every
-log-det term gets d nll / d logdet = -1, and the closed-form log-dets and
-LU gradients follow Glow (Kingma and Dhariwal 2018, arXiv:1807.03039,
-Table 1). :meth:`FlowStack.nll_of` and :meth:`FlowStack.init_actnorm` call
+per-sample NLL, with no parent but a ``Tensor`` input; its backward walks
+the layers in reverse: the prior gives d nll / dz = z, every log-det term
+gets d nll / d logdet = -1, and the closed-form log-dets and LU gradients
+follow Glow (Kingma and Dhariwal 2018, arXiv:1807.03039, Table 1).
+:meth:`FlowStack.nll_of` and :meth:`FlowStack.init_actnorm` call
 it with ``record=False``, and then no layer keeps anything for a backward.
 A layer is its forward and backward only: training needs the log-likelihood
 and its gradient, scoring the log-likelihood alone, and nothing samples, so
@@ -453,8 +453,7 @@ class FlowStack:
         # the one trainable array and its gradient buffer; every layer's
         # parameters and gradients become views into them, so write in place
         flat = np.concatenate([p.reshape(-1) for p in self.named_parameters().values()])
-        self.params = Tensor(flat, requires_grad=True)
-        self._grads = np.zeros(flat.size)
+        self.params, self._grads = flat, np.zeros(flat.size)
         start = 0
         for level in self.levels:
             for _, layer in level["layers"]:
@@ -484,18 +483,16 @@ class FlowStack:
     def forward(self, x, init: bool = False, record: bool = True) -> FlowResult:
         """Map input to latents; returns per-sample NLL and the logdet total.
 
-        With ``record`` the NLL is one graph node whose parents are ``x``
-        (when a Tensor requiring gradients) and the flat parameter vector
-        ``params``; its backward is the layers' own, in reverse, which write
-        their gradient views of the flat buffer, and then hands the buffer
-        to ``params.grad``. A backward overwrites the one before it.
-        Without it nothing is recorded or kept for a backward.
+        With ``record`` the NLL is one graph node, whose one parent is ``x``
+        when a Tensor requiring gradients; its backward is the layers' own,
+        in reverse, which write their gradient views of the flat buffer
+        that :meth:`take_gradients` returns. A backward overwrites the one
+        before it. Without it nothing is recorded or kept for a backward.
         """
-        x_in = x if isinstance(x, Tensor) else None
-        x = np.asarray(x.data if x_in is not None else x, dtype=np.float64)
+        x_in = x if isinstance(x, Tensor) and x.requires_grad else None
+        x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
         self._check_input(x)
         n = x.shape[0]
-        wants_x = x_in is not None and x_in.requires_grad
         h = x
         logdet = np.zeros(n)
         z_parts: list[np.ndarray] = []
@@ -527,12 +524,11 @@ class FlowStack:
                 for _ in level["layers"]:
                     layer, cache = caches.pop()
                     g = layer.backward(cache, g, gld)
-            self.params.grad = self._grads
-            if wants_x:
+            if x_in is not None:
                 x_in._accumulate(g)
 
         if record:
-            nll._record(([x_in] if wants_x else []) + [self.params], backward)
+            nll._record(() if x_in is None else (x_in,), backward)
         return FlowResult(nll=nll, logdet=logdet, z_parts=z_parts)
 
     def nll_of(self, x) -> np.ndarray:
@@ -555,10 +551,15 @@ class FlowStack:
             for key, p in layer.params.items()
         }
 
-    def parameters(self) -> list[Tensor]:
+    def parameters(self) -> list[np.ndarray]:
         """The trainable arrays: the one flat vector the named parameters
         are views into."""
         return [self.params]
+
+    def take_gradients(self) -> list[np.ndarray]:
+        """The last backward's gradients: the one flat buffer the layers'
+        gradients are views into, which every backward overwrites."""
+        return [self._grads]
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         assign_state(self.named_parameters(), state)

@@ -1,4 +1,4 @@
-"""Adam with cosine-annealed learning rate."""
+"""Adam with cosine-annealed learning rate, over plain arrays."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .tensor import Tensor
 
 
 def cosine_schedule(base_lr: float, total_steps: int):
@@ -36,15 +34,16 @@ class Adam:
 
     The parameters are a whole model's trainable arrays (the flow stack's
     is one flat vector), and the model trains whole, so each has a gradient
-    after every backward. A step updates the moments and every parameter in
-    place, over each parameter's flat view in blocks of
-    ``_BLOCK`` values, through two scratch buffers of one block each, in the
-    operation order of ``lr * (m / bias1) / (sqrt(v / bias2) + eps)``.
+    after every backward, which :meth:`step` takes as its argument. A step
+    updates the moments and every parameter in place, over each parameter's
+    flat view in blocks of ``_BLOCK`` values, through two scratch buffers of
+    one block each, in the operation order of
+    ``lr * (m / bias1) / (sqrt(v / bias2) + eps)``.
     Every operation is elementwise, so the blocks give the same bits as the
     textbook expression over the whole parameter, without its temporaries.
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: Callable[[int], float]):
+    def __init__(self, params: Sequence[np.ndarray], lr: Callable[[int], float]):
         self.params = list(params)
         self._lr = lr
         self.step_count = 0
@@ -52,21 +51,18 @@ class Adam:
         self._m = [np.zeros(p.size) for p in self.params]
         self._v = [np.zeros(p.size) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-    def step(self) -> None:
+    def step(self, grads: Sequence[np.ndarray]) -> None:
+        """Update every parameter in place from its gradient in ``grads``."""
         lr = self._lr(self.step_count)
         self.step_count += 1
         b1, b2 = _BETA1, _BETA2
         bias1 = 1.0 - b1**self.step_count
         bias2 = 1.0 - b2**self.step_count
         update_buf, denom_buf = np.empty(_BLOCK), np.empty(_BLOCK)
-        for p, m_all, v_all in zip(self.params, self._m, self._v):
+        for p, grad, m_all, v_all in zip(self.params, grads, self._m, self._v, strict=True):
             # the update writes through this view: copy=False raises rather than copy
-            data_all = p.data.reshape(-1, copy=False)
-            g_all = p.grad.reshape(-1)
+            data_all = p.reshape(-1, copy=False)
+            g_all = grad.reshape(-1)
             for start in range(0, p.size, _BLOCK):
                 block = slice(start, start + _BLOCK)
                 data, g, m, v = data_all[block], g_all[block], m_all[block], v_all[block]

@@ -63,8 +63,9 @@ def patch_max_error(target, output, patch=16, stride=4):
 
 def covering_starts(size, width, stride):
     """Starts of width-wide windows over size >= width positions: one every
-    stride, plus a last one clamped to size - width, so every position lies
-    in some window. Places patch_max_error's patches and the scored clip
+    stride, plus a last one clamped to size - width. Every position lies in
+    some window exactly when stride <= width, which the run configuration
+    requires of both callers: patch_max_error's patches and the scored clip
     windows."""
     starts = list(range(0, size - width + 1, stride))
     if starts[-1] != size - width:

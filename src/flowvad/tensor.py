@@ -1,32 +1,28 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays,
 and the convolution kernels the models differentiate by hand.
 
-A ``Tensor`` wraps an ndarray plus an optional gradient. A model trains
-whole or is frozen whole. A model that is differentiated records one node
-on its output with ``_record``: the parents are the tensors that want
-gradients, and the backward closure is a hand-written NumPy pass that
-gives every parameter its gradient, through ``_accumulate`` or, for the
-flow stack, by writing its flat gradient buffer, asking no parameter
-whether it wants one; the conv kernels always return the weight
-gradient. Calling :meth:`Tensor.backward` on a scalar loss walks the
-recorded nodes once, parents after children.
+A ``Tensor`` wraps an ndarray plus an optional gradient; in the models it
+is only a graph node, since both keep their parameters as plain arrays. A
+model that is differentiated records one node on its output with
+``_record``, which records whenever it is called: the caller applies the
+one rule, a training call records and an inference call never does. The
+node's backward closure is a hand-written NumPy pass that gives every
+parameter its gradient array, asking no parameter whether it wants one;
+the conv kernels always return the weight gradient. Calling
+:meth:`Tensor.backward` on a scalar loss walks the recorded nodes once,
+parents after children.
 
 The engine keeps only that: ``_record``, ``_accumulate``,
 :meth:`Tensor.backward` and the whole-array ``mean``. Three models record a
-node. The autoencoder of :mod:`flowvad.autoencoder` records the
-reconstruction, whose parents are its parameters; the reconstruction loss
-of :mod:`flowvad.losses` records the total, whose only parent is the
-reconstruction; the flow stack of :mod:`flowvad.flow` records its
-per-sample negative log-likelihood, which ``mean`` reduces. A training
-step's graph is therefore two nodes over the parameters. The flow stack
-keeps its parameters in one flat vector: its node's one parameter parent
-is that vector, and each named parameter is a plain array viewing it. One
-rule decides what records: a training call records and an inference call
-never does.
-The autoencoder's ``reconstruct`` records unless the model is frozen, the
-flow stack's ``forward`` records unless called with ``record=False``, as
-its ``nll_of`` and ``init_actnorm`` do, and the loss records exactly when
-the reconstruction requires a gradient. So inference builds no graph.
+node, so a training step's graph is two nodes. The autoencoder of
+:mod:`flowvad.autoencoder` records the reconstruction, with no parents,
+unless the model is frozen; the reconstruction loss of
+:mod:`flowvad.losses` records the total, whose only parent is the
+reconstruction, exactly when the reconstruction requires a gradient; the
+flow stack of :mod:`flowvad.flow` records its per-sample negative
+log-likelihood, which ``mean`` reduces, unless called with
+``record=False``, as its ``nll_of`` and ``init_actnorm`` do. So inference
+builds no graph.
 
 The convolutions are array kernels. :func:`conv3d` and
 :func:`conv_transpose3d` run forward on ndarrays and record nothing;
@@ -40,10 +36,9 @@ Design constraints, fixed on purpose:
 * ``_accumulate`` copies a first gradient unless the caller says it owns
   it, so no view aliasing survives into a gradient. Sharing a buffer is a
   backward pass's own, stated decision: the transposed conv's backward
-  writes its input gradient over its input. The one exception is the flow
-  stack's parameters and gradients: each is a view into the flat vector
-  or into its gradient buffer, and a layer's backward writes its
-  gradients into those views in place.
+  writes its input gradient over its input, and the flow stack's
+  parameters and gradients are views into its flat vector and its flat
+  gradient buffer, which a layer's backward writes in place.
 * memory is bounded by recompute and by finishing arrays in place. Every
   convolution pass is built from two helpers. The column builder
   (:func:`_columns`) forms the im2col columns of one chunk of positions
@@ -59,8 +54,9 @@ Design constraints, fixed on purpose:
   defined here and nowhere else, to each block of its output as
   soon as the block is written, so the pre-activation is never a second
   array, and the activated output is all its backward needs.
-  :meth:`Tensor.backward` drops each node once it has passed its gradient
-  on, so what its closure held is freed before the next node runs.
+  :meth:`Tensor.backward` drops each recorded node's closure and gradient
+  once it has passed its gradient on, so what the closure held is freed
+  before the next node runs.
 """
 
 from __future__ import annotations
@@ -109,19 +105,14 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
-
     # ------------------------------------------------------------- the graph
 
     def _record(self, parents: Sequence["Tensor"], backward) -> "Tensor":
-        """Attach graph metadata to ``self`` if any parent wants gradients."""
-        tracked = tuple(p for p in parents if p.requires_grad)
-        if tracked:
-            self.requires_grad = True
-            self._parents = tracked
-            self._backward = backward
+        """Make ``self`` a node whose ``backward`` gives ``parents`` their
+        gradients; whether to record is the caller's rule."""
+        self.requires_grad = True
+        self._parents = tuple(parents)
+        self._backward = backward
         return self
 
     def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
@@ -142,10 +133,10 @@ class Tensor:
 
         Every node is visited exactly once, parents after children, so
         gradients along diamond-shaped paths accumulate by addition. Once a
-        node's backward has run, its closure, parents and (unless it is a
-        leaf) gradient are dropped, and so is the walk's own reference to
-        it: a node nothing else holds is freed before the next one runs. A
-        second call raises.
+        recorded node's backward has run, its closure, parents and gradient
+        are dropped, and so is the walk's own reference to it: a node
+        nothing else holds is freed before the next one runs. A leaf keeps
+        its gradient. A second call raises.
         """
         if self.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -174,7 +165,6 @@ class Tensor:
             if node._backward is not None:
                 node._backward()
                 node._backward = None
-            if node._parents:
                 node.grad = None
                 node._parents = ()
             node._cleared = True

@@ -9,17 +9,18 @@ Both run ``_fit``: Adam with a cosine-annealed step size over the model's
 trainable arrays, the autoencoder's 34 parameters or the flow's one flat
 vector, which its named parameters are views into. Each step calls the
 stage's ``loss_at(step)``, which draws a batch from a seeded generator and
-returns (loss, curve row), then runs backward, the update and a finiteness
-check of the parameters, one sum per trainable array. A NumericError
-anywhere in a step (a non-finite loss, a diverging density model, a
-non-finite parameter) leaves the parameters as they were when the step
-began and raises TrainingAborted. Only the optimizer update writes a
-parameter (backward overwrites activations, never parameters), so the copy
-that restores them is taken after backward and dropped before the next
-forward: it is never alive during a forward or backward pass. It is one
-copy per trainable array, so the flow takes one snapshot copy and one
-finiteness sum a step. The gradients are dropped before each forward and
-when training ends, so they are never alive during a forward.
+returns (loss, curve row), then runs backward, takes the model's gradients,
+and runs the update and a finiteness check of the parameters, one sum per
+trainable array. A NumericError anywhere in a step (a non-finite loss, a
+diverging density model, a non-finite parameter) leaves the parameters as
+they were when the step began and raises TrainingAborted. Only the
+optimizer update writes a parameter (backward overwrites activations,
+never parameters), so the copy that restores them is taken after backward
+and dropped before the next forward: it is never alive during a forward or
+backward pass. It is one copy per trainable array, so the flow takes one
+snapshot copy and one finiteness sum a step. The gradients are dropped
+before each forward and when training ends, so they are never alive
+during a forward.
 """
 
 import dataclasses
@@ -52,7 +53,7 @@ def _check_params_finite(named, step, params):
     non-finite total runs the exact pass over the ``named`` arrays, which
     names the offender (or finds none on overflow)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(float(p.data.sum()) for p in params)
+        total = sum(float(p.sum()) for p in params)
     if np.isfinite(total):
         return
     for name, p in named.items():
@@ -60,43 +61,41 @@ def _check_params_finite(named, step, params):
             raise NumericError(f"parameter {name} became non-finite at step {step}")
 
 
-def _fit(params, named, config, what, loss_at):
-    """Run ``config.steps`` Adam steps over the trainable arrays ``params``
-    on ``loss_at(step) -> (loss, row)``; returns the rows. TrainingAborted
+def _fit(model, config, what, loss_at):
+    """Run ``config.steps`` Adam steps over ``model.parameters()`` on
+    ``loss_at(step) -> (loss, row)``; returns the rows. TrainingAborted
     names ``what``, the failing step and, for a non-finite parameter, its
-    name in ``named``.
+    name in ``model.named_parameters()``.
 
     The rollback snapshot is taken after ``loss.backward()``, right before
-    ``opt.step()``, and dropped before the next step's forward. That is enough:
+    ``opt.step``, and dropped before the next step's forward. That is enough:
     ``loss_at`` and backward write no parameter (actnorm's data-dependent
     init runs before this loop), so an error raised before the snapshot
     leaves the parameters untouched and there is nothing to restore. The
-    gradients live within a step too: they are dropped before each
-    ``loss_at`` and when the loop returns or aborts, so no parameter carries
-    a ``.grad`` into a forward or out of training.
+    gradients live within a step too: the loop takes them from the model
+    right after backward and drops them before the next ``loss_at`` and
+    when it returns or aborts.
     """
+    params, named = model.parameters(), model.named_parameters()
     opt = Adam(params, cosine_schedule(config.lr, config.steps))
     curve = []
-    try:
-        for step in range(config.steps):
-            good = None  # drops the last step's snapshot before this forward
-            opt.zero_grad()  # and the last step's gradients
-            try:
-                loss, row = loss_at(step)
-                loss.backward()
-                good = [p.data.copy() for p in params]
-                opt.step()
-                _check_params_finite(named, step, params)
-            except NumericError as exc:
-                if good is not None:
-                    for p, values in zip(params, good):
-                        p.data[...] = values
-                raise TrainingAborted(f"{what} training aborted at step {step}: {exc}") from exc
-            curve.append(row)
-            if step % LOG_EVERY == 0:
-                log.info("%s step %d loss %.6f", what, step, float(loss.data))
-    finally:
-        opt.zero_grad()
+    for step in range(config.steps):
+        good = grads = None  # drops the last step's snapshot and gradients before this forward
+        try:
+            loss, row = loss_at(step)
+            loss.backward()
+            grads = model.take_gradients()
+            good = [p.copy() for p in params]
+            opt.step(grads)
+            _check_params_finite(named, step, params)
+        except NumericError as exc:
+            if good is not None:
+                for p, values in zip(params, good):
+                    p[...] = values
+            raise TrainingAborted(f"{what} training aborted at step {step}: {exc}") from exc
+        curve.append(row)
+        if step % LOG_EVERY == 0:
+            log.info("%s step %d loss %.6f", what, step, float(loss.data))
     return curve
 
 
@@ -128,7 +127,7 @@ def train_autoencoder(model, clips, config):
             "total": total,
         }
 
-    return _fit(model.parameters(), model.named_parameters(), config, "reconstruction", loss_at)
+    return _fit(model, config, "reconstruction", loss_at)
 
 
 def train_flow(stack, samples, config):
@@ -164,4 +163,4 @@ def train_flow(stack, samples, config):
             )
         return nll, {"step": step, "nll": value}
 
-    return _fit(stack.parameters(), stack.named_parameters(), config, "density", loss_at)
+    return _fit(stack, config, "density", loss_at)

@@ -8,8 +8,9 @@ sigmoid, concat or per-layer conv node. The tests still do: the autodiff
 oracles for the flow stack in `test_flow_layers.py`, for the loss in
 `test_losses.py` and for the autoencoder in `model_oracles.py`, the op
 registry of the acceptance gradient check, the conv tests of
-`test_conv.py`, and `test_tensor_ops.py`. Each op records one node through
-`Tensor._record`, like the models in `flowvad`. The conv nodes wrap the
+`test_conv.py`, and `test_tensor_ops.py`. Each op records one node, when
+some input wants a gradient, through `_node`, the one place that applies
+that rule before calling `Tensor._record`. The conv nodes wrap the
 array kernels of `flowvad.tensor`; their backward undoes the leaky ReLU
 from the activated output, sums the bias gradient and calls the backward
 kernel, on a copy of the input for the transposed conv, whose kernel
@@ -46,6 +47,14 @@ def _wrap(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
+
+
+def _node(out: Tensor, parents: Sequence[Tensor], backward) -> Tensor:
+    """Record ``out`` as a node over ``parents`` when any of them wants a
+    gradient, naming only those that do; otherwise it stays a leaf. This is
+    the ops' recording rule: ``Tensor._record`` records whenever called."""
+    tracked = tuple(p for p in parents if p.requires_grad)
+    return out._record(tracked, backward) if tracked else out
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -100,7 +109,7 @@ def _binary(a: Tensor, other, np_op, back) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(gb, b.shape))
 
-    return out._record((a, b), backward)
+    return _node(out, (a, b), backward)
 
 
 def _add_back(a, b, g):
@@ -174,7 +183,7 @@ def _pow(self, exponent):
     def backward():
         self._accumulate(c * base ** (c - 1.0) * out.grad)
 
-    return out._record((self,), backward)
+    return _node(out, (self,), backward)
 
 
 def _abs(self) -> Tensor:
@@ -184,7 +193,7 @@ def _abs(self) -> Tensor:
     def backward():
         self._accumulate(sign * out.grad)
 
-    return out._record((self,), backward)
+    return _node(out, (self,), backward)
 
 
 def _clamp_min(self, floor: float) -> Tensor:
@@ -194,7 +203,7 @@ def _clamp_min(self, floor: float) -> Tensor:
     def backward():
         self._accumulate(np.where(mask, out.grad, 0.0))
 
-    return out._record((self,), backward)
+    return _node(out, (self,), backward)
 
 
 def _sum(self, axis=None, keepdims: bool = False) -> Tensor:
@@ -203,7 +212,7 @@ def _sum(self, axis=None, keepdims: bool = False) -> Tensor:
     def backward():
         self._accumulate(_spread(out.grad, self.shape, axis, keepdims))
 
-    return out._record((self,), backward)
+    return _node(out, (self,), backward)
 
 
 def _reshape(self, *shape) -> Tensor:
@@ -215,7 +224,7 @@ def _reshape(self, *shape) -> Tensor:
     def backward():
         self._accumulate(out.grad.reshape(self.shape))
 
-    return out._record((self,), backward)
+    return _node(out, (self,), backward)
 
 
 def _transpose(self, axes: Sequence[int]) -> Tensor:
@@ -226,7 +235,7 @@ def _transpose(self, axes: Sequence[int]) -> Tensor:
     def backward():
         self._accumulate(out.grad.transpose(inverse))
 
-    return out._record((self,), backward)
+    return _node(out, (self,), backward)
 
 
 def _check_basic_index(idx) -> None:
@@ -250,7 +259,7 @@ def _getitem(self, idx) -> Tensor:
         g[idx] = out.grad
         self._accumulate(g)
 
-    return out._record((self,), backward)
+    return _node(out, (self,), backward)
 
 
 def _sigmoid(self) -> Tensor:
@@ -262,7 +271,7 @@ def _sigmoid(self) -> Tensor:
     def backward():
         self._accumulate(out_data * (1.0 - out_data) * out.grad)
 
-    return out._record((self,), backward)
+    return _node(out, (self,), backward)
 
 
 for _name, _op in {
@@ -296,7 +305,7 @@ def mean_axis(t: Tensor, axis, keepdims: bool = False) -> Tensor:
     def backward():
         t._accumulate(_spread(out.grad, t.shape, axis, keepdims) / count)
 
-    return out._record((t,), backward)
+    return _node(out, (t,), backward)
 
 
 def broadcast_to(t: Tensor, shape: Sequence[int]) -> Tensor:
@@ -310,7 +319,7 @@ def broadcast_to(t: Tensor, shape: Sequence[int]) -> Tensor:
     def backward():
         t._accumulate(_unbroadcast(out.grad, t.shape))
 
-    return out._record((t,), backward)
+    return _node(out, (t,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -328,7 +337,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), out.grad)
             b._accumulate(_unbroadcast(gb, b.shape))
 
-    return out._record((a, b), backward)
+    return _node(out, (a, b), backward)
 
 
 def relu(t: Tensor) -> Tensor:
@@ -338,7 +347,7 @@ def relu(t: Tensor) -> Tensor:
     def backward():
         t._accumulate(np.where(mask, out.grad, 0.0))
 
-    return out._record((t,), backward)
+    return _node(out, (t,), backward)
 
 
 def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
@@ -352,7 +361,7 @@ def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
         mask = t.data > 0.0
         t._accumulate(np.where(mask, out.grad, slope * out.grad))
 
-    return out._record((t,), backward)
+    return _node(out, (t,), backward)
 
 
 def neg(t: Tensor) -> Tensor:
@@ -361,7 +370,7 @@ def neg(t: Tensor) -> Tensor:
     def backward():
         t._accumulate(-out.grad)
 
-    return out._record((t,), backward)
+    return _node(out, (t,), backward)
 
 
 def exp(t: Tensor) -> Tensor:
@@ -373,7 +382,7 @@ def exp(t: Tensor) -> Tensor:
     def backward():
         t._accumulate(out_data * out.grad)
 
-    return out._record((t,), backward)
+    return _node(out, (t,), backward)
 
 
 def log(t: Tensor) -> Tensor:
@@ -384,7 +393,7 @@ def log(t: Tensor) -> Tensor:
     def backward():
         t._accumulate(out.grad / t.data)
 
-    return out._record((t,), backward)
+    return _node(out, (t,), backward)
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -394,7 +403,7 @@ def tanh(t: Tensor) -> Tensor:
     def backward():
         t._accumulate((1.0 - out_data**2) * out.grad)
 
-    return out._record((t,), backward)
+    return _node(out, (t,), backward)
 
 
 def amax(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -409,7 +418,7 @@ def amax(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
             g.reshape(-1)[flat_idx] = np.sum(out.grad)
             t._accumulate(g)
 
-        return out._record((t,), backward)
+        return _node(out, (t,), backward)
 
     idx = np.argmax(t.data, axis=axis)
     out = Tensor(np.max(t.data, axis=axis, keepdims=keepdims))
@@ -420,7 +429,7 @@ def amax(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         np.put_along_axis(g, np.expand_dims(idx, axis), go, axis=axis)
         t._accumulate(g)
 
-    return out._record((t,), backward)
+    return _node(out, (t,), backward)
 
 
 def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
@@ -448,7 +457,7 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
                 t._accumulate(out.grad[tuple(sl)])
             start += size
 
-    return out._record(ts, backward)
+    return _node(out, ts, backward)
 
 
 def conv3d(x, w, stride=(1, 1, 1), padding=(0, 0, 0), bias=None, leaky=False) -> Tensor:
@@ -468,7 +477,7 @@ def conv3d(x, w, stride=(1, 1, 1), padding=(0, 0, 0), bias=None, leaky=False) ->
         if gx is not None:
             x._accumulate(gx, owned=True)
 
-    return out._record((x, w) if bias is None else (x, w, bias), backward)
+    return _node(out, (x, w) if bias is None else (x, w, bias), backward)
 
 
 def conv_transpose3d(
@@ -495,4 +504,4 @@ def conv_transpose3d(
         if w.requires_grad:  # the kernel always gives the weight gradient
             w._accumulate(gw, owned=True)
 
-    return out._record((x, w) if bias is None else (x, w, bias), backward)
+    return _node(out, (x, w) if bias is None else (x, w, bias), backward)

@@ -6,7 +6,8 @@ of `graph_ops` nodes, so `Tensor.backward` gives the gradients that
 `layer_shapes` states the paper's per-stage layer table from the stride
 arithmetic alone, so one real forward pass can check every row at once.
 `bits_per_dim` and `num_transforms` read a flow result and a flow stack, and
-`named_grads` names the slices of a flow stack's flat gradient. `invert`
+`named_grads` names a model's gradients, the slices of a flow stack's flat
+one or an autoencoder's arrays. `invert`
 and `invert_stack` undo a flow layer and a whole stack, written from the
 layer equations, since no layer computes its own inverse.
 """
@@ -37,40 +38,43 @@ __all__ = [
 ]
 
 
-def _layer_node(layer, h: Tensor) -> Tensor:
-    """One `Conv3dLayer` as a graph node over its own parameters."""
-    if layer.transpose:
-        return conv_transpose3d(
-            h, layer.weight, layer.stride, layer.padding, layer.output_padding,
-            layer.bias, layer.leaky,
-        )
-    return conv3d(h, layer.weight, layer.stride, layer.padding, layer.bias, layer.leaky)
-
-
-def graph_reconstruct(model, x: Tensor) -> Tensor:
+def graph_reconstruct(model, x: Tensor) -> tuple[Tensor, dict[str, Tensor]]:
     """The reconstruction of ``x`` as a graph of one node per layer, slice,
     concat and the sigmoid: 56 nodes over the parameters for a two-path
-    model. Values are those of ``model.reconstruct``; the graph's backward
-    is the reference for its gradients."""
+    model, and the graph's leaves, name -> a ``Tensor`` over each of the
+    model's parameter arrays. Values are those of ``model.reconstruct``;
+    the graph's backward gives each leaf the gradient its hand-written
+    backward must match."""
+    leaves = {}
+
+    def node(name, layer, h):
+        w, b = (Tensor(layer.params[key], requires_grad=True) for key in ("weight", "bias"))
+        leaves[f"{name}.weight"], leaves[f"{name}.bias"] = w, b
+        if layer.transpose:
+            return conv_transpose3d(
+                h, w, layer.stride, layer.padding, layer.output_padding, b, layer.leaky
+            )
+        return conv3d(h, w, layer.stride, layer.padding, b, layer.leaky)
+
     cfg = model.config
     s = x[:, :, :: cfg.tau]
     if not cfg.dynamic_path:
-        for layer in model.static_convs:
-            s = _layer_node(layer, s)
+        for i, layer in enumerate(model.static_convs):
+            s = node(f"static{i + 1}", layer, s)
     else:
         d, dyn = x, []
-        for layer in model.dynamic_convs:
-            d = _layer_node(layer, d)
+        for i, layer in enumerate(model.dynamic_convs):
+            d = node(f"dynamic{i + 1}", layer, d)
             dyn.append(d)
         for i, layer in enumerate(model.static_convs):
-            s = _layer_node(layer, s)
+            s = node(f"static{i + 1}", layer, s)
             if i < 3:
-                s = concat([s, _layer_node(model.laterals[i], dyn[i])], axis=1)
-        lat = _layer_node(model.laterals[3], dyn[3])
-        s = _layer_node(model.fuse_proj, concat([s, lat], axis=1))
-    for layer in model.decoder:
-        s = _layer_node(layer, s)
-    return s.sigmoid()
+                s = concat([s, node(f"lateral{i + 1}", model.laterals[i], dyn[i])], axis=1)
+        lat = node("lateral4", model.laterals[3], dyn[3])
+        s = node("fuse", model.fuse_proj, concat([s, lat], axis=1))
+    for i, layer in enumerate(model.decoder):
+        s = node(f"decode{i + 1}", layer, s)
+    return s.sigmoid(), leaves
 
 
 def layer_shapes(
@@ -125,13 +129,17 @@ def num_transforms(stack) -> int:
     return sum(len(lv["layers"]) + (lv["keep"] < lv["channels"]) for lv in stack.levels)
 
 
-def named_grads(stack) -> dict[str, np.ndarray]:
-    """Each named parameter's gradient after a backward: ``stack.params.grad``
-    cut into the parameters' shapes in ``named_parameters()`` order."""
-    named = stack.named_parameters()
-    stops = np.cumsum([p.size for p in named.values()])[:-1]
-    parts = np.split(stack.params.grad, stops)
-    return {name: g.reshape(p.shape) for (name, p), g in zip(named.items(), parts)}
+def named_grads(model) -> dict[str, np.ndarray]:
+    """Each named parameter's gradient after a backward, from the model's
+    ``take_gradients()``, cut into the parameters' shapes in
+    ``named_parameters()`` order: a flow stack's one flat gradient is split,
+    an autoencoder's arrays are named as they are (and leave its layers)."""
+    named = model.named_parameters()
+    grads = model.take_gradients()
+    if len(grads) == 1 < len(named):
+        stops = np.cumsum([p.size for p in named.values()])[:-1]
+        grads = np.split(grads[0], stops)
+    return {name: g.reshape(p.shape) for (name, p), g in zip(named.items(), grads, strict=True)}
 
 
 def invert(layer, z: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from flowvad.pipeline import score_video
 from flowvad.tensor import LEAKY_SLOPE, Tensor
 from flowvad.train import TrainConfig, train_autoencoder
 
-from model_oracles import graph_reconstruct, layer_shapes
+from model_oracles import graph_reconstruct, layer_shapes, named_grads
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +76,8 @@ class TestForward:
         cfg = AutoencoderConfig(in_channels=1, tau=2)
         model = TwoPathAutoencoder(cfg, np.random.default_rng(4))
         for layer in model.laterals:
-            layer.weight.data[:] = 0.0
-            layer.bias.data[:] = 0.0
+            layer.params["weight"][:] = 0.0
+            layer.params["bias"][:] = 0.0
         rng = np.random.default_rng(5)
         x = rng.random((1, 1, 4, 16, 16))
         y = x.copy()
@@ -129,7 +129,7 @@ class TestOnePathMode:
 
 class TestArrayForward:
     """The forward runs on plain arrays; the one ``Tensor`` it makes is the
-    reconstruction that a trainable model records."""
+    reconstruction that a trainable model records, a node with no parents."""
 
     @pytest.mark.parametrize("two_path", [True, False], ids=["two-path", "one-path"])
     def test_encode_and_decode_return_arrays(self, two_path):
@@ -146,25 +146,42 @@ class TestArrayForward:
         assert type(recon) is np.ndarray and recon.shape == x.shape
         out = model.reconstruct(x)
         assert type(out) is Tensor and out.requires_grad
-        assert [id(p) for p in out._parents] == [id(p) for p in model.parameters()]
+        assert out._parents == () and out._backward is not None
         assert np.array_equal(out.data, recon)
 
 
 class TestParameters:
+    def test_parameters_are_the_layers_arrays(self):
+        # parameters() is named_parameters()'s arrays, in order: the very
+        # arrays of each layer's params, which hold no gradient before a backward
+        cfg = AutoencoderConfig(in_channels=1, tau=2)
+        model = TwoPathAutoencoder(cfg, np.random.default_rng(10))
+        params, named = model.parameters(), model.named_parameters()
+        assert len(params) == len(named) == 34
+        assert all(type(p) is np.ndarray for p in params)
+        assert all(p is q for p, q in zip(params, named.values()))
+        for name, layer in model._layers():
+            assert list(layer.params) == ["weight", "bias"] and layer.grads == {}, name
+            assert named[f"{name}.weight"] is layer.params["weight"], name
+
     def test_freeze_disables_gradients(self):
         cfg = AutoencoderConfig(in_channels=1, tau=2)
         model = TwoPathAutoencoder(cfg, np.random.default_rng(10))
+        x = np.random.default_rng(12).random((1, 1, 4, 16, 16))
+        assert model.reconstruct(x).requires_grad
         model.freeze()
         assert model.frozen
-        assert all(not p.requires_grad for p in model.parameters())
+        assert not model.reconstruct(x).requires_grad
 
     def test_gradients_reach_every_parameter(self):
         cfg = AutoencoderConfig(in_channels=1, tau=2)
         model = TwoPathAutoencoder(cfg, np.random.default_rng(11))
         x = np.random.default_rng(12).random((1, 1, 4, 16, 16))
         ((model.reconstruct(x) - x) ** 2).mean().backward()
-        for name, p in zip(model.named_parameters(), model.parameters()):
-            assert p.grad is not None, name
+        grads = model.take_gradients()
+        assert all(not layer.grads for _, layer in model._layers())  # taken, not copied
+        for (name, p), g in zip(model.named_parameters().items(), grads, strict=True):
+            assert type(g) is np.ndarray and g.shape == p.shape and g.any(), name
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["conv", "transpose"])
     def test_initial_weight_scale_follows_the_slope(self, transpose):
@@ -176,8 +193,8 @@ class TestParameters:
         std = np.sqrt(2.0 / ((1.0 + LEAKY_SLOPE**2) * cin * 27))
         shape = (cin, cout, *kernel) if transpose else (cout, cin, *kernel)
         want = np.random.default_rng(13).normal(0.0, std, size=shape)
-        assert np.array_equal(layer.weight.data, want)
-        assert np.array_equal(layer.bias.data, np.zeros(cout))
+        assert np.array_equal(layer.params["weight"], want)
+        assert np.array_equal(layer.params["bias"], np.zeros(cout))
 
 
 def graph_nodes(t):
@@ -192,18 +209,17 @@ def graph_nodes(t):
 
 
 def test_step_graph_is_the_autoencoder_plus_one_loss_node():
-    """The reconstruction is one node whose parents are the parameters, and
-    the loss adds one more: a step's graph is 2 nodes over the 34
-    parameters, where the per-layer graph had 56 plus the loss's one."""
+    """The reconstruction is one node with no parents, since the parameters
+    are plain arrays, and the loss adds one more: a step's graph is 2
+    nodes, where the per-layer graph had 56 plus the loss's one over 34
+    parameter leaves."""
     rng = np.random.default_rng(4)
     model = TwoPathAutoencoder(AutoencoderConfig(tau=4), rng)
     x = rng.uniform(size=(2, 1, 8, 32, 32))
     recon = model.reconstruct(x)
-    params = model.parameters()
-    assert [id(p) for p in recon._parents] == [id(p) for p in params]
-    assert all(p._backward is None for p in params)
-    assert graph_nodes(recon) == 1 + len(params) == 35
-    assert graph_nodes(recon_loss(x, recon).total) == 2 + len(params)
+    assert recon._parents == () and recon._backward is not None
+    assert graph_nodes(recon) == 1
+    assert graph_nodes(recon_loss(x, recon).total) == 2
 
 
 def bits(a):
@@ -211,16 +227,21 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def step_grads(model, x, reconstruct):
-    """Parameter gradients of one recon_loss step through ``reconstruct``,
-    and the reconstruction; leaves no gradient on the model."""
-    params = dict(zip(model.named_parameters(), model.parameters()))
-    out = reconstruct(x)
+def step_grads(model, x):
+    """The reconstruction and the named parameter gradients of one
+    recon_loss step through ``model.reconstruct``; leaves no gradient on the
+    model."""
+    out = model.reconstruct(x)
     recon_loss(x, out).total.backward()
-    grads = {name: p.grad for name, p in params.items()}
-    for p in params.values():
-        p.grad = None
-    return out.data, grads
+    return out.data, named_grads(model)
+
+
+def oracle_step_grads(model, x):
+    """What :func:`step_grads` gives, through ``graph_reconstruct``'s
+    per-layer graph over its own leaves."""
+    out, leaves = graph_reconstruct(model, Tensor(x))
+    recon_loss(x, out).total.backward()
+    return out.data, {name: leaf.grad for name, leaf in leaves.items()}
 
 
 class TestHandWrittenBackward:
@@ -235,8 +256,8 @@ class TestHandWrittenBackward:
         rng = np.random.default_rng(5)
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4, dynamic_path=two_path), rng)
         x = rng.uniform(size=(batch, 1, 8, 64, 64))
-        want_out, want = step_grads(model, x, lambda t: graph_reconstruct(model, Tensor(t)))
-        out, got = step_grads(model, x, model.reconstruct)
+        want_out, want = oracle_step_grads(model, x)
+        out, got = step_grads(model, x)
         assert np.array_equal(bits(out), bits(want_out))
         assert set(got) == set(want)
         for name, g in got.items():
@@ -247,15 +268,15 @@ class TestHandWrittenBackward:
         rng = np.random.default_rng(6)
         model = TwoPathAutoencoder(AutoencoderConfig(tau=2), rng)
         x = rng.uniform(size=(2, 1, 4, 16, 16))
-        _, want = step_grads(model, x, lambda t: graph_reconstruct(model, Tensor(t)))
-        _, got = step_grads(model, x, model.reconstruct)
+        _, want = oracle_step_grads(model, x)
+        _, got = step_grads(model, x)
         assert set(got) == set(want) == set(model.named_parameters())
         for name, g in got.items():
             assert g is not None and np.array_equal(bits(g), bits(want[name])), name
         model.freeze()
         out = model.reconstruct(x)
         assert out._parents == () and out._backward is None and not out.requires_grad
-        assert all(p.grad is None for p in model.parameters())
+        assert all(not layer.grads for _, layer in model._layers())
 
     @pytest.mark.parametrize("two_path", [True, False], ids=["two-path", "one-path"])
     def test_every_transposed_layer_reads_a_leaky_output(self, two_path):
@@ -320,7 +341,7 @@ class TestNoGraph:
         # recording reconstruct holds the arrays its backward reads
         model = TwoPathAutoencoder(AutoencoderConfig(tau=4), np.random.default_rng(8))
         (xs, xd, recon, out), tapes, held = self.held_after(model, monkeypatch)
-        assert len(out._parents) == len(model.parameters())
+        assert out._parents == () and out._backward is not None
         assert tapes[:2] == [None, None] and tapes[2] is tapes[3] is not None
         assert held > 96 * 8 * 32 * 32 * 8  # decode3's output at least
 
@@ -342,7 +363,7 @@ class TestTrainingMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert all(p.grad is not None for p in model.parameters())
+        assert len(model.take_gradients()) == len(model.parameters())
         return peak
 
     @staticmethod

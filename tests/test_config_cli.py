@@ -92,6 +92,13 @@ class TestConfigFormat:
             parse_config("clip_len = 8\nscore_stride = 12\n")
         parse_config("clip_len = 8\nscore_stride = 8\n")
 
+    def test_validation_patch_stride_within_patch(self):
+        # a stride of 20 over 16-pixel patches leaves rows and columns 16-19
+        # in no patch, where an anomaly would score error 0
+        with pytest.raises(ConfigError, match="patch_stride 20 above patch_size 16 leaves gaps"):
+            parse_config("", {"patch_size": "16", "patch_stride": "20"})
+        parse_config("", {"patch_size": "16", "patch_stride": "16"})
+
     def test_check_frames_uses_the_grain_and_patch_size(self):
         config = RunConfig(flow_levels=2, patch_size=24)
         config.check_frames("v.t5", np.zeros((1, 1, 8, 32, 48)))
@@ -698,6 +705,39 @@ class TestInputErrors:
         err = refuse(capsys, out, command, "--data-path", str(data), *ckpt)
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"config error: cannot read video file {unreadable}: " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-itae", "train-nf", "score"])
+    @pytest.mark.parametrize("case", ["alias", "loop", "packed-alias", "frames-alias"])
+    def test_video_found_twice_exit_2(self, small_run, tmp_path, capsys, command, case):
+        # a symlink that reaches a video again: an alias of a video
+        # directory, of a packed file or of a frames folder, or a loop back
+        # to the data path
+        data = tmp_path / "data"
+        (data / "v1").mkdir(parents=True)
+        packed_video(data / "v1" / "v20.t5", 20)
+        if case == "alias":
+            (data / "alias").symlink_to("v1", target_is_directory=True)
+            first, second = data / "alias", data / "v1"
+        elif case == "packed-alias":
+            (data / "v1" / "a.t5").symlink_to("v20.t5")
+            first, second = data / "v1" / "a.t5", data / "v1" / "v20.t5"
+        elif case == "frames-alias":
+            (data / "v1" / "v20.t5").unlink()
+            (data / "v1" / "frames").mkdir()
+            write_pnm(data / "v1" / "frames" / "frame_00000.pgm", np.zeros((20, 20), np.uint8))
+            (data / "v2").mkdir()
+            (data / "v2" / "frames").symlink_to("../v1/frames", target_is_directory=True)
+            first, second = data / "v1" / "frames", data / "v2" / "frames"
+        else:
+            (data / "loop").symlink_to(".", target_is_directory=True)
+            first, second = data, data / "loop"
+        out = tmp_path / "out"
+        ckpt = [] if command == "train-itae" else ["--itae-dir", str(small_run / "itae")]
+        err = refuse(capsys, out, command, "--data-path", str(data), *ckpt)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        real = os.path.realpath(second)
+        assert f"config error: data_path reaches {real} twice, as {first} and as {second}" in err
         assert not out.exists()
 
     def test_resize_by_non_integer_factor_exit_2(self, tmp_path, capsys):

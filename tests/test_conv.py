@@ -498,16 +498,16 @@ class TestLayerBias:
         kernel, stride, padding = (3, 3, 3), (1, 2, 2), (1, 1, 1)
         outpad = (0, 1, 1) if transpose else (0, 0, 0)
         layer = Conv3dLayer(rng, 2, 3, kernel, stride, padding, outpad, transpose=transpose)
-        layer.bias.data = rng.normal(size=3)
+        layer.params["bias"] = rng.normal(size=3)
         x0 = rng.normal(size=(2, 2, 2, 3, 3))
-        w0 = layer.weight.data
+        w0 = layer.params["weight"]
         if transpose:
             y0 = conv_transpose3d_loops(x0, w0, stride, padding, outpad)
         else:
             y0 = conv3d_loops(x0, w0, stride, padding)
 
         out = layer(x0)
-        assert np.allclose(out.data, y0 + layer.bias.data.reshape(1, 3, 1, 1, 1), atol=1e-12)
+        assert np.allclose(out.data, y0 + layer.params["bias"].reshape(1, 3, 1, 1, 1), atol=1e-12)
         assert out._parents == () and not out.requires_grad
         # d sum(out^2) / d out; a transposed layer writes over its input, so it gets a copy
         layer.backward(x0.copy(), 2.0 * out.data)
@@ -515,8 +515,8 @@ class TestLayerBias:
         def loss_b(b):
             return float(((y0 + b.reshape(1, 3, 1, 1, 1)) ** 2).sum())
 
-        numeric = numerical_gradient(loss_b, layer.bias.data.copy())
-        assert max_relative_error(layer.bias.grad, numeric) < 1e-4
+        numeric = numerical_gradient(loss_b, layer.params["bias"].copy())
+        assert max_relative_error(layer.grads["bias"], numeric) < 1e-4
 
 
 def conv_transpose3d_backward_full(x, w, gy, stride, padding):

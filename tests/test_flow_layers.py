@@ -343,7 +343,7 @@ def assert_matches_autodiff(rng, **config):
     x = Tensor(x0, requires_grad=True)
     nll = stack.forward(x).nll
     (nll * weights).sum().backward()
-    got = [nll.data, x.grad, stack.params.grad]
+    got = [nll.data, x.grad, stack.take_gradients()[0]]
 
     leaves = {k: Tensor(p.copy(), requires_grad=True) for k, p in stack.named_parameters().items()}
     x = Tensor(x0, requires_grad=True)
@@ -407,7 +407,7 @@ class TestHandWrittenBackward:
         full = Tensor(x0, requires_grad=True)
         (stack.forward(full).nll * weights).sum().backward()
         want = {name: g.copy() for name, g in named_grads(stack).items()}
-        stack.params.grad = None
+        stack.take_gradients()[0][...] = np.nan  # the next backward overwrites every value
         xin = Tensor(x0, requires_grad=input_grad)
         (stack.forward(xin).nll * weights).sum().backward()
         for name, g in named_grads(stack).items():

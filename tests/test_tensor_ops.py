@@ -152,6 +152,15 @@ class TestGraph:
         assert alive_in_later_backward == [False]
         assert np.array_equal(x.grad, np.full(3, 6.0))
 
+    def test_parentless_node_runs_its_backward_and_drops_its_gradient(self):
+        # a model's output node writes its parameters' gradient arrays, so it
+        # has no parents; the walk still runs it and then frees its gradient
+        seen = []
+        out = Tensor(np.ones(3))._record((), lambda: seen.append(out.grad.copy()))
+        out.mean().backward()
+        assert len(seen) == 1 and np.array_equal(seen[0], np.full(3, 1.0 / 3.0))
+        assert out.grad is None and out._backward is None
+
     def test_no_grad_tracking_without_requires_grad(self):
         x = Tensor([1.0])
         y = x * 2.0

@@ -37,6 +37,11 @@ def assert_params_equal(params, values):
         assert np.array_equal(p, values[name]), name
 
 
+def layers_holding_gradients(model):
+    """How many of the autoencoder's layers hold a gradient."""
+    return sum(bool(layer.grads) for _, layer in model._layers())
+
+
 def tiny_model(seed=0):
     return TwoPathAutoencoder(
         AutoencoderConfig(in_channels=1, tau=4), np.random.default_rng(seed)
@@ -115,7 +120,7 @@ class TestAutoencoderLoop:
                 model, tiny_clips(rng, n=2), TrainConfig(steps=5, batch_size=1, lr=1e-3)
             )
         assert_params_equal(params, starts[-1])
-        assert all(p.grad is None for p in model.parameters())  # released on abort too
+        assert layers_holding_gradients(model) == 0  # released on abort too
 
     def test_no_clips_rejected(self):
         with pytest.raises(ValueError, match="no training clips"):
@@ -189,7 +194,6 @@ class TestFlowLoop:
         ):
             train_flow(stack, flow_samples(rng), TrainConfig(steps=5, batch_size=8, lr=1e-3))
         assert_params_equal(params, starts[-1])
-        assert stack.params.grad is None  # released on abort too
 
     def test_one_forward_per_step(self, rng, monkeypatch):
         calls = []
@@ -208,46 +212,56 @@ class TestFlowLoop:
             train_flow(tiny_flow(), rng.normal(size=(8, 2, 4)), TrainConfig(steps=1, batch_size=4, lr=1e-3))
 
 
-def grads_at_each_call(monkeypatch, owner, attr, params):
-    """Patch owner.attr to record, before each call, how many of the
-    trainable arrays ``params`` carry a gradient; returns the counts."""
-    seen = []
-    original = getattr(owner, attr)
+def steps_seen(monkeypatch, seen):
+    """Patch Adam.step to append each call's gradients to ``seen``."""
+    step = Adam.step
 
-    def wrapper(*args, **kwargs):
-        seen.append(sum(p.grad is not None for p in params))
-        return original(*args, **kwargs)
+    def recording(opt, grads):
+        seen.append(grads)
+        step(opt, grads)
 
-    monkeypatch.setattr(owner, attr, wrapper)
-    return seen
+    monkeypatch.setattr(Adam, "step", recording)
 
 
 class TestGradientLifetime:
-    """Gradients live only within a step: none is held during the next
-    step's forward, nor after training returns (the abort tests above check
-    that none is held after an abort)."""
+    """The autoencoder's gradients live only within a step: no layer holds
+    one during a forward, nor after training returns (the abort test above
+    checks that none is held after an abort); each step hands Adam new
+    arrays. The flow's gradient is one buffer every step reuses."""
 
     def test_autoencoder(self, rng, monkeypatch):
         model = tiny_model()
-        params = model.parameters()
-        seen = grads_at_each_call(monkeypatch, TwoPathAutoencoder, "reconstruct", params)
+        held = []
+        reconstruct = TwoPathAutoencoder.reconstruct
+
+        def counting(self, x):
+            held.append(layers_holding_gradients(self))
+            return reconstruct(self, x)
+
+        monkeypatch.setattr(TwoPathAutoencoder, "reconstruct", counting)
+        seen = []
+        steps_seen(monkeypatch, seen)
         train_autoencoder(model, tiny_clips(rng, n=2), TrainConfig(steps=3, batch_size=1, lr=1e-3))
-        assert seen == [0, 0, 0]
-        assert all(p.grad is None for p in params)
+        assert held == [0, 0, 0]
+        assert layers_holding_gradients(model) == 0
+        assert len(seen) == 3 and all(len(grads) == 34 for grads in seen)
+        assert all(type(g) is np.ndarray for grads in seen for g in grads)
+        assert not any(np.shares_memory(a, b) for a, b in zip(seen[0], seen[1]))
 
     def test_flow(self, rng, monkeypatch):
         stack = tiny_flow()
-        seen = grads_at_each_call(monkeypatch, FlowStack, "forward", stack.parameters())
+        seen = []
+        steps_seen(monkeypatch, seen)
         train_flow(stack, flow_samples(rng), TrainConfig(steps=3, batch_size=8, lr=1e-3))
-        assert seen == [0, 0, 0, 0]  # actnorm init, then one per step
-        assert stack.params.grad is None
+        (buffer,) = stack.take_gradients()
+        assert len(seen) == 3 and all(len(grads) == 1 and grads[0] is buffer for grads in seen)
 
 
 class TestParameterCheck:
     def test_overflowing_total_is_not_an_abort(self):
         # every value finite, but their sum overflows to inf
         named = {"a": np.full(4, 1e308), "b": np.array([-1e308, 1e308])}
-        _check_params_finite(named, 0, [Tensor(p) for p in named.values()])
+        _check_params_finite(named, 0, list(named.values()))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_names_the_non_finite_parameter(self, bad):
@@ -255,7 +269,7 @@ class TestParameterCheck:
         values[1] = bad
         named = {"a": np.full(4, 1e308), "b": values}
         with pytest.raises(NumericError, match="parameter b became non-finite at step 7"):
-            _check_params_finite(named, 7, [Tensor(p) for p in named.values()])
+            _check_params_finite(named, 7, list(named.values()))
 
 
 class TestAdam:
@@ -266,26 +280,25 @@ class TestAdam:
         rng = np.random.default_rng(9)
         shape = (3, optim._BLOCK + 411)  # 3 * 65,947 values: 3 blocks and a tail
         assert (3 * shape[1]) % optim._BLOCK != 0 and 3 * shape[1] > 3 * optim._BLOCK
-        p = Tensor(rng.normal(size=shape), requires_grad=True)
+        p = rng.normal(size=shape)
         opt = Adam([p], lambda step: 1e-3 * (step + 1))
         b1, b2, eps = 0.9, 0.999, 1e-8
-        data, m, v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+        data, m, v = p.copy(), np.zeros(shape), np.zeros(shape)
         for step in range(3):
             g = rng.normal(size=shape)
-            p.grad = g.copy()
-            opt.step()
+            opt.step([g.copy()])
             t, lr = step + 1, 1e-3 * (step + 1)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             data = data - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
-            assert np.array_equal(p.data.view(np.uint64), data.view(np.uint64)), step
+            assert np.array_equal(p.view(np.uint64), data.view(np.uint64)), step
 
 
 def assert_views_of_one_vector(stack):
     """Every named parameter is a view into the flat vector, which is the
     concatenation of the named parameters in order."""
     named = stack.named_parameters()
-    flat = stack.params.data
+    flat = stack.params
     for name, p in named.items():
         assert np.shares_memory(p, flat), name
     assert np.array_equal(flat, np.concatenate([p.reshape(-1) for p in named.values()]))
@@ -306,12 +319,12 @@ class TestFlatParameters:
         trained = tiny_flow(seed=1)
         train_flow(trained, samples, TrainConfig(steps=3, batch_size=8, lr=1e-2))
         stack.load_state(trained.named_parameters())
-        assert np.array_equal(stack.params.data, trained.params.data)
+        assert np.array_equal(stack.params, trained.params)
         assert_views_of_one_vector(stack)
 
-        before = stack.params.data.copy()
+        before = stack.params.copy()
         train_flow(stack, samples, TrainConfig(steps=3, batch_size=8, lr=1e-2))
-        assert not np.array_equal(stack.params.data, before)
+        assert not np.array_equal(stack.params, before)
         assert_views_of_one_vector(stack)
 
         params = stack.named_parameters()
@@ -331,20 +344,25 @@ class TestFlatParameters:
         stack.forward(Tensor(flow_samples(rng, n=8))).nll.mean().backward()
         layers = [layer for level in stack.levels for _, layer in level["layers"]]
         grads = [g for layer in layers for g in layer.grads.values()]
+        (flat_grad,) = stack.take_gradients()
         for g in grads:
-            assert np.shares_memory(g, stack.params.grad)
-        assert np.array_equal(stack.params.grad, np.concatenate([g.reshape(-1) for g in grads]))
+            assert np.shares_memory(g, flat_grad)
+        assert np.array_equal(flat_grad, np.concatenate([g.reshape(-1) for g in grads]))
 
     def test_named_parameters_are_arrays(self, rng, tmp_path):
-        """Both models name plain arrays, which a checkpoint round-trips.
-        The flow's are views of ``params.data`` in order, and after a
-        backward each layer's gradient array is the view of ``params.grad``
-        at the same offset; a layer built alone holds zero gradients."""
+        """Both models name and train plain arrays, which a checkpoint
+        round-trips. The flow's are views of ``params`` in order, and after
+        a backward each layer's gradient array is the view of the flat
+        gradient at the same offset; a layer built alone holds zero
+        gradients."""
         model, stack = tiny_model(), tiny_flow()
         for named in (model.named_parameters(), stack.named_parameters()):
             assert all(type(p) is np.ndarray for p in named.values())
+        for params in (model.parameters(), stack.parameters()):
+            assert all(type(p) is np.ndarray for p in params)
+        assert stack.parameters() == [stack.params] and len(model.parameters()) == 34
         stack.forward(Tensor(flow_samples(rng, n=8))).nll.mean().backward()
-        flat, flat_grad = stack.params.data, stack.params.grad
+        flat, (flat_grad,) = stack.params, stack.take_gradients()
         start = 0
         for level in stack.levels:
             for name, layer in level["layers"]:
@@ -380,12 +398,12 @@ class TestFlatParameters:
         seen = []  # (values before the update, gradients) per step
         step = Adam.step
 
-        def recording(opt):
+        def recording(opt, grads):
             seen.append((
                 {k: p.copy() for k, p in named.items()},
                 {k: g.copy() for k, g in named_grads(stack).items()},
             ))
-            step(opt)
+            step(opt, grads)
 
         monkeypatch.setattr(Adam, "step", recording)
         train_flow(stack, flow_samples(rng), config)
